@@ -16,12 +16,11 @@ from .dynamics import (
     SystemParams,
     effective_params,
     equilibria,
-    eval_lorenz_field,
     eval_sl_field,
     jacobian,
     make_field,
 )
-from .timegauge import Gauge, lambda_coeff, make_gauged_field, msl_rhs, scale_time, unscale_time
+from .timegauge import Gauge, lambda_coeff, make_gauged_field, scale_time, unscale_time
 from .integrate import (
     IntegrationError,
     IntegrationMeta,

@@ -344,6 +344,16 @@ def _sl_autonomous_context(
     return make_field(kind, params), "t"
 
 
+def _twin_rk4(rhs: Callable, a: tuple, b: tuple, t0: float, n_sub: int, dt: float) -> tuple:
+    """Carry two states side by side through `n_sub` fixed RK4 steps of
+    width `dt` from `t0`: the stepper both divergence estimators share."""
+    for j in range(n_sub):
+        tj = t0 + j * dt
+        a = rk4_step(rhs, tj, a, dt)
+        b = rk4_step(rhs, tj, b, dt)
+    return a, b
+
+
 def lyapunov_from_field(
     rhs: Callable[[float, tuple[float, float, float]], tuple[float, float, float]],
     x0: Sequence[float],
@@ -382,11 +392,7 @@ def lyapunov_from_field(
     twin = (ref[0] + offset, ref[1], ref[2])
     rates: list[float] = []
     for i in range(n_intervals):
-        base = i * renorm_interval
-        for j in range(n_sub):
-            tj = base + j * dt
-            ref = rk4_step(rhs, tj, ref, dt)
-            twin = rk4_step(rhs, tj, twin, dt)
+        ref, twin = _twin_rk4(rhs, ref, twin, i * renorm_interval, n_sub, dt)
         dx = twin[0] - ref[0]
         dy = twin[1] - ref[1]
         dz = twin[2] - ref[2]
@@ -471,11 +477,7 @@ def divergence_probe(
     times = [0.0]
     seps = [delta0]
     for i in range(n_samples):
-        base = i * sample_interval
-        for j in range(n_sub):
-            tj = base + j * dt
-            a = rk4_step(rhs, tj, a, dt)
-            b = rk4_step(rhs, tj, b, dt)
+        a, b = _twin_rk4(rhs, a, b, i * sample_interval, n_sub, dt)
         times.append((i + 1) * sample_interval)
         seps.append(math.hypot(b[0] - a[0], b[1] - a[1], b[2] - a[2]))
     return SeparationSeries(np.asarray(times), np.asarray(seps), delta0, tvar)

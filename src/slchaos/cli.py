@@ -15,9 +15,6 @@ from pathlib import Path
 
 from .analysis import (
     NewtonError,
-    classify_spectrum,
-    conjecture_report,
-    eigenvalues_3x3,
     max_lyapunov,
 )
 from .dynamics import (
@@ -25,8 +22,6 @@ from .dynamics import (
     SystemKind,
     SystemParams,
     effective_params,
-    equilibria,
-    jacobian,
 )
 from .integrate import (
     IntegrationError,
@@ -41,6 +36,7 @@ from .scenarios import (
     ScenarioNotFound,
     SweepSpec,
     builtin_scenarios,
+    equilibria_doc,
     lookup_scenario,
     run_compare,
     run_scenario,
@@ -65,7 +61,9 @@ class _Parser(argparse.ArgumentParser):
 def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--out", default="out", help="output directory (default: out)")
     sub.add_argument("--tol", type=float, default=None, help="absolute and relative tolerance")
-    sub.add_argument("--samples", type=int, default=None, help="sample count override")
+    sub.add_argument(
+        "--samples", dest="sample_count", type=int, default=None, help="sample count override"
+    )
     sub.add_argument("--method", choices=[m.value for m in Method], default=None)
     sub.add_argument("--mode", choices=[m.value for m in SLMode], default=None)
 
@@ -201,9 +199,10 @@ def _apply_overrides(sc: Scenario, ns: argparse.Namespace) -> Scenario:
         config = dataclasses.replace(config, abs_tol=ns.tol, rel_tol=ns.tol)
     if ns.method is not None:
         config = dataclasses.replace(config, method=Method(ns.method))
-    if ns.samples is not None:
-        plan = dataclasses.replace(plan, sample_count=ns.samples)
-    return dataclasses.replace(sc, config=config, plan=plan)
+    if ns.sample_count is not None:
+        plan = dataclasses.replace(plan, sample_count=ns.sample_count)
+    sl_mode = SLMode(ns.mode) if ns.mode is not None else sc.sl_mode
+    return dataclasses.replace(sc, config=config, plan=plan, sl_mode=sl_mode)
 
 
 def _cmd_simulate(ns: argparse.Namespace) -> int:
@@ -211,9 +210,7 @@ def _cmd_simulate(ns: argparse.Namespace) -> int:
         sc = lookup_scenario(ns.scenario)
     else:
         sc = _custom_scenario(ns)
-    sc = _apply_overrides(sc, ns)
-    mode = SLMode(ns.mode) if ns.mode is not None else None
-    paths = run_scenario(sc, ns.out, mode)
+    paths = run_scenario(_apply_overrides(sc, ns), ns.out)
     for p in paths:
         print(f"wrote {p}")
     return 0
@@ -224,7 +221,8 @@ def _cmd_sweep(ns: argparse.Namespace) -> int:
         values = tuple(float(v) for v in ns.values.split(","))
     except ValueError:
         raise _UsageError(f"--values must be comma-separated numbers, got {ns.values!r}")
-    spec = SweepSpec(ns.scenario, ns.param, values)
+    base = _apply_overrides(lookup_scenario(ns.scenario), ns)
+    spec = SweepSpec(base, ns.param, values)
     summary = run_sweep(spec, ns.out)
     failures = [r for r in summary["results"] if "error" in r]
     for row in summary["results"]:
@@ -235,7 +233,8 @@ def _cmd_sweep(ns: argparse.Namespace) -> int:
 
 
 def _cmd_compare(ns: argparse.Namespace) -> int:
-    paths = run_compare(tuple(ns.scenarios), ns.out, ns.axis)
+    scenarios = [_apply_overrides(lookup_scenario(name), ns) for name in ns.scenarios]
+    paths = run_compare(scenarios, ns.out, ns.axis)
     for p in paths:
         print(f"wrote {p}")
     return 0
@@ -243,28 +242,10 @@ def _cmd_compare(ns: argparse.Namespace) -> int:
 
 def _cmd_fixed_points(ns: argparse.Namespace) -> int:
     kind, params = _custom_params(ns)
-    entries = []
-    for eq in equilibria(params):
-        spec = eigenvalues_3x3(jacobian(kind, params, eq.point))
-        entries.append(
-            {
-                "point": [eq.point.x, eq.point.y, eq.point.z],
-                "residual": eq.residual_norm,
-                "note": eq.multiplicity_note,
-                "spectrum": [[v.real, v.imag] for v in spec.eigenvalues],
-                "class": classify_spectrum(spec),
-            }
-        )
-    conj = conjecture_report(params)
     doc = {
         "system": kind.value,
         "params": {"a": params.a, "b": params.b, "c": params.c},
-        "equilibria": entries,
-        "conjecture": {
-            "verdict": conj.verdict,
-            "equilibrium_count": len(conj.equilibria_found),
-            "note": conj.note,
-        },
+        **equilibria_doc(kind, params),
     }
     print(json.dumps(doc, indent=2))
     return 0
@@ -280,14 +261,7 @@ def _cmd_lyapunov(ns: argparse.Namespace) -> int:
         x0 = State3(ns.x0, ns.y0, ns.z0)
     renorm = ns.renorm if ns.renorm is not None else ns.horizon / 500.0
     est = max_lyapunov(kind, params, gauge, x0, ns.horizon, renorm)
-    doc = {
-        "system": kind.value,
-        "lambda_max": est.lambda_max,
-        "horizon": est.horizon,
-        "renorm_interval": est.renorm_interval,
-        "sample_stddev": est.sample_stddev,
-        "time_variable": est.time_variable,
-    }
+    doc = {"system": kind.value, **dataclasses.asdict(est)}
     print(json.dumps(doc, indent=2))
     return 0
 

@@ -30,7 +30,6 @@ __all__ = [
     "LORENZ_LITERAL_PARAMS",
     "effective_params",
     "eval_sl_field",
-    "eval_lorenz_field",
     "make_field",
     "jacobian",
     "field_norm",
@@ -127,13 +126,6 @@ def eval_sl_field(params: SystemParams, state: State3 | Sequence[float]) -> Stat
     x, y, z = state
     a, b, c = params.a, params.b, params.c
     return State3(a * (y - x), x * (b - z) - y, x * y - c * z)
-
-
-def eval_lorenz_field(kind: SystemKind, state: State3 | Sequence[float]) -> State3:
-    """Evaluate one of the two fixed Lorenz arrangements."""
-    if kind is SystemKind.SL:
-        raise ValueError("eval_lorenz_field takes a Lorenz kind; use eval_sl_field for SL")
-    return eval_sl_field(effective_params(kind), state)
 
 
 def make_field(

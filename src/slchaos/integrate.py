@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -184,13 +184,6 @@ class Trajectory:
         )
 
     @property
-    def samples(self) -> list[tuple[float, float, State3]]:
-        return [
-            (float(tv), float(sv), State3(float(row[0]), float(row[1]), float(row[2])))
-            for tv, sv, row in zip(self.t, self.s, self.states)
-        ]
-
-    @property
     def final_state(self) -> State3:
         row = self.states[-1]
         return State3(float(row[0]), float(row[1]), float(row[2]))
@@ -349,8 +342,10 @@ def _adaptive_solve(
     config: IntegratorConfig,
     sample_ts: np.ndarray | None,
     sample_count_hint: int,
-) -> tuple[list[float], list[tuple[float, float, float]], int, int]:
-    """Core DP54 driver.  Returns (times, states, accepted, rejected).
+    mode: str | None,
+) -> tuple[np.ndarray, np.ndarray, IntegrationMeta]:
+    """Core DP54 driver.  Returns the time column, the states and the
+    run's metadata, which records `mode`.
 
     With a sample grid, output rows sit exactly on the grid (interpolated);
     without one, every accepted step endpoint is recorded.
@@ -380,18 +375,14 @@ def _adaptive_solve(
             out_y.append((x, y, z))
             si += 1
 
+    def meta() -> IntegrationMeta:
+        return IntegrationMeta(accepted, rejected, Method.RK45_ADAPTIVE.value, atol, rtol, mode)
+
     def partial() -> Trajectory | None:
         if not out_t:
             return None
         arr = np.asarray(out_t)
-        return Trajectory(
-            arr,
-            arr.copy(),
-            np.asarray(out_y),
-            IntegrationMeta(
-                accepted, rejected, Method.RK45_ADAPTIVE.value, atol, rtol
-            ),
-        )
+        return Trajectory(arr, arr.copy(), np.asarray(out_y), meta())
 
     h = config.initial_step
     if h is None:
@@ -517,7 +508,29 @@ def _adaptive_solve(
             f"sample grid extends past t1 = {t1!r} (next sample {sample_ts[si]!r})",
             partial=partial(),
         )
-    return out_t, out_y, accepted, rejected
+    return np.asarray(out_t), np.asarray(out_y), meta()
+
+
+def _solve(
+    rhs: RHS,
+    u0: float,
+    u1: float,
+    x0: Sequence[float],
+    config: IntegratorConfig,
+    grid: np.ndarray | None,
+    sample_count: int,
+    mode: str | None = None,
+) -> tuple[np.ndarray, np.ndarray, IntegrationMeta]:
+    """Run the configured method over [u0, u1] in the integration variable u.
+
+    RK4 takes `sample_count - 1` uniform steps and records every endpoint;
+    DP54 samples on `grid`, or at every accepted step when the grid is None.
+    Returns the u column, the states and the run's metadata.
+    """
+    if config.method is Method.RK4_FIXED:
+        base = integrate_fixed(rhs, u0, u1, x0, sample_count - 1)
+        return base.t, base.states, replace(base.meta, mode=mode)
+    return _adaptive_solve(rhs, u0, u1, x0, config, grid, sample_count, mode)
 
 
 def integrate_adaptive(
@@ -538,15 +551,10 @@ def integrate_adaptive(
     if not (math.isfinite(t0) and math.isfinite(t1) and t1 > t0):
         raise ValueError(f"need finite t1 > t0, got [{t0!r}, {t1!r}]")
 
-    grid = plan.grid(t0, t1)
-    times, states, acc, rej = _adaptive_solve(
-        rhs, t0, t1, tuple(float(v) for v in x0), config, grid, plan.sample_count
+    arr_t, states, meta = _solve(
+        rhs, t0, t1, tuple(float(v) for v in x0), config, plan.grid(t0, t1), plan.sample_count
     )
-    arr_t = np.asarray(times)
-    meta = IntegrationMeta(
-        acc, rej, Method.RK45_ADAPTIVE.value, config.abs_tol, config.rel_tol
-    )
-    return Trajectory(arr_t, arr_t.copy(), np.asarray(states), meta)
+    return Trajectory(arr_t, arr_t.copy(), states, meta)
 
 
 def integrate_sl(
@@ -560,13 +568,19 @@ def integrate_sl(
 ) -> Trajectory:
     """Integrate the gauged SL system over an ordinary-time span.
 
-    The span and the sampling grid are specified in t regardless of mode, so
-    the two modes sample the same instants.  DIRECT_T solves the weighted
-    equations in t at those sample times; SCALED_S solves dx/ds = f over the
-    image of the span and samples at s_k = scale_time(t_k), then stores the
+    DIRECT_T solves the weighted equations in t; SCALED_S solves the
+    autonomous dx/ds = f over the image of the span under the gauge.  The
+    span is given in t for both, and t must start strictly above zero: the
+    direct weight t**(-D) is singular at the origin and the gauge map is not
+    invertible there.  Each row carries both times, related by the gauge map.
+
+    Under DP54 both modes sample the same instants: the plan's grid is laid
+    out in t, and SCALED_S samples at s_k = scale_time(t_k) and stores the
     original t grid alongside, which makes cross-mode rows directly
-    comparable.  t must start strictly above zero: the direct weight t**(-D)
-    is singular at the origin and the gauge map is not invertible there.
+    comparable.  RK4 ignores the plan's spacing and takes sample_count - 1
+    uniform steps in its own integration variable, so its samples are
+    uniform in t under DIRECT_T and uniform in s under SCALED_S, and the two
+    modes sample different instants.
     """
     config = config if config is not None else IntegratorConfig()
     plan = plan if plan is not None else SamplingPlan(SamplingMode.GEOMETRIC)
@@ -575,60 +589,19 @@ def integrate_sl(
         raise ValueError(f"SL span needs 0 < t0 < t1, got [{t0!r}, {t1!r}]")
     x0 = tuple(float(v) for v in x0)
 
+    t_grid = plan.grid(t0, t1) if config.method is Method.RK45_ADAPTIVE else None
     if mode is SLMode.DIRECT_T:
-        rhs = make_gauged_field(params, gauge)
-        if config.method is Method.RK4_FIXED:
-            base = integrate_fixed(rhs, t0, t1, x0, plan.sample_count - 1)
-            times, states = list(base.t), [tuple(row) for row in base.states]
-            acc, rej = base.meta.steps_taken, 0
-        else:
-            grid = plan.grid(t0, t1)
-            times, states, acc, rej = _adaptive_solve(
-                rhs, t0, t1, x0, config, grid, plan.sample_count
-            )
-        arr_t = np.asarray(times)
-        arr_s = np.asarray([scale_time(gauge, tv) for tv in times])
-        meta = IntegrationMeta(
-            acc,
-            rej,
-            config.method.value,
-            None if config.method is Method.RK4_FIXED else config.abs_tol,
-            None if config.method is Method.RK4_FIXED else config.rel_tol,
-            SLMode.DIRECT_T.value,
-        )
-        return Trajectory(arr_t, arr_s, np.asarray(states), meta)
-
-    rhs = make_field(SystemKind.SL, params)
-    s0 = scale_time(gauge, t0)
-    s1 = scale_time(gauge, t1)
-    t_grid = plan.grid(t0, t1)
-    if config.method is Method.RK4_FIXED:
-        base = integrate_fixed(rhs, s0, s1, x0, plan.sample_count - 1)
-        arr_s = base.t
-        arr_t = np.asarray([unscale_time(gauge, sv) for sv in arr_s])
-        states_arr = base.states
-        acc, rej = base.meta.steps_taken, 0
-    elif t_grid is None:
-        times, states, acc, rej = _adaptive_solve(
-            rhs, s0, s1, x0, config, None, plan.sample_count
-        )
-        arr_s = np.asarray(times)
-        arr_t = np.asarray([unscale_time(gauge, sv) for sv in times])
-        states_arr = np.asarray(states)
+        rhs, u0, u1, grid = make_gauged_field(params, gauge), t0, t1, t_grid
     else:
-        s_grid = np.asarray([scale_time(gauge, tv) for tv in t_grid])
-        times, states, acc, rej = _adaptive_solve(
-            rhs, s0, s1, x0, config, s_grid, plan.sample_count
-        )
-        arr_s = np.asarray(times)
-        arr_t = np.asarray(t_grid, dtype=float)
-        states_arr = np.asarray(states)
-    meta = IntegrationMeta(
-        acc,
-        rej,
-        config.method.value,
-        None if config.method is Method.RK4_FIXED else config.abs_tol,
-        None if config.method is Method.RK4_FIXED else config.rel_tol,
-        SLMode.SCALED_S.value,
-    )
-    return Trajectory(arr_t, arr_s, states_arr, meta)
+        rhs = make_field(SystemKind.SL, params)
+        u0, u1 = scale_time(gauge, t0), scale_time(gauge, t1)
+        grid = None if t_grid is None else np.asarray([scale_time(gauge, tv) for tv in t_grid])
+    u, states, meta = _solve(rhs, u0, u1, x0, config, grid, plan.sample_count, mode.value)
+
+    if mode is SLMode.DIRECT_T:
+        arr_t, arr_s = u, np.asarray([scale_time(gauge, tv) for tv in u])
+    elif t_grid is not None:
+        arr_t, arr_s = np.asarray(t_grid, dtype=float), u
+    else:
+        arr_t, arr_s = np.asarray([unscale_time(gauge, sv) for sv in u]), u
+    return Trajectory(arr_t, arr_s, states, meta)

@@ -20,7 +20,7 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable
+from typing import Sequence
 
 import numpy as np
 
@@ -61,6 +61,7 @@ __all__ = [
     "builtin_scenarios",
     "scenario_registry",
     "run_trajectory",
+    "equilibria_doc",
     "scenario_report",
     "run_scenario",
     "run_sweep",
@@ -114,9 +115,10 @@ class Scenario:
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """Rerun `base` with `parameter` set to each value in turn."""
+    """Rerun `base` (a registry name or a Scenario) with `parameter` set to
+    each value in turn."""
 
-    base: str
+    base: str | Scenario
     parameter: str
     values: tuple[float, ...]
 
@@ -187,8 +189,12 @@ def lookup_scenario(name: str) -> Scenario:
     return reg[name]
 
 
-def run_trajectory(scenario: Scenario, mode: SLMode | None = None) -> Trajectory:
-    """Integrate a scenario; `mode` overrides the SL integration route."""
+def _resolve(scenario: Scenario | str) -> Scenario:
+    return lookup_scenario(scenario) if isinstance(scenario, str) else scenario
+
+
+def run_trajectory(scenario: Scenario) -> Trajectory:
+    """Integrate a scenario; SL runs take the route `scenario.sl_mode`."""
     if scenario.kind is SystemKind.SL:
         assert scenario.gauge is not None
         return integrate_sl(
@@ -198,7 +204,7 @@ def run_trajectory(scenario: Scenario, mode: SLMode | None = None) -> Trajectory
             scenario.x0,
             scenario.config,
             scenario.plan,
-            mode if mode is not None else scenario.sl_mode,
+            scenario.sl_mode,
         )
     rhs = make_field(scenario.kind, scenario.params)
     if scenario.config.method is Method.RK4_FIXED:
@@ -218,26 +224,38 @@ def _analysis_horizon(scenario: Scenario) -> float:
     return t1 - t0
 
 
-def _complex_pairs(values: Iterable[complex]) -> list[list[float]]:
-    return [[v.real, v.imag] for v in values]
+def equilibria_doc(kind: SystemKind, params: SystemParams | None) -> dict:
+    """The `equilibria` and `conjecture` blocks shared by the analysis report
+    and the `fixed-points` command: each closed-form equilibrium with its
+    residual, spectrum and class, then the fixed-point-existence verdict."""
+    eff = effective_params(kind, params)
+    entries = []
+    for eq in equilibria(eff):
+        spec = eigenvalues_3x3(jacobian(kind, eff, eq.point))
+        entries.append(
+            {
+                "point": [eq.point.x, eq.point.y, eq.point.z],
+                "residual": eq.residual_norm,
+                "note": eq.multiplicity_note,
+                "spectrum": [[v.real, v.imag] for v in spec.eigenvalues],
+                "class": classify_spectrum(spec),
+            }
+        )
+    conj = conjecture_report(eff)
+    return {
+        "equilibria": entries,
+        "conjecture": {
+            "verdict": conj.verdict,
+            "equilibrium_count": len(conj.equilibria_found),
+            "note": conj.note,
+        },
+    }
 
 
 def scenario_report(scenario: Scenario, trajectory: Trajectory) -> dict:
     """Assemble the JSON-ready analysis document for a finished run."""
     eff = effective_params(scenario.kind, scenario.params)
-    eq_entries = []
-    for eq in equilibria(eff):
-        spec = eigenvalues_3x3(jacobian(scenario.kind, scenario.params, eq.point))
-        eq_entries.append(
-            {
-                "point": [eq.point.x, eq.point.y, eq.point.z],
-                "residual": eq.residual_norm,
-                "note": eq.multiplicity_note,
-                "spectrum": _complex_pairs(spec.eigenvalues),
-                "class": classify_spectrum(spec),
-            }
-        )
-
+    eq_doc = equilibria_doc(scenario.kind, scenario.params)
     horizon = _analysis_horizon(scenario)
     est = max_lyapunov(
         scenario.kind,
@@ -247,7 +265,6 @@ def scenario_report(scenario: Scenario, trajectory: Trajectory) -> dict:
         horizon,
         horizon / LYAPUNOV_INTERVALS,
     )
-    conj = conjecture_report(eff)
     meta = trajectory.meta
     gauge_doc = None
     if scenario.gauge is not None:
@@ -259,19 +276,9 @@ def scenario_report(scenario: Scenario, trajectory: Trajectory) -> dict:
         "gauge": gauge_doc,
         "x0": [scenario.x0.x, scenario.x0.y, scenario.x0.z],
         "span": [scenario.span[0], scenario.span[1]],
-        "equilibria": eq_entries,
-        "lyapunov": {
-            "lambda_max": est.lambda_max,
-            "horizon": est.horizon,
-            "renorm_interval": est.renorm_interval,
-            "sample_stddev": est.sample_stddev,
-            "time_variable": est.time_variable,
-        },
-        "conjecture": {
-            "verdict": conj.verdict,
-            "equilibrium_count": len(conj.equilibria_found),
-            "note": conj.note,
-        },
+        "equilibria": eq_doc["equilibria"],
+        "lyapunov": dataclasses.asdict(est),
+        "conjecture": eq_doc["conjecture"],
         "meta": {
             "steps_taken": meta.steps_taken,
             "steps_rejected": meta.steps_rejected,
@@ -300,9 +307,9 @@ def _geometry_views(trajectory: Trajectory, label: str, color: str) -> list[tupl
     ]
 
 
-def _execute(scenario: Scenario, out_dir: Path, mode: SLMode | None = None) -> tuple[list[Path], Trajectory, dict]:
+def _execute(scenario: Scenario, out_dir: Path) -> tuple[list[Path], Trajectory, dict]:
     out_dir.mkdir(parents=True, exist_ok=True)
-    traj = run_trajectory(scenario, mode)
+    traj = run_trajectory(scenario)
     report = scenario_report(scenario, traj)
     written: list[Path] = []
     try:
@@ -325,14 +332,11 @@ def _execute(scenario: Scenario, out_dir: Path, mode: SLMode | None = None) -> t
     return written, traj, report
 
 
-def run_scenario(
-    scenario: Scenario | str, output_dir: str | Path, mode: SLMode | None = None
-) -> list[Path]:
+def run_scenario(scenario: Scenario | str, output_dir: str | Path) -> list[Path]:
     """Run one scenario and write CSV + JSON + four SVG views into
     `output_dir`.  Returns the written paths.  Accepts a registry name or a
-    Scenario instance; `mode` optionally overrides the SL route."""
-    sc = lookup_scenario(scenario) if isinstance(scenario, str) else scenario
-    paths, _, _ = _execute(sc, Path(output_dir), mode)
+    Scenario instance."""
+    paths, _, _ = _execute(_resolve(scenario), Path(output_dir))
     return paths
 
 
@@ -358,7 +362,7 @@ def run_sweep(spec: SweepSpec, output_dir: str | Path) -> dict:
     lambda_max, origin classification) in input order.  A member that fails
     to build or run contributes an error row instead of aborting the rest.
     """
-    base = lookup_scenario(spec.base)
+    base = _resolve(spec.base)
     out = Path(output_dir)
     out.mkdir(parents=True, exist_ok=True)
     rows = []
@@ -378,7 +382,7 @@ def run_sweep(spec: SweepSpec, output_dir: str | Path) -> dict:
             row["origin_class"] = report["equilibria"][0]["class"]
         rows.append(row)
     summary = {
-        "base": spec.base,
+        "base": base.name,
         "parameter": spec.parameter,
         "values": list(spec.values),
         "results": rows,
@@ -396,9 +400,10 @@ def _series_axis(scenario: Scenario, traj: Trajectory, time_axis: str) -> tuple[
 
 
 def run_compare(
-    names: list[str] | tuple[str, ...], output_dir: str | Path, time_axis: str = "s"
+    names: Sequence[Scenario | str], output_dir: str | Path, time_axis: str = "s"
 ) -> list[Path]:
-    """Overlay several scenarios in seven shared views.
+    """Overlay several scenarios, given as registry names or Scenario
+    instances, in seven shared views.
 
     Four geometry views (isometric, x-y, x-z, y-z) plus one time series per
     component.  Gauged scenarios plot their series against scaled time by
@@ -418,7 +423,7 @@ def run_compare(
 
     runs = []
     for i, name in enumerate(names):
-        sc = lookup_scenario(name)
+        sc = _resolve(name)
         traj = run_trajectory(sc)
         runs.append((sc, traj, COMPARE_COLORS[i]))
 

@@ -22,16 +22,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable
 
-from .dynamics import State3, SystemParams, eval_sl_field
+from .dynamics import SystemParams
 
 __all__ = [
     "Gauge",
     "lambda_coeff",
     "scale_time",
     "unscale_time",
-    "msl_rhs",
     "make_gauged_field",
 ]
 
@@ -88,25 +87,14 @@ def unscale_time(gauge: Gauge, s: float) -> float:
     return math.exp(math.log(s / gauge.mu) / (1.0 - gauge.D))
 
 
-def msl_rhs(
-    params: SystemParams, gauge: Gauge, t: float, state: State3 | Sequence[float]
-) -> State3:
-    """Gauged right-hand side lam * t**(-D) * f(state).
-
-    The weight is singular at t = 0, so gauged evaluation requires t > 0.
-    """
-    t = float(t)
-    if not math.isfinite(t) or t <= 0.0:
-        raise ValueError(f"gauged field needs finite t > 0 (weight ~ t**(-D)), got {t!r}")
-    w = gauge.lam * math.exp(-gauge.D * math.log(t))
-    f = eval_sl_field(params, state)
-    return State3(w * f.x, w * f.y, w * f.z)
-
-
 def make_gauged_field(
     params: SystemParams, gauge: Gauge
 ) -> Callable[[float, tuple[float, float, float]], tuple[float, float, float]]:
-    """Bind (params, gauge) into a plain-tuple evaluator for the integrators."""
+    """Bind (params, gauge) into a plain-tuple evaluator rhs(t, (x, y, z)) of
+    the gauged right-hand side lam * t**(-D) * f(state) for the integrators.
+
+    The weight is singular at t = 0, so the evaluator rejects t <= 0.
+    """
     a, b, c = params.a, params.b, params.c
     lam, D = gauge.lam, gauge.D
     log = math.log

@@ -189,7 +189,10 @@ class TestSweep:
         assert code == 0
         assert "D=0.5: ok" in out
         assert "D=0.9: ok" in out
-        assert (tmp_path / "summary.json").exists()
+        assert json.loads((tmp_path / "summary.json").read_text())["base"] == "sl-a2"
+        # --samples reaches every member: a header plus 200 rows
+        member_csv = tmp_path / "D-0.5" / "sl-a2-D0.5.csv"
+        assert len(member_csv.read_text().splitlines()) == 201
 
     def test_malformed_values(self, capsys, tmp_path):
         code, _, err = run_cli(
@@ -216,6 +219,15 @@ class TestCompare:
         assert code == 0
         assert out.count("wrote ") == 7
         assert len(list(tmp_path.glob("compare-*.svg"))) == 7
+
+    def test_overrides_reach_every_scenario(self, capsys, tmp_path):
+        code, _, _ = run_cli(
+            capsys, "compare", "sl-a2", "lorenz-literal", "--samples", "50", "--out", str(tmp_path)
+        )
+        assert code == 0
+        series = (tmp_path / "compare-series-x.svg").read_text()
+        polylines = [line for line in series.splitlines() if line.startswith("<polyline")]
+        assert [line.count(",") for line in polylines] == [50, 50]
 
     def test_one_scenario_rejected(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "compare", "sl-a2", "--out", str(tmp_path))

@@ -13,12 +13,12 @@ from slchaos.dynamics import (
     SystemParams,
     effective_params,
     equilibria,
-    eval_lorenz_field,
     eval_sl_field,
     field_norm,
     jacobian,
     make_field,
 )
+from slchaos.timegauge import Gauge, make_gauged_field
 
 ATTRACTOR_II = SystemParams(2.0, 0.3, 27.0)
 
@@ -38,43 +38,58 @@ def test_sl_field_hand_values():
 
 def test_sl_field_matches_symbolic_substitution():
     """Independent route: the same expressions built in sympy and evaluated
-    exactly, compared against the float implementation."""
+    exactly, compared against the float implementations: `eval_sl_field`,
+    the `make_field` closure for all three kinds (Lorenz coefficients
+    written out as exact rationals), and the `make_gauged_field` closure
+    against lam * t**(-D) * f with lam = mu * (1 - D)."""
     xs, ys, zs, a_s, b_s, c_s = sympy.symbols("x y z a b c")
+    ts, mu_s, D_s = sympy.symbols("t mu D", positive=True)
     expr = (
         a_s * (ys - xs),
         xs * (b_s - zs) - ys,
         xs * ys - c_s * zs,
     )
+    gauged = tuple(mu_s * (1 - D_s) * ts ** (-D_s) * e for e in expr)
+    pinned = {
+        SystemKind.LORENZ_STANDARD: (10, 28, sympy.Rational(8, 3)),
+        SystemKind.LORENZ_LITERAL: (10, sympy.Rational(8, 3), 28),
+    }
+
+    def check(got, exprs, subs):
+        for g, sym in zip(got, exprs):
+            want = float(sym.evalf(subs=subs))
+            assert g == pytest.approx(want, rel=1e-12, abs=1e-12)
+
     rng = np.random.default_rng(7)
     for _ in range(5):
         a, b, c = rng.uniform(-5, 5, 3)
         x, y, z = rng.uniform(-10, 10, 3)
-        f = eval_sl_field(SystemParams(a, b, c), (x, y, z))
+        params = SystemParams(a, b, c)
         subs = {a_s: a, b_s: b, c_s: c, xs: x, ys: y, zs: z}
-        for got, sym in zip((f.x, f.y, f.z), expr):
-            want = float(sym.evalf(subs=subs))
-            assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
+        check(tuple(eval_sl_field(params, (x, y, z))), expr, subs)
+        check(make_field(SystemKind.SL, params)(0.0, (x, y, z)), expr, subs)
+        for kind, (pa, pb, pc) in pinned.items():
+            lorenz = {a_s: pa, b_s: pb, c_s: pc, xs: x, ys: y, zs: z}
+            check(make_field(kind)(0.0, (x, y, z)), expr, lorenz)
+        mu, D, t = rng.uniform(0.1, 5.0), rng.uniform(0.05, 0.95), rng.uniform(0.01, 100.0)
+        rhs = make_gauged_field(params, Gauge(mu, D))
+        check(rhs(t, (x, y, z)), gauged, {**subs, mu_s: mu, D_s: D, ts: t})
 
 
 def test_lorenz_fields_are_pinned_sl_params():
     state = (1.0, 2.0, 3.0)
-    std = eval_lorenz_field(SystemKind.LORENZ_STANDARD, state)
-    assert tuple(std) == tuple(eval_sl_field(LORENZ_STANDARD_PARAMS, state))
-    lit = eval_lorenz_field(SystemKind.LORENZ_LITERAL, state)
-    assert tuple(lit) == tuple(eval_sl_field(LORENZ_LITERAL_PARAMS, state))
+    std = make_field(SystemKind.LORENZ_STANDARD)(0.0, state)
+    assert std == tuple(eval_sl_field(LORENZ_STANDARD_PARAMS, state))
+    lit = make_field(SystemKind.LORENZ_LITERAL)(0.0, state)
+    assert lit == tuple(eval_sl_field(LORENZ_LITERAL_PARAMS, state))
     # the two variants genuinely differ
-    assert tuple(std) != tuple(lit)
+    assert std != lit
 
 
 def test_lorenz_standard_hand_value():
     # (10*(2-1), 1*(28-3)-2, 1*2 - (8/3)*3) = (10, 23, -6)
-    f = eval_lorenz_field(SystemKind.LORENZ_STANDARD, (1.0, 2.0, 3.0))
-    assert tuple(f) == pytest.approx((10.0, 23.0, -6.0), rel=1e-15)
-
-
-def test_eval_lorenz_field_rejects_sl_kind():
-    with pytest.raises(ValueError):
-        eval_lorenz_field(SystemKind.SL, (0.0, 0.0, 0.0))
+    f = make_field(SystemKind.LORENZ_STANDARD)(0.0, (1.0, 2.0, 3.0))
+    assert f == pytest.approx((10.0, 23.0, -6.0), rel=1e-15)
 
 
 def test_effective_params():

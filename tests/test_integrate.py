@@ -199,9 +199,8 @@ class TestTrajectory:
             np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]),
             IntegrationMeta(0, 0, "test"),
         )
-        (t0, s0, p0), (t1, s1, p1) = tr.samples
-        assert (t0, s0, tuple(p0)) == (0.5, 0.6, (1.0, 2.0, 3.0))
-        assert (t1, s1, tuple(p1)) == (1.0, 1.2, (4.0, 5.0, 6.0))
+        assert (tr.t[0], tr.s[0], tuple(tr.states[0])) == (0.5, 0.6, (1.0, 2.0, 3.0))
+        assert (tr.t[1], tr.s[1], tuple(tr.states[1])) == (1.0, 1.2, (4.0, 5.0, 6.0))
         assert tuple(tr.final_state) == (4.0, 5.0, 6.0)
 
 
@@ -251,6 +250,19 @@ class TestIntegrateSL:
         assert tr.s[0] == pytest.approx(scale_time(GAUGE, 0.1), rel=1e-12)
         assert tr.t[0] == pytest.approx(0.1, rel=1e-12)
         assert tr.t[-1] == pytest.approx(10.0, rel=1e-12)
+
+    def test_fixed_method_is_uniform_in_its_own_variable(self):
+        # RK4 ignores the plan's geometric spacing and steps uniformly in the
+        # variable it integrates, so the two routes sample different instants.
+        cfg = IntegratorConfig(method=Method.RK4_FIXED)
+        plan = SamplingPlan(SamplingMode.GEOMETRIC, 200)
+        span = (0.1, 10.0)
+        scaled = integrate_sl(ATTRACTOR_II, GAUGE, span, (0.1, 0.1, 0.1), cfg, plan, SLMode.SCALED_S)
+        direct = integrate_sl(ATTRACTOR_II, GAUGE, span, (0.1, 0.1, 0.1), cfg, plan, SLMode.DIRECT_T)
+        s0, s1 = scale_time(GAUGE, span[0]), scale_time(GAUGE, span[1])
+        assert np.allclose(np.diff(scaled.s), (s1 - s0) / 199, rtol=1e-9, atol=0.0)
+        assert np.allclose(np.diff(direct.t), (span[1] - span[0]) / 199, rtol=1e-9, atol=0.0)
+        assert np.max(np.abs(scaled.t - direct.t)) > 1.0
 
     def test_every_step_scaled(self):
         plan = SamplingPlan(SamplingMode.EVERY_STEP)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import pytest
@@ -177,7 +178,8 @@ class TestRunScenario:
     def test_mode_override(self):
         sc = lookup_scenario("sl-a2")
         assert run_trajectory(sc).meta.mode == "scaled-s"
-        assert run_trajectory(sc, SLMode.DIRECT_T).meta.mode == "direct-t"
+        direct = dataclasses.replace(sc, sl_mode=SLMode.DIRECT_T)
+        assert run_trajectory(direct).meta.mode == "direct-t"
 
 
 class TestSweep:

@@ -3,12 +3,11 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from slchaos.dynamics import SystemParams
+from slchaos.dynamics import SystemParams, eval_sl_field
 from slchaos.timegauge import (
     Gauge,
     lambda_coeff,
     make_gauged_field,
-    msl_rhs,
     scale_time,
     unscale_time,
 )
@@ -71,45 +70,44 @@ def test_scale_monotone_in_t(D, mu, t):
     assert scale_time(g, t * 1.5) > scale_time(g, t)
 
 
-def test_msl_rhs_composition():
-    # weight at t=1 is lam; f(0, 1, 0) = (a, -1, 0)
-    p = SystemParams(2.0, 0.3, 27.0)
-    f = msl_rhs(p, G, 1.0, (0.0, 1.0, 0.0))
-    assert f.x == pytest.approx(2.0 * G.lam, rel=1e-15)
-    assert f.y == pytest.approx(-G.lam, rel=1e-15)
-    assert f.z == 0.0
-
-
-def test_msl_rhs_singular_at_zero():
-    p = SystemParams(2.0, 0.3, 27.0)
-    with pytest.raises(ValueError):
-        msl_rhs(p, G, 0.0, (1.0, 1.0, 1.0))
-    with pytest.raises(ValueError):
-        msl_rhs(p, G, -2.0, (1.0, 1.0, 1.0))
-
-
-def test_msl_rhs_origin_is_gauge_invariant():
-    p = SystemParams(2.0, 0.3, 27.0)
-    f = msl_rhs(p, G, 17.3, (0.0, 0.0, 0.0))
-    assert tuple(f) == (0.0, 0.0, 0.0)
-
-
-def test_msl_rhs_linear_in_lambda():
-    # doubling mu doubles lam and hence the whole right-hand side
-    p = SystemParams(2.0, 0.3, 27.0)
-    g2 = Gauge(1.8, 2.0 / 3.0)
-    f1 = msl_rhs(p, G, 3.7, (1.0, -2.0, 0.5))
-    f2 = msl_rhs(p, g2, 3.7, (1.0, -2.0, 0.5))
-    assert f2.x == pytest.approx(2 * f1.x, rel=1e-14)
-    assert f2.y == pytest.approx(2 * f1.y, rel=1e-14)
-    assert f2.z == pytest.approx(2 * f1.z, rel=1e-14)
-
-
 def test_gauged_closure_matches_msl_rhs():
+    # the closure equals the composition lam * t**(-D) * f(state)
     p = SystemParams(2.0, 0.3, 27.0)
     rhs = make_gauged_field(p, G)
     got = rhs(5.0, (0.4, 0.6, -1.0))
-    want = msl_rhs(p, G, 5.0, (0.4, 0.6, -1.0))
-    assert got == pytest.approx(tuple(want), rel=1e-15)
+    w = G.lam * 5.0 ** (-G.D)
+    want = tuple(w * v for v in eval_sl_field(p, (0.4, 0.6, -1.0)))
+    assert got == pytest.approx(want, rel=1e-15)
     with pytest.raises(ValueError):
         rhs(0.0, (1.0, 1.0, 1.0))
+
+
+def test_gauged_field_composition():
+    # weight at t=1 is lam; f(0, 1, 0) = (a, -1, 0)
+    p = SystemParams(2.0, 0.3, 27.0)
+    fx, fy, fz = make_gauged_field(p, G)(1.0, (0.0, 1.0, 0.0))
+    assert fx == pytest.approx(2.0 * G.lam, rel=1e-15)
+    assert fy == pytest.approx(-G.lam, rel=1e-15)
+    assert fz == 0.0
+
+
+def test_gauged_field_singular_at_zero():
+    rhs = make_gauged_field(SystemParams(2.0, 0.3, 27.0), G)
+    with pytest.raises(ValueError):
+        rhs(0.0, (1.0, 1.0, 1.0))
+    with pytest.raises(ValueError):
+        rhs(-2.0, (1.0, 1.0, 1.0))
+
+
+def test_gauged_field_origin_is_gauge_invariant():
+    rhs = make_gauged_field(SystemParams(2.0, 0.3, 27.0), G)
+    assert rhs(17.3, (0.0, 0.0, 0.0)) == (0.0, 0.0, 0.0)
+
+
+def test_gauged_field_linear_in_lambda():
+    # doubling mu doubles lam and hence the whole right-hand side
+    p = SystemParams(2.0, 0.3, 27.0)
+    g2 = Gauge(1.8, 2.0 / 3.0)
+    f1 = make_gauged_field(p, G)(3.7, (1.0, -2.0, 0.5))
+    f2 = make_gauged_field(p, g2)(3.7, (1.0, -2.0, 0.5))
+    assert f2 == pytest.approx(tuple(2 * v for v in f1), rel=1e-14)

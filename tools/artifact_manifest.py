@@ -1,0 +1,104 @@
+"""Print a sha256 manifest of what a fixed set of CLI commands produce.
+
+Each command in WRITERS runs in process into its own subdirectory of a
+temporary directory, and every file it writes gets one line,
+`<sha256>  <label>/<relative path>`.  Each command in PRINTERS writes JSON to
+stdout, which gets one line, `<sha256>  <label> (stdout)`.  The commands
+cover `simulate` for all six built-in scenarios, both integration methods
+and both SL routes, plus `sweep`, `compare`, `fixed-points` and `lyapunov`.
+
+A change meant to leave every artifact byte-identical is checked by running
+the tool against both source trees and diffing the output:
+
+    python tools/artifact_manifest.py --src OLD/src > old.txt
+    python tools/artifact_manifest.py > new.txt
+    diff old.txt new.txt
+
+It takes a few seconds and exits non-zero if any command fails.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import io
+import sys
+import tempfile
+from pathlib import Path
+
+SCENARIOS = ("sl-a2.35", "sl-a2", "sl-a1.5", "sl-a1.35", "lorenz-standard", "lorenz-literal")
+
+# (label, argv without --out)
+WRITERS: list[tuple[str, list[str]]] = [
+    *((f"simulate-{name}", ["simulate", "--scenario", name]) for name in SCENARIOS),
+    ("simulate-sl-a2-rk4", ["simulate", "--scenario", "sl-a2", "--method", "rk4"]),
+    (
+        "simulate-lorenz-literal-rk4",
+        ["simulate", "--scenario", "lorenz-literal", "--method", "rk4", "--samples", "6001"],
+    ),
+    (
+        "simulate-custom-direct-t",
+        ["simulate", "--system", "sl", "--a", "2", "--t1", "1000", "--mode", "direct-t"],
+    ),
+    (
+        "simulate-custom-direct-t-rk4",
+        ["simulate", "--system", "sl", "--a", "2", "--t0", "1", "--t1", "10",
+         "--mode", "direct-t", "--method", "rk4"],
+    ),
+    ("sweep-sl-a2-a", ["sweep", "--scenario", "sl-a2", "--param", "a", "--values", "1.5,2"]),
+    ("compare-sl-a2-lorenz-literal", ["compare", "sl-a2", "lorenz-literal", "--axis", "t"]),
+]
+
+PRINTERS: list[tuple[str, list[str]]] = [
+    ("fixed-points-sl", ["fixed-points", "--system", "sl", "--a", "2"]),
+    ("fixed-points-lorenz-standard", ["fixed-points", "--system", "lorenz-standard"]),
+    ("lyapunov-sl-a2", ["lyapunov", "--scenario", "sl-a2"]),
+    ("lyapunov-lorenz-standard", ["lyapunov", "--scenario", "lorenz-standard", "--horizon", "100"]),
+]
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def _run(argv: list[str]) -> str:
+    from slchaos.cli import cli_main
+
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = cli_main(argv)
+    if code != 0:
+        raise SystemExit(f"slchaos {' '.join(argv)} exited with {code}")
+    return buf.getvalue()
+
+
+def manifest(root: Path) -> list[str]:
+    lines = []
+    for label, argv in WRITERS:
+        out = root / label
+        _run([*argv, "--out", str(out)])
+        for path in sorted(p for p in out.rglob("*") if p.is_file()):
+            lines.append(f"{_sha256(path.read_bytes())}  {label}/{path.relative_to(out).as_posix()}")
+    for label, argv in PRINTERS:
+        lines.append(f"{_sha256(_run(argv).encode('utf-8'))}  {label} (stdout)")
+    return lines
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument(
+        "--src",
+        type=Path,
+        default=Path(__file__).resolve().parents[1] / "src",
+        help="directory holding the slchaos package to run (default: this checkout's src)",
+    )
+    args = parser.parse_args()
+    sys.path.insert(0, str(args.src.resolve()))
+    with tempfile.TemporaryDirectory() as tmp:
+        for line in manifest(Path(tmp)):
+            print(line)
+
+
+if __name__ == "__main__":
+    main()
