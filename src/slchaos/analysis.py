@@ -36,7 +36,6 @@ from .dynamics import (
     make_field,
 )
 from .integrate import rk4_step
-from .timegauge import Gauge
 
 __all__ = [
     "Spectrum3",
@@ -59,6 +58,18 @@ __all__ = [
 # Real parts closer to zero than this are treated as marginal rather than
 # guessed at; double-precision eigenvalues cannot support a sign claim there.
 MARGINAL_REAL_PART = 1e-9
+# A point is an equilibrium when its field norm is at most this.
+EQUILIBRIUM_RESIDUAL_TOL = 1e-10
+
+# Twin-trajectory geometry: the twin's start offset, the widest RK4 step, the
+# share of growth samples discarded as transient, the divergence-probe sample
+# count, and the growth in decades above which `separation_slope` treats a
+# separation record as chaotic.
+LYAPUNOV_OFFSET = 1e-8
+RK4_DT = 0.01
+TRANSIENT_FRACTION = 0.1
+PROBE_SAMPLES = 400
+GROWTH_DECADES = 4.0
 
 
 @dataclass(frozen=True)
@@ -239,11 +250,11 @@ def eigenvalues_3x3(matrix: np.ndarray | Sequence[Sequence[float]]) -> Spectrum3
     return Spectrum3((polished[0], polished[1], polished[2]))
 
 
-def classify_spectrum(spectrum: Spectrum3, marginal_tol: float = MARGINAL_REAL_PART) -> str:
+def classify_spectrum(spectrum: Spectrum3) -> str:
     """'stable node' / 'stable focus-node' / 'unstable' / 'saddle' /
     'marginal' from the sign pattern of the real parts."""
     res = spectrum.real_parts
-    if any(abs(v) < marginal_tol for v in res):
+    if any(abs(v) < MARGINAL_REAL_PART for v in res):
         return "marginal"
     if all(v < 0.0 for v in res):
         if any(lam.imag != 0.0 for lam in spectrum.eigenvalues):
@@ -258,7 +269,6 @@ def classify_equilibrium(
     kind: SystemKind,
     params: SystemParams | None,
     point: State3 | Sequence[float],
-    residual_tol: float = 1e-10,
 ) -> str:
     """Classify a fixed point by the Jacobian spectrum there.
 
@@ -267,10 +277,10 @@ def classify_equilibrium(
     """
     p = effective_params(kind, params)
     res = field_norm(p, point)
-    if res > residual_tol:
+    if res > EQUILIBRIUM_RESIDUAL_TOL:
         raise ValueError(
             f"point {tuple(point)!r} is not an equilibrium (residual {res:.3e} "
-            f"> {residual_tol:.0e})"
+            f"> {EQUILIBRIUM_RESIDUAL_TOL:.0e})"
         )
     return classify_spectrum(eigenvalues_3x3(jacobian(kind, params, point)))
 
@@ -331,17 +341,10 @@ def newton_fixed_point(
 # ---------------------------------------------------------------------------
 
 
-def _sl_autonomous_context(
-    kind: SystemKind, params: SystemParams | None, gauge: Gauge | None
-):
-    """Field, time-variable label, and gauge handling shared by the
-    trajectory-divergence estimators.  SL runs are measured in scaled time
-    (where the system is autonomous); Lorenz runs in ordinary time."""
-    if kind is SystemKind.SL:
-        if gauge is None:
-            raise ValueError("SL divergence analysis needs the gauge to label scaled time")
-        return make_field(kind, params), "s"
-    return make_field(kind, params), "t"
+def _time_variable(kind: SystemKind) -> str:
+    """SL runs are measured in scaled time, where the system is autonomous;
+    Lorenz runs in ordinary time."""
+    return "s" if kind is SystemKind.SL else "t"
 
 
 def _twin_rk4(rhs: Callable, a: tuple, b: tuple, t0: float, n_sub: int, dt: float) -> tuple:
@@ -360,22 +363,17 @@ def lyapunov_from_field(
     horizon: float,
     renorm_interval: float,
     *,
-    offset: float = 1e-8,
-    dt_target: float = 0.01,
-    transient_fraction: float = 0.1,
     time_variable: str = "t",
 ) -> LyapunovEstimate:
     """Benettin-style largest exponent for an arbitrary autonomous field.
 
-    Two copies run side by side, the second displaced by `offset` along x.
-    After every `renorm_interval` the log growth of their separation is
-    recorded and the twin is pulled back to distance `offset` along the
-    current separation direction.  The first `transient_fraction` of the
-    growth samples is discarded; the mean of the rest is the estimate and
-    their standard deviation is reported as a quality signal.
+    Two copies run side by side, the second displaced by LYAPUNOV_OFFSET along
+    x.  After every `renorm_interval` the log growth of their separation is
+    recorded and the twin is pulled back to that distance along the current
+    separation direction.  The first TRANSIENT_FRACTION of the growth samples
+    is discarded; the mean of the rest is the estimate and their standard
+    deviation is reported as a quality signal.
     """
-    if not (offset > 0.0 and math.isfinite(offset)):
-        raise ValueError(f"offset must be positive, got {offset!r}")
     if not (renorm_interval > 0.0 and math.isfinite(renorm_interval)):
         raise ValueError(f"renorm_interval must be positive, got {renorm_interval!r}")
     if horizon < 100.0 * renorm_interval:
@@ -384,12 +382,12 @@ def lyapunov_from_field(
         )
 
     n_intervals = int(round(horizon / renorm_interval))
-    n_sub = max(1, math.ceil(renorm_interval / dt_target))
+    n_sub = max(1, math.ceil(renorm_interval / RK4_DT))
     dt = renorm_interval / n_sub
 
     rx, ry, rz = (float(v) for v in x0)
     ref = (rx, ry, rz)
-    twin = (ref[0] + offset, ref[1], ref[2])
+    twin = (ref[0] + LYAPUNOV_OFFSET, ref[1], ref[2])
     rates: list[float] = []
     for i in range(n_intervals):
         ref, twin = _twin_rk4(rhs, ref, twin, i * renorm_interval, n_sub, dt)
@@ -400,13 +398,13 @@ def lyapunov_from_field(
         if d == 0.0:
             # The twins collapsed onto each other below double resolution;
             # restart the displacement and skip the unusable sample.
-            twin = (ref[0] + offset, ref[1], ref[2])
+            twin = (ref[0] + LYAPUNOV_OFFSET, ref[1], ref[2])
             continue
-        rates.append(math.log(d / offset) / renorm_interval)
-        f = offset / d
+        rates.append(math.log(d / LYAPUNOV_OFFSET) / renorm_interval)
+        f = LYAPUNOV_OFFSET / d
         twin = (ref[0] + dx * f, ref[1] + dy * f, ref[2] + dz * f)
 
-    discard = int(len(rates) * transient_fraction)
+    discard = int(len(rates) * TRANSIENT_FRACTION)
     tail = rates[discard:]
     if not tail:
         raise ValueError("no growth samples survived the transient discard")
@@ -418,57 +416,42 @@ def lyapunov_from_field(
 def max_lyapunov(
     kind: SystemKind,
     params: SystemParams | None,
-    gauge: Gauge | None,
     x0: State3 | Sequence[float],
     horizon: float,
     renorm_interval: float,
-    *,
-    offset: float = 1e-8,
-    dt_target: float = 0.01,
-    transient_fraction: float = 0.1,
 ) -> LyapunovEstimate:
     """Largest Lyapunov exponent of a system, measured in its natural time
     variable: scaled time s for the gauged SL system, ordinary t otherwise."""
-    rhs, tvar = _sl_autonomous_context(kind, params, gauge)
     return lyapunov_from_field(
-        rhs,
+        make_field(kind, params),
         tuple(float(v) for v in x0),
         horizon,
         renorm_interval,
-        offset=offset,
-        dt_target=dt_target,
-        transient_fraction=transient_fraction,
-        time_variable=tvar,
+        time_variable=_time_variable(kind),
     )
 
 
 def divergence_probe(
     kind: SystemKind,
     params: SystemParams | None,
-    gauge: Gauge | None,
     x0: State3 | Sequence[float],
     delta0: float,
     horizon: float,
-    *,
-    dt_target: float = 0.01,
-    sample_interval: float | None = None,
 ) -> SeparationSeries:
     """Raw separation of two runs started `delta0` apart along x.
 
     No renormalization: this is the plain picture of how fast nearby states
-    drift apart (or together), sampled every `sample_interval` time units
-    (default horizon/400) in the same time variable max_lyapunov uses.
+    drift apart (or together), sampled PROBE_SAMPLES times over the horizon
+    in the same time variable max_lyapunov uses.
     """
     if not (delta0 > 0.0 and math.isfinite(delta0)):
         raise ValueError(f"delta0 must be positive, got {delta0!r}")
     if not (horizon > 0.0 and math.isfinite(horizon)):
         raise ValueError(f"horizon must be positive, got {horizon!r}")
-    rhs, tvar = _sl_autonomous_context(kind, params, gauge)
+    rhs = make_field(kind, params)
 
-    if sample_interval is None:
-        sample_interval = horizon / 400.0
-    n_samples = max(1, int(round(horizon / sample_interval)))
-    n_sub = max(1, math.ceil(sample_interval / dt_target))
+    sample_interval = horizon / PROBE_SAMPLES
+    n_sub = max(1, math.ceil(sample_interval / RK4_DT))
     dt = sample_interval / n_sub
 
     ax, ay, az = (float(v) for v in x0)
@@ -476,14 +459,14 @@ def divergence_probe(
     b = (a[0] + delta0, a[1], a[2])
     times = [0.0]
     seps = [delta0]
-    for i in range(n_samples):
+    for i in range(PROBE_SAMPLES):
         a, b = _twin_rk4(rhs, a, b, i * sample_interval, n_sub, dt)
         times.append((i + 1) * sample_interval)
         seps.append(math.hypot(b[0] - a[0], b[1] - a[1], b[2] - a[2]))
-    return SeparationSeries(np.asarray(times), np.asarray(seps), delta0, tvar)
+    return SeparationSeries(np.asarray(times), np.asarray(seps), delta0, _time_variable(kind))
 
 
-def separation_slope(series: SeparationSeries, growth_decades: float = 4.0) -> float:
+def separation_slope(series: SeparationSeries) -> float:
     """Least-squares slope of ln(separation) against time, fitted over the
     linear-growth window.
 
@@ -491,7 +474,7 @@ def separation_slope(series: SeparationSeries, growth_decades: float = 4.0) -> f
     transient where the offset rotates into the expanding direction (the
     log-separation wanders), clean exponential growth, and saturation at
     the attractor diameter.  When the series grows by at least
-    `growth_decades` decades overall, the fit window is bracketed off the
+    GROWTH_DECADES decades overall, the fit window is bracketed off the
     saturation level S = max separation: it ends where the separation first
     reaches S/100 and starts at the last moment before that where it still
     sat within 100 * delta0.  A series that never grows that much (a
@@ -503,7 +486,7 @@ def separation_slope(series: SeparationSeries, growth_decades: float = 4.0) -> f
     sep = series.separation
     t = series.time
     peak = float(sep.max())
-    if peak >= series.delta0 * 10.0**growth_decades:
+    if peak >= series.delta0 * 10.0**GROWTH_DECADES:
         high = np.nonzero(sep >= 0.01 * peak)[0]
         end = int(high[0]) + 1
         low = np.nonzero(sep[:end] <= 100.0 * series.delta0)[0]

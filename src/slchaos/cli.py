@@ -21,17 +21,15 @@ from .dynamics import (
     State3,
     SystemKind,
     SystemParams,
-    effective_params,
 )
 from .integrate import (
     IntegrationError,
-    IntegratorConfig,
     Method,
-    SamplingMode,
-    SamplingPlan,
     SLMode,
 )
 from .scenarios import (
+    LYAPUNOV_INTERVALS,
+    SWEEPABLE,
     Scenario,
     ScenarioNotFound,
     SweepSpec,
@@ -42,7 +40,7 @@ from .scenarios import (
     run_scenario,
     run_sweep,
 )
-from .svgplot import Curve, export_svg, isometric_projection
+from .svgplot import DEFAULT_COLOR, Curve, export_svg, geometry_views
 from .timegauge import Gauge
 from .trajio import format_float, read_trajectory_csv
 
@@ -68,18 +66,16 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--mode", choices=[m.value for m in SLMode], default=None)
 
 
+# Flags that describe a custom run.  Each defaults to None, so a flag left
+# unset takes the value of the registry scenario of the chosen --system.
+# The SWEEPABLE ones are the coefficients and the gauge.
+_SYSTEM_FLAGS = ("system", *SWEEPABLE, "x0", "y0", "z0", "t0", "t1")
+
+
 def _add_system_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--system", choices=[k.value for k in SystemKind], default=None)
-    sub.add_argument("--a", type=float, default=None)
-    sub.add_argument("--b", type=float, default=3.0 / 10.0)
-    sub.add_argument("--c", type=float, default=27.0)
-    sub.add_argument("--D", type=float, default=2.0 / 3.0)
-    sub.add_argument("--mu", type=float, default=0.9)
-    sub.add_argument("--x0", type=float, default=0.1)
-    sub.add_argument("--y0", type=float, default=0.1)
-    sub.add_argument("--z0", type=float, default=0.1)
-    sub.add_argument("--t0", type=float, default=None)
-    sub.add_argument("--t1", type=float, default=None)
+    for flag in _SYSTEM_FLAGS[1:]:
+        sub.add_argument(f"--{flag}", type=float, default=None)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -98,7 +94,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep = subs.add_parser("sweep", help="rerun a scenario across parameter values")
     _add_common(p_sweep)
     p_sweep.add_argument("--scenario", required=True)
-    p_sweep.add_argument("--param", required=True, choices=["a", "b", "c", "D", "mu"])
+    p_sweep.add_argument("--param", required=True, choices=SWEEPABLE)
     p_sweep.add_argument("--values", required=True, help="comma-separated numbers")
     p_sweep.set_defaults(func=_cmd_sweep)
 
@@ -110,13 +106,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_fp = subs.add_parser("fixed-points", help="closed-form equilibria with classification")
     _add_system_flags(p_fp)
-    p_fp.set_defaults(func=_cmd_fixed_points)
+    p_fp.set_defaults(func=_cmd_fixed_points, scenario=None)
 
     p_ly = subs.add_parser("lyapunov", help="largest-exponent estimate")
     p_ly.add_argument("--scenario", default=None)
     _add_system_flags(p_ly)
     p_ly.add_argument("--horizon", type=float, default=1000.0)
-    p_ly.add_argument("--renorm", type=float, default=None, help="default: horizon/500")
+    p_ly.add_argument(
+        "--renorm", type=float, default=None, help=f"default: horizon/{LYAPUNOV_INTERVALS}"
+    )
     p_ly.set_defaults(func=_cmd_lyapunov)
 
     p_plot = subs.add_parser("plot", help="render an SVG view from a trajectory CSV")
@@ -152,44 +150,38 @@ def _cmd_list(ns: argparse.Namespace) -> int:
     return 0
 
 
-def _custom_params(ns: argparse.Namespace) -> tuple[SystemKind, SystemParams]:
+def _flag(ns: argparse.Namespace, name: str, default: float) -> float:
+    value = getattr(ns, name)
+    return default if value is None else value
+
+
+def _scenario(ns: argparse.Namespace) -> Scenario:
+    """The run the flags describe: the `--scenario` registry entry, or the
+    registry scenario of `--system` with every given system flag applied."""
+    if ns.scenario is not None:
+        given = [f for f in _SYSTEM_FLAGS if getattr(ns, f) is not None]
+        if given:
+            raise _UsageError(f"--scenario takes no system flags, got --{given[0]}")
+        return lookup_scenario(ns.scenario)
     if ns.system is None:
         raise _UsageError("give --scenario or --system")
     kind = SystemKind(ns.system)
+    base = next(sc for sc in builtin_scenarios() if sc.kind is kind)
     if kind is SystemKind.SL:
         if ns.a is None:
             raise _UsageError("--system sl needs --a (and optionally --b, --c)")
-        return kind, SystemParams(ns.a, ns.b, ns.c)
-    return kind, effective_params(kind)
-
-
-def _custom_scenario(ns: argparse.Namespace) -> Scenario:
-    kind, params = _custom_params(ns)
-    if kind is SystemKind.SL:
-        gauge = Gauge(ns.mu, ns.D)
-        span = (
-            ns.t0 if ns.t0 is not None else 0.1,
-            ns.t1 if ns.t1 is not None else 1e6,
-        )
-        plan = SamplingPlan(SamplingMode.GEOMETRIC)
+        assert base.gauge is not None
+        params = SystemParams(*(_flag(ns, f, getattr(base.params, f)) for f in "abc"))
+        gauge = Gauge(_flag(ns, "mu", base.gauge.mu), _flag(ns, "D", base.gauge.D))
         name = f"custom-sl-a{format_float(params.a)}"
     else:
-        gauge = None
-        span = (
-            ns.t0 if ns.t0 is not None else 0.0,
-            ns.t1 if ns.t1 is not None else 60.0,
-        )
-        plan = SamplingPlan(SamplingMode.LINEAR)
-        name = f"custom-{kind.value}"
-    return Scenario(
-        name=name,
-        kind=kind,
-        params=params,
-        gauge=gauge,
-        x0=State3(ns.x0, ns.y0, ns.z0),
-        span=span,
-        plan=plan,
-    )
+        given = [f for f in SWEEPABLE if getattr(ns, f) is not None]
+        if given:
+            raise _UsageError(f"--system {kind.value} has fixed coefficients, got --{given[0]}")
+        params, gauge, name = base.params, None, f"custom-{kind.value}"
+    x0 = State3(*(_flag(ns, f, v) for f, v in zip(("x0", "y0", "z0"), base.x0)))
+    span = (_flag(ns, "t0", base.span[0]), _flag(ns, "t1", base.span[1]))
+    return dataclasses.replace(base, name=name, params=params, gauge=gauge, x0=x0, span=span)
 
 
 def _apply_overrides(sc: Scenario, ns: argparse.Namespace) -> Scenario:
@@ -206,11 +198,7 @@ def _apply_overrides(sc: Scenario, ns: argparse.Namespace) -> Scenario:
 
 
 def _cmd_simulate(ns: argparse.Namespace) -> int:
-    if ns.scenario is not None:
-        sc = lookup_scenario(ns.scenario)
-    else:
-        sc = _custom_scenario(ns)
-    paths = run_scenario(_apply_overrides(sc, ns), ns.out)
+    paths = run_scenario(_apply_overrides(_scenario(ns), ns), ns.out)
     for p in paths:
         print(f"wrote {p}")
     return 0
@@ -241,27 +229,22 @@ def _cmd_compare(ns: argparse.Namespace) -> int:
 
 
 def _cmd_fixed_points(ns: argparse.Namespace) -> int:
-    kind, params = _custom_params(ns)
+    sc = _scenario(ns)
+    p = sc.params
     doc = {
-        "system": kind.value,
-        "params": {"a": params.a, "b": params.b, "c": params.c},
-        **equilibria_doc(kind, params),
+        "system": sc.kind.value,
+        "params": {"a": p.a, "b": p.b, "c": p.c},
+        **equilibria_doc(sc.kind, p),
     }
     print(json.dumps(doc, indent=2))
     return 0
 
 
 def _cmd_lyapunov(ns: argparse.Namespace) -> int:
-    if ns.scenario is not None:
-        sc = lookup_scenario(ns.scenario)
-        kind, params, gauge, x0 = sc.kind, sc.params, sc.gauge, sc.x0
-    else:
-        kind, params = _custom_params(ns)
-        gauge = Gauge(ns.mu, ns.D) if kind is SystemKind.SL else None
-        x0 = State3(ns.x0, ns.y0, ns.z0)
-    renorm = ns.renorm if ns.renorm is not None else ns.horizon / 500.0
-    est = max_lyapunov(kind, params, gauge, x0, ns.horizon, renorm)
-    doc = {"system": kind.value, **dataclasses.asdict(est)}
+    sc = _scenario(ns)
+    renorm = ns.renorm if ns.renorm is not None else ns.horizon / LYAPUNOV_INTERVALS
+    est = max_lyapunov(sc.kind, sc.params, sc.x0, ns.horizon, renorm)
+    doc = {"system": sc.kind.value, **dataclasses.asdict(est)}
     print(json.dumps(doc, indent=2))
     return 0
 
@@ -270,19 +253,12 @@ def _cmd_plot(ns: argparse.Namespace) -> int:
     traj = read_trajectory_csv(ns.csv)
     out = Path(ns.out)
     out.mkdir(parents=True, exist_ok=True)
-    stem = Path(ns.csv).stem
-    st = traj.states
-    if ns.view == "3d":
-        u, v = isometric_projection(st)
-        curve, xl, yl = Curve("", u, v), "u (iso)", "v (iso)"
-    elif ns.view in ("xy", "xz", "yz"):
-        cols = {"x": 0, "y": 1, "z": 2}
-        xi, yi = cols[ns.view[0]], cols[ns.view[1]]
-        curve, xl, yl = Curve("", st[:, xi], st[:, yi]), ns.view[0], ns.view[1]
+    if ns.view in ("x", "y", "z"):
+        curve, xl, yl = Curve("", traj.s, traj.states[:, "xyz".index(ns.view)]), "s", ns.view
     else:
-        ci = {"x": 0, "y": 1, "z": 2}[ns.view]
-        curve, xl, yl = Curve("", traj.s, st[:, ci]), "s", ns.view
-    path = export_svg([curve], out / f"{stem}-{ns.view}.svg", x_label=xl, y_label=yl)
+        views = geometry_views(traj.states, "", DEFAULT_COLOR)
+        curve, xl, yl = views["traj3d" if ns.view == "3d" else ns.view]
+    path = export_svg([curve], out / f"{Path(ns.csv).stem}-{ns.view}.svg", x_label=xl, y_label=yl)
     print(f"wrote {path}")
     return 0
 

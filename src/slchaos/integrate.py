@@ -75,7 +75,6 @@ class IntegratorConfig:
     rel_tol: float = 1e-9
     initial_step: float | None = None
     max_steps: int = 10_000_000
-    safety_factor: float = 0.9
 
     def __post_init__(self) -> None:
         if not isinstance(self.method, Method):
@@ -93,10 +92,6 @@ class IntegratorConfig:
         if int(self.max_steps) < 1:
             raise ValueError(f"max_steps must be >= 1, got {self.max_steps!r}")
         self.max_steps = int(self.max_steps)
-        sf = float(self.safety_factor)
-        if not 0.0 < sf < 1.0:
-            raise ValueError(f"safety_factor must lie in (0, 1), got {sf!r}")
-        self.safety_factor = sf
 
 
 @dataclass
@@ -305,8 +300,10 @@ _E1, _E3, _E4, _E5, _E6, _E7 = (
     -1.0 / 40.0,
 )
 
-# PI controller: classic exponents for a 5th-order pair, growth clamped to
-# [0.2, 5.0], plus the usual cap at 1.0 right after a rejection.
+# PI controller: classic exponents for a 5th-order pair, the usual 0.9
+# safety factor, growth clamped to [0.2, 5.0], plus the usual cap at 1.0
+# right after a rejection.
+_SAFETY = 0.9
 _PI_ALPHA = 0.7 / 5.0
 _PI_BETA = 0.4 / 5.0
 _FAC_MIN = 0.2
@@ -354,7 +351,6 @@ def _adaptive_solve(
     h_min = 1e-14 * span
     atol = config.abs_tol
     rtol = config.rel_tol
-    safety = config.safety_factor
 
     x, y, z = (float(v) for v in x0)
     k1x, k1y, k1z = rhs(t0, (x, y, z))
@@ -488,7 +484,7 @@ def _adaptive_solve(
             if err == 0.0:
                 fac = _FAC_MAX
             else:
-                fac = safety * err**-_PI_ALPHA * errold**_PI_BETA
+                fac = _SAFETY * err**-_PI_ALPHA * errold**_PI_BETA
                 fac = min(_FAC_MAX, max(_FAC_MIN, fac))
             if just_rejected:
                 fac = min(fac, 1.0)
@@ -498,7 +494,7 @@ def _adaptive_solve(
         else:
             rejected += 1
             just_rejected = True
-            fac = max(_FAC_MIN, min(1.0, safety * err**-0.2))
+            fac = max(_FAC_MIN, min(1.0, _SAFETY * err**-0.2))
             h = hs * fac
 
     # A grid whose tail coincides with t1 is fully emitted inside the loop;
@@ -596,12 +592,21 @@ def integrate_sl(
         rhs = make_field(SystemKind.SL, params)
         u0, u1 = scale_time(gauge, t0), scale_time(gauge, t1)
         grid = None if t_grid is None else np.asarray([scale_time(gauge, tv) for tv in t_grid])
-    u, states, meta = _solve(rhs, u0, u1, x0, config, grid, plan.sample_count, mode.value)
 
-    if mode is SLMode.DIRECT_T:
-        arr_t, arr_s = u, np.asarray([scale_time(gauge, tv) for tv in u])
-    elif t_grid is not None:
-        arr_t, arr_s = np.asarray(t_grid, dtype=float), u
-    else:
-        arr_t, arr_s = np.asarray([unscale_time(gauge, sv) for sv in u]), u
-    return Trajectory(arr_t, arr_s, states, meta)
+    def trajectory(u: np.ndarray, states: np.ndarray, meta: IntegrationMeta) -> Trajectory:
+        """Rows in the integration variable u, with both time columns."""
+        if mode is SLMode.DIRECT_T:
+            arr_t, arr_s = u, np.asarray([scale_time(gauge, tv) for tv in u])
+        elif t_grid is not None:
+            arr_t, arr_s = np.asarray(t_grid[: len(u)], dtype=float), u
+        else:
+            arr_t, arr_s = np.asarray([unscale_time(gauge, sv) for sv in u]), u
+        return Trajectory(arr_t, arr_s, states, meta)
+
+    try:
+        u, states, meta = _solve(rhs, u0, u1, x0, config, grid, plan.sample_count, mode.value)
+    except IntegrationError as exc:
+        if exc.partial is not None:
+            exc.partial = trajectory(exc.partial.t, exc.partial.states, exc.partial.meta)
+        raise
+    return trajectory(u, states, meta)

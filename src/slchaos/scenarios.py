@@ -20,7 +20,7 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -50,7 +50,7 @@ from .integrate import (
     integrate_fixed,
     integrate_sl,
 )
-from .svgplot import COMPARE_COLORS, Curve, export_svg, isometric_projection
+from .svgplot import COMPARE_COLORS, Curve, export_svg, geometry_views
 from .timegauge import Gauge, scale_time
 from .trajio import format_float, write_trajectory_csv
 
@@ -260,7 +260,6 @@ def scenario_report(scenario: Scenario, trajectory: Trajectory) -> dict:
     est = max_lyapunov(
         scenario.kind,
         scenario.params,
-        scenario.gauge,
         scenario.x0,
         horizon,
         horizon / LYAPUNOV_INTERVALS,
@@ -295,41 +294,39 @@ def _write_json(doc: dict, path: Path) -> Path:
     return path
 
 
-def _geometry_views(trajectory: Trajectory, label: str, color: str) -> list[tuple[str, Curve, str, str]]:
-    """The four standard views as (stem, curve, x_label, y_label)."""
-    st = trajectory.states
-    u, v = isometric_projection(st)
-    return [
-        ("traj3d", Curve(label, u, v, color), "u (iso)", "v (iso)"),
-        ("xy", Curve(label, st[:, 0], st[:, 1], color), "x", "y"),
-        ("xz", Curve(label, st[:, 0], st[:, 2], color), "x", "z"),
-        ("yz", Curve(label, st[:, 1], st[:, 2], color), "y", "z"),
-    ]
+def _write_all(files: Iterator[Path]) -> list[Path]:
+    """Drain `files`, a generator that writes one file per step and yields
+    its path.  If any step fails, the files already written are deleted
+    before the error propagates, so a run leaves all of its files or none."""
+    written: list[Path] = []
+    try:
+        for path in files:
+            written.append(path)
+    except BaseException:
+        for path in written:
+            path.unlink(missing_ok=True)
+        raise
+    return written
 
 
 def _execute(scenario: Scenario, out_dir: Path) -> tuple[list[Path], Trajectory, dict]:
     out_dir.mkdir(parents=True, exist_ok=True)
     traj = run_trajectory(scenario)
     report = scenario_report(scenario, traj)
-    written: list[Path] = []
-    try:
-        written.append(write_trajectory_csv(traj, out_dir / f"{scenario.name}.csv"))
-        written.append(_write_json(report, out_dir / f"{scenario.name}-analysis.json"))
-        for stem, curve, xl, yl in _geometry_views(traj, "", COMPARE_COLORS[2]):
-            written.append(
-                export_svg(
-                    [curve],
-                    out_dir / f"{scenario.name}-{stem}.svg",
-                    x_label=xl,
-                    y_label=yl,
-                    title=f"{scenario.name} {stem}",
-                )
+
+    def files() -> Iterator[Path]:
+        yield write_trajectory_csv(traj, out_dir / f"{scenario.name}.csv")
+        yield _write_json(report, out_dir / f"{scenario.name}-analysis.json")
+        for stem, (curve, xl, yl) in geometry_views(traj.states, "", COMPARE_COLORS[2]).items():
+            yield export_svg(
+                [curve],
+                out_dir / f"{scenario.name}-{stem}.svg",
+                x_label=xl,
+                y_label=yl,
+                title=f"{scenario.name} {stem}",
             )
-    except BaseException:
-        for p in written:
-            p.unlink(missing_ok=True)
-        raise
-    return written, traj, report
+
+    return _write_all(files()), traj, report
 
 
 def run_scenario(scenario: Scenario | str, output_dir: str | Path) -> list[Path]:
@@ -427,29 +424,16 @@ def run_compare(
         traj = run_trajectory(sc)
         runs.append((sc, traj, COMPARE_COLORS[i]))
 
-    geom: dict[str, list[Curve]] = {"traj3d": [], "xy": [], "xz": [], "yz": []}
-    geom_labels = {
-        "traj3d": ("u (iso)", "v (iso)"),
-        "xy": ("x", "y"),
-        "xz": ("x", "z"),
-        "yz": ("y", "z"),
-    }
-    for sc, traj, color in runs:
-        for stem, curve, _, _ in _geometry_views(traj, sc.name, color):
-            geom[stem].append(curve)
+    views = [geometry_views(traj.states, sc.name, color) for sc, traj, color in runs]
 
-    written: list[Path] = []
-    try:
-        for stem, curves in geom.items():
-            xl, yl = geom_labels[stem]
-            written.append(
-                export_svg(
-                    curves,
-                    out / f"compare-{stem}.svg",
-                    x_label=xl,
-                    y_label=yl,
-                    title=f"compare {stem}",
-                )
+    def files() -> Iterator[Path]:
+        for stem, (_, xl, yl) in views[0].items():
+            yield export_svg(
+                [v[stem][0] for v in views],
+                out / f"compare-{stem}.svg",
+                x_label=xl,
+                y_label=yl,
+                title=f"compare {stem}",
             )
         for ci, comp in enumerate("xyz"):
             curves = []
@@ -459,17 +443,12 @@ def run_compare(
                 if label not in axis_labels:
                     axis_labels.append(label)
                 curves.append(Curve(sc.name, axis, traj.states[:, ci], color))
-            written.append(
-                export_svg(
-                    curves,
-                    out / f"compare-series-{comp}.svg",
-                    x_label=" / ".join(axis_labels),
-                    y_label=comp,
-                    title=f"compare {comp}(time)",
-                )
+            yield export_svg(
+                curves,
+                out / f"compare-series-{comp}.svg",
+                x_label=" / ".join(axis_labels),
+                y_label=comp,
+                title=f"compare {comp}(time)",
             )
-    except BaseException:
-        for p in written:
-            p.unlink(missing_ok=True)
-        raise
-    return written
+
+    return _write_all(files())

@@ -15,7 +15,8 @@ from pathlib import Path
 
 import numpy as np
 
-__all__ = ["Curve", "export_svg", "COMPARE_COLORS", "DEFAULT_COLOR", "isometric_projection"]
+__all__ = ["Curve", "export_svg", "COMPARE_COLORS", "DEFAULT_COLOR", "isometric_projection",
+           "geometry_views"]
 
 WIDTH = 800
 HEIGHT = 600
@@ -53,6 +54,20 @@ def isometric_projection(states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     u = (st[:, 0] - st[:, 1]) * (np.sqrt(3.0) / 2.0)
     v = (st[:, 0] + st[:, 1]) * 0.5 - st[:, 2]
     return u, v
+
+
+def geometry_views(states: np.ndarray, label: str, color: str) -> dict[str, tuple[Curve, str, str]]:
+    """The four geometry views of (N, 3) states, keyed by file stem in
+    drawing order: the isometric projection, then the x-y, x-z and y-z
+    planes, each as (curve, x_label, y_label)."""
+    st = np.asarray(states, dtype=float)
+    u, v = isometric_projection(st)
+    return {
+        "traj3d": (Curve(label, u, v, color), "u (iso)", "v (iso)"),
+        "xy": (Curve(label, st[:, 0], st[:, 1], color), "x", "y"),
+        "xz": (Curve(label, st[:, 0], st[:, 2], color), "x", "z"),
+        "yz": (Curve(label, st[:, 1], st[:, 2], color), "y", "z"),
+    }
 
 
 def _fmt(v: float) -> str:

@@ -166,8 +166,8 @@ def test_criterion_5_lorenz_baseline_behavior():
     neg_runs = runs - pos_runs
     assert min(pos_runs, neg_runs) >= 5
 
-    est_half = max_lyapunov(SystemKind.LORENZ_STANDARD, None, None, X0, 1000.0, 0.5)
-    est_quarter = max_lyapunov(SystemKind.LORENZ_STANDARD, None, None, X0, 1000.0, 0.25)
+    est_half = max_lyapunov(SystemKind.LORENZ_STANDARD, None, X0, 1000.0, 0.5)
+    est_quarter = max_lyapunov(SystemKind.LORENZ_STANDARD, None, X0, 1000.0, 0.25)
     drift = abs(est_half.lambda_max - est_quarter.lambda_max)
     print(f"[criterion 5] bound {bound:.2f} (< 100); lobe visits {pos_runs}/{neg_runs} "
           f"(>= 5); lambda_max {est_half.lambda_max:.4f} (> 0), drift {drift:.2e} (<= 0.05)")
@@ -191,7 +191,7 @@ def test_criterion_6_sl_full_span_characterization():
         assert report["lyapunov"]["time_variable"] == "s"
         lam = report["lyapunov"]["lambda_max"]
         horizon = report["lyapunov"]["horizon"]
-        series = divergence_probe(SystemKind.SL, sc.params, sc.gauge, sc.x0, 1e-8, horizon)
+        series = divergence_probe(SystemKind.SL, sc.params, sc.x0, 1e-8, horizon)
         slope = separation_slope(series)
         print(f"[criterion 6] {name}: peak {peak:.3f} (<= 1e3), lambda_max {lam:.4f}, "
               f"probe slope {slope:.4f}, signs agree")

@@ -24,10 +24,8 @@ from slchaos.dynamics import (
     SystemParams,
     jacobian,
 )
-from slchaos.timegauge import Gauge
 
 ATTRACTOR_II = SystemParams(2.0, 0.3, 27.0)
-GAUGE = Gauge(0.9, 2.0 / 3.0)
 
 
 class TestEigenvalues:
@@ -168,24 +166,20 @@ class TestLyapunov:
         assert abs(est.lambda_max - (-1.0)) <= 0.01
 
     def test_lorenz_standard_converged_value(self):
-        est = max_lyapunov(SystemKind.LORENZ_STANDARD, None, None, (0.1, 0.1, 0.1), 1000.0, 0.5)
+        est = max_lyapunov(SystemKind.LORENZ_STANDARD, None, (0.1, 0.1, 0.1), 1000.0, 0.5)
         assert est.lambda_max == pytest.approx(0.906, abs=0.1)
         assert est.time_variable == "t"
 
     def test_stable_equilibrium_contracts(self):
-        est = max_lyapunov(SystemKind.SL, ATTRACTOR_II, GAUGE, (0.0, 0.0, 0.0), 500.0, 1.0)
+        est = max_lyapunov(SystemKind.SL, ATTRACTOR_II, (0.0, 0.0, 0.0), 500.0, 1.0)
         assert est.lambda_max < 0.0
         assert est.time_variable == "s"
         # contraction rate is the leading origin eigenvalue
         assert est.lambda_max == pytest.approx((-3.0 + math.sqrt(3.4)) / 2.0, abs=1e-3)
 
-    def test_sl_requires_gauge(self):
-        with pytest.raises(ValueError, match="gauge"):
-            max_lyapunov(SystemKind.SL, ATTRACTOR_II, None, (0.1, 0.1, 0.1), 500.0, 1.0)
-
     def test_horizon_floor(self):
         with pytest.raises(ValueError):
-            max_lyapunov(SystemKind.LORENZ_STANDARD, None, None, (0.1, 0.1, 0.1), 10.0, 0.5)
+            max_lyapunov(SystemKind.LORENZ_STANDARD, None, (0.1, 0.1, 0.1), 10.0, 0.5)
         with pytest.raises(ValueError):
             LyapunovEstimate(0.1, 10.0, 0.5, 0.0)
 
@@ -199,10 +193,10 @@ class TestLyapunov:
 class TestDivergenceProbe:
     def test_rejects_zero_offset(self):
         with pytest.raises(ValueError):
-            divergence_probe(SystemKind.LORENZ_STANDARD, None, None, (0.1, 0.1, 0.1), 0.0, 10.0)
+            divergence_probe(SystemKind.LORENZ_STANDARD, None, (0.1, 0.1, 0.1), 0.0, 10.0)
 
     def test_decay_at_stable_equilibrium(self):
-        series = divergence_probe(SystemKind.SL, ATTRACTOR_II, GAUGE, (0.0, 0.0, 0.0), 1e-6, 50.0)
+        series = divergence_probe(SystemKind.SL, ATTRACTOR_II, (0.0, 0.0, 0.0), 1e-6, 50.0)
         assert series.time_variable == "s"
         assert series.separation[0] == 1e-6
         tail = series.separation[len(series.separation) // 10 :]
@@ -210,13 +204,13 @@ class TestDivergenceProbe:
         assert separation_slope(series) < 0.0
 
     def test_lorenz_growth_window_slope(self):
-        series = divergence_probe(SystemKind.LORENZ_STANDARD, None, None, (0.1, 0.1, 0.1), 1e-8, 40.0)
+        series = divergence_probe(SystemKind.LORENZ_STANDARD, None, (0.1, 0.1, 0.1), 1e-8, 40.0)
         slope = separation_slope(series)
         assert 0.7 <= slope <= 1.1
 
     def test_slope_sign_matches_lyapunov_for_sl(self):
-        est = max_lyapunov(SystemKind.SL, ATTRACTOR_II, GAUGE, (0.1, 0.1, 0.1), 500.0, 1.0)
-        series = divergence_probe(SystemKind.SL, ATTRACTOR_II, GAUGE, (0.1, 0.1, 0.1), 1e-8, 500.0)
+        est = max_lyapunov(SystemKind.SL, ATTRACTOR_II, (0.1, 0.1, 0.1), 500.0, 1.0)
+        series = divergence_probe(SystemKind.SL, ATTRACTOR_II, (0.1, 0.1, 0.1), 1e-8, 500.0)
         assert math.copysign(1.0, est.lambda_max) == math.copysign(1.0, separation_slope(series))
 
 

@@ -54,6 +54,22 @@ class TestUsageErrors:
         assert code == 1
         assert "--scenario or --system" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["simulate", "--scenario", "sl-a2", "--a", "3"],
+            ["simulate", "--system", "lorenz-standard", "--a", "5"],
+            ["lyapunov", "--scenario", "sl-a2", "--D", "0.5"],
+            ["fixed-points", "--system", "sl", "--a", "2", "--D", "7", "--t0", "-3"],
+        ],
+    )
+    def test_system_flags_are_never_dropped(self, capsys, tmp_path, monkeypatch, argv):
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert "usage error" in err
+        assert out == ""
+
     def test_help_exits_clean(self, capsys):
         assert run_cli(capsys, "--help")[0] == 0
         assert run_cli(capsys, "simulate", "--help")[0] == 0

@@ -264,6 +264,16 @@ class TestIntegrateSL:
         assert np.allclose(np.diff(direct.t), (span[1] - span[0]) / 199, rtol=1e-9, atol=0.0)
         assert np.max(np.abs(scaled.t - direct.t)) > 1.0
 
+    @pytest.mark.parametrize("mode", [SLMode.SCALED_S, SLMode.DIRECT_T])
+    def test_partial_carries_both_time_columns(self, mode):
+        cfg = IntegratorConfig(max_steps=50)
+        with pytest.raises(IntegrationError) as info:
+            integrate_sl(ATTRACTOR_II, GAUGE, (0.1, 1e6), (0.1, 0.1, 0.1), cfg, mode=mode)
+        partial = info.value.partial
+        assert partial.meta.mode == mode.value
+        assert partial.t[0] == 0.1
+        assert np.array_equal(partial.s, [scale_time(GAUGE, tv) for tv in partial.t])
+
     def test_every_step_scaled(self):
         plan = SamplingPlan(SamplingMode.EVERY_STEP)
         tr = integrate_sl(ATTRACTOR_II, GAUGE, (0.1, 10.0), (0.1, 0.1, 0.1), plan=plan)
@@ -280,8 +290,6 @@ def test_config_validation():
         IntegratorConfig(initial_step=0.0)
     with pytest.raises(ValueError):
         IntegratorConfig(max_steps=0)
-    with pytest.raises(ValueError):
-        IntegratorConfig(safety_factor=1.0)
 
 
 def test_plan_validation():

@@ -2,10 +2,13 @@
 
 Each command in WRITERS runs in process into its own subdirectory of a
 temporary directory, and every file it writes gets one line,
-`<sha256>  <label>/<relative path>`.  Each command in PRINTERS writes JSON to
-stdout, which gets one line, `<sha256>  <label> (stdout)`.  The commands
-cover `simulate` for all six built-in scenarios, both integration methods
-and both SL routes, plus `sweep`, `compare`, `fixed-points` and `lyapunov`.
+`<sha256>  <label>/<relative path>`.  Each `plot` view in PLOT_VIEWS is
+rendered from the CSV that the PLOT_SOURCE writer produced, into its own
+subdirectory, and gets one line the same way.  Each command in PRINTERS
+writes JSON to stdout, which gets one line, `<sha256>  <label> (stdout)`.
+The commands cover `simulate` for all six built-in scenarios, both
+integration methods, both SL routes and custom runs of every system, plus
+`sweep`, `compare`, every `plot` view, `fixed-points` and `lyapunov`.
 
 A change meant to leave every artifact byte-identical is checked by running
 the tool against both source trees and diffing the output:
@@ -46,15 +49,36 @@ WRITERS: list[tuple[str, list[str]]] = [
         ["simulate", "--system", "sl", "--a", "2", "--t0", "1", "--t1", "10",
          "--mode", "direct-t", "--method", "rk4"],
     ),
+    (
+        "simulate-custom-lorenz-literal",
+        ["simulate", "--system", "lorenz-literal", "--t1", "10"],
+    ),
+    (
+        "simulate-custom-sl-every-flag",
+        ["simulate", "--system", "sl", "--a", "1.5", "--b", "0.4", "--c", "20", "--D", "0.5",
+         "--mu", "1.1", "--x0", "0.2", "--y0", "-0.1", "--z0", "0.3", "--t0", "0.5",
+         "--t1", "1000", "--samples", "500"],
+    ),
     ("sweep-sl-a2-a", ["sweep", "--scenario", "sl-a2", "--param", "a", "--values", "1.5,2"]),
     ("compare-sl-a2-lorenz-literal", ["compare", "sl-a2", "lorenz-literal", "--axis", "t"]),
 ]
 
+# (writer label, CSV path inside its output) that every plot view reads
+PLOT_SOURCE = ("simulate-lorenz-standard", "lorenz-standard.csv")
+PLOT_VIEWS = ("3d", "xy", "xz", "yz", "x", "y", "z")
+
 PRINTERS: list[tuple[str, list[str]]] = [
     ("fixed-points-sl", ["fixed-points", "--system", "sl", "--a", "2"]),
+    ("fixed-points-sl-pair", ["fixed-points", "--system", "sl", "--a", "2", "--b", "3", "--c", "5"]),
     ("fixed-points-lorenz-standard", ["fixed-points", "--system", "lorenz-standard"]),
+    ("fixed-points-lorenz-literal", ["fixed-points", "--system", "lorenz-literal"]),
     ("lyapunov-sl-a2", ["lyapunov", "--scenario", "sl-a2"]),
     ("lyapunov-lorenz-standard", ["lyapunov", "--scenario", "lorenz-standard", "--horizon", "100"]),
+    ("lyapunov-custom-sl", ["lyapunov", "--system", "sl", "--a", "2", "--D", "0.5"]),
+    (
+        "lyapunov-custom-lorenz-literal",
+        ["lyapunov", "--system", "lorenz-literal", "--renorm", "0.1"],
+    ),
 ]
 
 
@@ -73,13 +97,24 @@ def _run(argv: list[str]) -> str:
     return buf.getvalue()
 
 
+def _hash_files(label: str, out: Path) -> list[str]:
+    return [
+        f"{_sha256(path.read_bytes())}  {label}/{path.relative_to(out).as_posix()}"
+        for path in sorted(p for p in out.rglob("*") if p.is_file())
+    ]
+
+
 def manifest(root: Path) -> list[str]:
     lines = []
     for label, argv in WRITERS:
         out = root / label
         _run([*argv, "--out", str(out)])
-        for path in sorted(p for p in out.rglob("*") if p.is_file()):
-            lines.append(f"{_sha256(path.read_bytes())}  {label}/{path.relative_to(out).as_posix()}")
+        lines.extend(_hash_files(label, out))
+    csv = root / PLOT_SOURCE[0] / PLOT_SOURCE[1]
+    for view in PLOT_VIEWS:
+        label = f"plot-{view}"
+        _run(["plot", "--csv", str(csv), "--view", view, "--out", str(root / label)])
+        lines.extend(_hash_files(label, root / label))
     for label, argv in PRINTERS:
         lines.append(f"{_sha256(_run(argv).encode('utf-8'))}  {label} (stdout)")
     return lines
