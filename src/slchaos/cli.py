@@ -17,11 +17,7 @@ from .analysis import (
     NewtonError,
     max_lyapunov,
 )
-from .dynamics import (
-    State3,
-    SystemKind,
-    SystemParams,
-)
+from .dynamics import SystemKind
 from .integrate import (
     IntegrationError,
     Method,
@@ -34,6 +30,7 @@ from .scenarios import (
     ScenarioNotFound,
     SweepSpec,
     builtin_scenarios,
+    derive,
     equilibria_doc,
     lookup_scenario,
     run_compare,
@@ -41,7 +38,6 @@ from .scenarios import (
     run_sweep,
 )
 from .svgplot import DEFAULT_COLOR, Curve, export_svg, geometry_views
-from .timegauge import Gauge
 from .trajio import format_float, read_trajectory_csv
 
 __all__ = ["cli_main", "main"]
@@ -68,13 +64,16 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
 
 # Flags that describe a custom run.  Each defaults to None, so a flag left
 # unset takes the value of the registry scenario of the chosen --system.
-# The SWEEPABLE ones are the coefficients and the gauge.
+# The SWEEPABLE ones are the coefficients and the gauge.  A command
+# registers only the ones it reads.
 _SYSTEM_FLAGS = ("system", *SWEEPABLE, "x0", "y0", "z0", "t0", "t1")
+# The `_add_common` flags that change how a run is integrated and sampled.
+_RUN_FLAGS = ("tol", "sample_count", "method", "mode")
 
 
-def _add_system_flags(sub: argparse.ArgumentParser) -> None:
+def _add_system_flags(sub: argparse.ArgumentParser, flags: tuple[str, ...]) -> None:
     sub.add_argument("--system", choices=[k.value for k in SystemKind], default=None)
-    for flag in _SYSTEM_FLAGS[1:]:
+    for flag in flags:
         sub.add_argument(f"--{flag}", type=float, default=None)
 
 
@@ -88,7 +87,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim = subs.add_parser("simulate", help="run a scenario and write its artifacts")
     _add_common(p_sim)
     p_sim.add_argument("--scenario", default=None, help="registry name")
-    _add_system_flags(p_sim)
+    _add_system_flags(p_sim, _SYSTEM_FLAGS[1:])
     p_sim.set_defaults(func=_cmd_simulate)
 
     p_sweep = subs.add_parser("sweep", help="rerun a scenario across parameter values")
@@ -105,12 +104,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp.set_defaults(func=_cmd_compare)
 
     p_fp = subs.add_parser("fixed-points", help="closed-form equilibria with classification")
-    _add_system_flags(p_fp)
-    p_fp.set_defaults(func=_cmd_fixed_points, scenario=None)
+    _add_system_flags(p_fp, ("a", "b", "c"))
+    p_fp.set_defaults(func=_cmd_fixed_points)
 
     p_ly = subs.add_parser("lyapunov", help="largest-exponent estimate")
     p_ly.add_argument("--scenario", default=None)
-    _add_system_flags(p_ly)
+    # The exponent is per unit s, so neither the gauge nor the span enters it.
+    _add_system_flags(p_ly, ("a", "b", "c", "x0", "y0", "z0"))
     p_ly.add_argument("--horizon", type=float, default=1000.0)
     p_ly.add_argument(
         "--renorm", type=float, default=None, help=f"default: horizon/{LYAPUNOV_INTERVALS}"
@@ -150,55 +150,34 @@ def _cmd_list(ns: argparse.Namespace) -> int:
     return 0
 
 
-def _flag(ns: argparse.Namespace, name: str, default: float) -> float:
-    value = getattr(ns, name)
-    return default if value is None else value
+def _given(ns: argparse.Namespace, flags: tuple[str, ...]) -> dict:
+    """Each of `flags` that the command registers and the command line set."""
+    return {f: getattr(ns, f) for f in flags if getattr(ns, f, None) is not None}
 
 
 def _scenario(ns: argparse.Namespace) -> Scenario:
     """The run the flags describe: the `--scenario` registry entry, or the
-    registry scenario of `--system` with every given system flag applied."""
-    if ns.scenario is not None:
-        given = [f for f in _SYSTEM_FLAGS if getattr(ns, f) is not None]
-        if given:
-            raise _UsageError(f"--scenario takes no system flags, got --{given[0]}")
-        return lookup_scenario(ns.scenario)
-    if ns.system is None:
-        raise _UsageError("give --scenario or --system")
-    kind = SystemKind(ns.system)
-    base = next(sc for sc in builtin_scenarios() if sc.kind is kind)
-    if kind is SystemKind.SL:
-        if ns.a is None:
-            raise _UsageError("--system sl needs --a (and optionally --b, --c)")
-        assert base.gauge is not None
-        params = SystemParams(*(_flag(ns, f, getattr(base.params, f)) for f in "abc"))
-        gauge = Gauge(_flag(ns, "mu", base.gauge.mu), _flag(ns, "D", base.gauge.D))
-        name = f"custom-sl-a{format_float(params.a)}"
-    else:
-        given = [f for f in SWEEPABLE if getattr(ns, f) is not None]
-        if given:
-            raise _UsageError(f"--system {kind.value} has fixed coefficients, got --{given[0]}")
-        params, gauge, name = base.params, None, f"custom-{kind.value}"
-    x0 = State3(*(_flag(ns, f, v) for f, v in zip(("x0", "y0", "z0"), base.x0)))
-    span = (_flag(ns, "t0", base.span[0]), _flag(ns, "t1", base.span[1]))
-    return dataclasses.replace(base, name=name, params=params, gauge=gauge, x0=x0, span=span)
-
-
-def _apply_overrides(sc: Scenario, ns: argparse.Namespace) -> Scenario:
-    config = sc.config
-    plan = sc.plan
-    if ns.tol is not None:
-        config = dataclasses.replace(config, abs_tol=ns.tol, rel_tol=ns.tol)
-    if ns.method is not None:
-        config = dataclasses.replace(config, method=Method(ns.method))
-    if ns.sample_count is not None:
-        plan = dataclasses.replace(plan, sample_count=ns.sample_count)
-    sl_mode = SLMode(ns.mode) if ns.mode is not None else sc.sl_mode
-    return dataclasses.replace(sc, config=config, plan=plan, sl_mode=sl_mode)
+    registry scenario of `--system` with every given system flag applied;
+    either way with every given run flag applied."""
+    system, run = _given(ns, _SYSTEM_FLAGS), _given(ns, _RUN_FLAGS)
+    if getattr(ns, "scenario", None) is not None:
+        if system:
+            raise _UsageError(f"--scenario takes no system flags, got --{next(iter(system))}")
+        base = lookup_scenario(ns.scenario)
+        return derive(base, base.name, **run)
+    kind = system.pop("system", None)
+    if kind is None:
+        raise _UsageError("give --scenario or --system" if "scenario" in ns else "give --system")
+    base = next(sc for sc in builtin_scenarios() if sc.kind.value == kind)
+    if base.kind is not SystemKind.SL:
+        return derive(base, f"custom-{kind}", **system, **run)
+    if "a" not in system:
+        raise _UsageError("--system sl needs --a (and optionally --b, --c)")
+    return derive(base, f"custom-sl-a{format_float(system['a'])}", **system, **run)
 
 
 def _cmd_simulate(ns: argparse.Namespace) -> int:
-    paths = run_scenario(_apply_overrides(_scenario(ns), ns), ns.out)
+    paths = run_scenario(_scenario(ns), ns.out)
     for p in paths:
         print(f"wrote {p}")
     return 0
@@ -209,8 +188,7 @@ def _cmd_sweep(ns: argparse.Namespace) -> int:
         values = tuple(float(v) for v in ns.values.split(","))
     except ValueError:
         raise _UsageError(f"--values must be comma-separated numbers, got {ns.values!r}")
-    base = _apply_overrides(lookup_scenario(ns.scenario), ns)
-    spec = SweepSpec(base, ns.param, values)
+    spec = SweepSpec(_scenario(ns), ns.param, values)
     summary = run_sweep(spec, ns.out)
     failures = [r for r in summary["results"] if "error" in r]
     for row in summary["results"]:
@@ -221,7 +199,8 @@ def _cmd_sweep(ns: argparse.Namespace) -> int:
 
 
 def _cmd_compare(ns: argparse.Namespace) -> int:
-    scenarios = [_apply_overrides(lookup_scenario(name), ns) for name in ns.scenarios]
+    run = _given(ns, _RUN_FLAGS)
+    scenarios = [derive(sc, sc.name, **run) for sc in map(lookup_scenario, ns.scenarios)]
     paths = run_compare(scenarios, ns.out, ns.axis)
     for p in paths:
         print(f"wrote {p}")

@@ -3,10 +3,10 @@
 Two drivers: classical fixed-step RK4 for convergence studies, and an
 embedded Dormand-Prince 5(4) pair with PI step-size control for production
 runs.  Sampling plans place output points linearly or geometrically in the
-integration variable (geometric spacing keeps multi-decade spans readable)
-or record every accepted step; off-step samples come from cubic Hermite
-interpolation over the bracketing step, which is free because the pair is
-FSAL and both endpoint derivatives are already in hand.
+integration variable (geometric spacing keeps multi-decade spans readable);
+off-step samples come from cubic Hermite interpolation over the bracketing
+step, which is free because the pair is FSAL and both endpoint derivatives
+are already in hand.
 
 All state arithmetic is plain scalar double precision with a fixed
 evaluation order, so identical inputs produce bit-identical trajectories.
@@ -52,7 +52,6 @@ class Method(enum.Enum):
 class SamplingMode(enum.Enum):
     LINEAR = "linear"
     GEOMETRIC = "geometric"
-    EVERY_STEP = "every-step"
 
 
 class SLMode(enum.Enum):
@@ -107,15 +106,13 @@ class SamplingPlan:
             raise ValueError(f"sample_count must be >= 2, got {self.sample_count!r}")
         self.sample_count = n
 
-    def grid(self, t0: float, t1: float) -> np.ndarray | None:
-        """Sample locations in the integration variable; None for EVERY_STEP."""
+    def grid(self, t0: float, t1: float) -> np.ndarray:
+        """Sample locations in the integration variable."""
         if self.mode is SamplingMode.LINEAR:
             return np.linspace(t0, t1, self.sample_count)
-        if self.mode is SamplingMode.GEOMETRIC:
-            if t0 <= 0.0:
-                raise ValueError(f"geometric sampling needs t0 > 0, got {t0!r}")
-            return np.geomspace(t0, t1, self.sample_count)
-        return None
+        if t0 <= 0.0:
+            raise ValueError(f"geometric sampling needs t0 > 0, got {t0!r}")
+        return np.geomspace(t0, t1, self.sample_count)
 
 
 @dataclass(frozen=True)
@@ -337,15 +334,13 @@ def _adaptive_solve(
     t1: float,
     x0: Sequence[float],
     config: IntegratorConfig,
-    sample_ts: np.ndarray | None,
+    sample_ts: np.ndarray,
     sample_count_hint: int,
     mode: str | None,
 ) -> tuple[np.ndarray, np.ndarray, IntegrationMeta]:
     """Core DP54 driver.  Returns the time column, the states and the
-    run's metadata, which records `mode`.
-
-    With a sample grid, output rows sit exactly on the grid (interpolated);
-    without one, every accepted step endpoint is recorded.
+    run's metadata, which records `mode`.  Output rows sit exactly on the
+    sample grid (interpolated between step endpoints).
     """
     span = t1 - t0
     h_min = 1e-14 * span
@@ -362,14 +357,10 @@ def _adaptive_solve(
     out_t: list[float] = []
     out_y: list[tuple[float, float, float]] = []
     si = 0
-    if sample_ts is None:
-        out_t.append(t0)
+    while si < len(sample_ts) and sample_ts[si] <= t0:
+        out_t.append(float(sample_ts[si]))
         out_y.append((x, y, z))
-    else:
-        while si < len(sample_ts) and sample_ts[si] <= t0:
-            out_t.append(float(sample_ts[si]))
-            out_y.append((x, y, z))
-            si += 1
+        si += 1
 
     def meta() -> IntegrationMeta:
         return IntegrationMeta(accepted, rejected, Method.RK45_ADAPTIVE.value, atol, rtol, mode)
@@ -461,22 +452,16 @@ def _adaptive_solve(
             continue
 
         if err <= 1.0:
-            if sample_ts is None:
-                out_t.append(tn)
-                out_y.append((xn, yn, zn))
-            else:
-                yo = (x, y, z)
-                fo = (k1x, k1y, k1z)
-                yn_t = (xn, yn, zn)
-                fn = (k7x, k7y, k7z)
-                while si < len(sample_ts) and sample_ts[si] <= tn:
-                    tau = float(sample_ts[si])
-                    theta = (tau - t) / hs
-                    out_t.append(tau)
-                    out_y.append(
-                        yn_t if theta >= 1.0 else _hermite(theta, hs, yo, fo, yn_t, fn)
-                    )
-                    si += 1
+            yo = (x, y, z)
+            fo = (k1x, k1y, k1z)
+            yn_t = (xn, yn, zn)
+            fn = (k7x, k7y, k7z)
+            while si < len(sample_ts) and sample_ts[si] <= tn:
+                tau = float(sample_ts[si])
+                theta = (tau - t) / hs
+                out_t.append(tau)
+                out_y.append(yn_t if theta >= 1.0 else _hermite(theta, hs, yo, fo, yn_t, fn))
+                si += 1
             accepted += 1
             t = tn
             x, y, z = xn, yn, zn
@@ -499,7 +484,7 @@ def _adaptive_solve(
 
     # A grid whose tail coincides with t1 is fully emitted inside the loop;
     # anything still pending would mean the grid exceeds the span.
-    if sample_ts is not None and si < len(sample_ts):
+    if si < len(sample_ts):
         raise IntegrationError(
             f"sample grid extends past t1 = {t1!r} (next sample {sample_ts[si]!r})",
             partial=partial(),
@@ -519,8 +504,8 @@ def _solve(
 ) -> tuple[np.ndarray, np.ndarray, IntegrationMeta]:
     """Run the configured method over [u0, u1] in the integration variable u.
 
-    RK4 takes `sample_count - 1` uniform steps and records every endpoint;
-    DP54 samples on `grid`, or at every accepted step when the grid is None.
+    RK4 ignores `grid` and takes `sample_count - 1` uniform steps, recording
+    every endpoint; DP54 samples on `grid`.
     Returns the u column, the states and the run's metadata.
     """
     if config.method is Method.RK4_FIXED:

@@ -7,7 +7,8 @@ JSON analysis report, and four SVG views (an isometric 3-D projection plus
 the x-y, x-z, y-z planes).  Sweeps rerun a base scenario across a parameter
 list into per-value subdirectories with a summary; comparisons overlay up
 to several scenarios in seven shared views (the four geometry views plus a
-time series per component).
+time series per component).  `derive` is the one way to change a setting
+of a run: custom runs, run overrides and sweep members all go through it.
 
 Everything written here is deterministic byte for byte; see `trajio` and
 `svgplot` for the formats.
@@ -60,6 +61,7 @@ __all__ = [
     "ScenarioNotFound",
     "builtin_scenarios",
     "scenario_registry",
+    "derive",
     "run_trajectory",
     "equilibria_doc",
     "scenario_report",
@@ -74,6 +76,8 @@ __all__ = [
 LYAPUNOV_INTERVALS = 500
 
 SWEEPABLE = ("a", "b", "c", "D", "mu")
+_START = ("x0", "y0", "z0")
+_SETTINGS = (*SWEEPABLE, *_START, "t0", "t1", "tol", "method", "sample_count", "mode")
 
 
 class ScenarioNotFound(KeyError):
@@ -187,6 +191,44 @@ def lookup_scenario(name: str) -> Scenario:
         known = ", ".join(sorted(reg))
         raise ScenarioNotFound(f"unknown scenario {name!r}; known: {known}")
     return reg[name]
+
+
+def derive(base: Scenario, name: str, **settings: object) -> Scenario:
+    """`base` renamed to `name`, with each given setting replaced.
+
+    This is the one map from a setting name to a Scenario field: `a`, `b`,
+    `c` set a coefficient (SL runs only; the Lorenz systems have fixed
+    coefficients), `D` and `mu` rebuild the gauge (gauged runs only), `x0`,
+    `y0`, `z0` set the start state, `t0`, `t1` the span, `tol` both
+    tolerances, and `method`, `sample_count`, `mode` the integration method,
+    the sample count and the SL route.  The result is validated like any
+    Scenario, so a bad value raises ValueError.
+    """
+    for key in settings:
+        if key not in _SETTINGS:
+            raise ValueError(f"unknown run setting {key!r}; known: {', '.join(_SETTINGS)}")
+        if key in ("a", "b", "c") and base.kind is not SystemKind.SL:
+            raise ValueError(f"cannot set {key!r}: {base.name!r} has fixed coefficients")
+        if key in ("D", "mu") and base.gauge is None:
+            raise ValueError(f"cannot set {key!r}: {base.name!r} has no gauge")
+    get = settings.get
+    gauge, config = base.gauge, base.config
+    return dataclasses.replace(
+        base,
+        name=name,
+        params=SystemParams(*(get(k, getattr(base.params, k)) for k in "abc")),
+        gauge=None if gauge is None else Gauge(get("mu", gauge.mu), get("D", gauge.D)),
+        x0=State3(*(get(k, v) for k, v in zip(_START, base.x0))),
+        span=(get("t0", base.span[0]), get("t1", base.span[1])),
+        config=dataclasses.replace(
+            config,
+            method=Method(get("method", config.method)),
+            abs_tol=get("tol", config.abs_tol),
+            rel_tol=get("tol", config.rel_tol),
+        ),
+        plan=dataclasses.replace(base.plan, sample_count=get("sample_count", base.plan.sample_count)),
+        sl_mode=SLMode(get("mode", base.sl_mode)),
+    )
 
 
 def _resolve(scenario: Scenario | str) -> Scenario:
@@ -337,20 +379,6 @@ def run_scenario(scenario: Scenario | str, output_dir: str | Path) -> list[Path]
     return paths
 
 
-def _sweep_member(base: Scenario, parameter: str, value: float) -> Scenario:
-    tag = f"{parameter}{format_float(value)}"
-    name = f"{base.name}-{tag}"
-    if parameter in ("a", "b", "c"):
-        if base.kind is not SystemKind.SL:
-            raise ValueError(f"cannot sweep {parameter!r}: {base.name!r} has fixed coefficients")
-        params = dataclasses.replace(base.params, **{parameter: value})
-        return dataclasses.replace(base, name=name, params=params)
-    if base.gauge is None:
-        raise ValueError(f"cannot sweep {parameter!r}: {base.name!r} has no gauge")
-    gauge = Gauge(value, base.gauge.D) if parameter == "mu" else Gauge(base.gauge.mu, value)
-    return dataclasses.replace(base, name=name, gauge=gauge)
-
-
 def run_sweep(spec: SweepSpec, output_dir: str | Path) -> dict:
     """Run a parameter sweep into per-value subdirectories.
 
@@ -367,7 +395,8 @@ def run_sweep(spec: SweepSpec, output_dir: str | Path) -> dict:
         subdir = out / f"{spec.parameter}-{format_float(value)}"
         row: dict = {"value": value, "directory": subdir.name}
         try:
-            member = _sweep_member(base, spec.parameter, value)
+            tag = f"{spec.parameter}{format_float(value)}"
+            member = derive(base, f"{base.name}-{tag}", **{spec.parameter: value})
             _, traj, report = _execute(member, subdir)
         except Exception as exc:
             row["error"] = f"{type(exc).__name__}: {exc}"

@@ -53,6 +53,10 @@ class TestUsageErrors:
         code, _, err = run_cli(capsys, "simulate", "--out", str(tmp_path))
         assert code == 1
         assert "--scenario or --system" in err
+        # fixed-points has no --scenario, so it asks for --system alone
+        code, _, err = run_cli(capsys, "fixed-points")
+        assert code == 1
+        assert err == "usage error: give --system\n"
 
     @pytest.mark.parametrize(
         "argv",
@@ -61,6 +65,10 @@ class TestUsageErrors:
             ["simulate", "--system", "lorenz-standard", "--a", "5"],
             ["lyapunov", "--scenario", "sl-a2", "--D", "0.5"],
             ["fixed-points", "--system", "sl", "--a", "2", "--D", "7", "--t0", "-3"],
+            ["fixed-points", "--system", "sl", "--a", "2", "--x0", "5", "--t1", "9"],
+            ["fixed-points", "--system", "sl", "--a", "2", "--mu", "3"],
+            ["lyapunov", "--system", "sl", "--a", "2", "--D", "0.5"],
+            ["lyapunov", "--system", "lorenz-standard", "--t1", "5", "--horizon", "50"],
         ],
     )
     def test_system_flags_are_never_dropped(self, capsys, tmp_path, monkeypatch, argv):

@@ -113,12 +113,6 @@ class TestAdaptive:
         with pytest.raises(ValueError):
             integrate_adaptive(decay, 0.0, 1.0, (1.0, 0.0, 0.0), plan=SamplingPlan(SamplingMode.GEOMETRIC, 10))
 
-    def test_every_step_mode(self):
-        plan = SamplingPlan(SamplingMode.EVERY_STEP)
-        tr = integrate_adaptive(decay, 0.0, 1.0, (1.0, 0.0, 0.0), plan=plan)
-        assert len(tr) == tr.meta.steps_taken + 1
-        assert tr.t[0] == 0.0 and tr.t[-1] == 1.0
-
     def test_lorenz_run_stays_bounded(self):
         rhs = make_field(SystemKind.LORENZ_STANDARD)
         tr = integrate_adaptive(rhs, 0.0, 60.0, (0.1, 0.1, 0.1), plan=SamplingPlan(SamplingMode.LINEAR, 500))
@@ -273,12 +267,6 @@ class TestIntegrateSL:
         assert partial.meta.mode == mode.value
         assert partial.t[0] == 0.1
         assert np.array_equal(partial.s, [scale_time(GAUGE, tv) for tv in partial.t])
-
-    def test_every_step_scaled(self):
-        plan = SamplingPlan(SamplingMode.EVERY_STEP)
-        tr = integrate_sl(ATTRACTOR_II, GAUGE, (0.1, 10.0), (0.1, 0.1, 0.1), plan=plan)
-        assert tr.s[0] == pytest.approx(scale_time(GAUGE, 0.1), rel=1e-12)
-        assert tr.s[-1] == pytest.approx(scale_time(GAUGE, 10.0), rel=1e-12)
 
 
 def test_config_validation():

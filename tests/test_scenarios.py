@@ -10,6 +10,7 @@ from slchaos.scenarios import (
     ScenarioNotFound,
     SweepSpec,
     builtin_scenarios,
+    derive,
     lookup_scenario,
     run_compare,
     run_scenario,
@@ -180,6 +181,26 @@ class TestRunScenario:
         assert run_trajectory(sc).meta.mode == "scaled-s"
         direct = dataclasses.replace(sc, sl_mode=SLMode.DIRECT_T)
         assert run_trajectory(direct).meta.mode == "direct-t"
+
+
+class TestDerive:
+    def test_replaces_only_the_given_settings(self):
+        base = lookup_scenario("sl-a2")
+        sc = derive(base, "x", b=0.5, D=0.5, y0=0.2, t1=10.0, tol=1e-6, method="rk4",
+                    sample_count=50, mode="direct-t")
+        assert sc.name == "x"
+        assert sc.params == SystemParams(2.0, 0.5, 27.0)
+        assert sc.gauge == Gauge(0.9, 0.5)
+        assert sc.x0 == State3(0.1, 0.2, 0.1)
+        assert sc.span == (0.1, 10.0)
+        assert (sc.config.abs_tol, sc.config.rel_tol, sc.config.method.value) == (1e-6, 1e-6, "rk4")
+        assert (sc.plan.mode, sc.plan.sample_count) == (base.plan.mode, 50)
+        assert sc.sl_mode is SLMode.DIRECT_T
+        assert derive(base, base.name) == base
+
+    def test_unknown_setting_is_rejected(self):
+        with pytest.raises(ValueError, match="unknown run setting 'rho'"):
+            derive(lookup_scenario("sl-a2"), "x", rho=1.0)
 
 
 class TestSweep:

@@ -8,7 +8,8 @@ subdirectory, and gets one line the same way.  Each command in PRINTERS
 writes JSON to stdout, which gets one line, `<sha256>  <label> (stdout)`.
 The commands cover `simulate` for all six built-in scenarios, both
 integration methods, both SL routes and custom runs of every system, plus
-`sweep`, `compare`, every `plot` view, `fixed-points` and `lyapunov`.
+`sweep` and `compare` with and without run overrides, every `plot` view,
+`fixed-points` and `lyapunov`.
 
 A change meant to leave every artifact byte-identical is checked by running
 the tool against both source trees and diffing the output:
@@ -60,7 +61,16 @@ WRITERS: list[tuple[str, list[str]]] = [
          "--t1", "1000", "--samples", "500"],
     ),
     ("sweep-sl-a2-a", ["sweep", "--scenario", "sl-a2", "--param", "a", "--values", "1.5,2"]),
+    (
+        "sweep-sl-a2-D-overrides",
+        ["sweep", "--scenario", "sl-a2", "--param", "D", "--values", "0.5,0.7",
+         "--tol", "1e-8", "--samples", "300"],
+    ),
     ("compare-sl-a2-lorenz-literal", ["compare", "sl-a2", "lorenz-literal", "--axis", "t"]),
+    (
+        "compare-sl-a2-lorenz-literal-rk4",
+        ["compare", "sl-a2", "lorenz-literal", "--method", "rk4", "--samples", "5000"],
+    ),
 ]
 
 # (writer label, CSV path inside its output) that every plot view reads
@@ -74,7 +84,10 @@ PRINTERS: list[tuple[str, list[str]]] = [
     ("fixed-points-lorenz-literal", ["fixed-points", "--system", "lorenz-literal"]),
     ("lyapunov-sl-a2", ["lyapunov", "--scenario", "sl-a2"]),
     ("lyapunov-lorenz-standard", ["lyapunov", "--scenario", "lorenz-standard", "--horizon", "100"]),
-    ("lyapunov-custom-sl", ["lyapunov", "--system", "sl", "--a", "2", "--D", "0.5"]),
+    (
+        "lyapunov-custom-sl",
+        ["lyapunov", "--system", "sl", "--a", "2", "--b", "0.5", "--x0", "0.2"],
+    ),
     (
         "lyapunov-custom-lorenz-literal",
         ["lyapunov", "--system", "lorenz-literal", "--renorm", "0.1"],
