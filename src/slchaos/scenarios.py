@@ -306,7 +306,6 @@ def scenario_report(scenario: Scenario, trajectory: Trajectory) -> dict:
         horizon,
         horizon / LYAPUNOV_INTERVALS,
     )
-    meta = trajectory.meta
     gauge_doc = None
     if scenario.gauge is not None:
         gauge_doc = {"mu": scenario.gauge.mu, "D": scenario.gauge.D, "lambda": scenario.gauge.lam}
@@ -320,14 +319,7 @@ def scenario_report(scenario: Scenario, trajectory: Trajectory) -> dict:
         "equilibria": eq_doc["equilibria"],
         "lyapunov": dataclasses.asdict(est),
         "conjecture": eq_doc["conjecture"],
-        "meta": {
-            "steps_taken": meta.steps_taken,
-            "steps_rejected": meta.steps_rejected,
-            "method": meta.method,
-            "abs_tol": meta.abs_tol,
-            "rel_tol": meta.rel_tol,
-            "mode": meta.mode,
-        },
+        "meta": dataclasses.asdict(trajectory.meta),
     }
 
 
