@@ -59,7 +59,12 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
         "--samples", dest="sample_count", type=int, default=None, help="sample count override"
     )
     sub.add_argument("--method", choices=[m.value for m in Method], default=None)
-    sub.add_argument("--mode", choices=[m.value for m in SLMode], default=None)
+    sub.add_argument(
+        "--mode",
+        choices=[m.value for m in SLMode],
+        default=None,
+        help="integration route of a gauged run (compare applies it to gauged members only)",
+    )
 
 
 # Flags that describe a custom run.  Each defaults to None, so a flag left
@@ -158,22 +163,27 @@ def _given(ns: argparse.Namespace, flags: tuple[str, ...]) -> dict:
 def _scenario(ns: argparse.Namespace) -> Scenario:
     """The run the flags describe: the `--scenario` registry entry, or the
     registry scenario of `--system` with every given system flag applied;
-    either way with every given run flag applied."""
+    either way with every given run flag applied.  `--mode` picks the
+    route of a gauged run, so it is an error on a run with no gauge."""
     system, run = _given(ns, _SYSTEM_FLAGS), _given(ns, _RUN_FLAGS)
     if getattr(ns, "scenario", None) is not None:
         if system:
             raise _UsageError(f"--scenario takes no system flags, got --{next(iter(system))}")
         base = lookup_scenario(ns.scenario)
-        return derive(base, base.name, **run)
-    kind = system.pop("system", None)
-    if kind is None:
-        raise _UsageError("give --scenario or --system" if "scenario" in ns else "give --system")
-    base = next(sc for sc in builtin_scenarios() if sc.kind.value == kind)
-    if base.kind is not SystemKind.SL:
-        return derive(base, f"custom-{kind}", **system, **run)
-    if "a" not in system:
-        raise _UsageError("--system sl needs --a (and optionally --b, --c)")
-    return derive(base, f"custom-sl-a{format_float(system['a'])}", **system, **run)
+        name = base.name
+    else:
+        kind = system.pop("system", None)
+        if kind is None:
+            raise _UsageError("give --scenario or --system" if "scenario" in ns else "give --system")
+        base = next(sc for sc in builtin_scenarios() if sc.kind.value == kind)
+        name = f"custom-{kind}"
+        if base.kind is SystemKind.SL:
+            if "a" not in system:
+                raise _UsageError("--system sl needs --a (and optionally --b, --c)")
+            name = f"custom-sl-a{format_float(system['a'])}"
+    if "mode" in run and base.gauge is None:
+        raise _UsageError(f"--mode picks the route of a gauged run; {base.name!r} has no gauge")
+    return derive(base, name, **system, **run)
 
 
 def _cmd_simulate(ns: argparse.Namespace) -> int:

@@ -69,6 +69,10 @@ class TestUsageErrors:
             ["fixed-points", "--system", "sl", "--a", "2", "--mu", "3"],
             ["lyapunov", "--system", "sl", "--a", "2", "--D", "0.5"],
             ["lyapunov", "--system", "lorenz-standard", "--t1", "5", "--horizon", "50"],
+            ["simulate", "--system", "lorenz-standard", "--t1", "1", "--samples", "20",
+             "--mode", "direct-t"],
+            ["sweep", "--scenario", "lorenz-literal", "--param", "a", "--values", "1",
+             "--mode", "direct-t"],
         ],
     )
     def test_system_flags_are_never_dropped(self, capsys, tmp_path, monkeypatch, argv):
