@@ -4,9 +4,11 @@ Two drivers: classical fixed-step RK4 for convergence studies, and an
 embedded Dormand-Prince 5(4) pair with PI step-size control for production
 runs.  Sampling plans place output points linearly or geometrically in the
 integration variable (geometric spacing keeps multi-decade spans readable);
-off-step samples come from cubic Hermite interpolation over the bracketing
-step, which is free because the pair is FSAL and both endpoint derivatives
-are already in hand.
+off-step samples come from the pair's own 4th-order continuous extension
+over the bracketing step (Hairer, Norsett & Wanner, Solving ODEs I, II.6),
+built from the seven stages already in hand, so it costs no extra field
+evaluations.  The DP54 step sequence depends only on the field, the start
+point and the tolerances, never on where the samples fall.
 
 All state arithmetic is plain scalar double precision with a fixed
 evaluation order, so identical inputs produce bit-identical trajectories.
@@ -72,8 +74,6 @@ class IntegratorConfig:
     method: Method = Method.RK45_ADAPTIVE
     abs_tol: float = 1e-9
     rel_tol: float = 1e-9
-    initial_step: float | None = None
-    max_steps: int = 10_000_000
 
     def __post_init__(self) -> None:
         if not isinstance(self.method, Method):
@@ -83,14 +83,6 @@ class IntegratorConfig:
             if not (math.isfinite(v) and v > 0.0):
                 raise ValueError(f"{name} must be positive and finite, got {v!r}")
             setattr(self, name, v)
-        if self.initial_step is not None:
-            h0 = float(self.initial_step)
-            if not (math.isfinite(h0) and h0 > 0.0):
-                raise ValueError(f"initial_step must be positive and finite, got {h0!r}")
-            self.initial_step = h0
-        if int(self.max_steps) < 1:
-            raise ValueError(f"max_steps must be >= 1, got {self.max_steps!r}")
-        self.max_steps = int(self.max_steps)
 
 
 @dataclass
@@ -296,6 +288,16 @@ _E1, _E3, _E4, _E5, _E6, _E7 = (
     22.0 / 525.0,
     -1.0 / 40.0,
 )
+# Dense output: the 4th-order continuous extension of the pair (Hairer's
+# DOPRI5 `contd5`), its last coefficient weighting the seven stages.
+_D1, _D3, _D4, _D5, _D6, _D7 = (
+    -12715105075.0 / 11282082432.0,
+    87487479700.0 / 32700410799.0,
+    -10690763975.0 / 1880347072.0,
+    701980252875.0 / 199316789632.0,
+    -1453857185.0 / 822651844.0,
+    69997945.0 / 29380423.0,
+)
 
 # PI controller: classic exponents for a 5th-order pair, the usual 0.9
 # safety factor, growth clamped to [0.2, 5.0], plus the usual cap at 1.0
@@ -305,27 +307,8 @@ _PI_ALPHA = 0.7 / 5.0
 _PI_BETA = 0.4 / 5.0
 _FAC_MIN = 0.2
 _FAC_MAX = 5.0
-
-
-def _hermite(
-    theta: float,
-    h: float,
-    y0: tuple[float, float, float],
-    f0: tuple[float, float, float],
-    y1: tuple[float, float, float],
-    f1: tuple[float, float, float],
-) -> tuple[float, float, float]:
-    t2 = theta * theta
-    t3 = t2 * theta
-    h00 = 2.0 * t3 - 3.0 * t2 + 1.0
-    h10 = t3 - 2.0 * t2 + theta
-    h01 = -2.0 * t3 + 3.0 * t2
-    h11 = t3 - t2
-    return (
-        h00 * y0[0] + h10 * h * f0[0] + h01 * y1[0] + h11 * h * f1[0],
-        h00 * y0[1] + h10 * h * f0[1] + h01 * y1[1] + h11 * h * f1[1],
-        h00 * y0[2] + h10 * h * f0[2] + h01 * y1[2] + h11 * h * f1[2],
-    )
+# Attempted steps before a run gives up.
+_MAX_STEPS = 10_000_000
 
 
 def _adaptive_solve(
@@ -335,15 +318,14 @@ def _adaptive_solve(
     x0: Sequence[float],
     config: IntegratorConfig,
     sample_ts: np.ndarray,
-    sample_count_hint: int,
     mode: str | None,
 ) -> tuple[np.ndarray, np.ndarray, IntegrationMeta]:
     """Core DP54 driver.  Returns the time column, the states and the
     run's metadata, which records `mode`.  Output rows sit exactly on the
-    sample grid (interpolated between step endpoints).
+    sample grid, read off the continuous extension of the step that
+    brackets them.  The steps taken do not depend on `sample_ts`.
     """
-    span = t1 - t0
-    h_min = 1e-14 * span
+    h_min = 1e-14 * (t1 - t0)
     atol = config.abs_tol
     rtol = config.rel_tol
 
@@ -354,11 +336,12 @@ def _adaptive_solve(
             f"non-finite field at the initial point t = {t0!r}", step_index=0
         )
 
-    out_t: list[float] = []
+    # Row i of the output is the state at samples[i].
+    samples = sample_ts.tolist()
+    n_samples = len(samples)
     out_y: list[tuple[float, float, float]] = []
     si = 0
-    while si < len(sample_ts) and sample_ts[si] <= t0:
-        out_t.append(float(sample_ts[si]))
+    while si < n_samples and samples[si] <= t0:
         out_y.append((x, y, z))
         si += 1
 
@@ -366,15 +349,17 @@ def _adaptive_solve(
         return IntegrationMeta(accepted, rejected, Method.RK45_ADAPTIVE.value, atol, rtol, mode)
 
     def partial() -> Trajectory | None:
-        if not out_t:
+        if not out_y:
             return None
-        arr = np.asarray(out_t)
+        arr = sample_ts[: len(out_y)]
         return Trajectory(arr, arr.copy(), np.asarray(out_y), meta())
 
-    h = config.initial_step
-    if h is None:
-        h = 1e-2 * span / max(sample_count_hint, 1)
-    h = min(h, span)
+    # Hairer's first guess: a step that moves the scaled state by 1%.  It
+    # starts at or above the underflow floor; only the controller may cross it.
+    sx, sy, sz = atol + rtol * abs(x), atol + rtol * abs(y), atol + rtol * abs(z)
+    d0 = math.sqrt(((x / sx) ** 2 + (y / sy) ** 2 + (z / sz) ** 2) / 3.0)
+    d1 = math.sqrt(((k1x / sx) ** 2 + (k1y / sy) ** 2 + (k1z / sz) ** 2) / 3.0)
+    h = max(0.01 * d0 / d1 if d0 > 1e-10 and d1 > 1e-10 else 1e-6, h_min)
 
     t = t0
     accepted = 0
@@ -384,9 +369,9 @@ def _adaptive_solve(
     just_rejected = False
 
     while t < t1:
-        if attempts >= config.max_steps:
+        if attempts >= _MAX_STEPS:
             raise IntegrationError(
-                f"step budget of {config.max_steps} exhausted at t = {t!r}",
+                f"step budget of {_MAX_STEPS} exhausted at t = {t!r}",
                 step_index=attempts,
                 partial=partial(),
             )
@@ -452,16 +437,27 @@ def _adaptive_solve(
             continue
 
         if err <= 1.0:
-            yo = (x, y, z)
-            fo = (k1x, k1y, k1z)
-            yn_t = (xn, yn, zn)
-            fn = (k7x, k7y, k7z)
-            while si < len(sample_ts) and sample_ts[si] <= tn:
-                tau = float(sample_ts[si])
-                theta = (tau - t) / hs
-                out_t.append(tau)
-                out_y.append(yn_t if theta >= 1.0 else _hermite(theta, hs, yo, fo, yn_t, fn))
-                si += 1
+            if si < n_samples and samples[si] <= tn:
+                # y(t + theta*hs) = x + theta*(dx + th1*(bx + theta*(cx + th1*qx)))
+                # with th1 = 1 - theta, per component.
+                dx, dy, dz = xn - x, yn - y, zn - z
+                bx, by, bz = hs * k1x - dx, hs * k1y - dy, hs * k1z - dz
+                cx, cy, cz = dx - hs * k7x - bx, dy - hs * k7y - by, dz - hs * k7z - bz
+                qx = hs * (_D1 * k1x + _D3 * k3x + _D4 * k4x + _D5 * k5x + _D6 * k6x + _D7 * k7x)
+                qy = hs * (_D1 * k1y + _D3 * k3y + _D4 * k4y + _D5 * k5y + _D6 * k6y + _D7 * k7y)
+                qz = hs * (_D1 * k1z + _D3 * k3z + _D4 * k4z + _D5 * k5z + _D6 * k6z + _D7 * k7z)
+                while si < n_samples and samples[si] <= tn:
+                    theta = (samples[si] - t) / hs
+                    if theta >= 1.0:
+                        out_y.append((xn, yn, zn))
+                    else:
+                        th1 = 1.0 - theta
+                        out_y.append((
+                            x + theta * (dx + th1 * (bx + theta * (cx + th1 * qx))),
+                            y + theta * (dy + th1 * (by + theta * (cy + th1 * qy))),
+                            z + theta * (dz + th1 * (bz + theta * (cz + th1 * qz))),
+                        ))
+                    si += 1
             accepted += 1
             t = tn
             x, y, z = xn, yn, zn
@@ -484,12 +480,12 @@ def _adaptive_solve(
 
     # A grid whose tail coincides with t1 is fully emitted inside the loop;
     # anything still pending would mean the grid exceeds the span.
-    if si < len(sample_ts):
+    if si < n_samples:
         raise IntegrationError(
-            f"sample grid extends past t1 = {t1!r} (next sample {sample_ts[si]!r})",
+            f"sample grid extends past t1 = {t1!r} (next sample {samples[si]!r})",
             partial=partial(),
         )
-    return np.asarray(out_t), np.asarray(out_y), meta()
+    return sample_ts, np.asarray(out_y), meta()
 
 
 def _solve(
@@ -511,7 +507,7 @@ def _solve(
     if config.method is Method.RK4_FIXED:
         base = integrate_fixed(rhs, u0, u1, x0, sample_count - 1)
         return base.t, base.states, replace(base.meta, mode=mode)
-    return _adaptive_solve(rhs, u0, u1, x0, config, grid, sample_count, mode)
+    return _adaptive_solve(rhs, u0, u1, x0, config, grid, mode)
 
 
 def integrate_adaptive(

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from slchaos import integrate
 from slchaos.dynamics import SystemKind, SystemParams, make_field
 from slchaos.integrate import (
     IntegrationError,
@@ -127,11 +128,40 @@ class TestAdaptive:
         assert a == b
         assert a.meta == b.meta
 
-    def test_max_steps_exhaustion(self):
+    def test_samples_match_dop853_oracle(self):
+        # Off-step samples come from the pair's continuous extension, so
+        # they must be about as accurate as the step endpoints.
+        solve_ivp = pytest.importorskip("scipy.integrate").solve_ivp
         rhs = make_field(SystemKind.LORENZ_STANDARD)
-        cfg = IntegratorConfig(max_steps=20)
+        x0 = (0.1, 0.1, 0.1)
+        tr = integrate_adaptive(rhs, 0.0, 2.0, x0, plan=SamplingPlan(SamplingMode.LINEAR, 2000))
+        ref = solve_ivp(
+            lambda t, y: rhs(t, tuple(y)), (0.0, 2.0), x0,
+            method="DOP853", t_eval=tr.t, rtol=1e-13, atol=1e-13,
+        )
+        assert np.max(np.abs(tr.states - ref.y.T)) <= 1e-7
+
+    def test_steps_do_not_depend_on_sample_plan(self):
+        rhs = make_field(SystemKind.LORENZ_STANDARD)
+        a, b = (
+            integrate_adaptive(rhs, 0.0, 60.0, (0.1, 0.1, 0.1), plan=SamplingPlan(SamplingMode.LINEAR, n))
+            for n in (2000, 2001)
+        )
+        assert (a.meta.steps_taken, a.meta.steps_rejected) == (b.meta.steps_taken, b.meta.steps_rejected)
+        assert np.array_equal(a.states[-1], b.states[-1])
+
+    def test_long_run_from_an_equilibrium(self):
+        # The field vanishes at x0, so the first-step guess is the 1e-6
+        # fallback, below the 1e-14*span underflow floor of this span.
+        rhs = make_field(SystemKind.LORENZ_STANDARD)
+        tr = integrate_adaptive(rhs, 0.0, 1e9, (0.0, 0.0, 0.0), plan=SamplingPlan(SamplingMode.LINEAR, 20))
+        assert np.all(tr.states == 0.0)
+
+    def test_max_steps_exhaustion(self, monkeypatch):
+        rhs = make_field(SystemKind.LORENZ_STANDARD)
+        monkeypatch.setattr(integrate, "_MAX_STEPS", 20)
         with pytest.raises(IntegrationError, match="budget"):
-            integrate_adaptive(rhs, 0.0, 60.0, (0.1, 0.1, 0.1), cfg)
+            integrate_adaptive(rhs, 0.0, 60.0, (0.1, 0.1, 0.1))
 
     def test_step_underflow_on_pathological_field(self):
         # effectively white-noise derivative: the error estimate cannot
@@ -146,10 +176,9 @@ class TestAdaptive:
             integrate_adaptive(decay, 0.0, 1.0, (1.0, 0.0, 0.0), cfg)
 
     def test_rejection_accounting(self):
-        rhs = make_field(SystemKind.LORENZ_STANDARD)
-        # a deliberately huge first step must be rejected, not absorbed
-        cfg = IntegratorConfig(initial_step=10.0)
-        tr = integrate_adaptive(rhs, 0.0, 5.0, (0.1, 0.1, 0.1), cfg, SamplingPlan(SamplingMode.LINEAR, 50))
+        # a step across the jump in the field must be rejected, not absorbed
+        rhs = lambda t, s: (1.0 if t < 1.0 else -1.0, 0.0, 0.0)
+        tr = integrate_adaptive(rhs, 0.0, 5.0, (0.1, 0.1, 0.1), plan=SamplingPlan(SamplingMode.LINEAR, 50))
         assert tr.meta.steps_rejected >= 1
 
 
@@ -259,10 +288,10 @@ class TestIntegrateSL:
         assert np.max(np.abs(scaled.t - direct.t)) > 1.0
 
     @pytest.mark.parametrize("mode", [SLMode.SCALED_S, SLMode.DIRECT_T])
-    def test_partial_carries_both_time_columns(self, mode):
-        cfg = IntegratorConfig(max_steps=50)
+    def test_partial_carries_both_time_columns(self, mode, monkeypatch):
+        monkeypatch.setattr(integrate, "_MAX_STEPS", 50)
         with pytest.raises(IntegrationError) as info:
-            integrate_sl(ATTRACTOR_II, GAUGE, (0.1, 1e6), (0.1, 0.1, 0.1), cfg, mode=mode)
+            integrate_sl(ATTRACTOR_II, GAUGE, (0.1, 1e6), (0.1, 0.1, 0.1), mode=mode)
         partial = info.value.partial
         assert partial.meta.mode == mode.value
         assert partial.t[0] == 0.1
@@ -274,10 +303,6 @@ def test_config_validation():
         IntegratorConfig(abs_tol=0.0)
     with pytest.raises(ValueError):
         IntegratorConfig(rel_tol=-1e-9)
-    with pytest.raises(ValueError):
-        IntegratorConfig(initial_step=0.0)
-    with pytest.raises(ValueError):
-        IntegratorConfig(max_steps=0)
 
 
 def test_plan_validation():
