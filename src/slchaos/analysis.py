@@ -9,6 +9,12 @@ largest-Lyapunov estimator with periodic renormalization, a raw two-run
 divergence probe, and a report for the fixed-point-existence property that
 every parameter choice is expected to satisfy.
 
+The estimator for a named system stops early once its orbit has settled on
+a stable equilibrium: there the largest exponent is the leading real part
+of the closed-form spectrum, which is exact, so no twin run can improve on
+it.  Orbits that settle nowhere, or only on a saddle or a marginal point,
+get the full twin run.
+
 Gauged systems are analyzed in scaled time: under s = mu * t**(1 - D) the
 system is autonomous, so exponents quoted per unit s are honest constants,
 whereas per-unit-t rates would decay with the weight t**(-D).  Every
@@ -90,7 +96,13 @@ class LyapunovEstimate:
     """Largest-exponent estimate with its averaging geometry.
 
     The horizon must cover at least 100 renormalization intervals; shorter
-    runs produce numbers too noisy to report.
+    runs produce numbers too noisy to report.  It is the budget that was
+    asked for, whether or not the estimator spent all of it.  `estimator`
+    says where the number comes from: "twin" is the mean growth rate of a
+    twin run, "equilibrium" the leading real part of the closed-form
+    spectrum of the stable equilibrium the orbit settled on, with
+    `sample_stddev` 0.0.  `settled_at` is when the orbit settled, in
+    `time_variable`, and None for a twin estimate.
     """
 
     lambda_max: float
@@ -98,6 +110,8 @@ class LyapunovEstimate:
     renorm_interval: float
     sample_stddev: float
     time_variable: str = "t"
+    estimator: str = "twin"
+    settled_at: float | None = None
 
     def __post_init__(self) -> None:
         if not (self.renorm_interval > 0.0 and math.isfinite(self.renorm_interval)):
@@ -109,6 +123,10 @@ class LyapunovEstimate:
             )
         if self.time_variable not in ("t", "s"):
             raise ValueError(f"time_variable must be 't' or 's', got {self.time_variable!r}")
+        if self.estimator not in ("twin", "equilibrium"):
+            raise ValueError(
+                f"estimator must be 'twin' or 'equilibrium', got {self.estimator!r}"
+            )
 
 
 @dataclass(frozen=True)
@@ -364,6 +382,7 @@ def lyapunov_from_field(
     renorm_interval: float,
     *,
     time_variable: str = "t",
+    settled: Callable[[tuple[float, float, float]], float | None] | None = None,
 ) -> LyapunovEstimate:
     """Benettin-style largest exponent for an arbitrary autonomous field.
 
@@ -373,6 +392,10 @@ def lyapunov_from_field(
     separation direction.  The first TRANSIENT_FRACTION of the growth samples
     is discarded; the mean of the rest is the estimate and their standard
     deviation is reported as a quality signal.
+
+    `settled`, if given, sees the reference state at the start and at every
+    renormalization boundary.  The first time it returns a number rather
+    than None, that number is the estimate and the run stops there.
     """
     if not (renorm_interval > 0.0 and math.isfinite(renorm_interval)):
         raise ValueError(f"renorm_interval must be positive, got {renorm_interval!r}")
@@ -390,6 +413,17 @@ def lyapunov_from_field(
     twin = (ref[0] + LYAPUNOV_OFFSET, ref[1], ref[2])
     rates: list[float] = []
     for i in range(n_intervals):
+        exact = None if settled is None else settled(ref)
+        if exact is not None:
+            return LyapunovEstimate(
+                exact,
+                float(horizon),
+                float(renorm_interval),
+                0.0,
+                time_variable,
+                "equilibrium",
+                i * renorm_interval,
+            )
         ref, twin = _twin_rk4(rhs, ref, twin, i * renorm_interval, n_sub, dt)
         dx = twin[0] - ref[0]
         dy = twin[1] - ref[1]
@@ -421,14 +455,52 @@ def max_lyapunov(
     renorm_interval: float,
 ) -> LyapunovEstimate:
     """Largest Lyapunov exponent of a system, measured in its natural time
-    variable: scaled time s for the gauged SL system, ordinary t otherwise."""
+    variable: scaled time s for the gauged SL system, ordinary t otherwise.
+
+    The twin run stops as soon as its orbit sits on a stable equilibrium
+    (see `_stable_equilibrium_exit`), so the cost of an orbit that settles
+    is bounded by when it settles, not by the horizon.
+    """
+    rhs = make_field(kind, params)
     return lyapunov_from_field(
-        make_field(kind, params),
+        rhs,
         tuple(float(v) for v in x0),
         horizon,
         renorm_interval,
         time_variable=_time_variable(kind),
+        settled=_stable_equilibrium_exit(kind, params, rhs),
     )
+
+
+def _stable_equilibrium_exit(
+    kind: SystemKind, params: SystemParams | None, rhs: Callable
+) -> Callable[[tuple[float, float, float]], float | None] | None:
+    """The exact exponent of a state that sits on a stable equilibrium.
+
+    The returned check gives, for a state whose field norm is at most
+    EQUILIBRIUM_RESIDUAL_TOL and whose nearest closed-form equilibrium is a
+    stable node or focus-node, that equilibrium's leading real part; for any
+    other state, None.  Parameters without a finite closed-form equilibrium
+    list get no check at all.
+    """
+    try:
+        eqs = equilibria(effective_params(kind, params))
+    except (ValueError, ArithmeticError):
+        return None
+    spectra = [
+        (eq.point.as_tuple(), eigenvalues_3x3(jacobian(kind, params, eq.point))) for eq in eqs
+    ]
+
+    def check(state: tuple[float, float, float]) -> float | None:
+        # `not <=` also turns away a non-finite state.
+        if not math.hypot(*rhs(0.0, state)) <= EQUILIBRIUM_RESIDUAL_TOL:
+            return None
+        _, spec = min(spectra, key=lambda ps: math.dist(ps[0], state))
+        if classify_spectrum(spec) in ("stable node", "stable focus-node"):
+            return spec.real_parts[0]
+        return None
+
+    return check
 
 
 def divergence_probe(

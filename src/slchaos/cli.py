@@ -24,6 +24,7 @@ from .integrate import (
     SLMode,
 )
 from .scenarios import (
+    LYAPUNOV_HORIZON,
     LYAPUNOV_INTERVALS,
     SWEEPABLE,
     Scenario,
@@ -116,7 +117,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ly.add_argument("--scenario", default=None)
     # The exponent is per unit s, so neither the gauge nor the span enters it.
     _add_system_flags(p_ly, ("a", "b", "c", "x0", "y0", "z0"))
-    p_ly.add_argument("--horizon", type=float, default=1000.0)
+    p_ly.add_argument("--horizon", type=float, default=LYAPUNOV_HORIZON)
     p_ly.add_argument(
         "--renorm", type=float, default=None, help=f"default: horizon/{LYAPUNOV_INTERVALS}"
     )

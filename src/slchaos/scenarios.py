@@ -52,7 +52,7 @@ from .integrate import (
     integrate_sl,
 )
 from .svgplot import COMPARE_COLORS, Curve, export_svg, geometry_views
-from .timegauge import Gauge, scale_time
+from .timegauge import Gauge
 from .trajio import format_float, write_trajectory_csv
 
 __all__ = [
@@ -70,9 +70,12 @@ __all__ = [
     "run_compare",
 ]
 
-# Renormalization geometry for report-level Lyapunov estimates: the horizon
-# is the scenario's own span (in its analysis time variable), split into 500
-# intervals, comfortably above the 100-interval floor.
+# Lyapunov budget of a gauged report and the `lyapunov` command's default
+# horizon, in scaled time.  A Lorenz report's budget is its own span.
+LYAPUNOV_HORIZON = 1000.0
+# Renormalization geometry of report estimates and of `lyapunov` without
+# --renorm: the horizon split into 500 intervals, comfortably above the
+# 100-interval floor.
 LYAPUNOV_INTERVALS = 500
 
 SWEEPABLE = ("a", "b", "c", "D", "mu")
@@ -259,10 +262,12 @@ def run_trajectory(scenario: Scenario) -> Trajectory:
 
 
 def _analysis_horizon(scenario: Scenario) -> float:
+    """The report's Lyapunov budget.  A gauged run's exponent is per unit s
+    and depends only on (a, b, c) and x0, so its budget is
+    LYAPUNOV_HORIZON whatever the span; a Lorenz run's is its span."""
+    if scenario.gauge is not None:
+        return LYAPUNOV_HORIZON
     t0, t1 = scenario.span
-    if scenario.kind is SystemKind.SL:
-        assert scenario.gauge is not None
-        return scale_time(scenario.gauge, t1) - scale_time(scenario.gauge, t0)
     return t1 - t0
 
 

@@ -177,6 +177,22 @@ class TestLyapunov:
         # contraction rate is the leading origin eigenvalue
         assert est.lambda_max == pytest.approx((-3.0 + math.sqrt(3.4)) / 2.0, abs=1e-3)
 
+    def test_settles_at_the_start_on_a_stable_equilibrium(self):
+        est = max_lyapunov(SystemKind.SL, ATTRACTOR_II, (0.0, 0.0, 0.0), 500.0, 1.0)
+        assert est.estimator == "equilibrium"
+        assert est.settled_at == 0.0
+        assert est.sample_stddev == 0.0
+        assert est.horizon == 500.0
+        assert abs(est.lambda_max - (-3.0 + math.sqrt(3.4)) / 2.0) <= 1e-12
+
+    def test_saddle_at_the_origin_does_not_settle(self):
+        # The field vanishes at the start, but lorenz-standard's origin is a
+        # saddle: the twin runs in full and sees its unstable direction.
+        est = max_lyapunov(SystemKind.LORENZ_STANDARD, None, (0.0, 0.0, 0.0), 50.0, 0.1)
+        assert est.lambda_max > 0.0
+        assert est.estimator == "twin"
+        assert est.settled_at is None
+
     def test_horizon_floor(self):
         with pytest.raises(ValueError):
             max_lyapunov(SystemKind.LORENZ_STANDARD, None, (0.1, 0.1, 0.1), 10.0, 0.5)
@@ -188,6 +204,10 @@ class TestLyapunov:
             LyapunovEstimate(0.1, 1000.0, 0.5, 0.0, "q")
         with pytest.raises(ValueError):
             LyapunovEstimate(0.1, 1000.0, -0.5, 0.0)
+
+    def test_estimator_name_validated(self):
+        with pytest.raises(ValueError, match="estimator"):
+            LyapunovEstimate(0.1, 1000.0, 0.5, 0.0, "t", "qr")
 
 
 class TestDivergenceProbe:

@@ -1,8 +1,11 @@
 import dataclasses
 import json
+import math
 
+import numpy as np
 import pytest
 
+from slchaos.cli import cli_main
 from slchaos.dynamics import State3, SystemKind, SystemParams
 from slchaos.integrate import SLMode, SamplingMode
 from slchaos.scenarios import (
@@ -163,6 +166,30 @@ class TestRunScenario:
         assert [e["class"] for e in report["equilibria"]] == ["saddle", "saddle", "saddle"]
         assert report["conjecture"]["equilibrium_count"] == 3
 
+    def test_lorenz_standard_report_keeps_its_twin_estimate(self):
+        # A chaotic orbit settles on no equilibrium, so the report runs the
+        # whole twin estimate, and its number must not move.
+        sc = lookup_scenario("lorenz-standard")
+        lyap = scenario_report(sc, run_trajectory(sc))["lyapunov"]
+        assert lyap["lambda_max"] == float.fromhex("0x1.70182ce0651d6p-1")
+        assert lyap["estimator"] == "twin"
+        assert lyap["settled_at"] is None
+
+    def test_lorenz_literal_report_is_its_attracting_pair_exponent(self):
+        # The orbit settles on the pair (+-r, +-r, b - 1), where the Jacobian
+        # is written out here so the oracle shares no code with the package.
+        sc = lookup_scenario("lorenz-literal")
+        lyap = scenario_report(sc, run_trajectory(sc))["lyapunov"]
+        a, b, c = 10.0, 8.0 / 3.0, 28.0
+        r = math.sqrt(c * (b - 1.0))
+        jac = np.array([[-a, a, 0.0], [1.0, -1.0, -r], [r, r, -c]])
+        exact = float(max(np.linalg.eigvals(jac).real))
+        assert exact == pytest.approx(-5.3092006798, abs=1e-10)
+        assert lyap["estimator"] == "equilibrium"
+        assert abs(lyap["lambda_max"] - exact) <= 1e-12
+        assert lyap["sample_stddev"] == 0.0
+        assert 0.0 < lyap["settled_at"] < lyap["horizon"] == 60.0
+
     def test_runs_are_byte_identical(self, tmp_path):
         first = run_scenario("sl-a1.5", tmp_path / "one")
         second = run_scenario("sl-a1.5", tmp_path / "two")
@@ -225,6 +252,22 @@ class TestSweep:
             assert row["origin_class"] == "stable node"
         assert (tmp_path / "D-0.5" / "sl-a2-D0.5.csv").exists()
         assert json.loads((tmp_path / "summary.json").read_text()) == summary
+
+    def test_gauge_sweep_reports_one_exact_exponent(self, tmp_path, capsys):
+        # The exponent in s depends on (a, b, c, x0) only, so every member of
+        # a D sweep reports what `lyapunov` reports for the base, and each
+        # orbit settles on the stable origin, whose leading eigenvalue is
+        # exact, however short the member's own span in s.
+        run_sweep(SweepSpec("sl-a2", "D", (0.5, 0.6, 0.7, 0.8, 0.9)), tmp_path)
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        lams = [row["lambda_max"] for row in summary["results"]]
+        assert cli_main(["lyapunov", "--system", "sl", "--a", "2"]) == 0
+        standalone = json.loads(capsys.readouterr().out)["lambda_max"]
+        assert lams == [standalone] * 5
+        a, b = 2.0, 0.3
+        origin = (-(a + 1.0) + math.sqrt((a - 1.0) ** 2 + 4.0 * a * b)) / 2.0
+        for lam in lams:
+            assert abs(lam - origin) <= 1e-12
 
     def test_bad_value_becomes_error_row(self, tmp_path):
         summary = run_sweep(SweepSpec("sl-a2", "c", (-1.0, 27.0)), tmp_path)

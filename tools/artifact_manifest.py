@@ -66,6 +66,10 @@ WRITERS: list[tuple[str, list[str]]] = [
         ["sweep", "--scenario", "sl-a2", "--param", "D", "--values", "0.5,0.7",
          "--tol", "1e-8", "--samples", "300"],
     ),
+    (
+        "sweep-sl-a2-D-late",
+        ["sweep", "--scenario", "sl-a2", "--param", "D", "--values", "0.8,0.9", "--samples", "300"],
+    ),
     ("compare-sl-a2-lorenz-literal", ["compare", "sl-a2", "lorenz-literal", "--axis", "t"]),
     (
         "compare-sl-a2-lorenz-literal-rk4",
@@ -91,6 +95,11 @@ PRINTERS: list[tuple[str, list[str]]] = [
     (
         "lyapunov-custom-lorenz-literal",
         ["lyapunov", "--system", "lorenz-literal", "--renorm", "0.1"],
+    ),
+    (
+        "lyapunov-lorenz-standard-origin",
+        ["lyapunov", "--system", "lorenz-standard", "--x0", "0", "--y0", "0", "--z0", "0",
+         "--horizon", "50"],
     ),
 ]
 
