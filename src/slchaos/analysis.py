@@ -483,12 +483,13 @@ def _stable_equilibrium_exit(
     other state, None.  Parameters without a finite closed-form equilibrium
     list get no check at all.
     """
+    p = effective_params(kind, params)
     try:
-        eqs = equilibria(effective_params(kind, params))
-    except (ValueError, ArithmeticError):
+        eqs = equilibria(p)
+    except ValueError:
         return None
     spectra = [
-        (eq.point.as_tuple(), eigenvalues_3x3(jacobian(kind, params, eq.point))) for eq in eqs
+        (eq.point.as_tuple(), eigenvalues_3x3(jacobian(kind, p, eq.point))) for eq in eqs
     ]
 
     def check(state: tuple[float, float, float]) -> float | None:

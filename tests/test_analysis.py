@@ -193,6 +193,13 @@ class TestLyapunov:
         assert est.estimator == "twin"
         assert est.settled_at is None
 
+    def test_no_closed_form_equilibria_means_no_exit(self):
+        # With a = 0 the zeros of the field form a curve, which `equilibria`
+        # refuses to list, so the orbit cannot be matched to one.
+        est = max_lyapunov(SystemKind.SL, SystemParams(0.0, 0.3, 27.0), (0.1, 0.1, 0.1), 100.0, 1.0)
+        assert est.estimator == "twin"
+        assert math.isfinite(est.lambda_max)
+
     def test_horizon_floor(self):
         with pytest.raises(ValueError):
             max_lyapunov(SystemKind.LORENZ_STANDARD, None, (0.1, 0.1, 0.1), 10.0, 0.5)
