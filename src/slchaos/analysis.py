@@ -456,11 +456,7 @@ def max_lyapunov(
 ) -> LyapunovEstimate:
     """Largest Lyapunov exponent of a system, measured in its natural time
     variable: scaled time s for the gauged SL system, ordinary t otherwise.
-
-    The twin run stops as soon as its orbit sits on a stable equilibrium
-    (see `_stable_equilibrium_exit`), so the cost of an orbit that settles
-    is bounded by when it settles, not by the horizon.
-    """
+    The twin run stops once its orbit sits on a stable equilibrium."""
     rhs = make_field(kind, params)
     return lyapunov_from_field(
         rhs,
@@ -488,18 +484,18 @@ def _stable_equilibrium_exit(
         eqs = equilibria(p)
     except ValueError:
         return None
-    spectra = [
-        (eq.point.as_tuple(), eigenvalues_3x3(jacobian(kind, p, eq.point))) for eq in eqs
-    ]
+    # Each equilibrium with its exact exponent, or None where it is not stable.
+    exits = []
+    for eq in eqs:
+        spec = eigenvalues_3x3(jacobian(kind, p, eq.point))
+        stable = classify_spectrum(spec) in ("stable node", "stable focus-node")
+        exits.append((eq.point.as_tuple(), spec.real_parts[0] if stable else None))
 
     def check(state: tuple[float, float, float]) -> float | None:
         # `not <=` also turns away a non-finite state.
         if not math.hypot(*rhs(0.0, state)) <= EQUILIBRIUM_RESIDUAL_TOL:
             return None
-        _, spec = min(spectra, key=lambda ps: math.dist(ps[0], state))
-        if classify_spectrum(spec) in ("stable node", "stable focus-node"):
-            return spec.real_parts[0]
-        return None
+        return min(exits, key=lambda e: math.dist(e[0], state))[1]
 
     return check
 
