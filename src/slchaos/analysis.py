@@ -477,12 +477,14 @@ def _stable_equilibrium_exit(
     EQUILIBRIUM_RESIDUAL_TOL and whose nearest closed-form equilibrium is a
     stable node or focus-node, that equilibrium's leading real part; for any
     other state, None.  Parameters without a finite closed-form equilibrium
-    list get no check at all.
+    list, or whose closed-form pair misses its residual bound by rounding,
+    get no check at all: the exit only saves work, so it must never turn an
+    estimate into an error.
     """
     p = effective_params(kind, params)
     try:
         eqs = equilibria(p)
-    except ValueError:
+    except (ValueError, ArithmeticError):
         return None
     # Each equilibrium with its exact exponent, or None where it is not stable.
     exits = []

@@ -22,7 +22,9 @@ from slchaos.dynamics import (
     LORENZ_STANDARD_PARAMS,
     SystemKind,
     SystemParams,
+    equilibria,
     jacobian,
+    make_field,
 )
 
 ATTRACTOR_II = SystemParams(2.0, 0.3, 27.0)
@@ -198,6 +200,20 @@ class TestLyapunov:
         est = max_lyapunov(SystemKind.SL, SystemParams(0.0, 0.3, 27.0), (0.1, 0.1, 0.1), 100.0, 1.0)
         assert est.estimator == "twin"
         assert math.isfinite(est.lambda_max)
+
+    def test_equilibria_rounding_failure_keeps_the_twin(self):
+        # With a large c*(b - 1) the closed-form pair misses its residual
+        # bound by rounding, so `equilibria` raises; the estimate must still
+        # come out, as the plain twin run.
+        params = SystemParams(2.0, 1000.0, 27.0)
+        with pytest.raises(ArithmeticError):
+            equilibria(params)
+        x0 = (0.1, 0.1, 0.1)
+        est = max_lyapunov(SystemKind.SL, params, x0, 100.0, 1.0)
+        assert est.estimator == "twin"
+        assert math.isfinite(est.lambda_max)
+        field = make_field(SystemKind.SL, params)
+        assert est == lyapunov_from_field(field, x0, 100.0, 1.0, time_variable="s")
 
     def test_horizon_floor(self):
         with pytest.raises(ValueError):

@@ -190,6 +190,21 @@ class TestRunScenario:
         assert lyap["sample_stddev"] == 0.0
         assert 0.0 < lyap["settled_at"] < lyap["horizon"] == 60.0
 
+    def test_chaotic_gauged_report_does_not_depend_on_the_span(self):
+        # With the Lorenz coefficients the gauged orbit is chaotic and settles
+        # nowhere, so the report runs the whole twin.  Its budget is in s and
+        # not the run's span, so a D = 0.9 run (2.9 s-units long) reports the
+        # same positive exponent as the default gauge (89.6 s-units), close
+        # to Sprott's 0.9056 for the Lorenz system.
+        base = derive(lookup_scenario("sl-a2"), "lorenz-gauged", a=10.0, b=28.0, c=8.0 / 3.0)
+        lams = []
+        for sc in (base, derive(base, "lorenz-gauged-D0.9", D=0.9)):
+            lyap = scenario_report(sc, run_trajectory(sc))["lyapunov"]
+            assert lyap["estimator"] == "twin"
+            lams.append(lyap["lambda_max"])
+        assert lams[0] == lams[1]
+        assert abs(lams[0] - 0.9056) < 0.02
+
     def test_runs_are_byte_identical(self, tmp_path):
         first = run_scenario("sl-a1.5", tmp_path / "one")
         second = run_scenario("sl-a1.5", tmp_path / "two")
