@@ -7,7 +7,10 @@ the results bit-deterministic.  On top of that sit equilibrium
 classification, Newton refinement of fixed points, a twin-trajectory
 largest-Lyapunov estimator with periodic renormalization, a raw two-run
 divergence probe, and a report for the fixed-point-existence property that
-every parameter choice is expected to satisfy.
+every parameter choice is expected to satisfy.  That report is the one
+table of the closed-form equilibria with their spectra and classes: the
+JSON report, the `fixed-points` command and the estimator's equilibrium
+exit all read it, so a fixed point's class is decided in one place.
 
 The estimator for a named system stops early once its orbit has settled on
 a stable equilibrium: there the largest exponent is the leading real part
@@ -23,6 +26,7 @@ estimate records which time variable it is measured in.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -142,12 +146,17 @@ class SeparationSeries:
 @dataclass(frozen=True)
 class ConjectureReport:
     """Outcome of checking that a parameter choice admits at least one
-    fixed point.  The origin is a zero of the field for every (a, b, c), so
-    the expected verdict is always 'satisfied'; the report exists to make
-    that check explicit and to count the equilibria found."""
+    fixed point, with each fixed point classified.  The origin is a zero of
+    the field for every (a, b, c), so the expected verdict is always
+    'satisfied'; the report makes that check explicit.  `spectra` and
+    `classes` are index-aligned with `equilibria_found`: the closed-form
+    spectrum of the Jacobian at each equilibrium and its
+    `classify_spectrum` class."""
 
     params: SystemParams
     equilibria_found: tuple[Equilibrium, ...]
+    spectra: tuple[Spectrum3, ...]
+    classes: tuple[str, ...]
     verdict: str
     note: str
 
@@ -365,9 +374,12 @@ def _time_variable(kind: SystemKind) -> str:
     return "s" if kind is SystemKind.SL else "t"
 
 
-def _twin_rk4(rhs: Callable, a: tuple, b: tuple, t0: float, n_sub: int, dt: float) -> tuple:
-    """Carry two states side by side through `n_sub` fixed RK4 steps of
-    width `dt` from `t0`: the stepper both divergence estimators share."""
+def _twin_rk4(rhs: Callable, a: tuple, b: tuple, t0: float, interval: float) -> tuple:
+    """Carry two states side by side from `t0` across `interval` in equal
+    fixed RK4 steps no wider than RK4_DT: the stepper both divergence
+    estimators share."""
+    n_sub = max(1, math.ceil(interval / RK4_DT))
+    dt = interval / n_sub
     for j in range(n_sub):
         tj = t0 + j * dt
         a = rk4_step(rhs, tj, a, dt)
@@ -397,16 +409,10 @@ def lyapunov_from_field(
     renormalization boundary.  The first time it returns a number rather
     than None, that number is the estimate and the run stops there.
     """
-    if not (renorm_interval > 0.0 and math.isfinite(renorm_interval)):
-        raise ValueError(f"renorm_interval must be positive, got {renorm_interval!r}")
-    if horizon < 100.0 * renorm_interval:
-        raise ValueError(
-            f"horizon {horizon!r} must cover at least 100 renormalization intervals"
-        )
-
+    # Building the estimate's geometry first checks the budget before
+    # anything is integrated.
+    budget = LyapunovEstimate(math.nan, float(horizon), float(renorm_interval), 0.0, time_variable)
     n_intervals = int(round(horizon / renorm_interval))
-    n_sub = max(1, math.ceil(renorm_interval / RK4_DT))
-    dt = renorm_interval / n_sub
 
     rx, ry, rz = (float(v) for v in x0)
     ref = (rx, ry, rz)
@@ -415,16 +421,10 @@ def lyapunov_from_field(
     for i in range(n_intervals):
         exact = None if settled is None else settled(ref)
         if exact is not None:
-            return LyapunovEstimate(
-                exact,
-                float(horizon),
-                float(renorm_interval),
-                0.0,
-                time_variable,
-                "equilibrium",
-                i * renorm_interval,
+            return dataclasses.replace(
+                budget, lambda_max=exact, estimator="equilibrium", settled_at=i * renorm_interval
             )
-        ref, twin = _twin_rk4(rhs, ref, twin, i * renorm_interval, n_sub, dt)
+        ref, twin = _twin_rk4(rhs, ref, twin, i * renorm_interval, renorm_interval)
         dx = twin[0] - ref[0]
         dy = twin[1] - ref[1]
         dz = twin[2] - ref[2]
@@ -442,9 +442,9 @@ def lyapunov_from_field(
     tail = rates[discard:]
     if not tail:
         raise ValueError("no growth samples survived the transient discard")
-    lam = float(np.mean(tail))
-    stddev = float(np.std(tail))
-    return LyapunovEstimate(lam, float(horizon), float(renorm_interval), stddev, time_variable)
+    return dataclasses.replace(
+        budget, lambda_max=float(np.mean(tail)), sample_stddev=float(np.std(tail))
+    )
 
 
 def max_lyapunov(
@@ -474,24 +474,23 @@ def _stable_equilibrium_exit(
     """The exact exponent of a state that sits on a stable equilibrium.
 
     The returned check gives, for a state whose field norm is at most
-    EQUILIBRIUM_RESIDUAL_TOL and whose nearest closed-form equilibrium is a
-    stable node or focus-node, that equilibrium's leading real part; for any
-    other state, None.  Parameters without a finite closed-form equilibrium
-    list, or whose closed-form pair misses its residual bound by rounding,
-    get no check at all: the exit only saves work, so it must never turn an
-    estimate into an error.
+    EQUILIBRIUM_RESIDUAL_TOL and whose nearest equilibrium in the
+    `conjecture_report` table is a stable node or focus-node, that
+    equilibrium's leading real part; for any other state, None.  Parameters
+    without a finite closed-form equilibrium list, or whose closed-form pair
+    misses its residual bound, get no check at all: the exit only saves
+    work, so it must never turn an estimate into an error.
     """
-    p = effective_params(kind, params)
     try:
-        eqs = equilibria(p)
+        rep = conjecture_report(effective_params(kind, params))
     except (ValueError, ArithmeticError):
         return None
-    # Each equilibrium with its exact exponent, or None where it is not stable.
-    exits = []
-    for eq in eqs:
-        spec = eigenvalues_3x3(jacobian(kind, p, eq.point))
-        stable = classify_spectrum(spec) in ("stable node", "stable focus-node")
-        exits.append((eq.point.as_tuple(), spec.real_parts[0] if stable else None))
+    # Each equilibrium with its exact exponent, or None where it is not
+    # stable (a node or focus-node).
+    exits = [
+        (eq.point.as_tuple(), spec.real_parts[0] if cls.startswith("stable") else None)
+        for eq, spec, cls in zip(rep.equilibria_found, rep.spectra, rep.classes)
+    ]
 
     def check(state: tuple[float, float, float]) -> float | None:
         # `not <=` also turns away a non-finite state.
@@ -522,16 +521,13 @@ def divergence_probe(
     rhs = make_field(kind, params)
 
     sample_interval = horizon / PROBE_SAMPLES
-    n_sub = max(1, math.ceil(sample_interval / RK4_DT))
-    dt = sample_interval / n_sub
-
     ax, ay, az = (float(v) for v in x0)
     a = (ax, ay, az)
     b = (a[0] + delta0, a[1], a[2])
     times = [0.0]
     seps = [delta0]
     for i in range(PROBE_SAMPLES):
-        a, b = _twin_rk4(rhs, a, b, i * sample_interval, n_sub, dt)
+        a, b = _twin_rk4(rhs, a, b, i * sample_interval, sample_interval)
         times.append((i + 1) * sample_interval)
         seps.append(math.hypot(b[0] - a[0], b[1] - a[1], b[2] - a[2]))
     return SeparationSeries(np.asarray(times), np.asarray(seps), delta0, _time_variable(kind))
@@ -580,14 +576,20 @@ def separation_slope(series: SeparationSeries) -> float:
 
 
 def conjecture_report(params: SystemParams) -> ConjectureReport:
-    """Check that the parameter choice admits at least one fixed point.
+    """Check that the parameter choice admits at least one fixed point, and
+    classify each one.
 
     Uses the closed-form solution set; the verdict is 'satisfied' whenever
-    that set is non-empty (the origin alone suffices).
+    that set is non-empty (the origin alone suffices).  Each equilibrium
+    gets the closed-form spectrum of its Jacobian and that spectrum's
+    class.  This is the one place the equilibria are listed and classified.
+    Raises what `equilibria` raises.
     """
     eqs = tuple(equilibria(params))
+    spectra = tuple(eigenvalues_3x3(jacobian(SystemKind.SL, params, eq.point)) for eq in eqs)
+    classes = tuple(classify_spectrum(spec) for spec in spectra)
     count = len(eqs)
     if count == 0:
-        return ConjectureReport(params, eqs, "violated", "no real equilibria found")
+        return ConjectureReport(params, eqs, spectra, classes, "violated", "no real equilibria found")
     kinds = "origin only" if count == 1 else f"origin and symmetric pair ({count} total)"
-    return ConjectureReport(params, eqs, "satisfied", kinds)
+    return ConjectureReport(params, eqs, spectra, classes, "satisfied", kinds)

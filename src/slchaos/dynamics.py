@@ -37,7 +37,9 @@ __all__ = [
 ]
 
 # Residual bound every closed-form equilibrium must satisfy when substituted
-# back into the field.
+# back into the field, relative to the largest term of the field there (and
+# never below this absolute value): rounding grows with the size of the
+# point, a wrong closed form does not shrink with it.
 EQUILIBRIUM_RESIDUAL_BOUND = 1e-12
 
 
@@ -186,7 +188,8 @@ def equilibria(params: SystemParams) -> list[Equilibrium]:
 
     Raises ValueError for c = 0 (the closed form divides by c) and for a = 0
     (the first equation degenerates and the zero set becomes a continuum, so
-    a finite list would be wrong).
+    a finite list would be wrong), and ArithmeticError for a pair that misses
+    EQUILIBRIUM_RESIDUAL_BOUND.
     """
     a, b, c = params.a, params.b, params.c
     if c == 0:
@@ -207,10 +210,13 @@ def equilibria(params: SystemParams) -> list[Equilibrium]:
         for sign in (1.0, -1.0):
             pt = State3(sign * r, sign * r, zc)
             res = field_norm(params, pt)
-            if res > EQUILIBRIUM_RESIDUAL_BOUND:
+            # Largest term magnitude of the field at the pair, where x = y.
+            scale = max(1.0, r * max(abs(b), abs(zc)), r * r, abs(c * zc))
+            if res > EQUILIBRIUM_RESIDUAL_BOUND * scale:
                 raise ArithmeticError(
                     f"closed-form equilibrium residual {res:.3e} exceeds "
-                    f"{EQUILIBRIUM_RESIDUAL_BOUND:.0e} for params {params}"
+                    f"{EQUILIBRIUM_RESIDUAL_BOUND:.0e} times the term scale {scale:.3e} "
+                    f"for params {params}"
                 )
             out.append(Equilibrium(pt, res, ""))
     return out

@@ -25,21 +25,8 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .analysis import (
-    classify_spectrum,
-    conjecture_report,
-    eigenvalues_3x3,
-    max_lyapunov,
-)
-from .dynamics import (
-    State3,
-    SystemKind,
-    SystemParams,
-    effective_params,
-    equilibria,
-    jacobian,
-    make_field,
-)
+from .analysis import conjecture_report, max_lyapunov
+from .dynamics import State3, SystemKind, SystemParams, effective_params, make_field
 from .integrate import (
     IntegratorConfig,
     Method,
@@ -273,22 +260,20 @@ def _analysis_horizon(scenario: Scenario) -> float:
 
 def equilibria_doc(kind: SystemKind, params: SystemParams | None) -> dict:
     """The `equilibria` and `conjecture` blocks shared by the analysis report
-    and the `fixed-points` command: each closed-form equilibrium with its
-    residual, spectrum and class, then the fixed-point-existence verdict."""
-    eff = effective_params(kind, params)
-    entries = []
-    for eq in equilibria(eff):
-        spec = eigenvalues_3x3(jacobian(kind, eff, eq.point))
-        entries.append(
-            {
-                "point": [eq.point.x, eq.point.y, eq.point.z],
-                "residual": eq.residual_norm,
-                "note": eq.multiplicity_note,
-                "spectrum": [[v.real, v.imag] for v in spec.eigenvalues],
-                "class": classify_spectrum(spec),
-            }
-        )
-    conj = conjecture_report(eff)
+    and the `fixed-points` command, rendered from one `conjecture_report`:
+    each closed-form equilibrium with its residual, spectrum and class, then
+    the fixed-point-existence verdict."""
+    conj = conjecture_report(effective_params(kind, params))
+    entries = [
+        {
+            "point": [eq.point.x, eq.point.y, eq.point.z],
+            "residual": eq.residual_norm,
+            "note": eq.multiplicity_note,
+            "spectrum": [[v.real, v.imag] for v in spec.eigenvalues],
+            "class": cls,
+        }
+        for eq, spec, cls in zip(conj.equilibria_found, conj.spectra, conj.classes)
+    ]
     return {
         "equilibria": entries,
         "conjecture": {

@@ -19,10 +19,10 @@ from slchaos.analysis import (
     separation_slope,
 )
 from slchaos.dynamics import (
+    LORENZ_LITERAL_PARAMS,
     LORENZ_STANDARD_PARAMS,
     SystemKind,
     SystemParams,
-    equilibria,
     jacobian,
     make_field,
 )
@@ -201,18 +201,20 @@ class TestLyapunov:
         assert est.estimator == "twin"
         assert math.isfinite(est.lambda_max)
 
-    def test_equilibria_rounding_failure_keeps_the_twin(self):
-        # With a large c*(b - 1) the closed-form pair misses its residual
-        # bound by rounding, so `equilibria` raises; the estimate must still
-        # come out, as the plain twin run.
-        params = SystemParams(2.0, 1000.0, 27.0)
-        with pytest.raises(ArithmeticError):
-            equilibria(params)
+    def test_equilibria_rounding_failure_keeps_the_twin(self, monkeypatch):
+        # When the closed-form pair misses its residual bound, `equilibria`
+        # raises ArithmeticError; the estimate must still come out, as the
+        # plain twin run.  The orbit would otherwise settle on the stable
+        # origin and take the exit.
+        def miss(params):
+            raise ArithmeticError("closed-form equilibrium residual exceeds its bound")
+
+        monkeypatch.setattr("slchaos.analysis.equilibria", miss)
         x0 = (0.1, 0.1, 0.1)
-        est = max_lyapunov(SystemKind.SL, params, x0, 100.0, 1.0)
+        est = max_lyapunov(SystemKind.SL, ATTRACTOR_II, x0, 100.0, 1.0)
         assert est.estimator == "twin"
         assert math.isfinite(est.lambda_max)
-        field = make_field(SystemKind.SL, params)
+        field = make_field(SystemKind.SL, ATTRACTOR_II)
         assert est == lyapunov_from_field(field, x0, 100.0, 1.0, time_variable="s")
 
     def test_horizon_floor(self):
@@ -260,14 +262,26 @@ class TestConjecture:
         assert rep.verdict == "satisfied"
         assert len(rep.equilibria_found) == 1
         assert rep.note == "origin only"
+        assert rep.classes == ("stable node",)
 
     def test_a235_satisfied(self):
         rep = conjecture_report(SystemParams(47.0 / 20.0, 0.3, 27.0))
         assert rep.verdict == "satisfied"
         assert rep.equilibria_found
+        assert len(rep.spectra) == len(rep.classes) == len(rep.equilibria_found)
+        assert rep.classes == ("stable node",)
 
     def test_lorenz_params_three_witnesses(self):
         rep = conjecture_report(LORENZ_STANDARD_PARAMS)
         assert rep.verdict == "satisfied"
         assert len(rep.equilibria_found) == 3
         assert "pair" in rep.note
+        assert rep.classes == ("saddle", "saddle", "saddle")
+
+    def test_lorenz_literal_attracting_pair(self):
+        rep = conjecture_report(LORENZ_LITERAL_PARAMS)
+        assert rep.classes == ("saddle", "stable node", "stable node")
+        # each spectrum is the one of the Jacobian at its own equilibrium
+        for eq, spec in zip(rep.equilibria_found, rep.spectra):
+            jac = jacobian(SystemKind.LORENZ_LITERAL, None, eq.point)
+            assert spec == eigenvalues_3x3(jac)

@@ -1,9 +1,13 @@
 import json
+import os
 import shutil
 import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import slchaos
 from slchaos.cli import cli_main
 
 
@@ -294,6 +298,36 @@ class TestPlot:
         )
         assert code == 2
         assert "i/o error" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "simulate --system sl --a 2 --b 1000 --c 27 --t1 10 --samples 50",
+        "fixed-points --system sl --a 2 --b 1000 --c 27",
+    ],
+)
+def test_pair_far_from_the_origin_is_valid(capsys, tmp_path, monkeypatch, argv):
+    # The pair of (2, 1000, 27) sits at |x| = 164, where the rounding of its
+    # residual exceeds 1e-12 in absolute terms but not relative to the field.
+    monkeypatch.chdir(tmp_path)
+    code, _, err = run_cli(capsys, *argv.split())
+    assert code == 0, err
+
+
+def test_module_entry_point():
+    # `python -m slchaos.cli` runs the CLI, for checkouts where the console
+    # script is not installed.
+    src = str(Path(slchaos.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    env = {**os.environ, "PYTHONPATH": path}
+    cmd = [sys.executable, "-m", "slchaos.cli"]
+    proc = subprocess.run([*cmd, "list"], capture_output=True, text=True, timeout=60, env=env)
+    assert proc.returncode == 0
+    assert len(proc.stdout.strip().splitlines()) == 6
+    proc = subprocess.run(cmd, capture_output=True, text=True, timeout=60, env=env)
+    assert proc.returncode == 1
+    assert "usage error" in proc.stderr
 
 
 def test_console_script_entry_point():

@@ -204,6 +204,20 @@ class TestEquilibria:
             c = rng.uniform(0.5, 50)
             for eq in equilibria(SystemParams(a, b, c)):
                 assert eq.residual_norm <= 1e-12
+        # Far from the origin the rounding of x*y - c*z exceeds 1e-12 in
+        # absolute terms (296 of the a = 10 points with c in {8/3, 10, 27,
+        # 50} did), but stays at rounding level relative to the largest term
+        # of the field, so every pair is listed.
+        worst = 0.0
+        for b in np.geomspace(1.5, 1000.0, 1000):
+            for c in (0.5, 1.0, 2.0, 8.0 / 3.0, 5.0, 10.0, 15.0, 20.0, 27.0, 35.0, 50.0, 100.0):
+                eqs = equilibria(SystemParams(10.0, float(b), c))
+                assert len(eqs) == 3
+                for eq in eqs[1:]:
+                    x, _, z = eq.point
+                    scale = max(1.0, abs(x) * max(b, abs(z)), x * x, abs(c * z))
+                    worst = max(worst, eq.residual_norm / scale)
+        assert worst <= 1e-15
 
 
 def test_state3_rejects_non_finite():

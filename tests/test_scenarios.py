@@ -179,7 +179,8 @@ class TestRunScenario:
         # The orbit settles on the pair (+-r, +-r, b - 1), where the Jacobian
         # is written out here so the oracle shares no code with the package.
         sc = lookup_scenario("lorenz-literal")
-        lyap = scenario_report(sc, run_trajectory(sc))["lyapunov"]
+        report = scenario_report(sc, run_trajectory(sc))
+        lyap = report["lyapunov"]
         a, b, c = 10.0, 8.0 / 3.0, 28.0
         r = math.sqrt(c * (b - 1.0))
         jac = np.array([[-a, a, 0.0], [1.0, -1.0, -r], [r, r, -c]])
@@ -189,6 +190,10 @@ class TestRunScenario:
         assert abs(lyap["lambda_max"] - exact) <= 1e-12
         assert lyap["sample_stddev"] == 0.0
         assert 0.0 < lyap["settled_at"] < lyap["horizon"] == 60.0
+        # and it is the leading real part of a stable entry of the report's
+        # own equilibrium table
+        stable = [e for e in report["equilibria"] if e["class"].startswith("stable")]
+        assert lyap["lambda_max"] in [e["spectrum"][0][0] for e in stable]
 
     def test_chaotic_gauged_report_does_not_depend_on_the_span(self):
         # With the Lorenz coefficients the gauged orbit is chaotic and settles
@@ -267,6 +272,20 @@ class TestSweep:
             assert row["origin_class"] == "stable node"
         assert (tmp_path / "D-0.5" / "sl-a2-D0.5.csv").exists()
         assert json.loads((tmp_path / "summary.json").read_text()) == summary
+
+    def test_members_match_standalone_runs(self, tmp_path):
+        # Each member's six files are byte-identical to a standalone run of
+        # the derived scenario, which a sweep that shares work between
+        # members must keep.
+        base = lookup_scenario("sl-a2")
+        summary = run_sweep(SweepSpec(base, "D", (0.5, 0.9)), tmp_path / "sweep")
+        for row in summary["results"]:
+            member = derive(base, row["scenario"], D=row["value"])
+            paths = run_scenario(member, tmp_path / row["directory"])
+            assert len(paths) == 6
+            for path in paths:
+                swept = tmp_path / "sweep" / row["directory"] / path.name
+                assert swept.read_bytes() == path.read_bytes()
 
     def test_gauge_sweep_reports_one_exact_exponent(self, tmp_path, capsys):
         # The exponent in s depends on (a, b, c, x0) only, so every member of
