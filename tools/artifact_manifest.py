@@ -8,8 +8,8 @@ subdirectory, and gets one line the same way.  Each command in PRINTERS
 writes JSON to stdout, which gets one line, `<sha256>  <label> (stdout)`.
 The commands cover `simulate` for all six built-in scenarios, both
 integration methods, both SL routes and custom runs of every system, plus
-`sweep` and `compare` with and without run overrides, every `plot` view,
-`fixed-points` and `lyapunov`.
+coefficient, `D` and `mu` sweeps and `compare` with and without run
+overrides, every `plot` view, `fixed-points` and `lyapunov`.
 
 A change meant to leave every artifact byte-identical is checked by running
 the tool against both source trees and diffing the output:
@@ -69,6 +69,10 @@ WRITERS: list[tuple[str, list[str]]] = [
     (
         "sweep-sl-a2-D-late",
         ["sweep", "--scenario", "sl-a2", "--param", "D", "--values", "0.8,0.9", "--samples", "300"],
+    ),
+    (
+        "sweep-sl-a2-mu",
+        ["sweep", "--scenario", "sl-a2", "--param", "mu", "--values", "0.5,1.3", "--samples", "300"],
     ),
     ("compare-sl-a2-lorenz-literal", ["compare", "sl-a2", "lorenz-literal", "--axis", "t"]),
     (
