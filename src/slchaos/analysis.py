@@ -579,17 +579,15 @@ def conjecture_report(params: SystemParams) -> ConjectureReport:
     """Check that the parameter choice admits at least one fixed point, and
     classify each one.
 
-    Uses the closed-form solution set; the verdict is 'satisfied' whenever
-    that set is non-empty (the origin alone suffices).  Each equilibrium
-    gets the closed-form spectrum of its Jacobian and that spectrum's
-    class.  This is the one place the equilibria are listed and classified.
-    Raises what `equilibria` raises.
+    Uses the closed-form solution set, which `equilibria` lists with the
+    origin first or raises, so the verdict is 'satisfied' for every input
+    that returns.  Each equilibrium gets the closed-form spectrum of its
+    Jacobian and that spectrum's class.  This is the one place the
+    equilibria are listed and classified.  Raises what `equilibria` raises.
     """
     eqs = tuple(equilibria(params))
     spectra = tuple(eigenvalues_3x3(jacobian(SystemKind.SL, params, eq.point)) for eq in eqs)
     classes = tuple(classify_spectrum(spec) for spec in spectra)
     count = len(eqs)
-    if count == 0:
-        return ConjectureReport(params, eqs, spectra, classes, "violated", "no real equilibria found")
     kinds = "origin only" if count == 1 else f"origin and symmetric pair ({count} total)"
     return ConjectureReport(params, eqs, spectra, classes, "satisfied", kinds)

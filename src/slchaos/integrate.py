@@ -8,7 +8,8 @@ off-step samples come from the pair's own 4th-order continuous extension
 over the bracketing step (Hairer, Norsett & Wanner, Solving ODEs I, II.6),
 built from the seven stages already in hand, so it costs no extra field
 evaluations.  The DP54 step sequence depends only on the field, the start
-point and the tolerances, never on where the samples fall.
+point and the tolerances, never on where the samples fall or the run ends,
+so one solve can serve several sample grids (`integrate_sl_gauges`).
 
 All state arithmetic is plain scalar double precision with a fixed
 evaluation order, so identical inputs produce bit-identical trajectories.
@@ -41,6 +42,7 @@ __all__ = [
     "integrate_fixed",
     "integrate_adaptive",
     "integrate_sl",
+    "integrate_sl_gauges",
 ]
 
 RHS = Callable[[float, tuple[float, float, float]], tuple[float, float, float]]
@@ -314,116 +316,124 @@ _MAX_STEPS = 10_000_000
 def _adaptive_solve(
     rhs: RHS,
     t0: float,
-    t1: float,
     x0: Sequence[float],
     config: IntegratorConfig,
-    sample_ts: np.ndarray,
+    grids: Sequence[np.ndarray],
     mode: str | None,
-) -> tuple[np.ndarray, np.ndarray, IntegrationMeta]:
-    """Core DP54 driver.  Returns the time column, the states and the
-    run's metadata, which records `mode`.  Output rows sit exactly on the
-    sample grid, read off the continuous extension of the step that
-    brackets them.  The steps taken do not depend on `sample_ts`.
+) -> list[Trajectory | IntegrationError]:
+    """Core DP54 driver: one solve from (t0, x0), sampled on several grids.
+
+    Each grid is strictly increasing from t0 and ends where its run ends.
+    The solve never clips a step to land on an end: it steps until it has
+    passed the last sample of every grid.  Rows sit exactly on the grids,
+    read off the continuous extension of the step that brackets them, so
+    the steps taken depend on neither the grids nor their ends, and the
+    rows of a solve to any end are bit-equal to those of a solve to a later
+    one.  Entry i is grid i's run, with the grid as both time columns and
+    the step counts and `mode` at its last sample, or the IntegrationError
+    that a solve on grid i alone raises.
     """
-    h_min = 1e-14 * (t1 - t0)
     atol = config.abs_tol
     rtol = config.rel_tol
-
-    x, y, z = (float(v) for v in x0)
-    k1x, k1y, k1z = rhs(t0, (x, y, z))
-    if not (math.isfinite(k1x) and math.isfinite(k1y) and math.isfinite(k1z)):
-        raise IntegrationError(
-            f"non-finite field at the initial point t = {t0!r}", step_index=0
-        )
-
-    # Row i of the output is the state at samples[i].
-    samples = sample_ts.tolist()
-    n_samples = len(samples)
-    out_y: list[tuple[float, float, float]] = []
-    si = 0
-    while si < n_samples and samples[si] <= t0:
-        out_y.append((x, y, z))
-        si += 1
+    # Per grid: its samples, its rows (written through a flat memoryview,
+    # far cheaper per row than numpy indexing), how many rows are out, and
+    # the step counts once the last one is.  `active` lists the unfinished
+    # grids and `next_t` is the earliest sample any of them still needs.
+    samples = [grid.tolist() for grid in grids]
+    outs = [np.empty((grid.size, 3)) for grid in grids]
+    bufs = [memoryview(rows.reshape(-1)) for rows in outs]
+    emitted = [0] * len(grids)
+    metas: list[IntegrationMeta | None] = [None] * len(grids)
+    accepted = 0
+    rejected = 0
+    attempts = 0
 
     def meta() -> IntegrationMeta:
         return IntegrationMeta(accepted, rejected, Method.RK45_ADAPTIVE.value, atol, rtol, mode)
 
-    def partial() -> Trajectory | None:
-        if not out_y:
-            return None
-        arr = sample_ts[: len(out_y)]
-        return Trajectory(arr, arr.copy(), np.asarray(out_y), meta())
+    def runs(message: str = "", step_index: int | None = None) -> list[Trajectory | IntegrationError]:
+        """Each grid's run, or for a grid left unfinished, `message` with
+        the rows it got so far as the partial."""
+        result: list[Trajectory | IntegrationError] = []
+        for grid, rows, k, done in zip(grids, outs, emitted, metas):
+            if done is not None:
+                result.append(Trajectory(grid, grid.copy(), rows, done))
+            else:
+                partial = Trajectory(grid[:k], grid[:k].copy(), rows[:k], meta()) if k else None
+                result.append(IntegrationError(message, step_index, partial))
+        return result
+
+    x, y, z = (float(v) for v in x0)
+    k1x, k1y, k1z = rhs(t0, (x, y, z))
+    if not (math.isfinite(k1x) and math.isfinite(k1y) and math.isfinite(k1z)):
+        return runs(f"non-finite field at the initial point t = {t0!r}", 0)
+    for i, (smp, buf) in enumerate(zip(samples, bufs)):
+        k = 0
+        while smp[k] <= t0:
+            buf[3 * k], buf[3 * k + 1], buf[3 * k + 2] = x, y, z
+            k += 1
+        emitted[i] = k
+    active = list(range(len(grids)))
+    next_t = min(smp[k] for smp, k in zip(samples, emitted))
 
     # Hairer's first guess: a step that moves the scaled state by 1%.  It
-    # starts at or above the underflow floor; only the controller may cross it.
+    # starts at or above the underflow floor; only the controller may cross
+    # it.  The floor, 1e-14*max(1, |t|), is near where t + h stops moving t.
     sx, sy, sz = atol + rtol * abs(x), atol + rtol * abs(y), atol + rtol * abs(z)
     d0 = math.sqrt(((x / sx) ** 2 + (y / sy) ** 2 + (z / sz) ** 2) / 3.0)
     d1 = math.sqrt(((k1x / sx) ** 2 + (k1y / sy) ** 2 + (k1z / sz) ** 2) / 3.0)
-    h = max(0.01 * d0 / d1 if d0 > 1e-10 and d1 > 1e-10 else 1e-6, h_min)
+    h = max(0.01 * d0 / d1 if d0 > 1e-10 and d1 > 1e-10 else 1e-6, 1e-14 * max(1.0, abs(t0)))
 
     t = t0
-    accepted = 0
-    rejected = 0
-    attempts = 0
     errold = 1e-4
     just_rejected = False
 
-    while t < t1:
+    while active:
         if attempts >= _MAX_STEPS:
-            raise IntegrationError(
-                f"step budget of {_MAX_STEPS} exhausted at t = {t!r}",
-                step_index=attempts,
-                partial=partial(),
+            return runs(f"step budget of {_MAX_STEPS} exhausted at t = {t!r}", attempts)
+        at = t if t >= 0.0 else -t  # the floor above, spelled out for speed
+        if h < (1e-14 * at if at > 1.0 else 1e-14):
+            return runs(
+                f"step size underflow (h = {h!r}) at t = {t!r}; "
+                "the error estimate refuses to shrink with the step",
+                attempts,
             )
-        remaining = t1 - t
-        last = h >= remaining
-        if last:
-            hs = remaining
-        else:
-            if h < h_min:
-                raise IntegrationError(
-                    f"step size underflow (h = {h!r}) at t = {t!r}; "
-                    "the error estimate refuses to shrink with the step",
-                    step_index=attempts,
-                    partial=partial(),
-                )
-            hs = h
         attempts += 1
 
-        x2 = x + hs * (_A21 * k1x)
-        y2 = y + hs * (_A21 * k1y)
-        z2 = z + hs * (_A21 * k1z)
-        k2x, k2y, k2z = rhs(t + _C2 * hs, (x2, y2, z2))
+        x2 = x + h * (_A21 * k1x)
+        y2 = y + h * (_A21 * k1y)
+        z2 = z + h * (_A21 * k1z)
+        k2x, k2y, k2z = rhs(t + _C2 * h, (x2, y2, z2))
 
-        x3 = x + hs * (_A31 * k1x + _A32 * k2x)
-        y3 = y + hs * (_A31 * k1y + _A32 * k2y)
-        z3 = z + hs * (_A31 * k1z + _A32 * k2z)
-        k3x, k3y, k3z = rhs(t + _C3 * hs, (x3, y3, z3))
+        x3 = x + h * (_A31 * k1x + _A32 * k2x)
+        y3 = y + h * (_A31 * k1y + _A32 * k2y)
+        z3 = z + h * (_A31 * k1z + _A32 * k2z)
+        k3x, k3y, k3z = rhs(t + _C3 * h, (x3, y3, z3))
 
-        x4 = x + hs * (_A41 * k1x + _A42 * k2x + _A43 * k3x)
-        y4 = y + hs * (_A41 * k1y + _A42 * k2y + _A43 * k3y)
-        z4 = z + hs * (_A41 * k1z + _A42 * k2z + _A43 * k3z)
-        k4x, k4y, k4z = rhs(t + _C4 * hs, (x4, y4, z4))
+        x4 = x + h * (_A41 * k1x + _A42 * k2x + _A43 * k3x)
+        y4 = y + h * (_A41 * k1y + _A42 * k2y + _A43 * k3y)
+        z4 = z + h * (_A41 * k1z + _A42 * k2z + _A43 * k3z)
+        k4x, k4y, k4z = rhs(t + _C4 * h, (x4, y4, z4))
 
-        x5 = x + hs * (_A51 * k1x + _A52 * k2x + _A53 * k3x + _A54 * k4x)
-        y5 = y + hs * (_A51 * k1y + _A52 * k2y + _A53 * k3y + _A54 * k4y)
-        z5 = z + hs * (_A51 * k1z + _A52 * k2z + _A53 * k3z + _A54 * k4z)
-        k5x, k5y, k5z = rhs(t + _C5 * hs, (x5, y5, z5))
+        x5 = x + h * (_A51 * k1x + _A52 * k2x + _A53 * k3x + _A54 * k4x)
+        y5 = y + h * (_A51 * k1y + _A52 * k2y + _A53 * k3y + _A54 * k4y)
+        z5 = z + h * (_A51 * k1z + _A52 * k2z + _A53 * k3z + _A54 * k4z)
+        k5x, k5y, k5z = rhs(t + _C5 * h, (x5, y5, z5))
 
-        x6 = x + hs * (_A61 * k1x + _A62 * k2x + _A63 * k3x + _A64 * k4x + _A65 * k5x)
-        y6 = y + hs * (_A61 * k1y + _A62 * k2y + _A63 * k3y + _A64 * k4y + _A65 * k5y)
-        z6 = z + hs * (_A61 * k1z + _A62 * k2z + _A63 * k3z + _A64 * k4z + _A65 * k5z)
-        k6x, k6y, k6z = rhs(t + hs, (x6, y6, z6))
+        x6 = x + h * (_A61 * k1x + _A62 * k2x + _A63 * k3x + _A64 * k4x + _A65 * k5x)
+        y6 = y + h * (_A61 * k1y + _A62 * k2y + _A63 * k3y + _A64 * k4y + _A65 * k5y)
+        z6 = z + h * (_A61 * k1z + _A62 * k2z + _A63 * k3z + _A64 * k4z + _A65 * k5z)
+        k6x, k6y, k6z = rhs(t + h, (x6, y6, z6))
 
-        xn = x + hs * (_B1 * k1x + _B3 * k3x + _B4 * k4x + _B5 * k5x + _B6 * k6x)
-        yn = y + hs * (_B1 * k1y + _B3 * k3y + _B4 * k4y + _B5 * k5y + _B6 * k6y)
-        zn = z + hs * (_B1 * k1z + _B3 * k3z + _B4 * k4z + _B5 * k5z + _B6 * k6z)
-        tn = t1 if last else t + hs
+        xn = x + h * (_B1 * k1x + _B3 * k3x + _B4 * k4x + _B5 * k5x + _B6 * k6x)
+        yn = y + h * (_B1 * k1y + _B3 * k3y + _B4 * k4y + _B5 * k5y + _B6 * k6y)
+        zn = z + h * (_B1 * k1z + _B3 * k3z + _B4 * k4z + _B5 * k5z + _B6 * k6z)
+        tn = t + h
         k7x, k7y, k7z = rhs(tn, (xn, yn, zn))
 
-        ex = hs * (_E1 * k1x + _E3 * k3x + _E4 * k4x + _E5 * k5x + _E6 * k6x + _E7 * k7x)
-        ey = hs * (_E1 * k1y + _E3 * k3y + _E4 * k4y + _E5 * k5y + _E6 * k6y + _E7 * k7y)
-        ez = hs * (_E1 * k1z + _E3 * k3z + _E4 * k4z + _E5 * k5z + _E6 * k6z + _E7 * k7z)
+        ex = h * (_E1 * k1x + _E3 * k3x + _E4 * k4x + _E5 * k5x + _E6 * k6x + _E7 * k7x)
+        ey = h * (_E1 * k1y + _E3 * k3y + _E4 * k4y + _E5 * k5y + _E6 * k6y + _E7 * k7y)
+        ez = h * (_E1 * k1z + _E3 * k3z + _E4 * k4z + _E5 * k5z + _E6 * k6z + _E7 * k7z)
 
         err = 0.0
         for comp, old, new in ((ex, x, xn), (ey, y, yn), (ez, z, zn)):
@@ -433,32 +443,44 @@ def _adaptive_solve(
         if not math.isfinite(err):
             rejected += 1
             just_rejected = True
-            h = hs * _FAC_MIN
+            h *= _FAC_MIN
             continue
 
         if err <= 1.0:
-            if si < n_samples and samples[si] <= tn:
-                # y(t + theta*hs) = x + theta*(dx + th1*(bx + theta*(cx + th1*qx)))
+            accepted += 1
+            if next_t <= tn:
+                # y(t + theta*h) = x + theta*(dx + th1*(bx + theta*(cx + th1*qx)))
                 # with th1 = 1 - theta, per component.
                 dx, dy, dz = xn - x, yn - y, zn - z
-                bx, by, bz = hs * k1x - dx, hs * k1y - dy, hs * k1z - dz
-                cx, cy, cz = dx - hs * k7x - bx, dy - hs * k7y - by, dz - hs * k7z - bz
-                qx = hs * (_D1 * k1x + _D3 * k3x + _D4 * k4x + _D5 * k5x + _D6 * k6x + _D7 * k7x)
-                qy = hs * (_D1 * k1y + _D3 * k3y + _D4 * k4y + _D5 * k5y + _D6 * k6y + _D7 * k7y)
-                qz = hs * (_D1 * k1z + _D3 * k3z + _D4 * k4z + _D5 * k5z + _D6 * k6z + _D7 * k7z)
-                while si < n_samples and samples[si] <= tn:
-                    theta = (samples[si] - t) / hs
-                    if theta >= 1.0:
-                        out_y.append((xn, yn, zn))
-                    else:
-                        th1 = 1.0 - theta
-                        out_y.append((
-                            x + theta * (dx + th1 * (bx + theta * (cx + th1 * qx))),
-                            y + theta * (dy + th1 * (by + theta * (cy + th1 * qy))),
-                            z + theta * (dz + th1 * (bz + theta * (cz + th1 * qz))),
-                        ))
-                    si += 1
-            accepted += 1
+                bx, by, bz = h * k1x - dx, h * k1y - dy, h * k1z - dz
+                cx, cy, cz = dx - h * k7x - bx, dy - h * k7y - by, dz - h * k7z - bz
+                qx = h * (_D1 * k1x + _D3 * k3x + _D4 * k4x + _D5 * k5x + _D6 * k6x + _D7 * k7x)
+                qy = h * (_D1 * k1y + _D3 * k3y + _D4 * k4y + _D5 * k5y + _D6 * k6y + _D7 * k7y)
+                qz = h * (_D1 * k1z + _D3 * k3z + _D4 * k4z + _D5 * k5z + _D6 * k6z + _D7 * k7z)
+                next_t = math.inf
+                finished = False
+                for i in active:
+                    smp, buf, k = samples[i], bufs[i], emitted[i]
+                    n = len(smp)
+                    while k < n and smp[k] <= tn:
+                        theta = (smp[k] - t) / h
+                        j = 3 * k
+                        if theta >= 1.0:
+                            buf[j], buf[j + 1], buf[j + 2] = xn, yn, zn
+                        else:
+                            th1 = 1.0 - theta
+                            buf[j] = x + theta * (dx + th1 * (bx + theta * (cx + th1 * qx)))
+                            buf[j + 1] = y + theta * (dy + th1 * (by + theta * (cy + th1 * qy)))
+                            buf[j + 2] = z + theta * (dz + th1 * (bz + theta * (cz + th1 * qz)))
+                        k += 1
+                    emitted[i] = k
+                    if k == n:
+                        metas[i] = meta()
+                        finished = True
+                    elif smp[k] < next_t:
+                        next_t = smp[k]
+                if finished:
+                    active = [i for i in active if metas[i] is None]
             t = tn
             x, y, z = xn, yn, zn
             k1x, k1y, k1z = k7x, k7y, k7z
@@ -469,23 +491,22 @@ def _adaptive_solve(
                 fac = min(_FAC_MAX, max(_FAC_MIN, fac))
             if just_rejected:
                 fac = min(fac, 1.0)
-            h = hs * fac
+            h *= fac
             errold = max(err, 1e-4)
             just_rejected = False
         else:
             rejected += 1
             just_rejected = True
-            fac = max(_FAC_MIN, min(1.0, _SAFETY * err**-0.2))
-            h = hs * fac
+            h *= max(_FAC_MIN, min(1.0, _SAFETY * err**-0.2))
 
-    # A grid whose tail coincides with t1 is fully emitted inside the loop;
-    # anything still pending would mean the grid exceeds the span.
-    if si < n_samples:
-        raise IntegrationError(
-            f"sample grid extends past t1 = {t1!r} (next sample {samples[si]!r})",
-            partial=partial(),
-        )
-    return sample_ts, np.asarray(out_y), meta()
+    return runs()
+
+
+def _one(run: Trajectory | IntegrationError) -> Trajectory:
+    """The run, or raise the error it ended in."""
+    if isinstance(run, IntegrationError):
+        raise run
+    return run
 
 
 def _solve(
@@ -497,17 +518,18 @@ def _solve(
     grid: np.ndarray | None,
     sample_count: int,
     mode: str | None = None,
-) -> tuple[np.ndarray, np.ndarray, IntegrationMeta]:
-    """Run the configured method over [u0, u1] in the integration variable u.
+) -> Trajectory:
+    """Run the configured method over [u0, u1] in the integration variable
+    u; both time columns of the result are u.
 
     RK4 ignores `grid` and takes `sample_count - 1` uniform steps, recording
-    every endpoint; DP54 samples on `grid`.
-    Returns the u column, the states and the run's metadata.
+    every endpoint; DP54 samples on `grid`, which ends at u1.
     """
     if config.method is Method.RK4_FIXED:
-        base = integrate_fixed(rhs, u0, u1, x0, sample_count - 1)
-        return base.t, base.states, replace(base.meta, mode=mode)
-    return _adaptive_solve(rhs, u0, u1, x0, config, grid, mode)
+        run = integrate_fixed(rhs, u0, u1, x0, sample_count - 1)
+        run.meta = replace(run.meta, mode=mode)
+        return run
+    return _one(_adaptive_solve(rhs, u0, x0, config, [grid], mode)[0])
 
 
 def integrate_adaptive(
@@ -528,10 +550,14 @@ def integrate_adaptive(
     if not (math.isfinite(t0) and math.isfinite(t1) and t1 > t0):
         raise ValueError(f"need finite t1 > t0, got [{t0!r}, {t1!r}]")
 
-    arr_t, states, meta = _solve(
-        rhs, t0, t1, tuple(float(v) for v in x0), config, plan.grid(t0, t1), plan.sample_count
-    )
-    return Trajectory(arr_t, arr_t.copy(), states, meta)
+    return _one(_adaptive_solve(rhs, t0, x0, config, [plan.grid(t0, t1)], None)[0])
+
+
+def _sl_span(span: tuple[float, float]) -> tuple[float, float]:
+    t0, t1 = (float(span[0]), float(span[1]))
+    if not (math.isfinite(t0) and math.isfinite(t1)) or t0 <= 0.0 or t1 <= t0:
+        raise ValueError(f"SL span needs 0 < t0 < t1, got [{t0!r}, {t1!r}]")
+    return t0, t1
 
 
 def integrate_sl(
@@ -554,40 +580,82 @@ def integrate_sl(
     Under DP54 both modes sample the same instants: the plan's grid is laid
     out in t, and SCALED_S samples at s_k = scale_time(t_k) and stores the
     original t grid alongside, which makes cross-mode rows directly
-    comparable.  RK4 ignores the plan's spacing and takes sample_count - 1
-    uniform steps in its own integration variable, so its samples are
-    uniform in t under DIRECT_T and uniform in s under SCALED_S, and the two
-    modes sample different instants.
+    comparable.  SCALED_S under DP54 is `integrate_sl_gauges` with one
+    gauge: it integrates in sigma = s - s_0 from 0, sampling at
+    s_k - s_0, and its s column is s_k itself.  RK4 ignores the plan's
+    spacing and takes sample_count - 1 uniform steps in its own integration
+    variable (t, or s from s_0), so its samples are uniform in t under
+    DIRECT_T and uniform in s under SCALED_S, and the two modes sample
+    different instants.
     """
     config = config if config is not None else IntegratorConfig()
     plan = plan if plan is not None else SamplingPlan(SamplingMode.GEOMETRIC)
-    t0, t1 = (float(span[0]), float(span[1]))
-    if not (math.isfinite(t0) and math.isfinite(t1)) or t0 <= 0.0 or t1 <= t0:
-        raise ValueError(f"SL span needs 0 < t0 < t1, got [{t0!r}, {t1!r}]")
-    x0 = tuple(float(v) for v in x0)
-
-    t_grid = plan.grid(t0, t1) if config.method is Method.RK45_ADAPTIVE else None
+    if mode is SLMode.SCALED_S and config.method is Method.RK45_ADAPTIVE:
+        return _one(integrate_sl_gauges(params, (gauge,), span, x0, config, plan)[0])
+    t0, t1 = _sl_span(span)
     if mode is SLMode.DIRECT_T:
-        rhs, u0, u1, grid = make_gauged_field(params, gauge), t0, t1, t_grid
+        rhs, u0, u1 = make_gauged_field(params, gauge), t0, t1
+
+        def columns(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+            return u, np.asarray([scale_time(gauge, tv) for tv in u])
     else:
         rhs = make_field(SystemKind.SL, params)
         u0, u1 = scale_time(gauge, t0), scale_time(gauge, t1)
-        grid = None if t_grid is None else np.asarray([scale_time(gauge, tv) for tv in t_grid])
 
-    def trajectory(u: np.ndarray, states: np.ndarray, meta: IntegrationMeta) -> Trajectory:
-        """Rows in the integration variable u, with both time columns."""
-        if mode is SLMode.DIRECT_T:
-            arr_t, arr_s = u, np.asarray([scale_time(gauge, tv) for tv in u])
-        elif t_grid is not None:
-            arr_t, arr_s = np.asarray(t_grid[: len(u)], dtype=float), u
-        else:
-            arr_t, arr_s = np.asarray([unscale_time(gauge, sv) for sv in u]), u
-        return Trajectory(arr_t, arr_s, states, meta)
+        def columns(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+            return np.asarray([unscale_time(gauge, sv) for sv in u]), u
 
+    grid = plan.grid(t0, t1) if config.method is Method.RK45_ADAPTIVE else None
     try:
-        u, states, meta = _solve(rhs, u0, u1, x0, config, grid, plan.sample_count, mode.value)
+        run = _solve(rhs, u0, u1, x0, config, grid, plan.sample_count, mode.value)
     except IntegrationError as exc:
         if exc.partial is not None:
-            exc.partial = trajectory(exc.partial.t, exc.partial.states, exc.partial.meta)
+            exc.partial = Trajectory(*columns(exc.partial.t), exc.partial.states, exc.partial.meta)
         raise
-    return trajectory(u, states, meta)
+    return Trajectory(*columns(run.t), run.states, run.meta)
+
+
+def integrate_sl_gauges(
+    params: SystemParams,
+    gauges: Sequence[Gauge],
+    span: tuple[float, float],
+    x0: State3 | Sequence[float],
+    config: IntegratorConfig | None = None,
+    plan: SamplingPlan | None = None,
+) -> list[Trajectory | IntegrationError]:
+    """SCALED_S DP54 runs of one orbit under several gauges, from one solve.
+
+    Whatever the gauge, the run solves the autonomous dx/ds = f from x0, in
+    sigma = s - s_0 from 0; gauges change only the sigma-range and the
+    sample instants sigma_k = scale_time(t_k) - s_0 of the plan's t grid.
+    So one solve to the largest sigma-range serves every gauge, and since a
+    DP54 solve to any end is a bit-equal prefix of a solve to a later one,
+    entry i is exactly what `integrate_sl(params, gauges[i], span, x0,
+    config, plan)` returns, or the IntegrationError it raises, step counts
+    included.  The s column is s_k = scale_time(t_k).
+    """
+    config = config if config is not None else IntegratorConfig()
+    plan = plan if plan is not None else SamplingPlan(SamplingMode.GEOMETRIC)
+    if config.method is not Method.RK45_ADAPTIVE:
+        raise ValueError("integrate_sl_gauges requires Method.RK45_ADAPTIVE")
+    t_grid = plan.grid(*_sl_span(span))
+    s_grids = [np.asarray([scale_time(gauge, tv) for tv in t_grid]) for gauge in gauges]
+    runs = _adaptive_solve(
+        make_field(SystemKind.SL, params),
+        0.0,
+        x0,
+        config,
+        [s - s[0] for s in s_grids],
+        SLMode.SCALED_S.value,
+    )
+
+    def relabel(rows: Trajectory, s: np.ndarray) -> Trajectory:
+        k = len(rows)
+        return Trajectory(t_grid[:k], s[:k], rows.states, rows.meta)
+
+    for i, (run, s) in enumerate(zip(runs, s_grids)):
+        if not isinstance(run, IntegrationError):
+            runs[i] = relabel(run, s)
+        elif run.partial is not None:
+            run.partial = relabel(run.partial, s)
+    return runs

@@ -28,6 +28,7 @@ import numpy as np
 from .analysis import conjecture_report, max_lyapunov
 from .dynamics import State3, SystemKind, SystemParams, effective_params, make_field
 from .integrate import (
+    IntegrationError,
     IntegratorConfig,
     Method,
     SamplingMode,
@@ -37,6 +38,7 @@ from .integrate import (
     integrate_adaptive,
     integrate_fixed,
     integrate_sl,
+    integrate_sl_gauges,
 )
 from .svgplot import COMPARE_COLORS, Curve, export_svg, geometry_views
 from .timegauge import Gauge
@@ -284,18 +286,27 @@ def equilibria_doc(kind: SystemKind, params: SystemParams | None) -> dict:
     }
 
 
-def scenario_report(scenario: Scenario, trajectory: Trajectory) -> dict:
-    """Assemble the JSON-ready analysis document for a finished run."""
+def scenario_report(scenario: Scenario, trajectory: Trajectory, orbit_of: dict | None = None) -> dict:
+    """Assemble the JSON-ready analysis document for a finished run.
+
+    The `equilibria`, `lyapunov` and `conjecture` blocks depend only on the
+    system, the coefficients, the start state and whether the run is
+    gauged.  `orbit_of`, the report of a run that shares all four (another
+    member of the same `D` or `mu` sweep), lends them instead of their
+    being computed again.
+    """
     eff = effective_params(scenario.kind, scenario.params)
-    eq_doc = equilibria_doc(scenario.kind, scenario.params)
-    horizon = _analysis_horizon(scenario)
-    est = max_lyapunov(
-        scenario.kind,
-        scenario.params,
-        scenario.x0,
-        horizon,
-        horizon / LYAPUNOV_INTERVALS,
-    )
+    if orbit_of is None:
+        eq_doc = equilibria_doc(scenario.kind, scenario.params)
+        horizon = _analysis_horizon(scenario)
+        est = max_lyapunov(
+            scenario.kind,
+            scenario.params,
+            scenario.x0,
+            horizon,
+            horizon / LYAPUNOV_INTERVALS,
+        )
+        orbit_of = {**eq_doc, "lyapunov": dataclasses.asdict(est)}
     gauge_doc = None
     if scenario.gauge is not None:
         gauge_doc = {"mu": scenario.gauge.mu, "D": scenario.gauge.D, "lambda": scenario.gauge.lam}
@@ -306,9 +317,9 @@ def scenario_report(scenario: Scenario, trajectory: Trajectory) -> dict:
         "gauge": gauge_doc,
         "x0": [scenario.x0.x, scenario.x0.y, scenario.x0.z],
         "span": [scenario.span[0], scenario.span[1]],
-        "equilibria": eq_doc["equilibria"],
-        "lyapunov": dataclasses.asdict(est),
-        "conjecture": eq_doc["conjecture"],
+        "equilibria": orbit_of["equilibria"],
+        "lyapunov": orbit_of["lyapunov"],
+        "conjecture": orbit_of["conjecture"],
         "meta": dataclasses.asdict(trajectory.meta),
     }
 
@@ -333,11 +344,7 @@ def _write_all(files: Iterator[Path]) -> list[Path]:
     return written
 
 
-def _execute(scenario: Scenario, out_dir: Path) -> tuple[list[Path], Trajectory, dict]:
-    out_dir.mkdir(parents=True, exist_ok=True)
-    traj = run_trajectory(scenario)
-    report = scenario_report(scenario, traj)
-
+def _write_run(scenario: Scenario, out_dir: Path, traj: Trajectory, report: dict) -> list[Path]:
     def files() -> Iterator[Path]:
         yield write_trajectory_csv(traj, out_dir / f"{scenario.name}.csv")
         yield _write_json(report, out_dir / f"{scenario.name}-analysis.json")
@@ -350,15 +357,18 @@ def _execute(scenario: Scenario, out_dir: Path) -> tuple[list[Path], Trajectory,
                 title=f"{scenario.name} {stem}",
             )
 
-    return _write_all(files()), traj, report
+    return _write_all(files())
 
 
 def run_scenario(scenario: Scenario | str, output_dir: str | Path) -> list[Path]:
     """Run one scenario and write CSV + JSON + four SVG views into
     `output_dir`.  Returns the written paths.  Accepts a registry name or a
     Scenario instance."""
-    paths, _, _ = _execute(_resolve(scenario), Path(output_dir))
-    return paths
+    sc = _resolve(scenario)
+    out = Path(output_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    traj = run_trajectory(sc)
+    return _write_run(sc, out, traj, scenario_report(sc, traj))
 
 
 def run_sweep(spec: SweepSpec, output_dir: str | Path) -> dict:
@@ -368,18 +378,46 @@ def run_sweep(spec: SweepSpec, output_dir: str | Path) -> dict:
     artifact set; `summary.json` collects per-value rows (final state,
     lambda_max, origin classification) in input order.  A member that fails
     to build or run contributes an error row instead of aborting the rest.
+
+    The members of a `D` or `mu` sweep differ only in the gauge, so they
+    follow one orbit of dx/ds = f: their reports share one fixed-point
+    table and one Lyapunov estimate, and under DP54 on the scaled-s route
+    one solve serves them all.  Each member's files stay byte-identical to
+    a standalone run of it.
     """
     base = _resolve(spec.base)
     out = Path(output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    rows = []
+    rows: list[dict] = []
+    members: list[tuple[dict, Path, Scenario]] = []
     for value in spec.values:
         subdir = out / f"{spec.parameter}-{format_float(value)}"
         row: dict = {"value": value, "directory": subdir.name}
+        rows.append(row)
         try:
             tag = f"{spec.parameter}{format_float(value)}"
-            member = derive(base, f"{base.name}-{tag}", **{spec.parameter: value})
-            _, traj, report = _execute(member, subdir)
+            members.append((row, subdir, derive(base, f"{base.name}-{tag}", **{spec.parameter: value})))
+        except Exception as exc:
+            row["error"] = f"{type(exc).__name__}: {exc}"
+    one_orbit = spec.parameter in ("D", "mu")
+    # Each member's run from one shared solve, or None: the member solves alone.
+    runs: list[Trajectory | IntegrationError | None] = [None] * len(members)
+    if one_orbit and members:
+        first = members[0][2]
+        if first.config.method is Method.RK45_ADAPTIVE and first.sl_mode is SLMode.SCALED_S:
+            gauges = [m.gauge for _, _, m in members]
+            runs = integrate_sl_gauges(first.params, gauges, first.span, first.x0, first.config, first.plan)
+    orbit_of = None
+    for (row, subdir, member), run in zip(members, runs):
+        try:
+            subdir.mkdir(parents=True, exist_ok=True)
+            if isinstance(run, IntegrationError):
+                raise run
+            traj = run if run is not None else run_trajectory(member)
+            report = scenario_report(member, traj, orbit_of)
+            if one_orbit:
+                orbit_of = report
+            _write_run(member, subdir, traj, report)
         except Exception as exc:
             row["error"] = f"{type(exc).__name__}: {exc}"
         else:
@@ -388,7 +426,6 @@ def run_sweep(spec: SweepSpec, output_dir: str | Path) -> dict:
             row["final_state"] = [float(v) for v in traj.states[-1]]
             row["lambda_max"] = report["lyapunov"]["lambda_max"]
             row["origin_class"] = report["equilibria"][0]["class"]
-        rows.append(row)
     summary = {
         "base": base.name,
         "parameter": spec.parameter,

@@ -16,6 +16,7 @@ from slchaos.integrate import (
     integrate_adaptive,
     integrate_fixed,
     integrate_sl,
+    integrate_sl_gauges,
     rk4_step,
 )
 from slchaos.timegauge import Gauge, scale_time
@@ -151,8 +152,9 @@ class TestAdaptive:
         assert np.array_equal(a.states[-1], b.states[-1])
 
     def test_long_run_from_an_equilibrium(self):
-        # The field vanishes at x0, so the first-step guess is the 1e-6
-        # fallback, below the 1e-14*span underflow floor of this span.
+        # The field vanishes at x0, so the first step is the 1e-6 fallback
+        # and every step grows fivefold with zero error; none may fall under
+        # the underflow floor 1e-14*max(1, |t|) on the way to t = 1e9.
         rhs = make_field(SystemKind.LORENZ_STANDARD)
         tr = integrate_adaptive(rhs, 0.0, 1e9, (0.0, 0.0, 0.0), plan=SamplingPlan(SamplingMode.LINEAR, 20))
         assert np.all(tr.states == 0.0)
@@ -180,6 +182,51 @@ class TestAdaptive:
         rhs = lambda t, s: (1.0 if t < 1.0 else -1.0, 0.0, 0.0)
         tr = integrate_adaptive(rhs, 0.0, 5.0, (0.1, 0.1, 0.1), plan=SamplingPlan(SamplingMode.LINEAR, 50))
         assert tr.meta.steps_rejected >= 1
+
+
+class TestPrefix:
+    """A DP54 solve to any end is a bit-equal prefix of a solve to a later
+    end: the last step is never clipped, so no step depends on the end."""
+
+    @pytest.mark.parametrize(
+        "kind, params, end, long_end",
+        [(SystemKind.SL, ATTRACTOR_II, 10.0, 100.0), (SystemKind.LORENZ_STANDARD, None, 5.0, 20.0)],
+    )
+    def test_solve_is_a_prefix_of_a_longer_solve(self, kind, params, end, long_end):
+        # Integer grids, so the short grid is exactly the head of the long one.
+        rhs = make_field(kind, params)
+        x0 = (0.1, 0.1, 0.1)
+        n = int(end) + 1
+        short = integrate_adaptive(rhs, 0.0, end, x0, plan=SamplingPlan(SamplingMode.LINEAR, n))
+        long = integrate_adaptive(
+            rhs, 0.0, long_end, x0, plan=SamplingPlan(SamplingMode.LINEAR, int(long_end) + 1)
+        )
+        assert np.array_equal(long.t[:n], short.t)
+        assert np.array_equal(long.states[:n], short.states)
+        assert long.meta.steps_taken > short.meta.steps_taken
+        # The step counts at `end` inside the longer solve are the short solve's.
+        inside, whole = integrate._adaptive_solve(rhs, 0.0, x0, IntegratorConfig(), [short.t, long.t], None)
+        assert inside == short and inside.meta == short.meta
+        assert whole == long and whole.meta == long.meta
+
+    def test_gauges_share_one_solve_and_its_failure(self, monkeypatch):
+        # With a budget that D = 0.9's short sigma-range fits in and D = 0.5's
+        # does not, each gauge's entry is what its own run gives: a run, or
+        # the same error with the same partial.
+        monkeypatch.setattr(integrate, "_MAX_STEPS", 1000)
+        gauges = (Gauge(0.9, 0.5), Gauge(0.9, 0.9))
+        plan = SamplingPlan(SamplingMode.GEOMETRIC, 300)
+        span, x0 = (0.1, 1e6), (0.1, 0.1, 0.1)
+        failed, done = integrate_sl_gauges(ATTRACTOR_II, gauges, span, x0, plan=plan)
+        assert done == integrate_sl(ATTRACTOR_II, gauges[1], span, x0, plan=plan)
+        assert done.meta == integrate_sl(ATTRACTOR_II, gauges[1], span, x0, plan=plan).meta
+        with pytest.raises(IntegrationError, match="budget") as info:
+            integrate_sl(ATTRACTOR_II, gauges[0], span, x0, plan=plan)
+        alone = info.value
+        assert isinstance(failed, IntegrationError)
+        assert (str(failed), failed.step_index) == (str(alone), alone.step_index)
+        assert failed.partial == alone.partial and failed.partial.meta == alone.partial.meta
+        assert 0 < len(failed.partial) < 300
 
 
 class TestTrajectory:

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from slchaos import scenarios
 from slchaos.cli import cli_main
 from slchaos.dynamics import State3, SystemKind, SystemParams
 from slchaos.integrate import SLMode, SamplingMode
@@ -250,6 +251,34 @@ class TestDerive:
             derive(lookup_scenario("sl-a2"), "x", rho=1.0)
 
 
+def _shared_solve_sizes(monkeypatch) -> list[int]:
+    """The number of gauges in each shared solve `run_sweep` makes."""
+    sizes: list[int] = []
+    real = scenarios.integrate_sl_gauges
+
+    def counted(params, gauges, *args):
+        sizes.append(len(gauges))
+        return real(params, gauges, *args)
+
+    monkeypatch.setattr(scenarios, "integrate_sl_gauges", counted)
+    return sizes
+
+
+def _sweep_matching_standalone_runs(base, parameter, values, root) -> dict:
+    """Run the sweep, and check that each member's six files are
+    byte-identical to a standalone run of its derived scenario."""
+    summary = run_sweep(SweepSpec(base, parameter, values), root / "sweep")
+    for row in summary["results"]:
+        if "error" in row:
+            continue
+        member = derive(base, row["scenario"], **{parameter: row["value"]})
+        paths = run_scenario(member, root / row["directory"])
+        assert len(paths) == 6
+        for path in paths:
+            assert (root / "sweep" / row["directory"] / path.name).read_bytes() == path.read_bytes()
+    return summary
+
+
 class TestSweep:
     def test_spec_validation(self):
         with pytest.raises(ValueError, match="sweep parameter"):
@@ -302,6 +331,30 @@ class TestSweep:
         origin = (-(a + 1.0) + math.sqrt((a - 1.0) ** 2 + 4.0 * a * b)) / 2.0
         for lam in lams:
             assert abs(lam - origin) <= 1e-12
+
+    def test_mu_sweep_members_match_standalone_runs(self, tmp_path, monkeypatch):
+        sizes = _shared_solve_sizes(monkeypatch)
+        _sweep_matching_standalone_runs(lookup_scenario("sl-a2"), "mu", (0.5, 1.3), tmp_path)
+        assert sizes == [2]
+
+    def test_invalid_gauge_keeps_its_row_while_the_rest_share_one_solve(self, tmp_path, monkeypatch):
+        sizes = _shared_solve_sizes(monkeypatch)
+        summary = _sweep_matching_standalone_runs(
+            lookup_scenario("sl-a2"), "D", (0.5, 1.5, 0.9), tmp_path
+        )
+        rows = summary["results"]
+        assert [r["value"] for r in rows] == [0.5, 1.5, 0.9]
+        assert rows[1]["error"].startswith("ValueError")
+        assert "strictly in (0, 1)" in rows[1]["error"]
+        assert [r["scenario"] for r in (rows[0], rows[2])] == ["sl-a2-D0.5", "sl-a2-D0.9"]
+        assert sizes == [2]
+
+    @pytest.mark.parametrize("settings", [{"method": "rk4"}, {"mode": "direct-t", "t1": 1000.0}])
+    def test_rk4_and_direct_t_members_solve_alone(self, settings, tmp_path, monkeypatch):
+        sizes = _shared_solve_sizes(monkeypatch)
+        base = derive(lookup_scenario("sl-a2"), "sl-a2", sample_count=300, **settings)
+        _sweep_matching_standalone_runs(base, "D", (0.5, 0.9), tmp_path)
+        assert sizes == []
 
     def test_bad_value_becomes_error_row(self, tmp_path):
         summary = run_sweep(SweepSpec("sl-a2", "c", (-1.0, 27.0)), tmp_path)
