@@ -509,29 +509,6 @@ def _one(run: Trajectory | IntegrationError) -> Trajectory:
     return run
 
 
-def _solve(
-    rhs: RHS,
-    u0: float,
-    u1: float,
-    x0: Sequence[float],
-    config: IntegratorConfig,
-    grid: np.ndarray | None,
-    sample_count: int,
-    mode: str | None = None,
-) -> Trajectory:
-    """Run the configured method over [u0, u1] in the integration variable
-    u; both time columns of the result are u.
-
-    RK4 ignores `grid` and takes `sample_count - 1` uniform steps, recording
-    every endpoint; DP54 samples on `grid`, which ends at u1.
-    """
-    if config.method is Method.RK4_FIXED:
-        run = integrate_fixed(rhs, u0, u1, x0, sample_count - 1)
-        run.meta = replace(run.meta, mode=mode)
-        return run
-    return _one(_adaptive_solve(rhs, u0, x0, config, [grid], mode)[0])
-
-
 def integrate_adaptive(
     rhs: RHS,
     t0: float,
@@ -605,9 +582,12 @@ def integrate_sl(
         def columns(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             return np.asarray([unscale_time(gauge, sv) for sv in u]), u
 
-    grid = plan.grid(t0, t1) if config.method is Method.RK45_ADAPTIVE else None
     try:
-        run = _solve(rhs, u0, u1, x0, config, grid, plan.sample_count, mode.value)
+        if config.method is Method.RK4_FIXED:
+            run = integrate_fixed(rhs, u0, u1, x0, plan.sample_count - 1)
+            run.meta = replace(run.meta, mode=mode.value)
+        else:
+            run = _one(_adaptive_solve(rhs, u0, x0, config, [plan.grid(t0, t1)], mode.value)[0])
     except IntegrationError as exc:
         if exc.partial is not None:
             exc.partial = Trajectory(*columns(exc.partial.t), exc.partial.states, exc.partial.meta)

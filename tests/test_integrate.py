@@ -209,25 +209,6 @@ class TestPrefix:
         assert inside == short and inside.meta == short.meta
         assert whole == long and whole.meta == long.meta
 
-    def test_gauges_share_one_solve_and_its_failure(self, monkeypatch):
-        # With a budget that D = 0.9's short sigma-range fits in and D = 0.5's
-        # does not, each gauge's entry is what its own run gives: a run, or
-        # the same error with the same partial.
-        monkeypatch.setattr(integrate, "_MAX_STEPS", 1000)
-        gauges = (Gauge(0.9, 0.5), Gauge(0.9, 0.9))
-        plan = SamplingPlan(SamplingMode.GEOMETRIC, 300)
-        span, x0 = (0.1, 1e6), (0.1, 0.1, 0.1)
-        failed, done = integrate_sl_gauges(ATTRACTOR_II, gauges, span, x0, plan=plan)
-        assert done == integrate_sl(ATTRACTOR_II, gauges[1], span, x0, plan=plan)
-        assert done.meta == integrate_sl(ATTRACTOR_II, gauges[1], span, x0, plan=plan).meta
-        with pytest.raises(IntegrationError, match="budget") as info:
-            integrate_sl(ATTRACTOR_II, gauges[0], span, x0, plan=plan)
-        alone = info.value
-        assert isinstance(failed, IntegrationError)
-        assert (str(failed), failed.step_index) == (str(alone), alone.step_index)
-        assert failed.partial == alone.partial and failed.partial.meta == alone.partial.meta
-        assert 0 < len(failed.partial) < 300
-
 
 class TestTrajectory:
     def test_requires_matching_shapes(self):
@@ -343,6 +324,25 @@ class TestIntegrateSL:
         assert partial.meta.mode == mode.value
         assert partial.t[0] == 0.1
         assert np.array_equal(partial.s, [scale_time(GAUGE, tv) for tv in partial.t])
+
+    def test_gauges_share_one_solve_and_its_failure(self, monkeypatch):
+        # With a budget that D = 0.9's short sigma-range fits in and D = 0.5's
+        # does not, each gauge's entry is what its own run gives: a run, or
+        # the same error with the same partial.
+        monkeypatch.setattr(integrate, "_MAX_STEPS", 1000)
+        gauges = (Gauge(0.9, 0.5), Gauge(0.9, 0.9))
+        plan = SamplingPlan(SamplingMode.GEOMETRIC, 300)
+        span, x0 = (0.1, 1e6), (0.1, 0.1, 0.1)
+        failed, done = integrate_sl_gauges(ATTRACTOR_II, gauges, span, x0, plan=plan)
+        alone_done = integrate_sl(ATTRACTOR_II, gauges[1], span, x0, plan=plan)
+        assert done == alone_done and done.meta == alone_done.meta
+        with pytest.raises(IntegrationError, match="budget") as info:
+            integrate_sl(ATTRACTOR_II, gauges[0], span, x0, plan=plan)
+        alone = info.value
+        assert isinstance(failed, IntegrationError)
+        assert (str(failed), failed.step_index) == (str(alone), alone.step_index)
+        assert failed.partial == alone.partial and failed.partial.meta == alone.partial.meta
+        assert 0 < len(failed.partial) < 300
 
 
 def test_config_validation():
