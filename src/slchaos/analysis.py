@@ -9,8 +9,14 @@ largest-Lyapunov estimator with periodic renormalization, a raw two-run
 divergence probe, and a report for the fixed-point-existence property that
 every parameter choice is expected to satisfy.  That report is the one
 table of the closed-form equilibria with their spectra and classes: the
-JSON report, the `fixed-points` command and the estimator's equilibrium
-exit all read it, so a fixed point's class is decided in one place.
+JSON report, the `fixed-points` command, the estimator's equilibrium exit
+and the integrator's settled tail all read it, so a fixed point's class is
+decided in one place.  It is built once per coefficient set and shared.
+
+Each stable equilibrium of that table also gets its exact linear flow
+(`stable_tails`), built from closed-form eigenvectors (`eigenbasis_3x3`)
+with the radius within which it is accurate to a share of a tolerance: the
+DP54 integrator finishes orbits that settle there on it.
 
 The estimator for a named system stops early once its orbit has settled on
 a stable equilibrium: there the largest exponent is the leading real part
@@ -27,6 +33,7 @@ estimate records which time variable it is measured in.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -54,6 +61,7 @@ __all__ = [
     "ConjectureReport",
     "NewtonError",
     "eigenvalues_3x3",
+    "eigenbasis_3x3",
     "char_poly_residual",
     "classify_spectrum",
     "classify_equilibrium",
@@ -63,6 +71,8 @@ __all__ = [
     "divergence_probe",
     "separation_slope",
     "conjecture_report",
+    "StableTail",
+    "stable_tails",
 ]
 
 # Real parts closer to zero than this are treated as marginal rather than
@@ -70,6 +80,10 @@ __all__ = [
 MARGINAL_REAL_PART = 1e-9
 # A point is an equilibrium when its field norm is at most this.
 EQUILIBRIUM_RESIDUAL_TOL = 1e-10
+# Settled tails: the share of the tolerance the linear flow may leave out,
+# and the largest eigenbasis condition number that may carry it.
+TAIL_SHARE = 1e-2
+TAIL_MAX_CONDITION = 1e4
 
 # Twin-trajectory geometry: the twin's start offset, the widest RK4 step, the
 # share of growth samples discarded as transient, the divergence-probe sample
@@ -275,6 +289,44 @@ def eigenvalues_3x3(matrix: np.ndarray | Sequence[Sequence[float]]) -> Spectrum3
 
     polished.sort(key=lambda v: (-v.real, -v.imag))
     return Spectrum3((polished[0], polished[1], polished[2]))
+
+
+def _cross(u: Sequence[complex], v: Sequence[complex]) -> tuple[complex, complex, complex]:
+    return (u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2], u[0] * v[1] - u[1] * v[0])
+
+
+def _norm2(v: Sequence[complex]) -> float:
+    return abs(v[0]) ** 2 + abs(v[1]) ** 2 + abs(v[2]) ** 2
+
+
+def eigenbasis_3x3(
+    matrix: np.ndarray | Sequence[Sequence[float]], spectrum: Spectrum3
+) -> tuple[tuple[tuple[complex, ...], ...], tuple[tuple[complex, ...], ...]] | None:
+    """Closed-form eigenvectors of a real 3x3 matrix for the eigenvalues of
+    `spectrum`, and the inverse of the matrix V they form.
+
+    Returns (columns of V, rows of V^-1), index-aligned with
+    `spectrum.eigenvalues`.  Each column is the largest cross product of
+    two rows of matrix - lambda*I, scaled to unit length, and V^-1 is the
+    adjugate of V over its determinant, so the result is plain complex
+    arithmetic with no iterative solver.  None when V is singular (a
+    repeated eigenvalue without an eigenvector of its own).
+    """
+    m = [[float(v) for v in row] for row in matrix]
+    cols = []
+    for lam in spectrum.eigenvalues:
+        a = [[m[i][j] - (lam if i == j else 0.0) for j in range(3)] for i in range(3)]
+        v = max((_cross(a[0], a[1]), _cross(a[0], a[2]), _cross(a[1], a[2])), key=_norm2)
+        n = math.sqrt(_norm2(v))
+        if n == 0.0:
+            return None
+        cols.append((v[0] / n, v[1] / n, v[2] / n))
+    v0, v1, v2 = cols
+    adj = (_cross(v1, v2), _cross(v2, v0), _cross(v0, v1))
+    det = v0[0] * adj[0][0] + v0[1] * adj[0][1] + v0[2] * adj[0][2]
+    if det == 0:
+        return None
+    return tuple(cols), tuple((r[0] / det, r[1] / det, r[2] / det) for r in adj)
 
 
 def classify_spectrum(spectrum: Spectrum3) -> str:
@@ -575,6 +627,7 @@ def separation_slope(series: SeparationSeries) -> float:
 # ---------------------------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=128)
 def conjecture_report(params: SystemParams) -> ConjectureReport:
     """Check that the parameter choice admits at least one fixed point, and
     classify each one.
@@ -584,6 +637,11 @@ def conjecture_report(params: SystemParams) -> ConjectureReport:
     that returns.  Each equilibrium gets the closed-form spectrum of its
     Jacobian and that spectrum's class.  This is the one place the
     equilibria are listed and classified.  Raises what `equilibria` raises.
+
+    The report is immutable and memoised on the (frozen, hashable)
+    coefficients, so every reader of one run, and every run of the same
+    coefficients, shares one build; `conjecture_report.cache_clear()` empties
+    the memo.  Errors are not memoised.
     """
     eqs = tuple(equilibria(params))
     spectra = tuple(eigenvalues_3x3(jacobian(SystemKind.SL, params, eq.point)) for eq in eqs)
@@ -591,3 +649,91 @@ def conjecture_report(params: SystemParams) -> ConjectureReport:
     count = len(eqs)
     kinds = "origin only" if count == 1 else f"origin and symmetric pair ({count} total)"
     return ConjectureReport(params, eqs, spectra, classes, "satisfied", kinds)
+
+
+# ---------------------------------------------------------------------------
+# linear flow at stable equilibria
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class StableTail:
+    """The linear flow at one stable equilibrium, held as its modes: each
+    eigenvalue with its column of V and its row of V^-1.  From a state
+    within sqrt(`radius2`) of `point`, the flow stays within the tolerance
+    share it was built for (`stable_tails`)."""
+
+    point: tuple[float, float, float]
+    radius2: float
+    modes: tuple[tuple[complex, tuple[complex, ...], tuple[complex, ...]], ...]
+
+    def flow(self, s1: float, state: tuple[float, float, float]) -> Callable[[float], tuple[float, float, float]]:
+        """The linear flow through `state` at time `s1`, as a function of
+        time: the real part of sum_i v_i c_i exp(lambda_i (s - s1)) with
+        c = V^-1 (state - point), in real arithmetic."""
+        px, py, pz = self.point
+        dx, dy, dz = state[0] - px, state[1] - py, state[2] - pz
+        terms = []
+        for lam, v, w in self.modes:
+            c = w[0] * dx + w[1] * dy + w[2] * dz
+            ax, ay, az = v[0] * c, v[1] * c, v[2] * c
+            terms.append((lam.real, lam.imag, ax.real, ax.imag, ay.real, ay.imag, az.real, az.imag))
+
+        def at(s: float) -> tuple[float, float, float]:
+            tau = s - s1
+            fx = fy = fz = 0.0
+            for re, im, axr, axi, ayr, ayi, azr, azi in terms:
+                g = math.exp(re * tau)
+                gc, gs = g * math.cos(im * tau), g * math.sin(im * tau)
+                fx += axr * gc - axi * gs
+                fy += ayr * gc - ayi * gs
+                fz += azr * gc - azi * gs
+            return (px + fx, py + fy, pz + fz)
+
+        return at
+
+
+def stable_tails(params: SystemParams, tol: float) -> list[StableTail]:
+    """The linear flow at each stable node or focus-node of the
+    `conjecture_report` table, with the radius within which it is accurate
+    to TAIL_SHARE * `tol`.
+
+    The field is exactly J d + q(d) in d = x - x*, with q(d) = (0, -dx dz,
+    dx dy), so |q(d)| <= |d|**2 / 2.  With the leading real part -alpha < 0
+    and K = ||V||_F ||V^-1||_F >= ||exp(J s)|| exp(alpha s), an orbit
+    starting at |d| = r <= alpha / (2 K**2) stays within 2 K r exp(-alpha s)
+    of x*, and the linear flow from the same start is off by at most
+    2 K**3 r**2 / alpha at every later s.  The radius keeps that at most
+    TAIL_SHARE * `tol` and r at most alpha / (4 K**2), and no larger than
+    half the distance to any other equilibrium, so x* is the nearest one.
+    An eigenbasis with K above TAIL_MAX_CONDITION (coalescing eigenvalues)
+    gets no tail.  Coefficients without a finite closed-form equilibrium
+    list get none either: a tail only saves work, so it must never turn a
+    run into an error.
+    """
+    try:
+        rep = conjecture_report(params)
+    except (ValueError, ArithmeticError):
+        return []
+    points = [eq.point.as_tuple() for eq in rep.equilibria_found]
+    tails = []
+    for point, spec, cls in zip(points, rep.spectra, rep.classes):
+        if not cls.startswith("stable"):
+            continue
+        basis = eigenbasis_3x3(jacobian(SystemKind.SL, params, point), spec)
+        if basis is None:
+            continue
+        cols, rows = basis
+        # ||V||_F ||V^-1||_F with unit columns.
+        cond = math.sqrt(3.0 * sum(_norm2(row) for row in rows))
+        if not cond <= TAIL_MAX_CONDITION:
+            continue
+        alpha = -spec.real_parts[0]
+        apart = min((math.dist(point, q) for q in points if q != point), default=math.inf)
+        radius2 = min(
+            TAIL_SHARE * tol * alpha / (2.0 * cond**3),
+            (alpha / (4.0 * cond**2)) ** 2,
+            (0.5 * apart) ** 2,
+        )
+        tails.append(StableTail(point, radius2, tuple(zip(spec.eigenvalues, cols, rows))))
+    return tails

@@ -11,6 +11,28 @@ evaluations.  The DP54 step sequence depends only on the field, the start
 point and the tolerances, never on where the samples fall or the run ends,
 so one solve can serve several sample grids (`integrate_sl_gauges`).
 
+Settled tail.  A DP54 solve of the quadratic field with known coefficients
+(`integrate_sl_gauges`, hence `integrate_sl` on the scaled-s route, and
+`integrate_adaptive` given `params`) stops stepping once an accepted step
+ends close to a stable equilibrium x* (a "stable node" or "stable
+focus-node" of the `analysis.conjecture_report` table): every later sample
+comes from the exact linear flow there,
+
+    x(sigma) = x* + V exp(Lambda (sigma - sigma_1)) V^-1 (x(sigma_1) - x*),
+
+with the closed-form spectrum Lambda and eigenvectors V of the Jacobian at
+x* (`analysis.stable_tails`).  Near a stable equilibrium DP54's step is
+held by its stability region, not by the tolerance, so this is where a
+long run spent almost all of its steps.  "Close" is a radius at which the
+part of the field the linear flow leaves out moves no later sample by more
+than 1e-2 * abs_tol: with d = x - x*, leading real part -alpha < 0 and
+eigenbasis condition K, the flow is off by at most 2 K**3 |d|**2 / alpha.
+Equilibria with a near-singular eigenbasis (coalescing eigenvalues) get no
+switch; nor do saddles, marginal points and unstable points, where the run
+keeps stepping.  The switch point depends only on the field, the start
+point and the tolerances, so the prefix property above holds, and a grid
+that ends after the switch records the step counts reached at it.
+
 All state arithmetic is plain scalar double precision with a fixed
 evaluation order, so identical inputs produce bit-identical trajectories.
 Right-hand sides are callables rhs(t, (x, y, z)) -> (fx, fy, fz), as
@@ -22,12 +44,15 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 
 from .dynamics import State3, SystemKind, SystemParams, make_field
 from .timegauge import Gauge, make_gauged_field, scale_time, unscale_time
+
+if TYPE_CHECKING:
+    from .analysis import StableTail
 
 __all__ = [
     "Method",
@@ -313,6 +338,13 @@ _FAC_MAX = 5.0
 _MAX_STEPS = 10_000_000
 
 
+def _stable_tails(params: SystemParams, atol: float) -> list[StableTail]:
+    # Imported here because `analysis` imports this module's `rk4_step`.
+    from .analysis import stable_tails
+
+    return stable_tails(params, atol)
+
+
 def _adaptive_solve(
     rhs: RHS,
     t0: float,
@@ -320,6 +352,7 @@ def _adaptive_solve(
     config: IntegratorConfig,
     grids: Sequence[np.ndarray],
     mode: str | None,
+    tails: Sequence[StableTail] = (),
 ) -> list[Trajectory | IntegrationError]:
     """Core DP54 driver: one solve from (t0, x0), sampled on several grids.
 
@@ -332,6 +365,11 @@ def _adaptive_solve(
     one.  Entry i is grid i's run, with the grid as both time columns and
     the step counts and `mode` at its last sample, or the IntegrationError
     that a solve on grid i alone raises.
+
+    After each accepted step the end point is checked against `tails`; the
+    first step that ends within a tail's radius is the last one, and every
+    sample after it comes from that tail's linear flow, with the step
+    counts reached there.
     """
     atol = config.abs_tol
     rtol = config.rel_tol
@@ -387,6 +425,7 @@ def _adaptive_solve(
     t = t0
     errold = 1e-4
     just_rejected = False
+    near = [(*tail.point, tail.radius2, tail) for tail in tails]
 
     while active:
         if attempts >= _MAX_STEPS:
@@ -484,6 +523,18 @@ def _adaptive_solve(
             t = tn
             x, y, z = xn, yn, zn
             k1x, k1y, k1z = k7x, k7y, k7z
+            for px, py, pz, r2, tail in near:
+                dx, dy, dz = x - px, y - py, z - pz
+                if dx * dx + dy * dy + dz * dz <= r2:
+                    flow = tail.flow(t, (x, y, z))
+                    for i in active:
+                        smp, buf = samples[i], bufs[i]
+                        for k in range(emitted[i], len(smp)):
+                            buf[3 * k], buf[3 * k + 1], buf[3 * k + 2] = flow(smp[k])
+                        emitted[i] = len(smp)
+                        metas[i] = meta()
+                    active = []
+                    break
             if err == 0.0:
                 fac = _FAC_MAX
             else:
@@ -516,8 +567,15 @@ def integrate_adaptive(
     x0: State3 | Sequence[float],
     config: IntegratorConfig | None = None,
     plan: SamplingPlan | None = None,
+    *,
+    params: SystemParams | None = None,
 ) -> Trajectory:
-    """Adaptive DP54 run over [t0, t1] sampled per `plan`."""
+    """Adaptive DP54 run over [t0, t1] sampled per `plan`.
+
+    `params`, when `rhs` is the quadratic field with these coefficients
+    (`make_field` of any kind), let the run finish on the linear flow once
+    it settles on a stable equilibrium (the module's settled tail).
+    """
     config = config if config is not None else IntegratorConfig()
     plan = plan if plan is not None else SamplingPlan()
     if config.method is not Method.RK45_ADAPTIVE:
@@ -527,7 +585,8 @@ def integrate_adaptive(
     if not (math.isfinite(t0) and math.isfinite(t1) and t1 > t0):
         raise ValueError(f"need finite t1 > t0, got [{t0!r}, {t1!r}]")
 
-    return _one(_adaptive_solve(rhs, t0, x0, config, [plan.grid(t0, t1)], None)[0])
+    tails = () if params is None else _stable_tails(params, config.abs_tol)
+    return _one(_adaptive_solve(rhs, t0, x0, config, [plan.grid(t0, t1)], None, tails)[0])
 
 
 def _sl_span(span: tuple[float, float]) -> tuple[float, float]:
@@ -612,7 +671,8 @@ def integrate_sl_gauges(
     DP54 solve to any end is a bit-equal prefix of a solve to a later one,
     entry i is exactly what `integrate_sl(params, gauges[i], span, x0,
     config, plan)` returns, or the IntegrationError it raises, step counts
-    included.  The s column is s_k = scale_time(t_k).
+    included.  The s column is s_k = scale_time(t_k).  The solve finishes
+    on the settled tail of the module docstring.
     """
     config = config if config is not None else IntegratorConfig()
     plan = plan if plan is not None else SamplingPlan(SamplingMode.GEOMETRIC)
@@ -627,6 +687,7 @@ def integrate_sl_gauges(
         config,
         [s - s[0] for s in s_grids],
         SLMode.SCALED_S.value,
+        _stable_tails(params, config.abs_tol),
     )
 
     def relabel(rows: Trajectory, s: np.ndarray) -> Trajectory:

@@ -246,7 +246,13 @@ def run_trajectory(scenario: Scenario) -> Trajectory:
             rhs, scenario.span[0], scenario.span[1], scenario.x0, scenario.plan.sample_count - 1
         )
     return integrate_adaptive(
-        rhs, scenario.span[0], scenario.span[1], scenario.x0, scenario.config, scenario.plan
+        rhs,
+        scenario.span[0],
+        scenario.span[1],
+        scenario.x0,
+        scenario.config,
+        scenario.plan,
+        params=effective_params(scenario.kind, scenario.params),
     )
 
 

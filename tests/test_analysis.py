@@ -12,6 +12,7 @@ from slchaos.analysis import (
     classify_spectrum,
     conjecture_report,
     divergence_probe,
+    eigenbasis_3x3,
     eigenvalues_3x3,
     lyapunov_from_field,
     max_lyapunov,
@@ -86,6 +87,40 @@ class TestEigenvalues:
             scale = max(1.0, float(np.max(np.abs(m))))
             for a, b in zip(ours, ref):
                 assert abs(a - complex(b)) <= 1e-8 * scale
+
+    def test_eigenbasis_diagonalises(self):
+        """The closed-form eigenvectors satisfy A V = V Lambda and the
+        adjugate inverse V^-1 V = I, on random matrices and on the stable
+        equilibria the settled tail uses; numpy's eigensolver is the
+        oracle for the eigenvalue-to-vector pairing."""
+        rng = np.random.default_rng(99)
+        mats = [rng.uniform(-30.0, 30.0, (3, 3)) for _ in range(100)]
+        mats += [
+            jacobian(SystemKind.SL, p, pt)
+            for p, pt in (
+                (ATTRACTOR_II, (0.0, 0.0, 0.0)),
+                (SystemParams(2.0, 5.0, 27.0), (math.sqrt(108.0), math.sqrt(108.0), 4.0)),
+                (LORENZ_LITERAL_PARAMS, (math.sqrt(28.0 * 5.0 / 3.0),) * 2 + (5.0 / 3.0,)),
+            )
+        ]
+        for m in mats:
+            spec = eigenvalues_3x3(m)
+            cols, rows = eigenbasis_3x3(m, spec)
+            v = np.array(cols).T
+            scale = max(1.0, float(np.max(np.abs(m))))
+            assert np.max(np.abs(m @ v - v @ np.diag(spec.eigenvalues))) <= 1e-8 * scale
+            assert np.max(np.abs(np.array(rows) @ v - np.eye(3))) <= 1e-8
+            assert np.allclose(np.linalg.norm(v, axis=0), 1.0, rtol=0.0, atol=1e-14)
+            for lam, col in zip(spec.eigenvalues, cols):
+                ref_vals, ref_vecs = np.linalg.eig(m)
+                ref = ref_vecs[:, np.argmin(np.abs(ref_vals - lam))]
+                # Unit vectors spanning the same line: |<ref, col>| = 1.
+                assert abs(abs(np.vdot(ref, np.array(col))) - 1.0) <= 1e-7
+
+    def test_eigenbasis_of_a_defective_matrix_is_none(self):
+        # A Jordan block has one eigenvector for its double eigenvalue.
+        m = np.array([[2.0, 1.0, 0.0], [0.0, 2.0, 0.0], [0.0, 0.0, -1.0]])
+        assert eigenbasis_3x3(m, eigenvalues_3x3(m)) is None
 
     def test_shape_and_finiteness_checks(self):
         with pytest.raises(ValueError):

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from slchaos import integrate
-from slchaos.dynamics import SystemKind, SystemParams, make_field
+from slchaos.analysis import stable_tails
+from slchaos.dynamics import LORENZ_LITERAL_PARAMS, SystemKind, SystemParams, make_field
 from slchaos.integrate import (
     IntegrationError,
     IntegratorConfig,
@@ -19,6 +20,7 @@ from slchaos.integrate import (
     integrate_sl_gauges,
     rk4_step,
 )
+from slchaos.scenarios import run_trajectory, scenario_registry
 from slchaos.timegauge import Gauge, scale_time
 
 ATTRACTOR_II = SystemParams(2.0, 0.3, 27.0)
@@ -210,6 +212,129 @@ class TestPrefix:
         assert whole == long and whole.meta == long.meta
 
 
+class TestSettledTail:
+    """Once an accepted step ends close to a stable equilibrium the solve
+    stops stepping and writes every later sample from the linear flow
+    there.  scipy's DOP853 at 1e-13 is the test-only reference."""
+
+    @staticmethod
+    def reference(params, x0, at, start=0.0, method="DOP853"):
+        solve_ivp = pytest.importorskip("scipy.integrate").solve_ivp
+        rhs = make_field(SystemKind.SL, params)
+        ref = solve_ivp(
+            lambda t, y: rhs(t, tuple(y)), (start, at[-1]), x0,
+            method=method, t_eval=at, rtol=1e-13, atol=1e-13,
+        )
+        return ref.y.T
+
+    def test_solves_to_any_end_share_their_samples(self):
+        # Integer grids, so each shorter grid is the head of the longer ones;
+        # sigma = 10 ends before the switch, 100 and 1e4 after it.
+        rhs = make_field(SystemKind.SL, ATTRACTOR_II)
+        runs = [
+            integrate_adaptive(
+                rhs, 0.0, end, (0.1, 0.1, 0.1),
+                plan=SamplingPlan(SamplingMode.LINEAR, int(end) + 1), params=ATTRACTOR_II,
+            )
+            for end in (10.0, 100.0, 1e4)
+        ]
+        for short, long in zip(runs, runs[1:]):
+            n = len(short)
+            assert np.array_equal(long.t[:n], short.t)
+            assert np.array_equal(long.states[:n], short.states)
+        assert runs[0].meta.steps_taken < runs[1].meta.steps_taken
+        assert runs[1].meta == runs[2].meta
+        assert runs[2].meta.steps_taken < 400
+
+    def test_stiff_gauge_member_matches_the_reference(self):
+        # D = 0.1 stretches sl-a2's orbit over sigma in [0, 2.3e5], which
+        # DP54 alone crosses in about 1.85M steps at its stability limit.
+        plan = SamplingPlan(SamplingMode.GEOMETRIC, 2000)
+        x0 = (0.1, 0.1, 0.1)
+        tr = integrate_sl(ATTRACTOR_II, Gauge(0.9, 0.1), (0.1, 1e6), x0, plan=plan)
+        assert tr.meta.steps_taken < 1000
+        sigma = tr.s - tr.s[0]
+        assert sigma[-1] > 2e5
+        # DOP853 up to sigma = 200, where the orbit is below 1e-40; Radau,
+        # which is not held by a stability limit, beyond.
+        head = sigma <= 200.0
+        ref_head = self.reference(ATTRACTOR_II, x0, np.append(sigma[head], 200.0))
+        assert np.max(np.abs(tr.states[head] - ref_head[:-1])) <= tr.meta.abs_tol
+        ref_tail = self.reference(ATTRACTOR_II, ref_head[-1], sigma[~head], 200.0, "Radau")
+        assert np.max(np.abs(tr.states[~head] - ref_tail)) <= tr.meta.abs_tol
+
+    @pytest.mark.parametrize(
+        "kind, params, parent_steps",
+        [
+            (SystemKind.SL, SystemParams(2.0, 5.0, 27.0), 888),  # stable focus-node pair
+            (SystemKind.LORENZ_LITERAL, LORENZ_LITERAL_PARAMS, 944),  # stable node pair
+        ],
+    )
+    def test_settled_pairs_match_the_reference(self, kind, params, parent_steps):
+        # The DP54-only solve took `parent_steps` steps to t = 60.
+        x0 = (0.1, 0.1, 0.1)
+        plan = SamplingPlan(SamplingMode.LINEAR, 2000)
+        tr = integrate_adaptive(make_field(kind, params), 0.0, 60.0, x0, plan=plan, params=params)
+        assert tr.meta.steps_taken < 0.7 * parent_steps
+        err = np.abs(tr.states - self.reference(params, x0, tr.t))
+        # The orbit has settled by t = 20: every later sample is on the tail.
+        assert np.max(err[tr.t >= 20.0]) <= 0.1 * tr.meta.abs_tol
+        assert np.max(err) <= 10.0 * tr.meta.abs_tol
+
+    @pytest.mark.parametrize(
+        "params", [ATTRACTOR_II, SystemParams(2.0, 5.0, 27.0), LORENZ_LITERAL_PARAMS]
+    )
+    def test_linear_flow_is_within_its_error_bound(self, params):
+        # From a state on the switch radius, the flow must stay within the
+        # 1e-2 * abs_tol the radius is chosen for (stable node at the
+        # origin, stable focus-node pair, stable node pair).  The reference
+        # solves the full field written in the deviation d = x - x*, which
+        # resolves d far below the rounding of x itself.
+        solve_ivp = pytest.importorskip("scipy.integrate").solve_ivp
+        atol = 1e-9
+        a, b, c = params.a, params.b, params.c
+        rng = np.random.default_rng(7)
+        for tail in stable_tails(params, atol):
+            px, py, pz = tail.point
+
+            def deviation(t, d):
+                dx, dy, dz = d
+                return (
+                    a * (dy - dx),
+                    (b - pz) * dx - dy - px * dz - dx * dz,
+                    py * dx + px * dy - c * dz + dx * dy,
+                )
+
+            u = rng.normal(size=3)
+            d0 = math.sqrt(tail.radius2) * u / np.linalg.norm(u)
+            flow = tail.flow(0.0, tuple(np.asarray(tail.point) + d0))
+            taus = np.linspace(0.0, 2.0, 41)
+            ref = solve_ivp(
+                deviation, (0.0, 2.0), d0, method="DOP853", t_eval=taus, rtol=1e-13, atol=1e-22
+            ).y.T
+            err = max(np.max(np.abs(np.subtract(flow(tau), tail.point) - row)) for tau, row in zip(taus, ref))
+            assert err <= 1e-2 * atol
+
+    def test_runs_that_do_not_settle_keep_their_steps(self):
+        # lorenz-standard has no stable equilibrium; the origin at b = 1 is
+        # marginal.  Both keep the step counts of the DP54-only solve.
+        lorenz = run_trajectory(scenario_registry()["lorenz-standard"])
+        assert (lorenz.meta.steps_taken, lorenz.meta.steps_rejected) == (12413, 0)
+        marginal = integrate_sl(SystemParams(2.0, 1.0, 27.0), GAUGE, (0.1, 1e6), (0.1, 0.1, 0.1))
+        assert (marginal.meta.steps_taken, marginal.meta.steps_rejected) == (809, 1)
+
+    def test_coalescing_eigenvalues_get_no_tail(self):
+        # b = -(a-1)**2/(4a) merges the origin's two slow eigenvalues into a
+        # double root with one eigenvector: the run keeps stepping.
+        params = SystemParams(2.0, -0.125, 27.0)
+        assert stable_tails(params, 1e-9) == []
+        rhs = make_field(SystemKind.SL, params)
+        plan = SamplingPlan(SamplingMode.LINEAR, 50)
+        with_params = integrate_adaptive(rhs, 0.0, 50.0, (0.1, 0.1, 0.1), plan=plan, params=params)
+        without = integrate_adaptive(rhs, 0.0, 50.0, (0.1, 0.1, 0.1), plan=plan)
+        assert with_params == without and with_params.meta == without.meta
+
+
 class TestTrajectory:
     def test_requires_matching_shapes(self):
         from slchaos.integrate import IntegrationMeta
@@ -326,10 +451,11 @@ class TestIntegrateSL:
         assert np.array_equal(partial.s, [scale_time(GAUGE, tv) for tv in partial.t])
 
     def test_gauges_share_one_solve_and_its_failure(self, monkeypatch):
-        # With a budget that D = 0.9's short sigma-range fits in and D = 0.5's
-        # does not, each gauge's entry is what its own run gives: a run, or
-        # the same error with the same partial.
-        monkeypatch.setattr(integrate, "_MAX_STEPS", 1000)
+        # With a budget that D = 0.9's short sigma-range fits in (134 steps)
+        # and D = 0.5's does not (321 steps to its settled tail), each gauge's
+        # entry is what its own run gives: a run, or the same error with the
+        # same partial.
+        monkeypatch.setattr(integrate, "_MAX_STEPS", 200)
         gauges = (Gauge(0.9, 0.5), Gauge(0.9, 0.9))
         plan = SamplingPlan(SamplingMode.GEOMETRIC, 300)
         span, x0 = (0.1, 1e6), (0.1, 0.1, 0.1)

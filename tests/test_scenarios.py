@@ -131,6 +131,25 @@ class TestRunScenario:
         assert sorted(p.name for p in paths) == expected
         assert sorted(p.name for p in tmp_path.iterdir()) == expected
 
+    @pytest.mark.parametrize("name", ["sl-a2", "lorenz-literal"])
+    def test_one_fixed_point_table_per_run(self, name, tmp_path, monkeypatch):
+        # The solve's settled tail, the estimator's equilibrium exit and the
+        # report's equilibria block all read the table; it is built once.
+        from slchaos import analysis
+
+        builds = []
+
+        def counted(params):
+            builds.append(params)
+            return equilibria(params)
+
+        equilibria = analysis.equilibria
+        monkeypatch.setattr(analysis, "equilibria", counted)
+        run_scenario(name, tmp_path)
+        assert len(builds) == 1
+        report = json.loads((tmp_path / f"{name}-analysis.json").read_text())
+        assert report["lyapunov"]["estimator"] == "equilibrium"
+
     def test_report_document(self, tmp_path):
         run_scenario("sl-a2", tmp_path)
         report = json.loads((tmp_path / "sl-a2-analysis.json").read_text())

@@ -8,8 +8,10 @@ subdirectory, and gets one line the same way.  Each command in PRINTERS
 writes JSON to stdout, which gets one line, `<sha256>  <label> (stdout)`.
 The commands cover `simulate` for all six built-in scenarios, both
 integration methods, both SL routes and custom runs of every system, plus
-coefficient, `D` and `mu` sweeps and `compare` with and without run
-overrides, every `plot` view, `fixed-points` and `lyapunov`.
+coefficient, `D` and `mu` sweeps (one of them over sigma-ranges up to
+2.3e5, where the orbit settles on the stable origin), a run that settles on
+a stable focus-node pair, `compare` with and without run overrides, every
+`plot` view, `fixed-points` and `lyapunov`.
 
 A change meant to leave every artifact byte-identical is checked by running
 the tool against both source trees and diffing the output:
@@ -74,6 +76,11 @@ WRITERS: list[tuple[str, list[str]]] = [
         "sweep-sl-a2-mu",
         ["sweep", "--scenario", "sl-a2", "--param", "mu", "--values", "0.5,1.3", "--samples", "300"],
     ),
+    (
+        "sweep-sl-a2-D-stiff",
+        ["sweep", "--scenario", "sl-a2", "--param", "D", "--values", "0.1,0.3", "--samples", "300"],
+    ),
+    ("simulate-custom-sl-pair", ["simulate", "--system", "sl", "--a", "2", "--b", "5"]),
     ("compare-sl-a2-lorenz-literal", ["compare", "sl-a2", "lorenz-literal", "--axis", "t"]),
     (
         "compare-sl-a2-lorenz-literal-rk4",
