@@ -16,11 +16,10 @@ from .dynamics import (
     SystemParams,
     effective_params,
     equilibria,
-    eval_sl_field,
     jacobian,
     make_field,
 )
-from .timegauge import Gauge, lambda_coeff, make_gauged_field, scale_time, unscale_time
+from .timegauge import Gauge, make_gauged_field, scale_time, unscale_time
 from .integrate import (
     IntegrationError,
     IntegrationMeta,
@@ -41,7 +40,6 @@ from .analysis import (
     NewtonError,
     SeparationSeries,
     Spectrum3,
-    classify_equilibrium,
     classify_spectrum,
     conjecture_report,
     divergence_probe,

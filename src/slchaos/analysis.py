@@ -3,26 +3,26 @@
 Eigenvalues of 3x3 Jacobians come from the characteristic cubic in closed
 form (trigonometric branch for three real roots, Cardano otherwise) with one
 Newton polish per root; no iterative eigensolver is involved, which keeps
-the results bit-deterministic.  On top of that sit equilibrium
-classification, Newton refinement of fixed points, a twin-trajectory
-largest-Lyapunov estimator with periodic renormalization, a raw two-run
-divergence probe, and a report for the fixed-point-existence property that
-every parameter choice is expected to satisfy.  That report is the one
-table of the closed-form equilibria with their spectra and classes: the
-JSON report, the `fixed-points` command, the estimator's equilibrium exit
-and the integrator's settled tail all read it, so a fixed point's class is
-decided in one place.  It is built once per coefficient set and shared.
+the results bit-deterministic.  On top of that sit Newton refinement of
+fixed points, a twin-trajectory largest-Lyapunov estimator with periodic
+renormalization, a raw two-run divergence probe, and a report for the
+fixed-point-existence property that every parameter choice is expected to
+satisfy.  That report is the one table of the closed-form equilibria with
+their spectra and classes: the JSON report, the `fixed-points` command and
+the settle rule below all read it, so a fixed point's class is decided in
+one place.  It is built once per coefficient set and shared.
 
 Each stable equilibrium of that table also gets its exact linear flow
-(`stable_tails`), built from closed-form eigenvectors (`eigenbasis_3x3`)
-with the radius within which it is accurate to a share of a tolerance: the
-DP54 integrator finishes orbits that settle there on it.
-
-The estimator for a named system stops early once its orbit has settled on
-a stable equilibrium: there the largest exponent is the leading real part
-of the closed-form spectrum, which is exact, so no twin run can improve on
-it.  Orbits that settle nowhere, or only on a saddle or a marginal point,
-get the full twin run.
+(`stable_tails`), built from closed-form eigenvectors (`eigenbasis_3x3`),
+with a convergence radius: an orbit that enters it provably converges to
+that equilibrium.  Entering that radius is the one settle rule.  The DP54
+integrator finishes such orbits on the linear flow, inside the part of the
+radius where the flow is accurate to a share of its tolerance.  The
+estimator for a named system stops there: the largest exponent of a
+settled orbit is the leading real part of the closed-form spectrum, which
+is exact, so no twin run can improve on it.  Orbits that settle nowhere,
+only on a saddle or a marginal point, or on a stable point without an
+eigenbasis (a defective one), get the full twin run.
 
 Gauged systems are analyzed in scaled time: under s = mu * t**(1 - D) the
 system is autonomous, so exponents quoted per unit s are honest constants,
@@ -47,8 +47,6 @@ from .dynamics import (
     SystemParams,
     effective_params,
     equilibria,
-    eval_sl_field,
-    field_norm,
     jacobian,
     make_field,
 )
@@ -64,7 +62,6 @@ __all__ = [
     "eigenbasis_3x3",
     "char_poly_residual",
     "classify_spectrum",
-    "classify_equilibrium",
     "newton_fixed_point",
     "max_lyapunov",
     "lyapunov_from_field",
@@ -78,8 +75,6 @@ __all__ = [
 # Real parts closer to zero than this are treated as marginal rather than
 # guessed at; double-precision eigenvalues cannot support a sign claim there.
 MARGINAL_REAL_PART = 1e-9
-# A point is an equilibrium when its field norm is at most this.
-EQUILIBRIUM_RESIDUAL_TOL = 1e-10
 # Settled tails: the share of the tolerance the linear flow may leave out,
 # and the largest eigenbasis condition number that may carry it.
 TAIL_SHARE = 1e-2
@@ -119,8 +114,10 @@ class LyapunovEstimate:
     says where the number comes from: "twin" is the mean growth rate of a
     twin run, "equilibrium" the leading real part of the closed-form
     spectrum of the stable equilibrium the orbit settled on, with
-    `sample_stddev` 0.0.  `settled_at` is when the orbit settled, in
-    `time_variable`, and None for a twin estimate.
+    `sample_stddev` 0.0.  `settled_at` is the first renormalization
+    boundary, in `time_variable`, at which the reference state lay within
+    that equilibrium's convergence radius (`StableTail.radius2`), and None
+    for a twin estimate.
     """
 
     lambda_max: float
@@ -344,26 +341,6 @@ def classify_spectrum(spectrum: Spectrum3) -> str:
     return "saddle"
 
 
-def classify_equilibrium(
-    kind: SystemKind,
-    params: SystemParams | None,
-    point: State3 | Sequence[float],
-) -> str:
-    """Classify a fixed point by the Jacobian spectrum there.
-
-    The point must actually be an equilibrium: classifying a generic point
-    would silently produce nonsense, so the residual is checked first.
-    """
-    p = effective_params(kind, params)
-    res = field_norm(p, point)
-    if res > EQUILIBRIUM_RESIDUAL_TOL:
-        raise ValueError(
-            f"point {tuple(point)!r} is not an equilibrium (residual {res:.3e} "
-            f"> {EQUILIBRIUM_RESIDUAL_TOL:.0e})"
-        )
-    return classify_spectrum(eigenvalues_3x3(jacobian(kind, params, point)))
-
-
 # ---------------------------------------------------------------------------
 # Newton refinement
 # ---------------------------------------------------------------------------
@@ -383,16 +360,16 @@ def newton_fixed_point(
     tolerance within `max_iter` iterations; the error carries the last
     iterate and its residual so callers can report where the search died.
     """
-    p = effective_params(kind, params)
+    rhs = make_field(kind, params)
     pt = np.array([float(v) for v in guess], dtype=float)
-    res = field_norm(p, pt)
+    f = rhs(0.0, pt)
+    res = math.hypot(*f)
     for _ in range(max_iter):
         if res <= tol:
             return Equilibrium(State3(pt[0], pt[1], pt[2]), res, "")
         jac = jacobian(kind, params, pt)
-        fvec = np.asarray(list(eval_sl_field(p, pt)), dtype=float)
         try:
-            delta = np.linalg.solve(jac, fvec)
+            delta = np.linalg.solve(jac, np.asarray(f, dtype=float))
         except np.linalg.LinAlgError as exc:
             raise NewtonError(
                 f"singular Jacobian at {tuple(pt)!r}", tuple(pt), res
@@ -404,7 +381,8 @@ def newton_fixed_point(
                 tuple(pt),
                 math.inf,
             )
-        res = field_norm(p, pt)
+        f = rhs(0.0, pt)
+        res = math.hypot(*f)
     if res <= tol:
         return Equilibrium(State3(pt[0], pt[1], pt[2]), res, "")
     raise NewtonError(
@@ -508,47 +486,35 @@ def max_lyapunov(
 ) -> LyapunovEstimate:
     """Largest Lyapunov exponent of a system, measured in its natural time
     variable: scaled time s for the gauged SL system, ordinary t otherwise.
-    The twin run stops once its orbit sits on a stable equilibrium."""
-    rhs = make_field(kind, params)
+    The twin run stops once its orbit has settled on a stable equilibrium."""
     return lyapunov_from_field(
-        rhs,
+        make_field(kind, params),
         tuple(float(v) for v in x0),
         horizon,
         renorm_interval,
         time_variable=_time_variable(kind),
-        settled=_stable_equilibrium_exit(kind, params, rhs),
+        settled=_stable_equilibrium_exit(kind, params),
     )
 
 
 def _stable_equilibrium_exit(
-    kind: SystemKind, params: SystemParams | None, rhs: Callable
-) -> Callable[[tuple[float, float, float]], float | None] | None:
-    """The exact exponent of a state that sits on a stable equilibrium.
-
-    The returned check gives, for a state whose field norm is at most
-    EQUILIBRIUM_RESIDUAL_TOL and whose nearest equilibrium in the
-    `conjecture_report` table is a stable node or focus-node, that
-    equilibrium's leading real part; for any other state, None.  Parameters
-    without a finite closed-form equilibrium list, or whose closed-form pair
-    misses its residual bound, get no check at all: the exit only saves
-    work, so it must never turn an estimate into an error.
-    """
-    try:
-        rep = conjecture_report(effective_params(kind, params))
-    except (ValueError, ArithmeticError):
-        return None
-    # Each equilibrium with its exact exponent, or None where it is not
-    # stable (a node or focus-node).
-    exits = [
-        (eq.point.as_tuple(), spec.real_parts[0] if cls.startswith("stable") else None)
-        for eq, spec, cls in zip(rep.equilibria_found, rep.spectra, rep.classes)
-    ]
+    kind: SystemKind, params: SystemParams | None
+) -> Callable[[tuple[float, float, float]], float | None]:
+    """The exact exponent of a state that has settled on a stable
+    equilibrium: for a state within the convergence radius of one of the
+    `stable_tails`, that equilibrium's leading real part; for any other
+    state, None.  The radius is at most half the distance to any other
+    equilibrium, so no state lies within two of them."""
+    tails = stable_tails(effective_params(kind, params))
 
     def check(state: tuple[float, float, float]) -> float | None:
-        # `not <=` also turns away a non-finite state.
-        if not math.hypot(*rhs(0.0, state)) <= EQUILIBRIUM_RESIDUAL_TOL:
-            return None
-        return min(exits, key=lambda e: math.dist(e[0], state))[1]
+        for tail in tails:
+            px, py, pz = tail.point
+            dx, dy, dz = state[0] - px, state[1] - py, state[2] - pz
+            # A non-finite state fails the comparison.
+            if dx * dx + dy * dy + dz * dz <= tail.radius2:
+                return -tail.alpha
+        return None
 
     return check
 
@@ -659,13 +625,22 @@ def conjecture_report(params: SystemParams) -> ConjectureReport:
 @dataclass(frozen=True)
 class StableTail:
     """The linear flow at one stable equilibrium, held as its modes: each
-    eigenvalue with its column of V and its row of V^-1.  From a state
-    within sqrt(`radius2`) of `point`, the flow stays within the tolerance
-    share it was built for (`stable_tails`)."""
+    eigenvalue with its column of V and its row of V^-1, with the leading
+    real part -`alpha` and the eigenbasis condition `cond` (K).  An orbit
+    that comes within sqrt(`radius2`), its convergence radius, of `point`
+    converges to it (`stable_tails`)."""
 
     point: tuple[float, float, float]
     radius2: float
+    alpha: float
+    cond: float
     modes: tuple[tuple[complex, tuple[complex, ...], tuple[complex, ...]], ...]
+
+    def switch_radius2(self, tol: float) -> float:
+        """The square of the radius within which the linear flow is off by
+        at most TAIL_SHARE * `tol`: the convergence radius, cut to where the
+        bound 2 K**3 r**2 / alpha stays below that share."""
+        return min(TAIL_SHARE * tol * self.alpha / (2.0 * self.cond**3), self.radius2)
 
     def flow(self, s1: float, state: tuple[float, float, float]) -> Callable[[float], tuple[float, float, float]]:
         """The linear flow through `state` at time `s1`, as a function of
@@ -693,20 +668,20 @@ class StableTail:
         return at
 
 
-def stable_tails(params: SystemParams, tol: float) -> list[StableTail]:
+def stable_tails(params: SystemParams) -> list[StableTail]:
     """The linear flow at each stable node or focus-node of the
-    `conjecture_report` table, with the radius within which it is accurate
-    to TAIL_SHARE * `tol`.
+    `conjecture_report` table, with its convergence radius.
 
     The field is exactly J d + q(d) in d = x - x*, with q(d) = (0, -dx dz,
     dx dy), so |q(d)| <= |d|**2 / 2.  With the leading real part -alpha < 0
     and K = ||V||_F ||V^-1||_F >= ||exp(J s)|| exp(alpha s), an orbit
     starting at |d| = r <= alpha / (2 K**2) stays within 2 K r exp(-alpha s)
     of x*, and the linear flow from the same start is off by at most
-    2 K**3 r**2 / alpha at every later s.  The radius keeps that at most
-    TAIL_SHARE * `tol` and r at most alpha / (4 K**2), and no larger than
-    half the distance to any other equilibrium, so x* is the nearest one.
-    An eigenbasis with K above TAIL_MAX_CONDITION (coalescing eigenvalues)
+    2 K**3 r**2 / alpha at every later s.  The convergence radius is the
+    smaller of alpha / (4 K**2) and half the distance to any other
+    equilibrium, so x* is the nearest one; `StableTail.switch_radius2` cuts
+    it to a tolerance.  An equilibrium without an eigenbasis (a defective
+    one), or whose K is above TAIL_MAX_CONDITION (coalescing eigenvalues),
     gets no tail.  Coefficients without a finite closed-form equilibrium
     list get none either: a tail only saves work, so it must never turn a
     run into an error.
@@ -730,10 +705,8 @@ def stable_tails(params: SystemParams, tol: float) -> list[StableTail]:
             continue
         alpha = -spec.real_parts[0]
         apart = min((math.dist(point, q) for q in points if q != point), default=math.inf)
-        radius2 = min(
-            TAIL_SHARE * tol * alpha / (2.0 * cond**3),
-            (alpha / (4.0 * cond**2)) ** 2,
-            (0.5 * apart) ** 2,
+        radius2 = min((alpha / (4.0 * cond**2)) ** 2, (0.5 * apart) ** 2)
+        tails.append(
+            StableTail(point, radius2, alpha, cond, tuple(zip(spec.eigenvalues, cols, rows)))
         )
-        tails.append(StableTail(point, radius2, tuple(zip(spec.eigenvalues, cols, rows))))
     return tails

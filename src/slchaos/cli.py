@@ -1,8 +1,7 @@
 """Command-line interface.
 
 Exit codes: 0 success, 1 usage error (bad flags, unknown scenario or
-malformed values), 2 runtime failure (integration failure, Newton failure,
-I/O trouble).
+malformed values), 2 runtime failure (integration failure, I/O trouble).
 """
 
 from __future__ import annotations
@@ -13,10 +12,7 @@ import json
 import sys
 from pathlib import Path
 
-from .analysis import (
-    NewtonError,
-    max_lyapunov,
-)
+from .analysis import max_lyapunov
 from .dynamics import SystemKind
 from .integrate import (
     IntegrationError,
@@ -272,7 +268,7 @@ def cli_main(argv: list[str] | None = None) -> int:
         msg = exc.args[0] if exc.args else str(exc)
         print(f"usage error: {msg}", file=sys.stderr)
         return 1
-    except (IntegrationError, NewtonError, ArithmeticError) as exc:
+    except (IntegrationError, ArithmeticError) as exc:
         print(f"run failed: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

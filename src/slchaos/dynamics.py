@@ -29,7 +29,6 @@ __all__ = [
     "LORENZ_STANDARD_PARAMS",
     "LORENZ_LITERAL_PARAMS",
     "effective_params",
-    "eval_sl_field",
     "make_field",
     "jacobian",
     "field_norm",
@@ -123,22 +122,16 @@ def effective_params(kind: SystemKind, params: SystemParams | None = None) -> Sy
     raise ValueError(f"unknown system kind: {kind!r}")
 
 
-def eval_sl_field(params: SystemParams, state: State3 | Sequence[float]) -> State3:
-    """Evaluate f(x, y, z) = (a(y-x), x(b-z)-y, xy-cz)."""
-    x, y, z = state
-    a, b, c = params.a, params.b, params.c
-    return State3(a * (y - x), x * (b - z) - y, x * y - c * z)
-
-
 def make_field(
     kind: SystemKind, params: SystemParams | None = None
 ) -> Callable[[float, tuple[float, float, float]], tuple[float, float, float]]:
-    """Bind coefficients into a plain-tuple evaluator rhs(t, (x, y, z)).
+    """Bind coefficients into a plain-tuple evaluator rhs(t, (x, y, z)) of
+    f(x, y, z) = (a(y-x), x(b-z)-y, xy-cz).
 
-    The returned closure is what the integrators call in their inner loops;
-    it works on bare floats and skips dataclass construction.  The time
-    argument is accepted for signature compatibility and ignored (the field
-    is autonomous).
+    The returned closure is the one evaluator of the field.  The integrators
+    call it in their inner loops, so it works on bare floats and skips
+    dataclass construction.  The time argument is accepted for signature
+    compatibility and ignored (the field is autonomous).
     """
     p = effective_params(kind, params)
     a, b, c = p.a, p.b, p.c
@@ -174,8 +167,7 @@ def jacobian(
 
 def field_norm(params: SystemParams, point: State3 | Sequence[float]) -> float:
     """Euclidean norm of the field at `point` (the equilibrium residual)."""
-    f = eval_sl_field(params, point)
-    return math.hypot(f.x, f.y, f.z)
+    return math.hypot(*make_field(SystemKind.SL, params)(0.0, point))
 
 
 def equilibria(params: SystemParams) -> list[Equilibrium]:

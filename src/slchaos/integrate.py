@@ -23,10 +23,11 @@ comes from the exact linear flow there,
 with the closed-form spectrum Lambda and eigenvectors V of the Jacobian at
 x* (`analysis.stable_tails`).  Near a stable equilibrium DP54's step is
 held by its stability region, not by the tolerance, so this is where a
-long run spent almost all of its steps.  "Close" is a radius at which the
-part of the field the linear flow leaves out moves no later sample by more
-than 1e-2 * abs_tol: with d = x - x*, leading real part -alpha < 0 and
-eigenbasis condition K, the flow is off by at most 2 K**3 |d|**2 / alpha.
+long run spent almost all of its steps.  "Close" is within the tail's
+convergence radius, cut to where the part of the field the linear flow
+leaves out moves no later sample by more than 1e-2 * abs_tol: with
+d = x - x*, leading real part -alpha < 0 and eigenbasis condition K, the
+flow is off by at most 2 K**3 |d|**2 / alpha (`StableTail.switch_radius2`).
 Equilibria with a near-singular eigenbasis (coalescing eigenvalues) get no
 switch; nor do saddles, marginal points and unstable points, where the run
 keeps stepping.  The switch point depends only on the field, the start
@@ -338,11 +339,11 @@ _FAC_MAX = 5.0
 _MAX_STEPS = 10_000_000
 
 
-def _stable_tails(params: SystemParams, atol: float) -> list[StableTail]:
+def _stable_tails(params: SystemParams) -> list[StableTail]:
     # Imported here because `analysis` imports this module's `rk4_step`.
     from .analysis import stable_tails
 
-    return stable_tails(params, atol)
+    return stable_tails(params)
 
 
 def _adaptive_solve(
@@ -367,9 +368,9 @@ def _adaptive_solve(
     that a solve on grid i alone raises.
 
     After each accepted step the end point is checked against `tails`; the
-    first step that ends within a tail's radius is the last one, and every
-    sample after it comes from that tail's linear flow, with the step
-    counts reached there.
+    first step that ends within a tail's switch radius at `abs_tol` is the
+    last one, and every sample after it comes from that tail's linear flow,
+    with the step counts reached there.
     """
     atol = config.abs_tol
     rtol = config.rel_tol
@@ -425,7 +426,7 @@ def _adaptive_solve(
     t = t0
     errold = 1e-4
     just_rejected = False
-    near = [(*tail.point, tail.radius2, tail) for tail in tails]
+    near = [(*tail.point, tail.switch_radius2(atol), tail) for tail in tails]
 
     while active:
         if attempts >= _MAX_STEPS:
@@ -585,7 +586,7 @@ def integrate_adaptive(
     if not (math.isfinite(t0) and math.isfinite(t1) and t1 > t0):
         raise ValueError(f"need finite t1 > t0, got [{t0!r}, {t1!r}]")
 
-    tails = () if params is None else _stable_tails(params, config.abs_tol)
+    tails = () if params is None else _stable_tails(params)
     return _one(_adaptive_solve(rhs, t0, x0, config, [plan.grid(t0, t1)], None, tails)[0])
 
 
@@ -687,7 +688,7 @@ def integrate_sl_gauges(
         config,
         [s - s[0] for s in s_grids],
         SLMode.SCALED_S.value,
-        _stable_tails(params, config.abs_tol),
+        _stable_tails(params),
     )
 
     def relabel(rows: Trajectory, s: np.ndarray) -> Trajectory:

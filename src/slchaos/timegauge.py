@@ -28,43 +28,37 @@ from .dynamics import SystemParams
 
 __all__ = [
     "Gauge",
-    "lambda_coeff",
     "scale_time",
     "unscale_time",
     "make_gauged_field",
 ]
 
 
-def lambda_coeff(mu: float, D: float) -> float:
-    """The prefactor lam = mu * (1 - D).
+@dataclass(frozen=True)
+class Gauge:
+    """A validated (mu, D) pair; `lam` = mu * (1 - D) is always derived,
+    never stored free.
 
     mu must be positive and finite; D must lie strictly inside (0, 1).  At
     D = 1 the scaled time degenerates to a constant and at D = 0 the gauge
     is the identity with no reparametrization content, so both endpoints are
     rejected.
     """
-    mu = float(mu)
-    D = float(D)
-    if not (math.isfinite(mu) and mu > 0.0):
-        raise ValueError(f"gauge mu must be positive and finite, got {mu!r}")
-    if not (math.isfinite(D) and 0.0 < D < 1.0):
-        raise ValueError(f"gauge D must lie strictly in (0, 1), got {D!r}")
-    return mu * (1.0 - D)
-
-
-@dataclass(frozen=True)
-class Gauge:
-    """A validated (mu, D) pair; `lam` is always derived, never stored free."""
 
     mu: float
     D: float
     lam: float = field(init=False)
 
     def __post_init__(self) -> None:
-        lam = lambda_coeff(self.mu, self.D)
-        object.__setattr__(self, "mu", float(self.mu))
-        object.__setattr__(self, "D", float(self.D))
-        object.__setattr__(self, "lam", lam)
+        mu = float(self.mu)
+        D = float(self.D)
+        if not (math.isfinite(mu) and mu > 0.0):
+            raise ValueError(f"gauge mu must be positive and finite, got {mu!r}")
+        if not (math.isfinite(D) and 0.0 < D < 1.0):
+            raise ValueError(f"gauge D must lie strictly in (0, 1), got {D!r}")
+        object.__setattr__(self, "mu", mu)
+        object.__setattr__(self, "D", D)
+        object.__setattr__(self, "lam", mu * (1.0 - D))
 
 
 def scale_time(gauge: Gauge, t: float) -> float:

@@ -8,7 +8,6 @@ from slchaos.analysis import (
     NewtonError,
     Spectrum3,
     char_poly_residual,
-    classify_equilibrium,
     classify_spectrum,
     conjecture_report,
     divergence_probe,
@@ -133,7 +132,7 @@ class TestEigenvalues:
 
 class TestClassification:
     def test_attractor_ii_origin_stable_node(self):
-        assert classify_equilibrium(SystemKind.SL, ATTRACTOR_II, (0.0, 0.0, 0.0)) == "stable node"
+        assert conjecture_report(ATTRACTOR_II).classes == ("stable node",)
 
     def test_lorenz_standard_origin_saddle(self):
         # quadratic lambda^2 + 11 lambda - 270 has the positive root
@@ -154,10 +153,6 @@ class TestClassification:
     def test_unstable(self):
         assert classify_spectrum(eigenvalues_3x3(np.diag([1.0, 2.0, 3.0]))) == "unstable"
 
-    def test_rejects_non_equilibrium(self):
-        with pytest.raises(ValueError, match="not an equilibrium"):
-            classify_equilibrium(SystemKind.SL, ATTRACTOR_II, (1.0, 1.0, 1.0))
-
     def test_origin_never_unstable_for_moderate_params(self):
         # both quadratic roots have negative real parts whenever
         # a(1-b) > 0 and a+1 > 0, so the grid must produce only
@@ -165,7 +160,7 @@ class TestClassification:
         for a in np.linspace(0.5, 5.0, 6):
             for b in np.linspace(0.0, 0.99, 6):
                 for c in (1.0, 10.0, 50.0):
-                    label = classify_equilibrium(SystemKind.SL, SystemParams(a, b, c), (0.0, 0.0, 0.0))
+                    label = conjecture_report(SystemParams(a, b, c)).classes[0]
                     assert label not in ("unstable", "saddle")
 
 
@@ -220,6 +215,18 @@ class TestLyapunov:
         assert est.sample_stddev == 0.0
         assert est.horizon == 500.0
         assert abs(est.lambda_max - (-3.0 + math.sqrt(3.4)) / 2.0) <= 1e-12
+
+    def test_defective_stable_origin_keeps_the_twin(self):
+        # b = -(a-1)**2/(4a) gives the stable origin a double eigenvalue
+        # -1.5 with one eigenvector, so it has no linear flow and no
+        # convergence radius: the orbit never counts as settled, and the
+        # twin's finite-time estimate approaches -1.5 from above.
+        params = SystemParams(2.0, -0.125, 27.0)
+        assert conjecture_report(params).classes[0] == "stable node"
+        est = max_lyapunov(SystemKind.SL, params, (0.1, 0.1, 0.1), 1000.0, 2.0)
+        assert est.estimator == "twin"
+        assert est.settled_at is None
+        assert abs(est.lambda_max - (-1.5)) <= 5e-3
 
     def test_saddle_at_the_origin_does_not_settle(self):
         # The field vanishes at the start, but lorenz-standard's origin is a

@@ -13,7 +13,6 @@ from slchaos.dynamics import (
     SystemParams,
     effective_params,
     equilibria,
-    eval_sl_field,
     field_norm,
     jacobian,
     make_field,
@@ -21,27 +20,27 @@ from slchaos.dynamics import (
 from slchaos.timegauge import Gauge, make_gauged_field
 
 ATTRACTOR_II = SystemParams(2.0, 0.3, 27.0)
+SL_FIELD = make_field(SystemKind.SL, ATTRACTOR_II)
 
 
 def test_sl_field_zero_at_origin():
-    f = eval_sl_field(ATTRACTOR_II, (0.0, 0.0, 0.0))
-    assert (f.x, f.y, f.z) == (0.0, 0.0, 0.0)
+    assert SL_FIELD(0.0, (0.0, 0.0, 0.0)) == (0.0, 0.0, 0.0)
 
 
 def test_sl_field_hand_values():
     # f(1, 0, 2) for (a, b, c) = (2, 0.3, 27): (2*(0-1), 1*(0.3-2)-0, 0-54)
-    f = eval_sl_field(ATTRACTOR_II, (1.0, 0.0, 2.0))
-    assert f.x == pytest.approx(-2.0, abs=0)
-    assert f.y == pytest.approx(-1.7, rel=1e-15)
-    assert f.z == pytest.approx(-54.0, abs=0)
+    fx, fy, fz = SL_FIELD(0.0, (1.0, 0.0, 2.0))
+    assert fx == pytest.approx(-2.0, abs=0)
+    assert fy == pytest.approx(-1.7, rel=1e-15)
+    assert fz == pytest.approx(-54.0, abs=0)
 
 
 def test_sl_field_matches_symbolic_substitution():
     """Independent route: the same expressions built in sympy and evaluated
-    exactly, compared against the float implementations: `eval_sl_field`,
-    the `make_field` closure for all three kinds (Lorenz coefficients
-    written out as exact rationals), and the `make_gauged_field` closure
-    against lam * t**(-D) * f with lam = mu * (1 - D)."""
+    exactly, compared against the float implementations: the `make_field`
+    closure for all three kinds (Lorenz coefficients written out as exact
+    rationals), and the `make_gauged_field` closure against
+    lam * t**(-D) * f with lam = mu * (1 - D)."""
     xs, ys, zs, a_s, b_s, c_s = sympy.symbols("x y z a b c")
     ts, mu_s, D_s = sympy.symbols("t mu D", positive=True)
     expr = (
@@ -66,7 +65,6 @@ def test_sl_field_matches_symbolic_substitution():
         x, y, z = rng.uniform(-10, 10, 3)
         params = SystemParams(a, b, c)
         subs = {a_s: a, b_s: b, c_s: c, xs: x, ys: y, zs: z}
-        check(tuple(eval_sl_field(params, (x, y, z))), expr, subs)
         check(make_field(SystemKind.SL, params)(0.0, (x, y, z)), expr, subs)
         for kind, (pa, pb, pc) in pinned.items():
             lorenz = {a_s: pa, b_s: pb, c_s: pc, xs: x, ys: y, zs: z}
@@ -79,9 +77,9 @@ def test_sl_field_matches_symbolic_substitution():
 def test_lorenz_fields_are_pinned_sl_params():
     state = (1.0, 2.0, 3.0)
     std = make_field(SystemKind.LORENZ_STANDARD)(0.0, state)
-    assert std == tuple(eval_sl_field(LORENZ_STANDARD_PARAMS, state))
+    assert std == make_field(SystemKind.SL, LORENZ_STANDARD_PARAMS)(0.0, state)
     lit = make_field(SystemKind.LORENZ_LITERAL)(0.0, state)
-    assert lit == tuple(eval_sl_field(LORENZ_LITERAL_PARAMS, state))
+    assert lit == make_field(SystemKind.SL, LORENZ_LITERAL_PARAMS)(0.0, state)
     # the two variants genuinely differ
     assert std != lit
 
@@ -101,11 +99,11 @@ def test_effective_params():
 
 
 def test_make_field_matches_eval():
-    rhs = make_field(SystemKind.SL, ATTRACTOR_II)
-    state = (0.3, -1.2, 5.0)
-    assert rhs(0.0, state) == tuple(eval_sl_field(ATTRACTOR_II, state))
+    x, y, z = state = (0.3, -1.2, 5.0)
+    a, b, c = ATTRACTOR_II.a, ATTRACTOR_II.b, ATTRACTOR_II.c
+    assert SL_FIELD(0.0, state) == (a * (y - x), x * (b - z) - y, x * y - c * z)
     # time argument is ignored
-    assert rhs(123.0, state) == rhs(-4.0, state)
+    assert SL_FIELD(123.0, state) == SL_FIELD(-4.0, state)
 
 
 @given(
@@ -116,11 +114,11 @@ def test_make_field_matches_eval():
 def test_field_odd_symmetry(x, y, z):
     """f(-x, -y, z) = (-fx, -fy, fz): the system is equivariant under the
     half-turn about the z axis."""
-    f1 = eval_sl_field(ATTRACTOR_II, (x, y, z))
-    f2 = eval_sl_field(ATTRACTOR_II, (-x, -y, z))
-    assert f2.x == -f1.x
-    assert f2.y == -f1.y
-    assert f2.z == f1.z
+    f1 = SL_FIELD(0.0, (x, y, z))
+    f2 = SL_FIELD(0.0, (-x, -y, z))
+    assert f2[0] == -f1[0]
+    assert f2[1] == -f1[1]
+    assert f2[2] == f1[2]
 
 
 def test_jacobian_at_origin_attractor_ii():
@@ -137,7 +135,7 @@ def test_jacobian_matches_finite_differences():
         (SystemKind.LORENZ_STANDARD, None),
         (SystemKind.LORENZ_LITERAL, None),
     ):
-        p = effective_params(kind, params)
+        rhs = make_field(kind, params)
         state = rng.uniform(-5, 5, 3)
         j = jacobian(kind, params, state)
         fd = np.zeros((3, 3))
@@ -146,8 +144,8 @@ def test_jacobian_matches_finite_differences():
             em = state.copy()
             ep[col] += h
             em[col] -= h
-            fp = np.array(list(eval_sl_field(p, ep)))
-            fm = np.array(list(eval_sl_field(p, em)))
+            fp = np.array(rhs(0.0, ep))
+            fm = np.array(rhs(0.0, em))
             fd[:, col] = (fp - fm) / (2 * h)
         assert np.allclose(j, fd, atol=1e-6)
 

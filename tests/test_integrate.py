@@ -294,7 +294,7 @@ class TestSettledTail:
         atol = 1e-9
         a, b, c = params.a, params.b, params.c
         rng = np.random.default_rng(7)
-        for tail in stable_tails(params, atol):
+        for tail in stable_tails(params):
             px, py, pz = tail.point
 
             def deviation(t, d):
@@ -306,7 +306,7 @@ class TestSettledTail:
                 )
 
             u = rng.normal(size=3)
-            d0 = math.sqrt(tail.radius2) * u / np.linalg.norm(u)
+            d0 = math.sqrt(tail.switch_radius2(atol)) * u / np.linalg.norm(u)
             flow = tail.flow(0.0, tuple(np.asarray(tail.point) + d0))
             taus = np.linspace(0.0, 2.0, 41)
             ref = solve_ivp(
@@ -327,7 +327,7 @@ class TestSettledTail:
         # b = -(a-1)**2/(4a) merges the origin's two slow eigenvalues into a
         # double root with one eigenvector: the run keeps stepping.
         params = SystemParams(2.0, -0.125, 27.0)
-        assert stable_tails(params, 1e-9) == []
+        assert stable_tails(params) == []
         rhs = make_field(SystemKind.SL, params)
         plan = SamplingPlan(SamplingMode.LINEAR, 50)
         with_params = integrate_adaptive(rhs, 0.0, 50.0, (0.1, 0.1, 0.1), plan=plan, params=params)

@@ -215,6 +215,57 @@ class TestRunScenario:
         stable = [e for e in report["equilibria"] if e["class"].startswith("stable")]
         assert lyap["lambda_max"] in [e["spectrum"][0][0] for e in stable]
 
+    @pytest.mark.parametrize(
+        "name, settled_at",
+        [("sl-a2.35", 6.0), ("sl-a2", 6.0), ("sl-a1.5", 6.0), ("sl-a1.35", 6.0), ("lorenz-literal", 5.04)],
+    )
+    def test_report_settles_on_entering_a_convergence_radius(self, name, settled_at):
+        # `settled_at` is the first renormalization boundary at which the
+        # twin's reference state lies within a stable tail's convergence
+        # radius; at the boundary before, it lies outside every one.
+        from slchaos.analysis import lyapunov_from_field, stable_tails
+        from slchaos.dynamics import effective_params, make_field
+
+        sc = lookup_scenario(name)
+        lyap = scenario_report(sc, run_trajectory(sc))["lyapunov"]
+        assert lyap["estimator"] == "equilibrium"
+        assert lyap["settled_at"] == settled_at
+        tails = stable_tails(effective_params(sc.kind, sc.params))
+        assert lyap["lambda_max"] in [-tail.alpha for tail in tails]
+
+        def inside(state):
+            return any(
+                sum((u - v) ** 2 for u, v in zip(state, tail.point)) <= tail.radius2 for tail in tails
+            )
+
+        seen = []
+
+        def record(state):
+            seen.append(state)
+            return 0.0 if inside(state) else None
+
+        rhs = make_field(sc.kind, sc.params)
+        est = lyapunov_from_field(rhs, sc.x0.as_tuple(), lyap["horizon"], lyap["renorm_interval"], settled=record)
+        assert est.settled_at == settled_at
+        assert inside(seen[-1]) and not inside(seen[-2])
+
+    def test_settled_report_stops_its_twin_at_the_radius(self, monkeypatch):
+        # sl-a2 settles at s = 6, 600 RK4 step pairs into the twin run.
+        from slchaos import analysis
+
+        sc = lookup_scenario("sl-a2")
+        traj = run_trajectory(sc)
+        calls = []
+        step = analysis.rk4_step
+
+        def counted(*args):
+            calls.append(None)
+            return step(*args)
+
+        monkeypatch.setattr(analysis, "rk4_step", counted)
+        assert scenario_report(sc, traj)["lyapunov"]["settled_at"] == 6.0
+        assert len(calls) <= 1200
+
     def test_chaotic_gauged_report_does_not_depend_on_the_span(self):
         # With the Lorenz coefficients the gauged orbit is chaotic and settles
         # nowhere, so the report runs the whole twin.  Its budget is in s and

@@ -3,10 +3,9 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from slchaos.dynamics import SystemParams, eval_sl_field
+from slchaos.dynamics import SystemKind, SystemParams, make_field
 from slchaos.timegauge import (
     Gauge,
-    lambda_coeff,
     make_gauged_field,
     scale_time,
     unscale_time,
@@ -16,21 +15,19 @@ G = Gauge(0.9, 2.0 / 3.0)
 
 
 def test_lambda_examples():
-    assert lambda_coeff(0.9, 2.0 / 3.0) == pytest.approx(0.3, rel=1e-15)
-    assert lambda_coeff(1.8, 0.5) == pytest.approx(0.9, rel=1e-15)
+    assert Gauge(0.9, 2.0 / 3.0).lam == pytest.approx(0.3, rel=1e-15)
+    assert Gauge(1.8, 0.5).lam == pytest.approx(0.9, rel=1e-15)
 
 
 @pytest.mark.parametrize("mu,D", [(0.0, 0.5), (-1.0, 0.5), (math.inf, 0.5), (0.9, 0.0), (0.9, 1.0), (0.9, -0.2), (0.9, 1.5), (0.9, math.nan)])
 def test_gauge_boundaries_rejected(mu, D):
-    with pytest.raises(ValueError):
-        lambda_coeff(mu, D)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"gauge (mu must be positive|D must lie strictly)"):
         Gauge(mu, D)
 
 
 def test_gauge_lam_is_derived():
     g = Gauge(1.8, 0.5)
-    assert g.lam == lambda_coeff(1.8, 0.5)
+    assert g.lam == 1.8 * (1.0 - 0.5)
     # frozen: no way to desynchronize lam from (mu, D)
     with pytest.raises(AttributeError):
         g.lam = 5.0  # type: ignore[misc]
@@ -76,7 +73,7 @@ def test_gauged_closure_matches_msl_rhs():
     rhs = make_gauged_field(p, G)
     got = rhs(5.0, (0.4, 0.6, -1.0))
     w = G.lam * 5.0 ** (-G.D)
-    want = tuple(w * v for v in eval_sl_field(p, (0.4, 0.6, -1.0)))
+    want = tuple(w * v for v in make_field(SystemKind.SL, p)(0.0, (0.4, 0.6, -1.0)))
     assert got == pytest.approx(want, rel=1e-15)
     with pytest.raises(ValueError):
         rhs(0.0, (1.0, 1.0, 1.0))
