@@ -29,7 +29,6 @@ from .integrate import (
     SamplingPlan,
     SLMode,
     Trajectory,
-    integrate_adaptive,
     integrate_fixed,
     integrate_sl,
     rk4_step,

@@ -690,7 +690,7 @@ def stable_tails(params: SystemParams) -> list[StableTail]:
         rep = conjecture_report(params)
     except (ValueError, ArithmeticError):
         return []
-    points = [eq.point.as_tuple() for eq in rep.equilibria_found]
+    points = [tuple(eq.point) for eq in rep.equilibria_found]
     tails = []
     for point, spec, cls in zip(points, rep.spectra, rep.classes):
         if not cls.startswith("stable"):

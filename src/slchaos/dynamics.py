@@ -70,9 +70,6 @@ class State3:
         yield self.y
         yield self.z
 
-    def as_tuple(self) -> tuple[float, float, float]:
-        return (self.x, self.y, self.z)
-
 
 @dataclass(frozen=True)
 class SystemParams:

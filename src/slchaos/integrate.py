@@ -11,12 +11,11 @@ evaluations.  The DP54 step sequence depends only on the field, the start
 point and the tolerances, never on where the samples fall or the run ends,
 so one solve can serve several sample grids (`integrate_sl_gauges`).
 
-Settled tail.  A DP54 solve of the quadratic field with known coefficients
-(`integrate_sl_gauges`, hence `integrate_sl` on the scaled-s route, and
-`integrate_adaptive` given `params`) stops stepping once an accepted step
-ends close to a stable equilibrium x* (a "stable node" or "stable
-focus-node" of the `analysis.conjecture_report` table): every later sample
-comes from the exact linear flow there,
+Settled tail.  A DP54 solve of the quadratic field (`integrate_sl_gauges`,
+hence every DP54 `integrate_sl` run but a direct-t one) stops stepping once
+an accepted step ends close to a stable equilibrium x* (a "stable node" or
+"stable focus-node" of the `analysis.conjecture_report` table): every later
+sample comes from the exact linear flow there,
 
     x(sigma) = x* + V exp(Lambda (sigma - sigma_1)) V^-1 (x(sigma_1) - x*),
 
@@ -45,6 +44,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
@@ -66,7 +66,6 @@ __all__ = [
     "IntegrationError",
     "rk4_step",
     "integrate_fixed",
-    "integrate_adaptive",
     "integrate_sl",
     "integrate_sl_gauges",
 ]
@@ -194,11 +193,6 @@ class Trajectory:
             and np.array_equal(self.s, other.s)
             and np.array_equal(self.states, other.states)
         )
-
-    @property
-    def final_state(self) -> State3:
-        row = self.states[-1]
-        return State3(float(row[0]), float(row[1]), float(row[2]))
 
 
 class IntegrationError(RuntimeError):
@@ -339,20 +333,12 @@ _FAC_MAX = 5.0
 _MAX_STEPS = 10_000_000
 
 
-def _stable_tails(params: SystemParams) -> list[StableTail]:
-    # Imported here because `analysis` imports this module's `rk4_step`.
-    from .analysis import stable_tails
-
-    return stable_tails(params)
-
-
 def _adaptive_solve(
     rhs: RHS,
     t0: float,
     x0: Sequence[float],
     config: IntegratorConfig,
     grids: Sequence[np.ndarray],
-    mode: str | None,
     tails: Sequence[StableTail] = (),
 ) -> list[Trajectory | IntegrationError]:
     """Core DP54 driver: one solve from (t0, x0), sampled on several grids.
@@ -364,7 +350,7 @@ def _adaptive_solve(
     the steps taken depend on neither the grids nor their ends, and the
     rows of a solve to any end are bit-equal to those of a solve to a later
     one.  Entry i is grid i's run, with the grid as both time columns and
-    the step counts and `mode` at its last sample, or the IntegrationError
+    the step counts at its last sample, or the IntegrationError
     that a solve on grid i alone raises.
 
     After each accepted step the end point is checked against `tails`; the
@@ -388,7 +374,7 @@ def _adaptive_solve(
     attempts = 0
 
     def meta() -> IntegrationMeta:
-        return IntegrationMeta(accepted, rejected, Method.RK45_ADAPTIVE.value, atol, rtol, mode)
+        return IntegrationMeta(accepted, rejected, Method.RK45_ADAPTIVE.value, atol, rtol)
 
     def runs(message: str = "", step_index: int | None = None) -> list[Trajectory | IntegrationError]:
         """Each grid's run, or for a grid left unfinished, `message` with
@@ -561,143 +547,132 @@ def _one(run: Trajectory | IntegrationError) -> Trajectory:
     return run
 
 
-def integrate_adaptive(
-    rhs: RHS,
-    t0: float,
-    t1: float,
-    x0: State3 | Sequence[float],
-    config: IntegratorConfig | None = None,
-    plan: SamplingPlan | None = None,
-    *,
-    params: SystemParams | None = None,
-) -> Trajectory:
-    """Adaptive DP54 run over [t0, t1] sampled per `plan`.
-
-    `params`, when `rhs` is the quadratic field with these coefficients
-    (`make_field` of any kind), let the run finish on the linear flow once
-    it settles on a stable equilibrium (the module's settled tail).
-    """
-    config = config if config is not None else IntegratorConfig()
-    plan = plan if plan is not None else SamplingPlan()
-    if config.method is not Method.RK45_ADAPTIVE:
-        raise ValueError("integrate_adaptive requires Method.RK45_ADAPTIVE")
-    t0 = float(t0)
-    t1 = float(t1)
+def _clock(
+    gauge: Gauge | None, span: tuple[float, float], mode: SLMode = SLMode.SCALED_S
+) -> tuple[Callable[[float], float], Callable[[float], float], str | None]:
+    """A run's maps t -> s and s -> t and its `meta.mode`, once its span is
+    checked.  A gauged span needs 0 < t0 < t1: the direct weight t**(-D) is
+    singular at the origin and the gauge map is not invertible there.  A run
+    without a gauge (a Lorenz run) is on the identity clock: s = t from any
+    finite t0 < t1, with no mode, and it is solved like a scaled-s run."""
+    t0, t1 = (float(span[0]), float(span[1]))
     if not (math.isfinite(t0) and math.isfinite(t1) and t1 > t0):
         raise ValueError(f"need finite t1 > t0, got [{t0!r}, {t1!r}]")
-
-    tails = () if params is None else _stable_tails(params)
-    return _one(_adaptive_solve(rhs, t0, x0, config, [plan.grid(t0, t1)], None, tails)[0])
-
-
-def _sl_span(span: tuple[float, float]) -> tuple[float, float]:
-    t0, t1 = (float(span[0]), float(span[1]))
-    if not (math.isfinite(t0) and math.isfinite(t1)) or t0 <= 0.0 or t1 <= t0:
+    if gauge is None:
+        return float, float, None
+    if t0 <= 0.0:
         raise ValueError(f"SL span needs 0 < t0 < t1, got [{t0!r}, {t1!r}]")
-    return t0, t1
+    return partial(scale_time, gauge), partial(unscale_time, gauge), mode.value
 
 
 def integrate_sl(
     params: SystemParams,
-    gauge: Gauge,
+    gauge: Gauge | None,
     span: tuple[float, float],
     x0: State3 | Sequence[float],
     config: IntegratorConfig | None = None,
     plan: SamplingPlan | None = None,
     mode: SLMode = SLMode.SCALED_S,
 ) -> Trajectory:
-    """Integrate the gauged SL system over an ordinary-time span.
+    """Integrate the quadratic field with coefficients `params` over an
+    ordinary-time span, on the clock of `gauge`.
 
-    DIRECT_T solves the weighted equations in t; SCALED_S solves the
-    autonomous dx/ds = f over the image of the span under the gauge.  The
-    span is given in t for both, and t must start strictly above zero: the
-    direct weight t**(-D) is singular at the origin and the gauge map is not
-    invertible there.  Each row carries both times, related by the gauge map.
+    This is the one solve entry of every run.  With a gauge, DIRECT_T
+    solves the weighted equations in t and SCALED_S solves the autonomous
+    dx/ds = f over the image of the span under the gauge.  With `gauge`
+    None the clock is the identity, s = t (a Lorenz run): the span may
+    start at any finite t0, `mode` is ignored and `meta.mode` is None.
+    Each row carries both times, related by the clock.
 
-    Under DP54 both modes sample the same instants: the plan's grid is laid
-    out in t, and SCALED_S samples at s_k = scale_time(t_k) and stores the
-    original t grid alongside, which makes cross-mode rows directly
-    comparable.  SCALED_S under DP54 is `integrate_sl_gauges` with one
-    gauge: it integrates in sigma = s - s_0 from 0, sampling at
-    s_k - s_0, and its s column is s_k itself.  RK4 ignores the plan's
-    spacing and takes sample_count - 1 uniform steps in its own integration
-    variable (t, or s from s_0), so its samples are uniform in t under
-    DIRECT_T and uniform in s under SCALED_S, and the two modes sample
-    different instants.
+    Under DP54 every run but a direct-t one is `integrate_sl_gauges` with
+    one gauge: it integrates in sigma = s - s_0 from 0, sampling at
+    s_k - s_0 for the s_k of the plan's t grid, and its s column is s_k
+    itself; DIRECT_T samples the same t grid, which makes cross-mode rows
+    directly comparable.  RK4 ignores the plan's spacing and takes
+    sample_count - 1 uniform steps in its own integration variable (t, or
+    s from s_0), so its samples are uniform in t under DIRECT_T and
+    uniform in s under SCALED_S, and the two modes sample different
+    instants.
     """
     config = config if config is not None else IntegratorConfig()
     plan = plan if plan is not None else SamplingPlan(SamplingMode.GEOMETRIC)
-    if mode is SLMode.SCALED_S and config.method is Method.RK45_ADAPTIVE:
-        return _one(integrate_sl_gauges(params, (gauge,), span, x0, config, plan)[0])
-    t0, t1 = _sl_span(span)
-    if mode is SLMode.DIRECT_T:
+    to_s, to_t, label = _clock(gauge, span, mode)
+    t0, t1 = (float(span[0]), float(span[1]))
+    if label == SLMode.DIRECT_T.value:
         rhs, u0, u1 = make_gauged_field(params, gauge), t0, t1
 
         def columns(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-            return u, np.asarray([scale_time(gauge, tv) for tv in u])
+            return u, np.asarray([to_s(tv) for tv in u])
+    elif config.method is Method.RK45_ADAPTIVE:
+        return _one(integrate_sl_gauges(params, (gauge,), span, x0, config, plan)[0])
     else:
-        rhs = make_field(SystemKind.SL, params)
-        u0, u1 = scale_time(gauge, t0), scale_time(gauge, t1)
+        rhs, u0, u1 = make_field(SystemKind.SL, params), to_s(t0), to_s(t1)
 
         def columns(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-            return np.asarray([unscale_time(gauge, sv) for sv in u]), u
+            return np.asarray([to_t(sv) for sv in u]), u
+
+    def relabel(run: Trajectory) -> Trajectory:
+        return Trajectory(*columns(run.t), run.states, replace(run.meta, mode=label))
 
     try:
         if config.method is Method.RK4_FIXED:
             run = integrate_fixed(rhs, u0, u1, x0, plan.sample_count - 1)
-            run.meta = replace(run.meta, mode=mode.value)
         else:
-            run = _one(_adaptive_solve(rhs, u0, x0, config, [plan.grid(t0, t1)], mode.value)[0])
+            run = _one(_adaptive_solve(rhs, u0, x0, config, [plan.grid(t0, t1)])[0])
     except IntegrationError as exc:
         if exc.partial is not None:
-            exc.partial = Trajectory(*columns(exc.partial.t), exc.partial.states, exc.partial.meta)
+            exc.partial = relabel(exc.partial)
         raise
-    return Trajectory(*columns(run.t), run.states, run.meta)
+    return relabel(run)
 
 
 def integrate_sl_gauges(
     params: SystemParams,
-    gauges: Sequence[Gauge],
+    gauges: Sequence[Gauge | None],
     span: tuple[float, float],
     x0: State3 | Sequence[float],
     config: IntegratorConfig | None = None,
     plan: SamplingPlan | None = None,
 ) -> list[Trajectory | IntegrationError]:
-    """SCALED_S DP54 runs of one orbit under several gauges, from one solve.
+    """DP54 runs of one orbit under several clocks, from one solve.
 
-    Whatever the gauge, the run solves the autonomous dx/ds = f from x0, in
-    sigma = s - s_0 from 0; gauges change only the sigma-range and the
-    sample instants sigma_k = scale_time(t_k) - s_0 of the plan's t grid.
-    So one solve to the largest sigma-range serves every gauge, and since a
-    DP54 solve to any end is a bit-equal prefix of a solve to a later one,
+    Whatever the clock, the run solves the autonomous dx/ds = f from x0, in
+    sigma = s - s_0 from 0; clocks change only the sigma-range and the
+    sample instants sigma_k = s_k - s_0, where s_k is the plan's t grid
+    mapped by the gauge (s_k = t_k for None, the identity clock).  So one
+    solve to the largest sigma-range serves every clock, and since a DP54
+    solve to any end is a bit-equal prefix of a solve to a later one,
     entry i is exactly what `integrate_sl(params, gauges[i], span, x0,
     config, plan)` returns, or the IntegrationError it raises, step counts
-    included.  The s column is s_k = scale_time(t_k).  The solve finishes
-    on the settled tail of the module docstring.
+    included.  The s column is s_k.  The solve finishes on the settled tail
+    of the module docstring.
     """
+    # Imported here because `analysis` imports this module's `rk4_step`.
+    from .analysis import stable_tails
+
     config = config if config is not None else IntegratorConfig()
     plan = plan if plan is not None else SamplingPlan(SamplingMode.GEOMETRIC)
     if config.method is not Method.RK45_ADAPTIVE:
         raise ValueError("integrate_sl_gauges requires Method.RK45_ADAPTIVE")
-    t_grid = plan.grid(*_sl_span(span))
-    s_grids = [np.asarray([scale_time(gauge, tv) for tv in t_grid]) for gauge in gauges]
+    clocks = [_clock(gauge, span) for gauge in gauges]
+    t_grid = plan.grid(float(span[0]), float(span[1]))
+    s_grids = [np.asarray([to_s(tv) for tv in t_grid]) for to_s, _, _ in clocks]
     runs = _adaptive_solve(
         make_field(SystemKind.SL, params),
         0.0,
         x0,
         config,
         [s - s[0] for s in s_grids],
-        SLMode.SCALED_S.value,
-        _stable_tails(params),
+        stable_tails(params),
     )
 
-    def relabel(rows: Trajectory, s: np.ndarray) -> Trajectory:
+    def relabel(rows: Trajectory, s: np.ndarray, mode: str | None) -> Trajectory:
         k = len(rows)
-        return Trajectory(t_grid[:k], s[:k], rows.states, rows.meta)
+        return Trajectory(t_grid[:k], s[:k], rows.states, replace(rows.meta, mode=mode))
 
-    for i, (run, s) in enumerate(zip(runs, s_grids)):
+    for i, (run, s, (_, _, mode)) in enumerate(zip(runs, s_grids, clocks)):
         if not isinstance(run, IntegrationError):
-            runs[i] = relabel(run, s)
+            runs[i] = relabel(run, s, mode)
         elif run.partial is not None:
-            run.partial = relabel(run.partial, s)
+            run.partial = relabel(run.partial, s, mode)
     return runs

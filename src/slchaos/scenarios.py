@@ -26,7 +26,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .analysis import conjecture_report, max_lyapunov
-from .dynamics import State3, SystemKind, SystemParams, effective_params, make_field
+from .dynamics import State3, SystemKind, SystemParams, effective_params
 from .integrate import (
     IntegrationError,
     IntegratorConfig,
@@ -35,8 +35,6 @@ from .integrate import (
     SamplingPlan,
     SLMode,
     Trajectory,
-    integrate_adaptive,
-    integrate_fixed,
     integrate_sl,
     integrate_sl_gauges,
 )
@@ -228,31 +226,17 @@ def _resolve(scenario: Scenario | str) -> Scenario:
 
 
 def run_trajectory(scenario: Scenario) -> Trajectory:
-    """Integrate a scenario; SL runs take the route `scenario.sl_mode`."""
-    if scenario.kind is SystemKind.SL:
-        assert scenario.gauge is not None
-        return integrate_sl(
-            scenario.params,
-            scenario.gauge,
-            scenario.span,
-            scenario.x0,
-            scenario.config,
-            scenario.plan,
-            scenario.sl_mode,
-        )
-    rhs = make_field(scenario.kind, scenario.params)
-    if scenario.config.method is Method.RK4_FIXED:
-        return integrate_fixed(
-            rhs, scenario.span[0], scenario.span[1], scenario.x0, scenario.plan.sample_count - 1
-        )
-    return integrate_adaptive(
-        rhs,
-        scenario.span[0],
-        scenario.span[1],
+    """Integrate a scenario with `integrate_sl`: a gauged run takes the
+    route `scenario.sl_mode`, and a Lorenz run, which has no gauge, the
+    identity clock."""
+    return integrate_sl(
+        effective_params(scenario.kind, scenario.params),
+        scenario.gauge,
+        scenario.span,
         scenario.x0,
         scenario.config,
         scenario.plan,
-        params=effective_params(scenario.kind, scenario.params),
+        scenario.sl_mode,
     )
 
 

@@ -233,5 +233,5 @@ def test_params_reject_non_finite():
 def test_state3_coerces_to_float():
     s = State3(np.float64(1.5), 2, 3.0)
     assert isinstance(s.x, float) and isinstance(s.y, float)
-    assert s.as_tuple() == (1.5, 2.0, 3.0)
+    assert tuple(s) == (1.5, 2.0, 3.0)
     assert list(s) == [1.5, 2.0, 3.0]

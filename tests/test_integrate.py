@@ -5,7 +5,14 @@ import pytest
 
 from slchaos import integrate
 from slchaos.analysis import stable_tails
-from slchaos.dynamics import LORENZ_LITERAL_PARAMS, SystemKind, SystemParams, make_field
+from slchaos.dynamics import (
+    LORENZ_LITERAL_PARAMS,
+    LORENZ_STANDARD_PARAMS,
+    SystemKind,
+    SystemParams,
+    effective_params,
+    make_field,
+)
 from slchaos.integrate import (
     IntegrationError,
     IntegratorConfig,
@@ -14,17 +21,18 @@ from slchaos.integrate import (
     SamplingPlan,
     SLMode,
     Trajectory,
-    integrate_adaptive,
     integrate_fixed,
     integrate_sl,
     integrate_sl_gauges,
     rk4_step,
 )
-from slchaos.scenarios import run_trajectory, scenario_registry
+from slchaos.scenarios import derive, run_trajectory, scenario_registry
 from slchaos.timegauge import Gauge, scale_time
 
 ATTRACTOR_II = SystemParams(2.0, 0.3, 27.0)
 GAUGE = Gauge(0.9, 2.0 / 3.0)
+# From (1, 0, 0) these coefficients keep y = z = 0 exactly, so x' = -x.
+DECAY = SystemParams(1.0, 0.0, 1.0)
 
 
 def decay(t, state):
@@ -100,34 +108,33 @@ class TestFixed:
 
 class TestAdaptive:
     def test_exponential_accuracy(self):
-        tr = integrate_adaptive(decay, 0.0, 1.0, (1.0, 0.0, 0.0))
+        tr = integrate_sl(DECAY, None, (0.0, 1.0), (1.0, 0.0, 0.0), plan=SamplingPlan())
         assert abs(tr.states[-1, 0] - math.exp(-1.0)) <= 1e-8
 
     def test_linear_grid_exact(self):
         plan = SamplingPlan(SamplingMode.LINEAR, 21)
-        tr = integrate_adaptive(decay, 0.0, 2.0, (1.0, 0.0, 0.0), plan=plan)
+        tr = integrate_sl(DECAY, None, (0.0, 2.0), (1.0, 0.0, 0.0), plan=plan)
         assert np.array_equal(tr.t, np.linspace(0.0, 2.0, 21))
         # every sample matches the exact solution to tolerance-level accuracy
         assert np.allclose(tr.states[:, 0], np.exp(-tr.t), atol=1e-8)
 
     def test_geometric_grid(self):
         plan = SamplingPlan(SamplingMode.GEOMETRIC, 50)
-        tr = integrate_adaptive(decay, 0.1, 100.0, (1.0, 0.0, 0.0), plan=plan)
+        tr = integrate_sl(DECAY, None, (0.1, 100.0), (1.0, 0.0, 0.0), plan=plan)
         assert np.array_equal(tr.t, np.geomspace(0.1, 100.0, 50))
         with pytest.raises(ValueError):
-            integrate_adaptive(decay, 0.0, 1.0, (1.0, 0.0, 0.0), plan=SamplingPlan(SamplingMode.GEOMETRIC, 10))
+            integrate_sl(DECAY, None, (0.0, 1.0), (1.0, 0.0, 0.0), plan=SamplingPlan(SamplingMode.GEOMETRIC, 10))
 
     def test_lorenz_run_stays_bounded(self):
-        rhs = make_field(SystemKind.LORENZ_STANDARD)
-        tr = integrate_adaptive(rhs, 0.0, 60.0, (0.1, 0.1, 0.1), plan=SamplingPlan(SamplingMode.LINEAR, 500))
+        plan = SamplingPlan(SamplingMode.LINEAR, 500)
+        tr = integrate_sl(LORENZ_STANDARD_PARAMS, None, (0.0, 60.0), (0.1, 0.1, 0.1), plan=plan)
         assert np.max(np.abs(tr.states[:, 2])) < 60.0
         assert tr.meta.steps_taken > 1000
 
     def test_determinism_bitwise(self):
-        rhs = make_field(SystemKind.LORENZ_STANDARD)
         plan = SamplingPlan(SamplingMode.LINEAR, 200)
-        a = integrate_adaptive(rhs, 0.0, 20.0, (0.1, 0.1, 0.1), plan=plan)
-        b = integrate_adaptive(rhs, 0.0, 20.0, (0.1, 0.1, 0.1), plan=plan)
+        a = integrate_sl(LORENZ_STANDARD_PARAMS, None, (0.0, 20.0), (0.1, 0.1, 0.1), plan=plan)
+        b = integrate_sl(LORENZ_STANDARD_PARAMS, None, (0.0, 20.0), (0.1, 0.1, 0.1), plan=plan)
         assert a == b
         assert a.meta == b.meta
 
@@ -137,7 +144,8 @@ class TestAdaptive:
         solve_ivp = pytest.importorskip("scipy.integrate").solve_ivp
         rhs = make_field(SystemKind.LORENZ_STANDARD)
         x0 = (0.1, 0.1, 0.1)
-        tr = integrate_adaptive(rhs, 0.0, 2.0, x0, plan=SamplingPlan(SamplingMode.LINEAR, 2000))
+        plan = SamplingPlan(SamplingMode.LINEAR, 2000)
+        tr = integrate_sl(LORENZ_STANDARD_PARAMS, None, (0.0, 2.0), x0, plan=plan)
         ref = solve_ivp(
             lambda t, y: rhs(t, tuple(y)), (0.0, 2.0), x0,
             method="DOP853", t_eval=tr.t, rtol=1e-13, atol=1e-13,
@@ -145,9 +153,11 @@ class TestAdaptive:
         assert np.max(np.abs(tr.states - ref.y.T)) <= 1e-7
 
     def test_steps_do_not_depend_on_sample_plan(self):
-        rhs = make_field(SystemKind.LORENZ_STANDARD)
         a, b = (
-            integrate_adaptive(rhs, 0.0, 60.0, (0.1, 0.1, 0.1), plan=SamplingPlan(SamplingMode.LINEAR, n))
+            integrate_sl(
+                LORENZ_STANDARD_PARAMS, None, (0.0, 60.0), (0.1, 0.1, 0.1),
+                plan=SamplingPlan(SamplingMode.LINEAR, n),
+            )
             for n in (2000, 2001)
         )
         assert (a.meta.steps_taken, a.meta.steps_rejected) == (b.meta.steps_taken, b.meta.steps_rejected)
@@ -157,32 +167,34 @@ class TestAdaptive:
         # The field vanishes at x0, so the first step is the 1e-6 fallback
         # and every step grows fivefold with zero error; none may fall under
         # the underflow floor 1e-14*max(1, |t|) on the way to t = 1e9.
-        rhs = make_field(SystemKind.LORENZ_STANDARD)
-        tr = integrate_adaptive(rhs, 0.0, 1e9, (0.0, 0.0, 0.0), plan=SamplingPlan(SamplingMode.LINEAR, 20))
+        plan = SamplingPlan(SamplingMode.LINEAR, 20)
+        tr = integrate_sl(LORENZ_STANDARD_PARAMS, None, (0.0, 1e9), (0.0, 0.0, 0.0), plan=plan)
         assert np.all(tr.states == 0.0)
 
     def test_max_steps_exhaustion(self, monkeypatch):
-        rhs = make_field(SystemKind.LORENZ_STANDARD)
         monkeypatch.setattr(integrate, "_MAX_STEPS", 20)
         with pytest.raises(IntegrationError, match="budget"):
-            integrate_adaptive(rhs, 0.0, 60.0, (0.1, 0.1, 0.1))
+            integrate_sl(LORENZ_STANDARD_PARAMS, None, (0.0, 60.0), (0.1, 0.1, 0.1), plan=SamplingPlan())
 
     def test_step_underflow_on_pathological_field(self):
         # effectively white-noise derivative: the error estimate cannot
         # shrink with h, so the controller drives h below the floor
         rhs = lambda t, s: (1e20 * math.sin(1e20 * t), 0.0, 0.0)
+        grid = SamplingPlan().grid(0.0, 1.0)
+        (run,) = integrate._adaptive_solve(rhs, 0.0, (0.0, 0.0, 0.0), IntegratorConfig(), [grid])
         with pytest.raises(IntegrationError, match="underflow"):
-            integrate_adaptive(rhs, 0.0, 1.0, (0.0, 0.0, 0.0))
+            raise run
 
     def test_rejects_fixed_method(self):
         cfg = IntegratorConfig(method=Method.RK4_FIXED)
         with pytest.raises(ValueError):
-            integrate_adaptive(decay, 0.0, 1.0, (1.0, 0.0, 0.0), cfg)
+            integrate_sl_gauges(DECAY, (None,), (0.0, 1.0), (1.0, 0.0, 0.0), cfg)
 
     def test_rejection_accounting(self):
         # a step across the jump in the field must be rejected, not absorbed
         rhs = lambda t, s: (1.0 if t < 1.0 else -1.0, 0.0, 0.0)
-        tr = integrate_adaptive(rhs, 0.0, 5.0, (0.1, 0.1, 0.1), plan=SamplingPlan(SamplingMode.LINEAR, 50))
+        grid = SamplingPlan(SamplingMode.LINEAR, 50).grid(0.0, 5.0)
+        (tr,) = integrate._adaptive_solve(rhs, 0.0, (0.1, 0.1, 0.1), IntegratorConfig(), [grid])
         assert tr.meta.steps_rejected >= 1
 
 
@@ -196,18 +208,20 @@ class TestPrefix:
     )
     def test_solve_is_a_prefix_of_a_longer_solve(self, kind, params, end, long_end):
         # Integer grids, so the short grid is exactly the head of the long one.
-        rhs = make_field(kind, params)
+        params = effective_params(kind, params)
         x0 = (0.1, 0.1, 0.1)
         n = int(end) + 1
-        short = integrate_adaptive(rhs, 0.0, end, x0, plan=SamplingPlan(SamplingMode.LINEAR, n))
-        long = integrate_adaptive(
-            rhs, 0.0, long_end, x0, plan=SamplingPlan(SamplingMode.LINEAR, int(long_end) + 1)
+        short = integrate_sl(params, None, (0.0, end), x0, plan=SamplingPlan(SamplingMode.LINEAR, n))
+        long = integrate_sl(
+            params, None, (0.0, long_end), x0, plan=SamplingPlan(SamplingMode.LINEAR, int(long_end) + 1)
         )
         assert np.array_equal(long.t[:n], short.t)
         assert np.array_equal(long.states[:n], short.states)
         assert long.meta.steps_taken > short.meta.steps_taken
         # The step counts at `end` inside the longer solve are the short solve's.
-        inside, whole = integrate._adaptive_solve(rhs, 0.0, x0, IntegratorConfig(), [short.t, long.t], None)
+        inside, whole = integrate._adaptive_solve(
+            make_field(kind, params), 0.0, x0, IntegratorConfig(), [short.t, long.t], stable_tails(params)
+        )
         assert inside == short and inside.meta == short.meta
         assert whole == long and whole.meta == long.meta
 
@@ -230,11 +244,10 @@ class TestSettledTail:
     def test_solves_to_any_end_share_their_samples(self):
         # Integer grids, so each shorter grid is the head of the longer ones;
         # sigma = 10 ends before the switch, 100 and 1e4 after it.
-        rhs = make_field(SystemKind.SL, ATTRACTOR_II)
         runs = [
-            integrate_adaptive(
-                rhs, 0.0, end, (0.1, 0.1, 0.1),
-                plan=SamplingPlan(SamplingMode.LINEAR, int(end) + 1), params=ATTRACTOR_II,
+            integrate_sl(
+                ATTRACTOR_II, None, (0.0, end), (0.1, 0.1, 0.1),
+                plan=SamplingPlan(SamplingMode.LINEAR, int(end) + 1),
             )
             for end in (10.0, 100.0, 1e4)
         ]
@@ -274,7 +287,7 @@ class TestSettledTail:
         # The DP54-only solve took `parent_steps` steps to t = 60.
         x0 = (0.1, 0.1, 0.1)
         plan = SamplingPlan(SamplingMode.LINEAR, 2000)
-        tr = integrate_adaptive(make_field(kind, params), 0.0, 60.0, x0, plan=plan, params=params)
+        tr = integrate_sl(effective_params(kind, params), None, (0.0, 60.0), x0, plan=plan)
         assert tr.meta.steps_taken < 0.7 * parent_steps
         err = np.abs(tr.states - self.reference(params, x0, tr.t))
         # The orbit has settled by t = 20: every later sample is on the tail.
@@ -328,11 +341,12 @@ class TestSettledTail:
         # double root with one eigenvector: the run keeps stepping.
         params = SystemParams(2.0, -0.125, 27.0)
         assert stable_tails(params) == []
-        rhs = make_field(SystemKind.SL, params)
         plan = SamplingPlan(SamplingMode.LINEAR, 50)
-        with_params = integrate_adaptive(rhs, 0.0, 50.0, (0.1, 0.1, 0.1), plan=plan, params=params)
-        without = integrate_adaptive(rhs, 0.0, 50.0, (0.1, 0.1, 0.1), plan=plan)
-        assert with_params == without and with_params.meta == without.meta
+        run = integrate_sl(params, None, (0.0, 50.0), (0.1, 0.1, 0.1), plan=plan)
+        (without,) = integrate._adaptive_solve(
+            make_field(SystemKind.SL, params), 0.0, (0.1, 0.1, 0.1), IntegratorConfig(), [plan.grid(0.0, 50.0)]
+        )
+        assert run == without and run.meta == without.meta
 
 
 class TestTrajectory:
@@ -377,7 +391,37 @@ class TestTrajectory:
         )
         assert (tr.t[0], tr.s[0], tuple(tr.states[0])) == (0.5, 0.6, (1.0, 2.0, 3.0))
         assert (tr.t[1], tr.s[1], tuple(tr.states[1])) == (1.0, 1.2, (4.0, 5.0, 6.0))
-        assert tuple(tr.final_state) == (4.0, 5.0, 6.0)
+        assert tuple(tr.states[-1]) == (4.0, 5.0, 6.0)
+
+
+class TestIdentityClock:
+    """Without a gauge, `integrate_sl` runs on the identity clock s = t: the
+    route every Lorenz run takes."""
+
+    @pytest.mark.parametrize("method", ["rk45", "rk4"])
+    @pytest.mark.parametrize("name", ["lorenz-standard", "lorenz-literal"])
+    def test_lorenz_scenarios_are_identity_runs(self, name, method):
+        sc = derive(scenario_registry()[name], name, method=method)
+        tr = integrate_sl(effective_params(sc.kind), None, sc.span, sc.x0, sc.config, sc.plan)
+        ref = run_trajectory(sc)
+        assert tr == ref and tr.meta == ref.meta
+        assert tr.meta.mode is None and tr.meta.method == method
+        assert np.array_equal(tr.t, tr.s)
+
+    def test_mode_is_ignored(self):
+        base = scenario_registry()["lorenz-literal"]
+        direct = run_trajectory(derive(base, base.name, mode="direct-t"))
+        ref = run_trajectory(base)
+        assert direct == ref and direct.meta == ref.meta and direct.meta.mode is None
+
+    def test_span_may_start_anywhere(self):
+        plan = SamplingPlan(SamplingMode.LINEAR, 21)
+        tr = integrate_sl(LORENZ_STANDARD_PARAMS, None, (-1.0, 1.0), (0.1, 0.1, 0.1), plan=plan)
+        assert np.array_equal(tr.t, np.linspace(-1.0, 1.0, 21)) and np.array_equal(tr.t, tr.s)
+        assert tr.meta.mode is None
+        for t0 in (0.0, -1.0):
+            with pytest.raises(ValueError, match="0 < t0"):
+                integrate_sl(ATTRACTOR_II, GAUGE, (t0, 10.0), (0.1, 0.1, 0.1))
 
 
 class TestIntegrateSL:

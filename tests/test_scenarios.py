@@ -245,7 +245,7 @@ class TestRunScenario:
             return 0.0 if inside(state) else None
 
         rhs = make_field(sc.kind, sc.params)
-        est = lyapunov_from_field(rhs, sc.x0.as_tuple(), lyap["horizon"], lyap["renorm_interval"], settled=record)
+        est = lyapunov_from_field(rhs, tuple(sc.x0), lyap["horizon"], lyap["renorm_interval"], settled=record)
         assert est.settled_at == settled_at
         assert inside(seen[-1]) and not inside(seen[-2])
 

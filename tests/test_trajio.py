@@ -91,4 +91,4 @@ class TestRead:
         traj = read_trajectory_csv(path)
         assert traj.meta.method == "imported"
         assert len(traj) == 1
-        assert tuple(traj.final_state) == (1.0, 2.0, 3.0)
+        assert tuple(traj.states[-1]) == (1.0, 2.0, 3.0)
