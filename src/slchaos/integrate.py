@@ -581,8 +581,9 @@ def integrate_sl(
     solves the weighted equations in t and SCALED_S solves the autonomous
     dx/ds = f over the image of the span under the gauge.  With `gauge`
     None the clock is the identity, s = t (a Lorenz run): the span may
-    start at any finite t0, `mode` is ignored and `meta.mode` is None.
-    Each row carries both times, related by the clock.
+    start at any finite t0 (a geometric plan still needs t0 > 0), `mode`
+    is ignored and `meta.mode` is None.  Each row carries both times,
+    related by the clock.
 
     Under DP54 every run but a direct-t one is `integrate_sl_gauges` with
     one gauge: it integrates in sigma = s - s_0 from 0, sampling at
