@@ -45,7 +45,7 @@ import enum
 import math
 from dataclasses import dataclass, replace
 from functools import partial
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -547,22 +547,36 @@ def _one(run: Trajectory | IntegrationError) -> Trajectory:
     return run
 
 
-def _clock(
-    gauge: Gauge | None, span: tuple[float, float], mode: SLMode = SLMode.SCALED_S
-) -> tuple[Callable[[float], float], Callable[[float], float], str | None]:
-    """A run's maps t -> s and s -> t and its `meta.mode`, once its span is
-    checked.  A gauged span needs 0 < t0 < t1: the direct weight t**(-D) is
-    singular at the origin and the gauge map is not invertible there.  A run
-    without a gauge (a Lorenz run) is on the identity clock: s = t from any
-    finite t0 < t1, with no mode, and it is solved like a scaled-s run."""
+class _Clock(NamedTuple):
+    """A run's checked span, its maps t -> s and s -> t, and its mode (None
+    on the identity clock)."""
+
+    t0: float
+    t1: float
+    to_s: Callable[[float], float]
+    to_t: Callable[[float], float]
+    mode: SLMode | None
+
+    @property
+    def label(self) -> str | None:
+        """The run's `meta.mode`."""
+        return None if self.mode is None else self.mode.value
+
+
+def _clock(gauge: Gauge | None, span: tuple[float, float], mode: SLMode = SLMode.SCALED_S) -> _Clock:
+    """A run's clock, once its span is checked.  A gauged span needs
+    0 < t0 < t1: the direct weight t**(-D) is singular at the origin and the
+    gauge map is not invertible there.  A run without a gauge (a Lorenz run)
+    is on the identity clock: s = t from any finite t0 < t1, with no mode,
+    and it is solved like a scaled-s run."""
     t0, t1 = (float(span[0]), float(span[1]))
     if not (math.isfinite(t0) and math.isfinite(t1) and t1 > t0):
         raise ValueError(f"need finite t1 > t0, got [{t0!r}, {t1!r}]")
     if gauge is None:
-        return float, float, None
+        return _Clock(t0, t1, float, float, None)
     if t0 <= 0.0:
         raise ValueError(f"SL span needs 0 < t0 < t1, got [{t0!r}, {t1!r}]")
-    return partial(scale_time, gauge), partial(unscale_time, gauge), mode.value
+    return _Clock(t0, t1, partial(scale_time, gauge), partial(unscale_time, gauge), mode)
 
 
 def integrate_sl(
@@ -581,9 +595,10 @@ def integrate_sl(
     solves the weighted equations in t and SCALED_S solves the autonomous
     dx/ds = f over the image of the span under the gauge.  With `gauge`
     None the clock is the identity, s = t (a Lorenz run): the span may
-    start at any finite t0 (a geometric plan still needs t0 > 0), `mode`
-    is ignored and `meta.mode` is None.  Each row carries both times,
-    related by the clock.
+    start at any finite t0, `mode` is ignored and `meta.mode` is None.
+    The default plan is geometric, which needs t0 > 0, so an identity-clock
+    run from t0 <= 0 must pass a linear plan (the Lorenz scenarios do).
+    Each row carries both times, related by the clock.
 
     Under DP54 every run but a direct-t one is `integrate_sl_gauges` with
     one gauge: it integrates in sigma = s - s_0 from 0, sampling at
@@ -597,29 +612,28 @@ def integrate_sl(
     """
     config = config if config is not None else IntegratorConfig()
     plan = plan if plan is not None else SamplingPlan(SamplingMode.GEOMETRIC)
-    to_s, to_t, label = _clock(gauge, span, mode)
-    t0, t1 = (float(span[0]), float(span[1]))
-    if label == SLMode.DIRECT_T.value:
-        rhs, u0, u1 = make_gauged_field(params, gauge), t0, t1
+    clock = _clock(gauge, span, mode)
+    if clock.mode is SLMode.DIRECT_T:
+        rhs, u0, u1 = make_gauged_field(params, gauge), clock.t0, clock.t1
 
         def columns(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-            return u, np.asarray([to_s(tv) for tv in u])
+            return u, np.asarray([clock.to_s(tv) for tv in u])
     elif config.method is Method.RK45_ADAPTIVE:
-        return _one(integrate_sl_gauges(params, (gauge,), span, x0, config, plan)[0])
+        return _one(_solve_clocks(params, [clock], x0, config, plan)[0])
     else:
-        rhs, u0, u1 = make_field(SystemKind.SL, params), to_s(t0), to_s(t1)
+        rhs, u0, u1 = make_field(SystemKind.SL, params), clock.to_s(clock.t0), clock.to_s(clock.t1)
 
         def columns(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-            return np.asarray([to_t(sv) for sv in u]), u
+            return np.asarray([clock.to_t(sv) for sv in u]), u
 
     def relabel(run: Trajectory) -> Trajectory:
-        return Trajectory(*columns(run.t), run.states, replace(run.meta, mode=label))
+        return Trajectory(*columns(run.t), run.states, replace(run.meta, mode=clock.label))
 
     try:
         if config.method is Method.RK4_FIXED:
             run = integrate_fixed(rhs, u0, u1, x0, plan.sample_count - 1)
         else:
-            run = _one(_adaptive_solve(rhs, u0, x0, config, [plan.grid(t0, t1)])[0])
+            run = _one(_adaptive_solve(rhs, u0, x0, config, [plan.grid(clock.t0, clock.t1)])[0])
     except IntegrationError as exc:
         if exc.partial is not None:
             exc.partial = relabel(exc.partial)
@@ -648,16 +662,27 @@ def integrate_sl_gauges(
     included.  The s column is s_k.  The solve finishes on the settled tail
     of the module docstring.
     """
-    # Imported here because `analysis` imports this module's `rk4_step`.
-    from .analysis import stable_tails
-
     config = config if config is not None else IntegratorConfig()
     plan = plan if plan is not None else SamplingPlan(SamplingMode.GEOMETRIC)
     if config.method is not Method.RK45_ADAPTIVE:
         raise ValueError("integrate_sl_gauges requires Method.RK45_ADAPTIVE")
-    clocks = [_clock(gauge, span) for gauge in gauges]
-    t_grid = plan.grid(float(span[0]), float(span[1]))
-    s_grids = [np.asarray([to_s(tv) for tv in t_grid]) for to_s, _, _ in clocks]
+    return _solve_clocks(params, [_clock(gauge, span) for gauge in gauges], x0, config, plan)
+
+
+def _solve_clocks(
+    params: SystemParams,
+    clocks: Sequence[_Clock],
+    x0: State3 | Sequence[float],
+    config: IntegratorConfig,
+    plan: SamplingPlan,
+) -> list[Trajectory | IntegrationError]:
+    """The body of `integrate_sl_gauges`, on one or more clocks of one
+    checked span."""
+    # Imported here because `analysis` imports this module's `rk4_step`.
+    from .analysis import stable_tails
+
+    t_grid = plan.grid(clocks[0].t0, clocks[0].t1)
+    s_grids = [np.asarray([clock.to_s(tv) for tv in t_grid]) for clock in clocks]
     runs = _adaptive_solve(
         make_field(SystemKind.SL, params),
         0.0,
@@ -671,9 +696,9 @@ def integrate_sl_gauges(
         k = len(rows)
         return Trajectory(t_grid[:k], s[:k], rows.states, replace(rows.meta, mode=mode))
 
-    for i, (run, s, (_, _, mode)) in enumerate(zip(runs, s_grids, clocks)):
+    for i, (run, s, clock) in enumerate(zip(runs, s_grids, clocks)):
         if not isinstance(run, IntegrationError):
-            runs[i] = relabel(run, s, mode)
+            runs[i] = relabel(run, s, clock.label)
         elif run.partial is not None:
-            run.partial = relabel(run.partial, s, mode)
+            run.partial = relabel(run.partial, s, clock.label)
     return runs
