@@ -8,11 +8,12 @@ subdirectory, and gets one line the same way.  Each command in PRINTERS
 writes JSON to stdout, which gets one line, `<sha256>  <label> (stdout)`.
 The commands cover `simulate` for all six built-in scenarios, both
 integration methods, both SL routes and custom runs of every system (one
-of them a Lorenz run from t0 = 1), plus coefficient, `D` and `mu` sweeps
-(one of them over sigma-ranges up to 2.3e5, where the orbit settles on the
-stable origin), a run that settles on a stable focus-node pair, `compare`
-with and without run overrides, every `plot` view, `fixed-points` and
-`lyapunov`.
+of them a Lorenz run from t0 = 1, and one a Lorenz run resting on its
+origin, whose CSV has integral fields and whose views are dot markers),
+plus coefficient, `D` and `mu` sweeps (one of them over sigma-ranges up to
+2.3e5, where the orbit settles on the stable origin), a run that settles on
+a stable focus-node pair, `compare` with and without run overrides, every
+`plot` view, `fixed-points` and `lyapunov`.
 
 A change meant to leave every artifact byte-identical is checked by running
 the tool against both source trees and diffing the output:
@@ -60,6 +61,10 @@ WRITERS: list[tuple[str, list[str]]] = [
     (
         "simulate-custom-lorenz-standard-t0",
         ["simulate", "--system", "lorenz-standard", "--t0", "1", "--t1", "11"],
+    ),
+    (
+        "simulate-custom-lorenz-standard-origin",
+        ["simulate", "--system", "lorenz-standard", "--x0", "0", "--y0", "0", "--z0", "0"],
     ),
     (
         "simulate-custom-sl-every-flag",
