@@ -6,10 +6,15 @@ Fixed 800x600 canvas, 10% margins, coordinates rounded to hundredths of a
 pixel, axis lines with min/max tick labels, and a small legend when curves
 are labeled.  A curve that degenerates to a single point (or to zero
 extent) is drawn as a dot marker instead of a polyline.
+
+A polyline's pixel coordinates are computed as arrays and formatted with
+one `%` call per curve.  That is byte for byte what `f"{v:.2f}"` gives on
+each coordinate, so the output contract stays as stated above.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -94,21 +99,16 @@ def export_svg(
     xmax = max(float(c.x.max()) for c in curves)
     ymin = min(float(c.y.min()) for c in curves)
     ymax = max(float(c.y.max()) for c in curves)
+    # A zero extent is padded by 1, or by an ulp where 1 would not move it.
     if xmax == xmin:
-        xmin, xmax = xmin - 1.0, xmax + 1.0
+        xmin, xmax = xmin - max(1.0, math.ulp(xmin)), xmax + max(1.0, math.ulp(xmax))
     if ymax == ymin:
-        ymin, ymax = ymin - 1.0, ymax + 1.0
+        ymin, ymax = ymin - max(1.0, math.ulp(ymin)), ymax + max(1.0, math.ulp(ymax))
 
     mx0, mx1 = 0.1 * WIDTH, 0.9 * WIDTH
     my0, my1 = 0.1 * HEIGHT, 0.9 * HEIGHT
     sx = (mx1 - mx0) / (xmax - xmin)
     sy = (my1 - my0) / (ymax - ymin)
-
-    def px(v: float) -> float:
-        return mx0 + (v - xmin) * sx
-
-    def py(v: float) -> float:
-        return my1 - (v - ymin) * sy
 
     parts: list[str] = []
     parts.append(
@@ -151,13 +151,16 @@ def export_svg(
         )
 
     for c in curves:
+        # Element-wise, in this order, so each pixel is the scalar formula's double.
+        xs = mx0 + (c.x - xmin) * sx
+        ys = my1 - (c.y - ymin) * sy
         if c.x.size == 1 or (float(c.x.min()) == float(c.x.max()) and float(c.y.min()) == float(c.y.max())):
             parts.append(
-                f'<circle cx="{_fmt(px(float(c.x[0])))}" cy="{_fmt(py(float(c.y[0])))}" '
+                f'<circle cx="{_fmt(float(xs[0]))}" cy="{_fmt(float(ys[0]))}" '
                 f'r="3" fill="{c.color}"/>'
             )
             continue
-        coords = " ".join(f"{_fmt(px(float(a)))},{_fmt(py(float(b)))}" for a, b in zip(c.x, c.y))
+        coords = ("%.2f,%.2f " * c.x.size % tuple(np.column_stack((xs, ys)).ravel().tolist()))[:-1]
         parts.append(
             f'<polyline points="{coords}" fill="none" stroke="{c.color}" stroke-width="1"/>'
         )

@@ -1,7 +1,10 @@
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from slchaos.svgplot import (
     COMPARE_COLORS,
@@ -15,6 +18,21 @@ def _sine_curve(label="", color=None):
     x = np.linspace(0.0, 10.0, 60)
     kwargs = {} if color is None else {"color": color}
     return Curve(label, x, np.sin(x), **kwargs)
+
+
+@st.composite
+def _scaled_curve(draw):
+    """Equal-length x and y lists, each a few decades wide and scaled
+    anywhere from 1e-150 to 1e150; sometimes a single repeated point."""
+    n = draw(st.integers(1, 40))
+    column = st.lists(
+        st.floats(-1e6, 1e6, allow_nan=False), min_size=n, max_size=n
+    )
+    x = [v * 10.0 ** draw(st.integers(-150, 150)) for v in draw(column)]
+    y = [v * 10.0 ** draw(st.integers(-150, 150)) for v in draw(column)]
+    if draw(st.booleans()):
+        x, y = [x[0]] * n, [y[0]] * n
+    return x, y
 
 
 class TestCurve:
@@ -87,6 +105,33 @@ class TestExport:
         path = export_svg([_sine_curve()], tmp_path / "p.svg", x_label="t", y_label="x")
         # legend swatches are the only stroke-width="2" elements
         assert 'stroke-width="2"' not in path.read_text()
+
+    @given(st.lists(_scaled_curve(), min_size=1, max_size=3))
+    def test_coordinates_match_per_point_reference(self, tmp_path_factory, data):
+        curves = [Curve(f"c{i}", np.array(x), np.array(y)) for i, (x, y) in enumerate(data)]
+        path = export_svg(curves, tmp_path_factory.mktemp("svg") / "p.svg", x_label="x", y_label="y")
+
+        xmin = min(min(x) for x, _ in data)
+        xmax = max(max(x) for x, _ in data)
+        ymin = min(min(y) for _, y in data)
+        ymax = max(max(y) for _, y in data)
+        if xmax == xmin:
+            xmin, xmax = xmin - max(1.0, math.ulp(xmin)), xmax + max(1.0, math.ulp(xmax))
+        if ymax == ymin:
+            ymin, ymax = ymin - max(1.0, math.ulp(ymin)), ymax + max(1.0, math.ulp(ymax))
+        sx = (720.0 - 80.0) / (xmax - xmin)
+        sy = (540.0 - 60.0) / (ymax - ymin)
+        expected = []
+        for x, y in data:
+            pts = [f"{80.0 + (a - xmin) * sx:.2f},{540.0 - (b - ymin) * sy:.2f}" for a, b in zip(x, y)]
+            if len(set(x)) == 1 and len(set(y)) == 1:
+                expected.append(("", *pts[0].split(",")))
+            else:
+                expected.append((" ".join(pts), "", ""))
+        found = re.findall(
+            r'<(?:polyline points="([^"]*)"|circle cx="([^"]*)" cy="([^"]*)")', path.read_text()
+        )
+        assert found == expected
 
     def test_needs_a_curve(self, tmp_path):
         with pytest.raises(ValueError):

@@ -38,6 +38,25 @@ class TestFormatFloat:
         assert float(format_float(value)) == value
 
 
+# Finite floats, with integral values, signed zeros, the least subnormal
+# and values near the top of the range drawn often.
+_VALUES = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.integers(-(10**17), 10**17).map(float),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e300, -1e300, 1e16, 2.0**53]),
+)
+
+
+@st.composite
+def _rows(draw):
+    """Columns t, s (strictly increasing) and states of one trajectory."""
+    t = sorted(draw(st.lists(_VALUES, min_size=1, max_size=20, unique=True)))
+    n = len(t)
+    s = sorted(draw(st.lists(_VALUES, min_size=n, max_size=n, unique=True)))
+    states = draw(st.lists(st.tuples(_VALUES, _VALUES, _VALUES), min_size=n, max_size=n))
+    return t, s, states
+
+
 class TestWrite:
     def test_golden_bytes(self, tmp_path):
         traj = Trajectory(
@@ -50,6 +69,21 @@ class TestWrite:
         write_trajectory_csv(traj, path)
         expected = b"t,s,x,y,z\n0.1,0.4177429950251501,0,0,0\n1,0.9,0,0,0\n"
         assert path.read_bytes() == expected
+
+    @given(_rows())
+    def test_bytes_match_per_value_reference(self, tmp_path_factory, columns):
+        t, s, states = columns
+        path = write_trajectory_csv(
+            Trajectory(np.array(t), np.array(s), np.array(states), _meta()),
+            tmp_path_factory.mktemp("csv") / "p.csv",
+        )
+
+        def ref(v):
+            r = repr(v)
+            return r[:-2] if r.endswith(".0") else r
+
+        rows = [",".join(map(ref, (ti, si, *st_))) for ti, si, st_ in zip(t, s, states)]
+        assert path.read_bytes() == ("\n".join([CSV_HEADER, *rows]) + "\n").encode("ascii")
 
     def test_round_trip_exact(self, tmp_path):
         rng = np.random.default_rng(5)
