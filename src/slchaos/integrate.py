@@ -405,8 +405,9 @@ def _adaptive_solve(
     # starts at or above the underflow floor; only the controller may cross
     # it.  The floor, 1e-14*max(1, |t|), is near where t + h stops moving t.
     sx, sy, sz = atol + rtol * abs(x), atol + rtol * abs(y), atol + rtol * abs(z)
-    d0 = math.sqrt(((x / sx) ** 2 + (y / sy) ** 2 + (z / sz) ** 2) / 3.0)
-    d1 = math.sqrt(((k1x / sx) ** 2 + (k1y / sy) ** 2 + (k1z / sz) ** 2) / 3.0)
+    # Squares as products: a float multiply overflows to inf, `**` raises.
+    d0 = math.sqrt((x / sx * (x / sx) + y / sy * (y / sy) + z / sz * (z / sz)) / 3.0)
+    d1 = math.sqrt((k1x / sx * (k1x / sx) + k1y / sy * (k1y / sy) + k1z / sz * (k1z / sz)) / 3.0)
     h = max(0.01 * d0 / d1 if d0 > 1e-10 and d1 > 1e-10 else 1e-6, 1e-14 * max(1.0, abs(t0)))
 
     t = t0
@@ -461,16 +462,23 @@ def _adaptive_solve(
         ey = h * (_E1 * k1y + _E3 * k3y + _E4 * k4y + _E5 * k5y + _E6 * k6y + _E7 * k7y)
         ez = h * (_E1 * k1z + _E3 * k3z + _E4 * k4z + _E5 * k5z + _E6 * k6z + _E7 * k7z)
 
-        err = 0.0
-        for comp, old, new in ((ex, x, xn), (ey, y, yn), (ez, z, zn)):
-            scale = atol + rtol * max(abs(old), abs(new))
-            err = max(err, abs(comp) / scale)
-
-        if not math.isfinite(err):
+        # A non-finite estimate rejects the step (a `max` over the
+        # components would drop a NaN); then the max norm, unrolled.
+        if not math.isfinite(ex + ey + ez):
             rejected += 1
             just_rejected = True
             h *= _FAC_MIN
             continue
+        a, b = abs(x), abs(xn)
+        err = abs(ex) / (atol + rtol * (a if a >= b else b))
+        a, b = abs(y), abs(yn)
+        e = abs(ey) / (atol + rtol * (a if a >= b else b))
+        if e > err:
+            err = e
+        a, b = abs(z), abs(zn)
+        e = abs(ez) / (atol + rtol * (a if a >= b else b))
+        if e > err:
+            err = e
 
         if err <= 1.0:
             accepted += 1

@@ -155,6 +155,19 @@ class TestSimulate:
         assert "run failed" in err
         assert list(out_dir.iterdir()) == []
 
+    @pytest.mark.parametrize(
+        "start", [("1e100", "-1e100", "1e100"), ("1e150", "1e150", "1e150")],
+        ids=["nan-estimate", "huge-guess"],
+    )
+    def test_huge_start_is_runtime_failure(self, capsys, tmp_path, start):
+        x0, y0, z0 = start
+        code, _, err = run_cli(
+            capsys, "simulate", "--system", "lorenz-standard",
+            f"--x0={x0}", f"--y0={y0}", f"--z0={z0}", "--out", str(tmp_path),
+        )
+        assert code == 2
+        assert "run failed: step size underflow" in err
+
 
 class TestFixedPoints:
     def test_sl_origin_only(self, capsys):

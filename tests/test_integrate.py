@@ -185,6 +185,16 @@ class TestAdaptive:
         with pytest.raises(IntegrationError, match="underflow"):
             raise run
 
+    @pytest.mark.parametrize(
+        "x0", [(1e100, -1e100, 1e100), (1e150, 1e150, 1e150)], ids=["nan-estimate", "huge-guess"]
+    )
+    def test_huge_start_is_an_integration_error(self, x0):
+        # The first start gives a NaN error estimate, which must reject the
+        # step; the second overflows the squares of the first-step guess.
+        plan = SamplingPlan(SamplingMode.LINEAR, 11)
+        with pytest.raises(IntegrationError, match="underflow"):
+            integrate_sl(LORENZ_STANDARD_PARAMS, None, (0.0, 1.0), x0, plan=plan)
+
     def test_rejects_fixed_method(self):
         cfg = IntegratorConfig(method=Method.RK4_FIXED)
         with pytest.raises(ValueError, match="requires Method.RK45_ADAPTIVE"):
