@@ -462,8 +462,7 @@ def _adaptive_solve(
         ey = h * (_E1 * k1y + _E3 * k3y + _E4 * k4y + _E5 * k5y + _E6 * k6y + _E7 * k7y)
         ez = h * (_E1 * k1z + _E3 * k3z + _E4 * k4z + _E5 * k5z + _E6 * k6z + _E7 * k7z)
 
-        # A non-finite estimate rejects the step (a `max` over the
-        # components would drop a NaN); then the max norm, unrolled.
+        # A non-finite estimate rejects the step (a `max` would drop a NaN).
         if not math.isfinite(ex + ey + ez):
             rejected += 1
             just_rejected = True
@@ -473,12 +472,10 @@ def _adaptive_solve(
         err = abs(ex) / (atol + rtol * (a if a >= b else b))
         a, b = abs(y), abs(yn)
         e = abs(ey) / (atol + rtol * (a if a >= b else b))
-        if e > err:
-            err = e
+        err = e if e > err else err
         a, b = abs(z), abs(zn)
         e = abs(ez) / (atol + rtol * (a if a >= b else b))
-        if e > err:
-            err = e
+        err = e if e > err else err
 
         if err <= 1.0:
             accepted += 1

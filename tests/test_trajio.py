@@ -47,6 +47,17 @@ _VALUES = st.one_of(
 )
 
 
+def _reference_bytes(t, s, states):
+    """The CSV built value by value: repr, less the `.0` of an integral value."""
+
+    def ref(v):
+        r = repr(v)
+        return r[:-2] if r.endswith(".0") else r
+
+    rows = [",".join(map(ref, (ti, si, *st_))) for ti, si, st_ in zip(t, s, states)]
+    return ("\n".join([CSV_HEADER, *rows]) + "\n").encode("ascii")
+
+
 @st.composite
 def _rows(draw):
     """Columns t, s (strictly increasing) and states of one trajectory."""
@@ -77,13 +88,18 @@ class TestWrite:
             Trajectory(np.array(t), np.array(s), np.array(states), _meta()),
             tmp_path_factory.mktemp("csv") / "p.csv",
         )
+        assert path.read_bytes() == _reference_bytes(t, s, states)
 
-        def ref(v):
-            r = repr(v)
-            return r[:-2] if r.endswith(".0") else r
-
-        rows = [",".join(map(ref, (ti, si, *st_))) for ti, si, st_ in zip(t, s, states)]
-        assert path.read_bytes() == ("\n".join([CSV_HEADER, *rows]) + "\n").encode("ascii")
+    def test_long_run_matches_per_value_reference(self, tmp_path):
+        # Long enough to span several of the writer's blocks of rows, with
+        # integral values on every tenth row.
+        rng = np.random.default_rng(11)
+        t = np.arange(1000) * 0.5
+        s = np.cumsum(rng.uniform(0.1, 2.0, 1000))
+        states = rng.standard_normal((1000, 3)) * 10.0 ** rng.integers(-300, 300, (1000, 3))
+        states[::10] = rng.integers(-(10**6), 10**6, (100, 3))
+        path = write_trajectory_csv(Trajectory(t, s, states, _meta()), tmp_path / "p.csv")
+        assert path.read_bytes() == _reference_bytes(t.tolist(), s.tolist(), states.tolist())
 
     def test_round_trip_exact(self, tmp_path):
         rng = np.random.default_rng(5)
