@@ -3,7 +3,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from slchaos.svgplot import (
@@ -106,6 +106,8 @@ class TestExport:
         # legend swatches are the only stroke-width="2" elements
         assert 'stroke-width="2"' not in path.read_text()
 
+    # Each example writes a file, so a loaded machine may pass the default deadline.
+    @settings(deadline=None)
     @given(st.lists(_scaled_curve(), min_size=1, max_size=3))
     def test_coordinates_match_per_point_reference(self, tmp_path_factory, data):
         curves = [Curve(f"c{i}", np.array(x), np.array(y)) for i, (x, y) in enumerate(data)]

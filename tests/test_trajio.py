@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from slchaos.integrate import IntegrationMeta, Trajectory
@@ -81,6 +81,8 @@ class TestWrite:
         expected = b"t,s,x,y,z\n0.1,0.4177429950251501,0,0,0\n1,0.9,0,0,0\n"
         assert path.read_bytes() == expected
 
+    # Each example writes a file, so a loaded machine may pass the default deadline.
+    @settings(deadline=None)
     @given(_rows())
     def test_bytes_match_per_value_reference(self, tmp_path_factory, columns):
         t, s, states = columns
