@@ -7,9 +7,11 @@ pixel, axis lines with min/max tick labels, and a small legend when curves
 are labeled.  A curve that degenerates to a single point (or to zero
 extent) is drawn as a dot marker instead of a polyline.
 
-A polyline's pixel coordinates are computed as arrays and formatted with
-one `%` call per curve.  That is byte for byte what `f"{v:.2f}"` gives on
-each coordinate, so the output contract stays as stated above.
+Each coordinate is `%.2f` of its pixel value: the exact value rounded to
+hundredths, half to even on exact ties.  `_pairs` writes a polyline's pixel
+values with integer digit arithmetic, with no conversion per number.  An
+extent whose pixel scale is not finite (it overflows, or is subnormal) is
+rejected with `ValueError`.
 """
 
 from __future__ import annotations
@@ -83,6 +85,35 @@ def _tick(v: float) -> str:
     return f"{v:.6g}"
 
 
+def _pairs(v: np.ndarray) -> str:
+    """`"%.2f,%.2f " * n % tuple(v)` without its final space, for the
+    interleaved pixel values v of n points, each 0 <= v < 999.995."""
+    w = v * 100.0
+    if not (v.min() >= 0.0 and w.max() < 99999.5):
+        raise ValueError("pixel coordinate outside [0, 999.995)")
+    n = np.rint(w)
+    # At a tie of w, v * 100 is w + err exactly (Veltkamp split, Dekker
+    # product; 100 has 7 bits), and a nonzero err says which way v rounds.
+    tie = np.flatnonzero(abs(w - n) == 0.5)
+    c = v[tie] * 134217729.0
+    hi = c - (c - v[tie])
+    err = (hi * 100.0 - w[tie]) + (v[tie] - hi) * 100.0
+    n[tie] = np.where(err == 0.0, n[tie], np.floor(w[tie]) + (err > 0.0))
+    # One row "ddd.dd" per value, then "," or " " in turn; leading zeros dropped.
+    out = np.empty((v.size, 7), np.uint8)
+    out[:, 3] = ord(".")
+    out[0::2, 6] = ord(",")
+    out[1::2, 6] = ord(" ")
+    q = n.astype(np.int32)
+    for j in (5, 4, 2, 1, 0):
+        q, r = np.divmod(q, 10)
+        out[:, j] = r + 48
+    keep = np.ones(out.shape, bool)
+    keep[:, 0] = n >= 10000.0
+    keep[:, 1] = n >= 1000.0
+    return out[keep].tobytes().decode("ascii")[:-1]
+
+
 def export_svg(
     curves: list[Curve] | tuple[Curve, ...],
     path: str | Path,
@@ -109,6 +140,10 @@ def export_svg(
     my0, my1 = 0.1 * HEIGHT, 0.9 * HEIGHT
     sx = (mx1 - mx0) / (xmax - xmin)
     sy = (my1 - my0) / (ymax - ymin)
+    # An overflowing extent gives a zero scale, a subnormal one an infinite scale.
+    for axis, lo, hi, scale in (("x", xmin, xmax, sx), ("y", ymin, ymax, sy)):
+        if not 0.0 < scale < math.inf:
+            raise ValueError(f"{axis} extent [{lo!r}, {hi!r}] has no finite pixel scale")
 
     parts: list[str] = []
     parts.append(
@@ -160,7 +195,7 @@ def export_svg(
                 f'r="3" fill="{c.color}"/>'
             )
             continue
-        coords = ("%.2f,%.2f " * c.x.size % tuple(np.column_stack((xs, ys)).ravel().tolist()))[:-1]
+        coords = _pairs(np.column_stack((xs, ys)).ravel())
         parts.append(
             f'<polyline points="{coords}" fill="none" stroke="{c.color}" stroke-width="1"/>'
         )

@@ -305,6 +305,16 @@ class TestPlot:
         assert code == 0
         assert (tmp_path / "lorenz-standard-x.svg").exists()
 
+    def test_overflowing_extent_is_usage_error(self, capsys, tmp_path):
+        csv = tmp_path / "wide.csv"
+        csv.write_text("t,s,x,y,z\n0,0,-1e308,0,0\n1,1,1e308,1,0\n")
+        code, _, err = run_cli(
+            capsys, "plot", "--csv", str(csv), "--view", "xy", "--out", str(tmp_path / "out")
+        )
+        assert code == 1
+        assert "x extent" in err
+        assert list((tmp_path / "out").iterdir()) == []
+
     def test_missing_csv_is_runtime_failure(self, capsys, tmp_path):
         code, _, err = run_cli(
             capsys, "plot", "--csv", str(tmp_path / "nope.csv"), "--out", str(tmp_path)

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from slchaos.svgplot import (
     COMPARE_COLORS,
     Curve,
+    _pairs,
     export_svg,
     isometric_projection,
 )
@@ -111,7 +112,7 @@ class TestExport:
     @given(st.lists(_scaled_curve(), min_size=1, max_size=3))
     def test_coordinates_match_per_point_reference(self, tmp_path_factory, data):
         curves = [Curve(f"c{i}", np.array(x), np.array(y)) for i, (x, y) in enumerate(data)]
-        path = export_svg(curves, tmp_path_factory.mktemp("svg") / "p.svg", x_label="x", y_label="y")
+        path = tmp_path_factory.mktemp("svg") / "p.svg"
 
         xmin = min(min(x) for x, _ in data)
         xmax = max(max(x) for x, _ in data)
@@ -123,6 +124,11 @@ class TestExport:
             ymin, ymax = ymin - max(1.0, math.ulp(ymin)), ymax + max(1.0, math.ulp(ymax))
         sx = (720.0 - 80.0) / (xmax - xmin)
         sy = (540.0 - 60.0) / (ymax - ymin)
+        if not (sx < math.inf and sy < math.inf):  # a subnormal extent
+            with pytest.raises(ValueError, match="no finite pixel scale"):
+                export_svg(curves, path, x_label="x", y_label="y")
+            return
+        export_svg(curves, path, x_label="x", y_label="y")
         expected = []
         for x, y in data:
             pts = [f"{80.0 + (a - xmin) * sx:.2f},{540.0 - (b - ymin) * sy:.2f}" for a, b in zip(x, y)]
@@ -135,6 +141,59 @@ class TestExport:
         )
         assert found == expected
 
+    @pytest.mark.parametrize("axis", ["x", "y"])
+    @pytest.mark.parametrize(
+        "values", [[-1e308, 1e308], [1.7976931348623157e308] * 2], ids=["overflow", "pad-overflow"]
+    )
+    def test_overflowing_extent_is_rejected(self, tmp_path, axis, values):
+        other = [0.0, 1.0]
+        x, y = (values, other) if axis == "x" else (other, values)
+        with pytest.raises(ValueError, match=f"^{axis} extent .* no finite pixel scale"):
+            export_svg([Curve("", np.array(x), np.array(y))], tmp_path / "p.svg", x_label="x", y_label="y")
+        assert not (tmp_path / "p.svg").exists()
+
+    @pytest.mark.parametrize("axis", ["x", "y"])
+    def test_subnormal_extent_is_rejected(self, tmp_path, axis):
+        tiny, other = [0.0, 5e-324], [0.0, 1.0]
+        x, y = (tiny, other) if axis == "x" else (other, tiny)
+        with pytest.raises(ValueError, match=f"^{axis} extent .* no finite pixel scale"):
+            export_svg([Curve("", np.array(x), np.array(y))], tmp_path / "p.svg", x_label="x", y_label="y")
+        assert not (tmp_path / "p.svg").exists()
+
     def test_needs_a_curve(self, tmp_path):
         with pytest.raises(ValueError):
             export_svg([], tmp_path / "p.svg", x_label="t", y_label="x")
+
+
+def _per_value(v):
+    return " ".join(f"{a:.2f},{b:.2f}" for a, b in zip(v[0::2].tolist(), v[1::2].tolist()))
+
+
+class TestPairs:
+    def test_rounds_like_per_value_format_near_halfway(self):
+        k = np.arange(0, 99999, 3)
+        ties = (2 * k + 1) / 200.0
+        near = [ties]
+        up, down = ties, ties
+        for _ in range(3):
+            up, down = np.nextafter(up, np.inf), np.nextafter(down, -np.inf)
+            near += [up, down]
+        v = np.concatenate(near)
+        v = v[: v.size // 2 * 2]
+        # Where v * 100 rounds onto a tie that v is not on, plain rint goes the wrong way.
+        assert _per_value(np.rint(v * 100.0) / 100.0) != _per_value(v)
+        assert _pairs(v) == _per_value(v)
+
+    def test_exact_binary_ties_round_half_to_even(self):
+        v = np.arange(8000) / 8.0
+        assert _pairs(v) == _per_value(v)
+        assert _pairs(np.array([0.125, 0.375])) == "0.12,0.38"
+
+    def test_integer_digit_counts(self):
+        v = np.array([0.0, 9.99, 99.99, 999.99, 0.004, 60.0])
+        assert _pairs(v) == "0.00,9.99 99.99,999.99 0.00,60.00"
+
+    @pytest.mark.parametrize("bad", [-0.01, 999.995, 1e6, math.nan])
+    def test_rejects_values_outside_its_domain(self, bad):
+        with pytest.raises(ValueError, match="outside"):
+            _pairs(np.array([1.0, bad]))
