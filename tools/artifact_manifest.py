@@ -7,7 +7,8 @@ rendered from the CSV that the PLOT_SOURCE writer produced, into its own
 subdirectory, and gets one line the same way.  Each command in PRINTERS
 writes JSON to stdout, which gets one line, `<sha256>  <label> (stdout)`.
 The commands cover `simulate` for all six built-in scenarios, both
-integration methods, both SL routes and custom runs of every system (one
+integration methods, both SL routes, a `--tol` on each of the DP54
+identity-clock, direct-t and RK4 routes, and custom runs of every system (one
 of them a Lorenz run from t0 = 1, and one a Lorenz run resting on its
 origin, whose CSV has integral fields and whose views are dot markers),
 plus coefficient, `D` and `mu` sweeps (one of them over sigma-ranges up to
@@ -46,8 +47,21 @@ WRITERS: list[tuple[str, list[str]]] = [
         ["simulate", "--scenario", "lorenz-literal", "--method", "rk4", "--samples", "6001"],
     ),
     (
+        "simulate-sl-a2-rk4-tol",
+        ["simulate", "--scenario", "sl-a2", "--method", "rk4", "--tol", "1e-6", "--samples", "1000"],
+    ),
+    (
+        "simulate-lorenz-literal-tol",
+        ["simulate", "--scenario", "lorenz-literal", "--tol", "1e-7"],
+    ),
+    (
         "simulate-custom-direct-t",
         ["simulate", "--system", "sl", "--a", "2", "--t1", "1000", "--mode", "direct-t"],
+    ),
+    (
+        "simulate-custom-direct-t-tol",
+        ["simulate", "--system", "sl", "--a", "2", "--t1", "1000", "--mode", "direct-t",
+         "--tol", "1e-7"],
     ),
     (
         "simulate-custom-direct-t-rk4",
