@@ -23,10 +23,7 @@ from .timegauge import Gauge, make_gauged_field, scale_time, unscale_time
 from .integrate import (
     IntegrationError,
     IntegrationMeta,
-    IntegratorConfig,
     Method,
-    SamplingMode,
-    SamplingPlan,
     SLMode,
     Trajectory,
     integrate_fixed,

@@ -257,7 +257,8 @@ def eigenvalues_3x3(matrix: np.ndarray | Sequence[Sequence[float]]) -> Spectrum3
 
     Each root gets one Newton correction on the characteristic polynomial,
     applied only when it is a genuine contraction, which tightens simple
-    roots without destabilizing near-multiple ones.
+    roots without destabilizing near-multiple ones.  ArithmeticError when
+    a root is not finite: the cubic's coefficients overflowed.
     """
     m = np.asarray(matrix, dtype=float)
     if m.shape != (3, 3):
@@ -284,6 +285,8 @@ def eigenvalues_3x3(matrix: np.ndarray | Sequence[Sequence[float]]) -> Spectrum3
                     lam = cand
         polished.append(lam)
 
+    if not np.all(np.isfinite(polished)):
+        raise ArithmeticError("the characteristic polynomial overflows: no finite spectrum")
     polished.sort(key=lambda v: (-v.real, -v.imag))
     return Spectrum3((polished[0], polished[1], polished[2]))
 

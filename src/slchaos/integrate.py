@@ -2,9 +2,11 @@
 
 Two drivers: classical fixed-step RK4 for convergence studies, and an
 embedded Dormand-Prince 5(4) pair with PI step-size control for production
-runs.  Sampling plans place output points linearly or geometrically in the
-integration variable (geometric spacing keeps multi-decade spans readable);
-off-step samples come from the pair's own 4th-order continuous extension
+runs.  A run is four settings: the method, one tolerance (absolute and
+relative), the sample count and, for a gauged run, its route.  Samples
+are spaced by the clock: geometrically in t on a gauged clock, whose spans
+cover decades from t0 > 0, and linearly on the identity clock; off-step
+samples come from the pair's own 4th-order continuous extension
 over the bracketing step (Hairer, Norsett & Wanner, Solving ODEs I, II.6),
 built from the seven stages already in hand, so it costs no extra field
 evaluations.  The DP54 step sequence depends only on the field, the start
@@ -24,7 +26,7 @@ x* (`analysis.stable_tails`).  Near a stable equilibrium DP54's step is
 held by its stability region, not by the tolerance, so this is where a
 long run spent almost all of its steps.  "Close" is within the tail's
 convergence radius, cut to where the part of the field the linear flow
-leaves out moves no later sample by more than 1e-2 * abs_tol: with
+leaves out moves no later sample by more than 1e-2 * tol: with
 d = x - x*, leading real part -alpha < 0 and eigenbasis condition K, the
 flow is off by at most 2 K**3 |d|**2 / alpha (`StableTail.switch_radius2`).
 Equilibria with a near-singular eigenbasis (coalescing eigenvalues) get no
@@ -44,8 +46,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, replace
-from functools import partial
-from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 
@@ -57,10 +58,8 @@ if TYPE_CHECKING:
 
 __all__ = [
     "Method",
-    "SamplingMode",
     "SLMode",
-    "IntegratorConfig",
-    "SamplingPlan",
+    "check_settings",
     "IntegrationMeta",
     "Trajectory",
     "IntegrationError",
@@ -78,11 +77,6 @@ class Method(enum.Enum):
     RK45_ADAPTIVE = "rk45"
 
 
-class SamplingMode(enum.Enum):
-    LINEAR = "linear"
-    GEOMETRIC = "geometric"
-
-
 class SLMode(enum.Enum):
     """How a gauged run is carried out.
 
@@ -96,48 +90,28 @@ class SLMode(enum.Enum):
     SCALED_S = "scaled-s"
 
 
-@dataclass
-class IntegratorConfig:
-    method: Method = Method.RK45_ADAPTIVE
-    abs_tol: float = 1e-9
-    rel_tol: float = 1e-9
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.method, Method):
-            raise ValueError(f"method must be a Method, got {self.method!r}")
-        for name in ("abs_tol", "rel_tol"):
-            v = float(getattr(self, name))
-            if not (math.isfinite(v) and v > 0.0):
-                raise ValueError(f"{name} must be positive and finite, got {v!r}")
-            setattr(self, name, v)
-
-
-@dataclass
-class SamplingPlan:
-    mode: SamplingMode = SamplingMode.LINEAR
-    sample_count: int = 2000
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.mode, SamplingMode):
-            raise ValueError(f"mode must be a SamplingMode, got {self.mode!r}")
-        n = int(self.sample_count)
-        if n < 2:
-            raise ValueError(f"sample_count must be >= 2, got {self.sample_count!r}")
-        self.sample_count = n
-
-    def grid(self, t0: float, t1: float) -> np.ndarray:
-        """Sample locations in the integration variable."""
-        if self.mode is SamplingMode.LINEAR:
-            return np.linspace(t0, t1, self.sample_count)
-        if t0 <= 0.0:
-            raise ValueError(f"geometric sampling needs t0 > 0, got {t0!r}")
-        return np.geomspace(t0, t1, self.sample_count)
+def check_settings(
+    tol: float, samples: int, method: Method = Method.RK45_ADAPTIVE, mode: SLMode = SLMode.SCALED_S
+) -> tuple[float, int]:
+    """The run settings `tol` and `samples` as float and int, or ValueError
+    if any of the four is out of range."""
+    if not isinstance(method, Method):
+        raise ValueError(f"method must be a Method, got {method!r}")
+    if not isinstance(mode, SLMode):
+        raise ValueError(f"mode must be an SLMode, got {mode!r}")
+    tol = float(tol)
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ValueError(f"tol must be positive and finite, got {tol!r}")
+    if int(samples) < 2:
+        raise ValueError(f"sample_count must be >= 2, got {samples!r}")
+    return tol, int(samples)
 
 
 @dataclass(frozen=True)
 class IntegrationMeta:
-    """Step accounting for a finished run.  Tolerances are None for
-    fixed-step output and for trajectories read back from CSV."""
+    """Step accounting for a finished run.  Both tolerances are the run's
+    `tol`; they are None for fixed-step output and for trajectories read
+    back from CSV."""
 
     steps_taken: int
     steps_rejected: int
@@ -337,7 +311,7 @@ def _adaptive_solve(
     rhs: RHS,
     t0: float,
     x0: Sequence[float],
-    config: IntegratorConfig,
+    tol: float,
     grids: Sequence[np.ndarray],
     tails: Sequence[StableTail] = (),
 ) -> list[Trajectory | IntegrationError]:
@@ -354,12 +328,10 @@ def _adaptive_solve(
     that a solve on grid i alone raises.
 
     After each accepted step the end point is checked against `tails`; the
-    first step that ends within a tail's switch radius at `abs_tol` is the
+    first step that ends within a tail's switch radius at `tol` is the
     last one, and every sample after it comes from that tail's linear flow,
     with the step counts reached there.
     """
-    atol = config.abs_tol
-    rtol = config.rel_tol
     # Per grid: its samples, its rows (written through a flat memoryview,
     # far cheaper per row than numpy indexing), how many rows are out, and
     # the step counts once the last one is.  `active` lists the unfinished
@@ -374,7 +346,7 @@ def _adaptive_solve(
     attempts = 0
 
     def meta() -> IntegrationMeta:
-        return IntegrationMeta(accepted, rejected, Method.RK45_ADAPTIVE.value, atol, rtol)
+        return IntegrationMeta(accepted, rejected, Method.RK45_ADAPTIVE.value, tol, tol)
 
     def runs(message: str = "", step_index: int | None = None) -> list[Trajectory | IntegrationError]:
         """Each grid's run, or for a grid left unfinished, `message` with
@@ -404,7 +376,7 @@ def _adaptive_solve(
     # Hairer's first guess: a step that moves the scaled state by 1%.  It
     # starts at or above the underflow floor; only the controller may cross
     # it.  The floor, 1e-14*max(1, |t|), is near where t + h stops moving t.
-    sx, sy, sz = atol + rtol * abs(x), atol + rtol * abs(y), atol + rtol * abs(z)
+    sx, sy, sz = tol + tol * abs(x), tol + tol * abs(y), tol + tol * abs(z)
     # Squares as products: a float multiply overflows to inf, `**` raises.
     d0 = math.sqrt((x / sx * (x / sx) + y / sy * (y / sy) + z / sz * (z / sz)) / 3.0)
     d1 = math.sqrt((k1x / sx * (k1x / sx) + k1y / sy * (k1y / sy) + k1z / sz * (k1z / sz)) / 3.0)
@@ -413,7 +385,7 @@ def _adaptive_solve(
     t = t0
     errold = 1e-4
     just_rejected = False
-    near = [(*tail.point, tail.switch_radius2(atol), tail) for tail in tails]
+    near = [(*tail.point, tail.switch_radius2(tol), tail) for tail in tails]
 
     while active:
         if attempts >= _MAX_STEPS:
@@ -469,12 +441,12 @@ def _adaptive_solve(
             h *= _FAC_MIN
             continue
         a, b = abs(x), abs(xn)
-        err = abs(ex) / (atol + rtol * (a if a >= b else b))
+        err = abs(ex) / (tol + tol * (a if a >= b else b))
         a, b = abs(y), abs(yn)
-        e = abs(ey) / (atol + rtol * (a if a >= b else b))
+        e = abs(ey) / (tol + tol * (a if a >= b else b))
         err = e if e > err else err
         a, b = abs(z), abs(zn)
-        e = abs(ez) / (atol + rtol * (a if a >= b else b))
+        e = abs(ez) / (tol + tol * (a if a >= b else b))
         err = e if e > err else err
 
         if err <= 1.0:
@@ -545,43 +517,37 @@ def _adaptive_solve(
     return runs()
 
 
-def _one(run: Trajectory | IntegrationError) -> Trajectory:
-    """The run, or raise the error it ended in."""
-    if isinstance(run, IntegrationError):
-        raise run
-    return run
-
-
-class _Clock(NamedTuple):
-    """A run's checked span, its maps t -> s and s -> t, and its mode (None
-    on the identity clock)."""
-
-    t0: float
-    t1: float
-    to_s: Callable[[float], float]
-    to_t: Callable[[float], float]
-    mode: SLMode | None
-
-    @property
-    def label(self) -> str | None:
-        """The run's `meta.mode`."""
-        return None if self.mode is None else self.mode.value
-
-
-def _clock(gauge: Gauge | None, span: tuple[float, float], mode: SLMode = SLMode.SCALED_S) -> _Clock:
-    """A run's clock, once its span is checked.  A gauged span needs
-    0 < t0 < t1: the direct weight t**(-D) is singular at the origin and the
-    gauge map is not invertible there.  A run without a gauge (a Lorenz run)
-    is on the identity clock: s = t from any finite t0 < t1, with no mode,
-    and it is solved like a scaled-s run."""
+def _span(
+    gauge: Gauge | None, span: tuple[float, float], samples: int
+) -> tuple[float, float, np.ndarray]:
+    """t0, t1 and the sample instants in t of a checked span.  A gauged span
+    needs 0 < t0 < t1: the direct weight t**(-D) is singular at the origin
+    and the gauge map is not invertible there; its samples are geometric.
+    The identity clock (no gauge, a Lorenz run) takes any finite t0 < t1,
+    sampled linearly."""
     t0, t1 = (float(span[0]), float(span[1]))
     if not (math.isfinite(t0) and math.isfinite(t1) and t1 > t0):
         raise ValueError(f"need finite t1 > t0, got [{t0!r}, {t1!r}]")
     if gauge is None:
-        return _Clock(t0, t1, float, float, None)
+        return t0, t1, np.linspace(t0, t1, samples)
     if t0 <= 0.0:
         raise ValueError(f"SL span needs 0 < t0 < t1, got [{t0!r}, {t1!r}]")
-    return _Clock(t0, t1, partial(scale_time, gauge), partial(unscale_time, gauge), mode)
+    return t0, t1, np.geomspace(t0, t1, samples)
+
+
+def _relabel(
+    run: Trajectory | IntegrationError,
+    columns: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
+    mode: str | None,
+) -> Trajectory | IntegrationError:
+    """`run` with the time columns `columns(run.t)` in place of its
+    integration variable and `meta.mode` set to `mode`; for an error, the
+    same error with its partial relabelled so."""
+    if isinstance(run, IntegrationError):
+        if run.partial is not None:
+            run.partial = _relabel(run.partial, columns, mode)
+        return run
+    return Trajectory(*columns(run.t), run.states, replace(run.meta, mode=mode))
 
 
 def integrate_sl(
@@ -589,61 +555,64 @@ def integrate_sl(
     gauge: Gauge | None,
     span: tuple[float, float],
     x0: State3 | Sequence[float],
-    config: IntegratorConfig | None = None,
-    plan: SamplingPlan | None = None,
+    method: Method = Method.RK45_ADAPTIVE,
+    tol: float = 1e-9,
+    samples: int = 2000,
     mode: SLMode = SLMode.SCALED_S,
 ) -> Trajectory:
     """Integrate the quadratic field with coefficients `params` over an
-    ordinary-time span, on the clock of `gauge`.
+    ordinary-time span, on the clock of `gauge`, to `samples` rows.
 
     This is the one solve entry of every run.  With a gauge, DIRECT_T
     solves the weighted equations in t and SCALED_S solves the autonomous
     dx/ds = f over the image of the span under the gauge.  With `gauge`
     None the clock is the identity, s = t (a Lorenz run): the span may
     start at any finite t0, `mode` is ignored and `meta.mode` is None.
-    The default plan is geometric, which needs t0 > 0, so an identity-clock
-    run from t0 <= 0 must pass a linear plan (the Lorenz scenarios do).
     Each row carries both times, related by the clock.
 
     Under DP54 every run but a direct-t one is `integrate_sl_gauges` with
-    one gauge: it integrates in sigma = s - s_0 from 0, sampling at
-    s_k - s_0 for the s_k of the plan's t grid, and its s column is s_k
-    itself; DIRECT_T samples the same t grid, which makes cross-mode rows
-    directly comparable.  RK4 ignores the plan's spacing and takes
-    sample_count - 1 uniform steps in its own integration variable (t, or
-    s from s_0), so its samples are uniform in t under DIRECT_T and
-    uniform in s under SCALED_S, and the two modes sample different
-    instants.
+    one gauge; DIRECT_T samples the same t grid, which makes cross-mode
+    rows directly comparable.  RK4 takes samples - 1 uniform steps in its
+    own integration variable (t, or s from s_0), so its samples are uniform
+    in t under DIRECT_T and uniform in s under SCALED_S, and the two modes
+    sample different instants.  `tol` does not enter an RK4 run, whose
+    `meta` tolerances are None.
     """
-    config = config if config is not None else IntegratorConfig()
-    plan = plan if plan is not None else SamplingPlan(SamplingMode.GEOMETRIC)
-    clock = _clock(gauge, span, mode)
-    if clock.mode is SLMode.DIRECT_T:
-        rhs, u0, u1 = make_gauged_field(params, gauge), clock.t0, clock.t1
-
-        def columns(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-            return u, np.asarray([clock.to_s(tv) for tv in u])
-    elif config.method is Method.RK45_ADAPTIVE:
-        return _one(_solve_clocks(params, [clock], x0, config, plan)[0])
+    tol, samples = check_settings(tol, samples, method, mode)
+    direct = gauge is not None and mode is SLMode.DIRECT_T
+    if method is Method.RK45_ADAPTIVE and not direct:
+        run = integrate_sl_gauges(params, [gauge], span, x0, tol, samples)[0]
     else:
-        rhs, u0, u1 = make_field(SystemKind.SL, params), clock.to_s(clock.t0), clock.to_s(clock.t1)
+        t0, t1, t = _span(gauge, span, samples)
+        u0, u1 = t0, t1
+        if direct:
+            rhs = make_gauged_field(params, gauge)
 
-        def columns(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-            return np.asarray([clock.to_t(sv) for sv in u]), u
+            def columns(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+                return u, np.asarray([scale_time(gauge, tv) for tv in u])
+        elif gauge is None:
+            rhs = make_field(SystemKind.SL, params)
 
-    def relabel(run: Trajectory) -> Trajectory:
-        return Trajectory(*columns(run.t), run.states, replace(run.meta, mode=clock.label))
-
-    try:
-        if config.method is Method.RK4_FIXED:
-            run = integrate_fixed(rhs, u0, u1, x0, plan.sample_count - 1)
+            def columns(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+                return u.copy(), u
         else:
-            run = _one(_adaptive_solve(rhs, u0, x0, config, [plan.grid(clock.t0, clock.t1)])[0])
-    except IntegrationError as exc:
-        if exc.partial is not None:
-            exc.partial = relabel(exc.partial)
-        raise
-    return relabel(run)
+            rhs = make_field(SystemKind.SL, params)
+            u0, u1 = scale_time(gauge, t0), scale_time(gauge, t1)
+
+            def columns(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+                return np.asarray([unscale_time(gauge, sv) for sv in u]), u
+
+        try:
+            if method is Method.RK4_FIXED:
+                run = integrate_fixed(rhs, u0, u1, x0, samples - 1)
+            else:
+                run = _adaptive_solve(rhs, u0, x0, tol, [t])[0]
+        except IntegrationError as exc:
+            run = exc
+        run = _relabel(run, columns, None if gauge is None else mode.value)
+    if isinstance(run, IntegrationError):
+        raise run
+    return run
 
 
 def integrate_sl_gauges(
@@ -651,59 +620,44 @@ def integrate_sl_gauges(
     gauges: Sequence[Gauge | None],
     span: tuple[float, float],
     x0: State3 | Sequence[float],
-    config: IntegratorConfig | None = None,
-    plan: SamplingPlan | None = None,
+    tol: float = 1e-9,
+    samples: int = 2000,
 ) -> list[Trajectory | IntegrationError]:
     """DP54 runs of one orbit under several clocks, from one solve.
 
     Whatever the clock, the run solves the autonomous dx/ds = f from x0, in
     sigma = s - s_0 from 0; clocks change only the sigma-range and the
-    sample instants sigma_k = s_k - s_0, where s_k is the plan's t grid
+    sample instants sigma_k = s_k - s_0, where s_k is the clock's t grid
     mapped by the gauge (s_k = t_k for None, the identity clock).  So one
     solve to the largest sigma-range serves every clock, and since a DP54
     solve to any end is a bit-equal prefix of a solve to a later one,
     entry i is exactly what `integrate_sl(params, gauges[i], span, x0,
-    config, plan)` returns, or the IntegrationError it raises, step counts
-    included.  The s column is s_k.  The solve finishes on the settled tail
-    of the module docstring.
+    tol=tol, samples=samples)` returns, or the IntegrationError it raises,
+    step counts included.  The s column is s_k.  The solve finishes on the
+    settled tail of the module docstring.
     """
-    config = config if config is not None else IntegratorConfig()
-    plan = plan if plan is not None else SamplingPlan(SamplingMode.GEOMETRIC)
-    if config.method is not Method.RK45_ADAPTIVE:
-        raise ValueError("integrate_sl_gauges requires Method.RK45_ADAPTIVE")
-    return _solve_clocks(params, [_clock(gauge, span) for gauge in gauges], x0, config, plan)
-
-
-def _solve_clocks(
-    params: SystemParams,
-    clocks: Sequence[_Clock],
-    x0: State3 | Sequence[float],
-    config: IntegratorConfig,
-    plan: SamplingPlan,
-) -> list[Trajectory | IntegrationError]:
-    """The body of `integrate_sl_gauges`, on one or more clocks of one
-    checked span."""
     # Imported here because `analysis` imports this module's `rk4_step`.
     from .analysis import stable_tails
 
-    t_grid = plan.grid(clocks[0].t0, clocks[0].t1)
-    s_grids = [np.asarray([clock.to_s(tv) for tv in t_grid]) for clock in clocks]
+    tol, samples = check_settings(tol, samples)
+    t_grids = [_span(gauge, span, samples)[2] for gauge in gauges]
+    s_grids = [
+        t.copy() if gauge is None else np.asarray([scale_time(gauge, tv) for tv in t])
+        for gauge, t in zip(gauges, t_grids)
+    ]
     runs = _adaptive_solve(
         make_field(SystemKind.SL, params),
         0.0,
         x0,
-        config,
+        tol,
         [s - s[0] for s in s_grids],
         stable_tails(params),
     )
-
-    def relabel(rows: Trajectory, s: np.ndarray, mode: str | None) -> Trajectory:
-        k = len(rows)
-        return Trajectory(t_grid[:k], s[:k], rows.states, replace(rows.meta, mode=mode))
-
-    for i, (run, s, clock) in enumerate(zip(runs, s_grids, clocks)):
-        if not isinstance(run, IntegrationError):
-            runs[i] = relabel(run, s, clock.label)
-        elif run.partial is not None:
-            run.partial = relabel(run.partial, s, clock.label)
-    return runs
+    return [
+        _relabel(
+            run,
+            lambda u, t=t, s=s: (t[: len(u)], s[: len(u)]),
+            None if gauge is None else SLMode.SCALED_S.value,
+        )
+        for run, gauge, t, s in zip(runs, gauges, t_grids, s_grids)
+    ]

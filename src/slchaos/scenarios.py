@@ -29,12 +29,10 @@ from .analysis import conjecture_report, max_lyapunov
 from .dynamics import State3, SystemKind, SystemParams, effective_params
 from .integrate import (
     IntegrationError,
-    IntegratorConfig,
     Method,
-    SamplingMode,
-    SamplingPlan,
     SLMode,
     Trajectory,
+    check_settings,
     integrate_sl,
     integrate_sl_gauges,
 )
@@ -77,7 +75,9 @@ class ScenarioNotFound(KeyError):
 @dataclass(frozen=True)
 class Scenario:
     """A complete run description: system, coefficients, gauge (for SL),
-    start state, ordinary-time span, integrator, and sampling."""
+    start state, ordinary-time span, and the four run settings of
+    `integrate_sl`.  Samples are spaced by the clock, so a gauged run is
+    sampled geometrically and a Lorenz run linearly."""
 
     name: str
     kind: SystemKind
@@ -85,8 +85,9 @@ class Scenario:
     gauge: Gauge | None
     x0: State3
     span: tuple[float, float]
-    config: IntegratorConfig = dataclasses.field(default_factory=IntegratorConfig)
-    plan: SamplingPlan = dataclasses.field(default_factory=SamplingPlan)
+    method: Method = Method.RK45_ADAPTIVE
+    tol: float = 1e-9
+    sample_count: int = 2000
     sl_mode: SLMode = SLMode.SCALED_S
 
     def __post_init__(self) -> None:
@@ -96,6 +97,9 @@ class Scenario:
         if not (math.isfinite(t0) and math.isfinite(t1) and t1 > t0):
             raise ValueError(f"scenario {self.name!r}: span must be finite with t1 > t0")
         object.__setattr__(self, "span", (t0, t1))
+        tol, n = check_settings(self.tol, self.sample_count, self.method, self.sl_mode)
+        object.__setattr__(self, "tol", tol)
+        object.__setattr__(self, "sample_count", n)
         if self.kind is SystemKind.SL:
             if self.gauge is None:
                 raise ValueError(f"scenario {self.name!r}: SL runs need a gauge")
@@ -149,7 +153,6 @@ def builtin_scenarios() -> list[Scenario]:
             gauge=_DEFAULT_GAUGE,
             x0=_SL_X0,
             span=_SL_SPAN,
-            plan=SamplingPlan(SamplingMode.GEOMETRIC),
         )
         for name, a in sl_as
     ]
@@ -165,7 +168,6 @@ def builtin_scenarios() -> list[Scenario]:
                 gauge=None,
                 x0=_SL_X0,
                 span=_LORENZ_SPAN,
-                plan=SamplingPlan(SamplingMode.LINEAR),
             )
         )
     return out
@@ -189,10 +191,10 @@ def derive(base: Scenario, name: str, **settings: object) -> Scenario:
     This is the one map from a setting name to a Scenario field: `a`, `b`,
     `c` set a coefficient (SL runs only; the Lorenz systems have fixed
     coefficients), `D` and `mu` rebuild the gauge (gauged runs only), `x0`,
-    `y0`, `z0` set the start state, `t0`, `t1` the span, `tol` both
-    tolerances, and `method`, `sample_count`, `mode` the integration method,
-    the sample count and the SL route.  The result is validated like any
-    Scenario, so a bad value raises ValueError.
+    `y0`, `z0` set the start state, `t0`, `t1` the span, and `method`,
+    `tol`, `sample_count`, `mode` the integration method, the absolute and
+    relative tolerance, the sample count and the SL route.  The result is
+    validated like any Scenario, so a bad value raises ValueError.
     """
     for key in settings:
         if key not in _SETTINGS:
@@ -202,7 +204,7 @@ def derive(base: Scenario, name: str, **settings: object) -> Scenario:
         if key in ("D", "mu") and base.gauge is None:
             raise ValueError(f"cannot set {key!r}: {base.name!r} has no gauge")
     get = settings.get
-    gauge, config = base.gauge, base.config
+    gauge = base.gauge
     return dataclasses.replace(
         base,
         name=name,
@@ -210,13 +212,9 @@ def derive(base: Scenario, name: str, **settings: object) -> Scenario:
         gauge=None if gauge is None else Gauge(get("mu", gauge.mu), get("D", gauge.D)),
         x0=State3(*(get(k, v) for k, v in zip(_START, base.x0))),
         span=(get("t0", base.span[0]), get("t1", base.span[1])),
-        config=dataclasses.replace(
-            config,
-            method=Method(get("method", config.method)),
-            abs_tol=get("tol", config.abs_tol),
-            rel_tol=get("tol", config.rel_tol),
-        ),
-        plan=dataclasses.replace(base.plan, sample_count=get("sample_count", base.plan.sample_count)),
+        method=Method(get("method", base.method)),
+        tol=get("tol", base.tol),
+        sample_count=get("sample_count", base.sample_count),
         sl_mode=SLMode(get("mode", base.sl_mode)),
     )
 
@@ -234,8 +232,9 @@ def run_trajectory(scenario: Scenario) -> Trajectory:
         scenario.gauge,
         scenario.span,
         scenario.x0,
-        scenario.config,
-        scenario.plan,
+        scenario.method,
+        scenario.tol,
+        scenario.sample_count,
         scenario.sl_mode,
     )
 
@@ -394,9 +393,11 @@ def run_sweep(spec: SweepSpec, output_dir: str | Path) -> dict:
     runs: list[Trajectory | IntegrationError | None] = [None] * len(members)
     if one_orbit and members:
         first = members[0][2]
-        if first.config.method is Method.RK45_ADAPTIVE and first.sl_mode is SLMode.SCALED_S:
+        if first.method is Method.RK45_ADAPTIVE and first.sl_mode is SLMode.SCALED_S:
             gauges = [m.gauge for _, _, m in members]
-            runs = integrate_sl_gauges(first.params, gauges, first.span, first.x0, first.config, first.plan)
+            runs = integrate_sl_gauges(
+                first.params, gauges, first.span, first.x0, first.tol, first.sample_count
+            )
     orbit_of = None
     for (row, subdir, member), run in zip(members, runs):
         try:

@@ -31,14 +31,7 @@ from slchaos.dynamics import (
     equilibria,
     jacobian,
 )
-from slchaos.integrate import (
-    IntegratorConfig,
-    SLMode,
-    SamplingMode,
-    SamplingPlan,
-    integrate_fixed,
-    integrate_sl,
-)
+from slchaos.integrate import SLMode, integrate_fixed, integrate_sl
 from slchaos.scenarios import builtin_scenarios, lookup_scenario, run_trajectory, scenario_report
 from slchaos.timegauge import Gauge
 from slchaos.trajio import read_trajectory_csv, write_trajectory_csv
@@ -51,12 +44,10 @@ X0 = State3(0.1, 0.1, 0.1)
 def test_criterion_1_gauge_reduction_equivalence():
     """Direct gauged integration and the scaled-time route agree to 1e-5
     at 100 geometric samples over t in [0.1, 1e4], within 5 seconds."""
-    config = IntegratorConfig(abs_tol=1e-9, rel_tol=1e-9)
-    plan = SamplingPlan(SamplingMode.GEOMETRIC, 100)
     span = (0.1, 1e4)
     start = time.monotonic()
-    direct = integrate_sl(ATTRACTOR_II, GAUGE, span, X0, config, plan, SLMode.DIRECT_T)
-    scaled = integrate_sl(ATTRACTOR_II, GAUGE, span, X0, config, plan, SLMode.SCALED_S)
+    direct = integrate_sl(ATTRACTOR_II, GAUGE, span, X0, tol=1e-9, samples=100, mode=SLMode.DIRECT_T)
+    scaled = integrate_sl(ATTRACTOR_II, GAUGE, span, X0, tol=1e-9, samples=100, mode=SLMode.SCALED_S)
     elapsed = time.monotonic() - start
     deviation = float(
         np.max(np.abs(direct.states - scaled.states) / np.maximum(1.0, np.abs(scaled.states)))

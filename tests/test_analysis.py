@@ -129,6 +129,13 @@ class TestEigenvalues:
         with pytest.raises(ValueError):
             eigenvalues_3x3(bad)
 
+    def test_overflowing_cubic_is_an_arithmetic_error(self):
+        # At a = 1e103 the origin's spectrum is about (-1e103, -0.7, -27),
+        # but p**3 of the characteristic cubic overflows: no root is finite.
+        m = jacobian(SystemKind.SL, SystemParams(1e103, 0.3, 27.0), (0.0, 0.0, 0.0))
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ArithmeticError, match="overflows"):
+            eigenvalues_3x3(m)
+
 
 class TestClassification:
     def test_attractor_ii_origin_stable_node(self):

@@ -338,6 +338,32 @@ def test_pair_far_from_the_origin_is_valid(capsys, tmp_path, monkeypatch, argv):
     assert code == 0, err
 
 
+@pytest.mark.parametrize("flag", ["--tol 0", "--tol -1", "--tol nan", "--samples 1"])
+@pytest.mark.parametrize(
+    "command",
+    [
+        "simulate --scenario sl-a2",
+        "sweep --scenario sl-a2 --param D --values 0.5,0.7",
+        "compare sl-a2 lorenz-literal",
+    ],
+)
+def test_bad_run_setting_is_usage_error(capsys, tmp_path, command, flag):
+    # Checked when the run is described, so nothing is written.
+    out = tmp_path / "out"
+    code, _, err = run_cli(capsys, *command.split(), *flag.split(), "--out", str(out))
+    assert code == 1
+    assert "usage error" in err
+    assert not out.exists() or list(out.iterdir()) == []
+
+
+def test_overflowing_spectrum_is_runtime_failure(capsys):
+    # The origin's characteristic cubic overflows at a = 1e103.
+    code, out, err = run_cli(capsys, "fixed-points", "--system", "sl", "--a", "1e103")
+    assert code == 2
+    assert "run failed" in err
+    assert "Infinity" not in out
+
+
 def test_module_entry_point():
     # `python -m slchaos.cli` runs the CLI, for checkouts where the console
     # script is not installed.

@@ -15,10 +15,7 @@ from slchaos.dynamics import (
 )
 from slchaos.integrate import (
     IntegrationError,
-    IntegratorConfig,
     Method,
-    SamplingMode,
-    SamplingPlan,
     SLMode,
     Trajectory,
     integrate_fixed,
@@ -108,33 +105,23 @@ class TestFixed:
 
 class TestAdaptive:
     def test_exponential_accuracy(self):
-        tr = integrate_sl(DECAY, None, (0.0, 1.0), (1.0, 0.0, 0.0), plan=SamplingPlan())
+        tr = integrate_sl(DECAY, None, (0.0, 1.0), (1.0, 0.0, 0.0))
         assert abs(tr.states[-1, 0] - math.exp(-1.0)) <= 1e-8
 
     def test_linear_grid_exact(self):
-        plan = SamplingPlan(SamplingMode.LINEAR, 21)
-        tr = integrate_sl(DECAY, None, (0.0, 2.0), (1.0, 0.0, 0.0), plan=plan)
+        tr = integrate_sl(DECAY, None, (0.0, 2.0), (1.0, 0.0, 0.0), samples=21)
         assert np.array_equal(tr.t, np.linspace(0.0, 2.0, 21))
         # every sample matches the exact solution to tolerance-level accuracy
         assert np.allclose(tr.states[:, 0], np.exp(-tr.t), atol=1e-8)
 
-    def test_geometric_grid(self):
-        plan = SamplingPlan(SamplingMode.GEOMETRIC, 50)
-        tr = integrate_sl(DECAY, None, (0.1, 100.0), (1.0, 0.0, 0.0), plan=plan)
-        assert np.array_equal(tr.t, np.geomspace(0.1, 100.0, 50))
-        with pytest.raises(ValueError):
-            integrate_sl(DECAY, None, (0.0, 1.0), (1.0, 0.0, 0.0), plan=SamplingPlan(SamplingMode.GEOMETRIC, 10))
-
     def test_lorenz_run_stays_bounded(self):
-        plan = SamplingPlan(SamplingMode.LINEAR, 500)
-        tr = integrate_sl(LORENZ_STANDARD_PARAMS, None, (0.0, 60.0), (0.1, 0.1, 0.1), plan=plan)
+        tr = integrate_sl(LORENZ_STANDARD_PARAMS, None, (0.0, 60.0), (0.1, 0.1, 0.1), samples=500)
         assert np.max(np.abs(tr.states[:, 2])) < 60.0
         assert tr.meta.steps_taken > 1000
 
     def test_determinism_bitwise(self):
-        plan = SamplingPlan(SamplingMode.LINEAR, 200)
-        a = integrate_sl(LORENZ_STANDARD_PARAMS, None, (0.0, 20.0), (0.1, 0.1, 0.1), plan=plan)
-        b = integrate_sl(LORENZ_STANDARD_PARAMS, None, (0.0, 20.0), (0.1, 0.1, 0.1), plan=plan)
+        a = integrate_sl(LORENZ_STANDARD_PARAMS, None, (0.0, 20.0), (0.1, 0.1, 0.1), samples=200)
+        b = integrate_sl(LORENZ_STANDARD_PARAMS, None, (0.0, 20.0), (0.1, 0.1, 0.1), samples=200)
         assert a == b
         assert a.meta == b.meta
 
@@ -144,8 +131,7 @@ class TestAdaptive:
         solve_ivp = pytest.importorskip("scipy.integrate").solve_ivp
         rhs = make_field(SystemKind.LORENZ_STANDARD)
         x0 = (0.1, 0.1, 0.1)
-        plan = SamplingPlan(SamplingMode.LINEAR, 2000)
-        tr = integrate_sl(LORENZ_STANDARD_PARAMS, None, (0.0, 2.0), x0, plan=plan)
+        tr = integrate_sl(LORENZ_STANDARD_PARAMS, None, (0.0, 2.0), x0)
         ref = solve_ivp(
             lambda t, y: rhs(t, tuple(y)), (0.0, 2.0), x0,
             method="DOP853", t_eval=tr.t, rtol=1e-13, atol=1e-13,
@@ -154,10 +140,7 @@ class TestAdaptive:
 
     def test_steps_do_not_depend_on_sample_plan(self):
         a, b = (
-            integrate_sl(
-                LORENZ_STANDARD_PARAMS, None, (0.0, 60.0), (0.1, 0.1, 0.1),
-                plan=SamplingPlan(SamplingMode.LINEAR, n),
-            )
+            integrate_sl(LORENZ_STANDARD_PARAMS, None, (0.0, 60.0), (0.1, 0.1, 0.1), samples=n)
             for n in (2000, 2001)
         )
         assert (a.meta.steps_taken, a.meta.steps_rejected) == (b.meta.steps_taken, b.meta.steps_rejected)
@@ -167,21 +150,20 @@ class TestAdaptive:
         # The field vanishes at x0, so the first step is the 1e-6 fallback
         # and every step grows fivefold with zero error; none may fall under
         # the underflow floor 1e-14*max(1, |t|) on the way to t = 1e9.
-        plan = SamplingPlan(SamplingMode.LINEAR, 20)
-        tr = integrate_sl(LORENZ_STANDARD_PARAMS, None, (0.0, 1e9), (0.0, 0.0, 0.0), plan=plan)
+        tr = integrate_sl(LORENZ_STANDARD_PARAMS, None, (0.0, 1e9), (0.0, 0.0, 0.0), samples=20)
         assert np.all(tr.states == 0.0)
 
     def test_max_steps_exhaustion(self, monkeypatch):
         monkeypatch.setattr(integrate, "_MAX_STEPS", 20)
         with pytest.raises(IntegrationError, match="budget"):
-            integrate_sl(LORENZ_STANDARD_PARAMS, None, (0.0, 60.0), (0.1, 0.1, 0.1), plan=SamplingPlan())
+            integrate_sl(LORENZ_STANDARD_PARAMS, None, (0.0, 60.0), (0.1, 0.1, 0.1))
 
     def test_step_underflow_on_pathological_field(self):
         # effectively white-noise derivative: the error estimate cannot
         # shrink with h, so the controller drives h below the floor
         rhs = lambda t, s: (1e20 * math.sin(1e20 * t), 0.0, 0.0)
-        grid = SamplingPlan().grid(0.0, 1.0)
-        (run,) = integrate._adaptive_solve(rhs, 0.0, (0.0, 0.0, 0.0), IntegratorConfig(), [grid])
+        grid = np.linspace(0.0, 1.0, 2000)
+        (run,) = integrate._adaptive_solve(rhs, 0.0, (0.0, 0.0, 0.0), 1e-9, [grid])
         with pytest.raises(IntegrationError, match="underflow"):
             raise run
 
@@ -191,20 +173,14 @@ class TestAdaptive:
     def test_huge_start_is_an_integration_error(self, x0):
         # The first start gives a NaN error estimate, which must reject the
         # step; the second overflows the squares of the first-step guess.
-        plan = SamplingPlan(SamplingMode.LINEAR, 11)
         with pytest.raises(IntegrationError, match="underflow"):
-            integrate_sl(LORENZ_STANDARD_PARAMS, None, (0.0, 1.0), x0, plan=plan)
-
-    def test_rejects_fixed_method(self):
-        cfg = IntegratorConfig(method=Method.RK4_FIXED)
-        with pytest.raises(ValueError, match="requires Method.RK45_ADAPTIVE"):
-            integrate_sl_gauges(DECAY, (None,), (0.0, 1.0), (1.0, 0.0, 0.0), cfg, SamplingPlan())
+            integrate_sl(LORENZ_STANDARD_PARAMS, None, (0.0, 1.0), x0, samples=11)
 
     def test_rejection_accounting(self):
         # a step across the jump in the field must be rejected, not absorbed
         rhs = lambda t, s: (1.0 if t < 1.0 else -1.0, 0.0, 0.0)
-        grid = SamplingPlan(SamplingMode.LINEAR, 50).grid(0.0, 5.0)
-        (tr,) = integrate._adaptive_solve(rhs, 0.0, (0.1, 0.1, 0.1), IntegratorConfig(), [grid])
+        grid = np.linspace(0.0, 5.0, 50)
+        (tr,) = integrate._adaptive_solve(rhs, 0.0, (0.1, 0.1, 0.1), 1e-9, [grid])
         assert tr.meta.steps_rejected >= 1
 
 
@@ -221,16 +197,14 @@ class TestPrefix:
         params = effective_params(kind, params)
         x0 = (0.1, 0.1, 0.1)
         n = int(end) + 1
-        short = integrate_sl(params, None, (0.0, end), x0, plan=SamplingPlan(SamplingMode.LINEAR, n))
-        long = integrate_sl(
-            params, None, (0.0, long_end), x0, plan=SamplingPlan(SamplingMode.LINEAR, int(long_end) + 1)
-        )
+        short = integrate_sl(params, None, (0.0, end), x0, samples=n)
+        long = integrate_sl(params, None, (0.0, long_end), x0, samples=int(long_end) + 1)
         assert np.array_equal(long.t[:n], short.t)
         assert np.array_equal(long.states[:n], short.states)
         assert long.meta.steps_taken > short.meta.steps_taken
         # The step counts at `end` inside the longer solve are the short solve's.
         inside, whole = integrate._adaptive_solve(
-            make_field(kind, params), 0.0, x0, IntegratorConfig(), [short.t, long.t], stable_tails(params)
+            make_field(kind, params), 0.0, x0, 1e-9, [short.t, long.t], stable_tails(params)
         )
         assert inside == short and inside.meta == short.meta
         assert whole == long and whole.meta == long.meta
@@ -255,10 +229,7 @@ class TestSettledTail:
         # Integer grids, so each shorter grid is the head of the longer ones;
         # sigma = 10 ends before the switch, 100 and 1e4 after it.
         runs = [
-            integrate_sl(
-                ATTRACTOR_II, None, (0.0, end), (0.1, 0.1, 0.1),
-                plan=SamplingPlan(SamplingMode.LINEAR, int(end) + 1),
-            )
+            integrate_sl(ATTRACTOR_II, None, (0.0, end), (0.1, 0.1, 0.1), samples=int(end) + 1)
             for end in (10.0, 100.0, 1e4)
         ]
         for short, long in zip(runs, runs[1:]):
@@ -272,9 +243,8 @@ class TestSettledTail:
     def test_stiff_gauge_member_matches_the_reference(self):
         # D = 0.1 stretches sl-a2's orbit over sigma in [0, 2.3e5], which
         # DP54 alone crosses in about 1.85M steps at its stability limit.
-        plan = SamplingPlan(SamplingMode.GEOMETRIC, 2000)
         x0 = (0.1, 0.1, 0.1)
-        tr = integrate_sl(ATTRACTOR_II, Gauge(0.9, 0.1), (0.1, 1e6), x0, plan=plan)
+        tr = integrate_sl(ATTRACTOR_II, Gauge(0.9, 0.1), (0.1, 1e6), x0)
         assert tr.meta.steps_taken < 1000
         sigma = tr.s - tr.s[0]
         assert sigma[-1] > 2e5
@@ -296,8 +266,7 @@ class TestSettledTail:
     def test_settled_pairs_match_the_reference(self, kind, params, parent_steps):
         # The DP54-only solve took `parent_steps` steps to t = 60.
         x0 = (0.1, 0.1, 0.1)
-        plan = SamplingPlan(SamplingMode.LINEAR, 2000)
-        tr = integrate_sl(effective_params(kind, params), None, (0.0, 60.0), x0, plan=plan)
+        tr = integrate_sl(effective_params(kind, params), None, (0.0, 60.0), x0)
         assert tr.meta.steps_taken < 0.7 * parent_steps
         err = np.abs(tr.states - self.reference(params, x0, tr.t))
         # The orbit has settled by t = 20: every later sample is on the tail.
@@ -309,7 +278,7 @@ class TestSettledTail:
     )
     def test_linear_flow_is_within_its_error_bound(self, params):
         # From a state on the switch radius, the flow must stay within the
-        # 1e-2 * abs_tol the radius is chosen for (stable node at the
+        # 1e-2 * tol the radius is chosen for (stable node at the
         # origin, stable focus-node pair, stable node pair).  The reference
         # solves the full field written in the deviation d = x - x*, which
         # resolves d far below the rounding of x itself.
@@ -351,10 +320,9 @@ class TestSettledTail:
         # double root with one eigenvector: the run keeps stepping.
         params = SystemParams(2.0, -0.125, 27.0)
         assert stable_tails(params) == []
-        plan = SamplingPlan(SamplingMode.LINEAR, 50)
-        run = integrate_sl(params, None, (0.0, 50.0), (0.1, 0.1, 0.1), plan=plan)
+        run = integrate_sl(params, None, (0.0, 50.0), (0.1, 0.1, 0.1), samples=50)
         (without,) = integrate._adaptive_solve(
-            make_field(SystemKind.SL, params), 0.0, (0.1, 0.1, 0.1), IntegratorConfig(), [plan.grid(0.0, 50.0)]
+            make_field(SystemKind.SL, params), 0.0, (0.1, 0.1, 0.1), 1e-9, [np.linspace(0.0, 50.0, 50)]
         )
         assert run == without and run.meta == without.meta
 
@@ -412,7 +380,7 @@ class TestIdentityClock:
     @pytest.mark.parametrize("name", ["lorenz-standard", "lorenz-literal"])
     def test_lorenz_scenarios_are_identity_runs(self, name, method):
         sc = derive(scenario_registry()[name], name, method=method)
-        tr = integrate_sl(effective_params(sc.kind), None, sc.span, sc.x0, sc.config, sc.plan)
+        tr = integrate_sl(effective_params(sc.kind), None, sc.span, sc.x0, sc.method, sc.tol, sc.sample_count)
         ref = run_trajectory(sc)
         assert tr == ref and tr.meta == ref.meta
         assert tr.meta.mode is None and tr.meta.method == method
@@ -425,8 +393,7 @@ class TestIdentityClock:
         assert direct == ref and direct.meta == ref.meta and direct.meta.mode is None
 
     def test_span_may_start_anywhere(self):
-        plan = SamplingPlan(SamplingMode.LINEAR, 21)
-        tr = integrate_sl(LORENZ_STANDARD_PARAMS, None, (-1.0, 1.0), (0.1, 0.1, 0.1), plan=plan)
+        tr = integrate_sl(LORENZ_STANDARD_PARAMS, None, (-1.0, 1.0), (0.1, 0.1, 0.1), samples=21)
         assert np.array_equal(tr.t, np.linspace(-1.0, 1.0, 21)) and np.array_equal(tr.t, tr.s)
         assert tr.meta.mode is None
 
@@ -440,38 +407,32 @@ class TestIntegrateSL:
             integrate_sl(ATTRACTOR_II, GAUGE, (5.0, 1.0), (0.1, 0.1, 0.1))
 
     def test_origin_is_invariant_both_modes(self):
-        plan = SamplingPlan(SamplingMode.GEOMETRIC, 20)
         for mode in (SLMode.DIRECT_T, SLMode.SCALED_S):
-            tr = integrate_sl(ATTRACTOR_II, GAUGE, (0.1, 100.0), (0.0, 0.0, 0.0), plan=plan, mode=mode)
+            tr = integrate_sl(ATTRACTOR_II, GAUGE, (0.1, 100.0), (0.0, 0.0, 0.0), samples=20, mode=mode)
             assert np.all(tr.states == 0.0)
 
     def test_scaled_s_columns(self):
-        plan = SamplingPlan(SamplingMode.GEOMETRIC, 30)
-        tr = integrate_sl(ATTRACTOR_II, GAUGE, (0.1, 1000.0), (0.1, 0.1, 0.1), plan=plan)
+        tr = integrate_sl(ATTRACTOR_II, GAUGE, (0.1, 1000.0), (0.1, 0.1, 0.1), samples=30)
         assert tr.meta.mode == "scaled-s"
         assert np.array_equal(tr.t, np.geomspace(0.1, 1000.0, 30))
         expect_s = np.array([scale_time(GAUGE, tv) for tv in tr.t])
         assert np.array_equal(tr.s, expect_s)
 
     def test_direct_t_columns(self):
-        plan = SamplingPlan(SamplingMode.GEOMETRIC, 30)
-        tr = integrate_sl(ATTRACTOR_II, GAUGE, (0.1, 1000.0), (0.1, 0.1, 0.1), plan=plan, mode=SLMode.DIRECT_T)
+        tr = integrate_sl(ATTRACTOR_II, GAUGE, (0.1, 1000.0), (0.1, 0.1, 0.1), samples=30, mode=SLMode.DIRECT_T)
         assert tr.meta.mode == "direct-t"
         assert np.array_equal(tr.t, np.geomspace(0.1, 1000.0, 30))
         for tv, sv in zip(tr.t, tr.s):
             assert sv == scale_time(GAUGE, tv)
 
     def test_modes_agree(self):
-        plan = SamplingPlan(SamplingMode.GEOMETRIC, 50)
-        a = integrate_sl(ATTRACTOR_II, GAUGE, (0.1, 100.0), (0.1, 0.1, 0.1), plan=plan, mode=SLMode.DIRECT_T)
-        b = integrate_sl(ATTRACTOR_II, GAUGE, (0.1, 100.0), (0.1, 0.1, 0.1), plan=plan, mode=SLMode.SCALED_S)
+        a = integrate_sl(ATTRACTOR_II, GAUGE, (0.1, 100.0), (0.1, 0.1, 0.1), samples=50, mode=SLMode.DIRECT_T)
+        b = integrate_sl(ATTRACTOR_II, GAUGE, (0.1, 100.0), (0.1, 0.1, 0.1), samples=50, mode=SLMode.SCALED_S)
         dev = np.max(np.abs(a.states - b.states))
         assert dev <= 1e-6
 
     def test_fixed_method_scaled(self):
-        cfg = IntegratorConfig(method=Method.RK4_FIXED)
-        plan = SamplingPlan(SamplingMode.GEOMETRIC, 200)
-        tr = integrate_sl(ATTRACTOR_II, GAUGE, (0.1, 10.0), (0.1, 0.1, 0.1), cfg, plan)
+        tr = integrate_sl(ATTRACTOR_II, GAUGE, (0.1, 10.0), (0.1, 0.1, 0.1), Method.RK4_FIXED, samples=200)
         assert len(tr) == 200
         assert tr.meta.method == "rk4"
         # s column is the uniform integration grid; t is its preimage
@@ -480,13 +441,13 @@ class TestIntegrateSL:
         assert tr.t[-1] == pytest.approx(10.0, rel=1e-12)
 
     def test_fixed_method_is_uniform_in_its_own_variable(self):
-        # RK4 ignores the plan's geometric spacing and steps uniformly in the
-        # variable it integrates, so the two routes sample different instants.
-        cfg = IntegratorConfig(method=Method.RK4_FIXED)
-        plan = SamplingPlan(SamplingMode.GEOMETRIC, 200)
+        # RK4 ignores the gauged clock's geometric spacing and steps uniformly
+        # in the variable it integrates, so the two routes sample different
+        # instants.
+        rk4 = Method.RK4_FIXED
         span = (0.1, 10.0)
-        scaled = integrate_sl(ATTRACTOR_II, GAUGE, span, (0.1, 0.1, 0.1), cfg, plan, SLMode.SCALED_S)
-        direct = integrate_sl(ATTRACTOR_II, GAUGE, span, (0.1, 0.1, 0.1), cfg, plan, SLMode.DIRECT_T)
+        scaled = integrate_sl(ATTRACTOR_II, GAUGE, span, (0.1, 0.1, 0.1), rk4, 1e-9, 200, SLMode.SCALED_S)
+        direct = integrate_sl(ATTRACTOR_II, GAUGE, span, (0.1, 0.1, 0.1), rk4, 1e-9, 200, SLMode.DIRECT_T)
         s0, s1 = scale_time(GAUGE, span[0]), scale_time(GAUGE, span[1])
         assert np.allclose(np.diff(scaled.s), (s1 - s0) / 199, rtol=1e-9, atol=0.0)
         assert np.allclose(np.diff(direct.t), (span[1] - span[0]) / 199, rtol=1e-9, atol=0.0)
@@ -509,13 +470,12 @@ class TestIntegrateSL:
         # same partial.
         monkeypatch.setattr(integrate, "_MAX_STEPS", 200)
         gauges = (Gauge(0.9, 0.5), Gauge(0.9, 0.9))
-        plan = SamplingPlan(SamplingMode.GEOMETRIC, 300)
         span, x0 = (0.1, 1e6), (0.1, 0.1, 0.1)
-        failed, done = integrate_sl_gauges(ATTRACTOR_II, gauges, span, x0, plan=plan)
-        alone_done = integrate_sl(ATTRACTOR_II, gauges[1], span, x0, plan=plan)
+        failed, done = integrate_sl_gauges(ATTRACTOR_II, gauges, span, x0, samples=300)
+        alone_done = integrate_sl(ATTRACTOR_II, gauges[1], span, x0, samples=300)
         assert done == alone_done and done.meta == alone_done.meta
         with pytest.raises(IntegrationError, match="budget") as info:
-            integrate_sl(ATTRACTOR_II, gauges[0], span, x0, plan=plan)
+            integrate_sl(ATTRACTOR_II, gauges[0], span, x0, samples=300)
         alone = info.value
         assert isinstance(failed, IntegrationError)
         assert (str(failed), failed.step_index) == (str(alone), alone.step_index)
@@ -524,14 +484,19 @@ class TestIntegrateSL:
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        IntegratorConfig(abs_tol=0.0)
-    with pytest.raises(ValueError):
-        IntegratorConfig(rel_tol=-1e-9)
+    for tol in (0.0, -1e-9, math.nan, math.inf):
+        with pytest.raises(ValueError, match="tol must be positive and finite"):
+            integrate_sl(DECAY, None, (0.0, 1.0), (1.0, 0.0, 0.0), tol=tol)
+        with pytest.raises(ValueError, match="tol must be positive and finite"):
+            integrate_sl_gauges(DECAY, (None,), (0.0, 1.0), (1.0, 0.0, 0.0), tol=tol)
+    with pytest.raises(ValueError, match="method must be a Method"):
+        integrate_sl(DECAY, None, (0.0, 1.0), (1.0, 0.0, 0.0), "rk4")  # type: ignore[arg-type]
 
 
 def test_plan_validation():
-    with pytest.raises(ValueError):
-        SamplingPlan(SamplingMode.LINEAR, 1)
-    with pytest.raises(ValueError):
-        SamplingPlan("linear", 100)  # type: ignore[arg-type]
+    with pytest.raises(ValueError, match="sample_count must be >= 2"):
+        integrate_sl(DECAY, None, (0.0, 1.0), (1.0, 0.0, 0.0), samples=1)
+    with pytest.raises(ValueError, match="sample_count must be >= 2"):
+        integrate_sl_gauges(DECAY, (None,), (0.0, 1.0), (1.0, 0.0, 0.0), samples=1)
+    with pytest.raises(ValueError, match="mode must be an SLMode"):
+        integrate_sl(ATTRACTOR_II, GAUGE, (0.1, 1.0), (0.1, 0.1, 0.1), mode="direct-t")  # type: ignore[arg-type]

@@ -8,7 +8,7 @@ import pytest
 from slchaos import scenarios
 from slchaos.cli import cli_main
 from slchaos.dynamics import State3, SystemKind, SystemParams
-from slchaos.integrate import SLMode, SamplingMode
+from slchaos.integrate import Method, SLMode
 from slchaos.scenarios import (
     Scenario,
     ScenarioNotFound,
@@ -46,8 +46,7 @@ class TestRegistry:
             assert sc.gauge.D == 2.0 / 3.0
             assert tuple(sc.x0) == (0.1, 0.1, 0.1)
             assert sc.span == (0.1, 1e6)
-            assert sc.plan.mode is SamplingMode.GEOMETRIC
-            assert sc.plan.sample_count == 2000
+            assert (sc.method, sc.tol, sc.sample_count) == (Method.RK45_ADAPTIVE, 1e-9, 2000)
             assert sc.sl_mode is SLMode.SCALED_S
 
     def test_lorenz_members(self):
@@ -59,7 +58,7 @@ class TestRegistry:
         for sc in (std, lit):
             assert sc.gauge is None
             assert sc.span == (0.0, 60.0)
-            assert sc.plan.mode is SamplingMode.LINEAR
+            assert (sc.method, sc.tol, sc.sample_count) == (Method.RK45_ADAPTIVE, 1e-9, 2000)
 
     def test_unknown_name(self):
         with pytest.raises(ScenarioNotFound, match="unknown scenario"):
@@ -311,8 +310,7 @@ class TestDerive:
         assert sc.gauge == Gauge(0.9, 0.5)
         assert sc.x0 == State3(0.1, 0.2, 0.1)
         assert sc.span == (0.1, 10.0)
-        assert (sc.config.abs_tol, sc.config.rel_tol, sc.config.method.value) == (1e-6, 1e-6, "rk4")
-        assert (sc.plan.mode, sc.plan.sample_count) == (base.plan.mode, 50)
+        assert (sc.method, sc.tol, sc.sample_count) == (Method.RK4_FIXED, 1e-6, 50)
         assert sc.sl_mode is SLMode.DIRECT_T
         assert derive(base, base.name) == base
 
