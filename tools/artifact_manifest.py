@@ -110,6 +110,11 @@ WRITERS: list[tuple[str, list[str]]] = [
         "compare-sl-a2-lorenz-literal-rk4",
         ["compare", "sl-a2", "lorenz-literal", "--method", "rk4", "--samples", "5000"],
     ),
+    (
+        "compare-sl-a2-lorenz-literal-overrides",
+        ["compare", "sl-a2", "lorenz-literal", "--tol", "1e-7", "--samples", "500",
+         "--mode", "direct-t"],
+    ),
 ]
 
 # (writer label, CSV path inside its output) that every plot view reads
