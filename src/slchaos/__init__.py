@@ -23,7 +23,6 @@ from .timegauge import Gauge, make_gauged_field, scale_time, unscale_time
 from .integrate import (
     IntegrationError,
     IntegrationMeta,
-    Method,
     SLMode,
     Trajectory,
     integrate_fixed,

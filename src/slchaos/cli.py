@@ -14,11 +14,7 @@ from pathlib import Path
 
 from .analysis import max_lyapunov
 from .dynamics import SystemKind
-from .integrate import (
-    IntegrationError,
-    Method,
-    SLMode,
-)
+from .integrate import IntegrationError, SLMode
 from .scenarios import (
     LYAPUNOV_HORIZON,
     LYAPUNOV_INTERVALS,
@@ -55,7 +51,6 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument(
         "--samples", dest="sample_count", type=int, default=None, help="sample count override"
     )
-    sub.add_argument("--method", choices=[m.value for m in Method], default=None)
     sub.add_argument(
         "--mode",
         choices=[m.value for m in SLMode],
@@ -70,7 +65,7 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
 # registers only the ones it reads.
 _SYSTEM_FLAGS = ("system", *SWEEPABLE, "x0", "y0", "z0", "t0", "t1")
 # The `_add_common` flags that change how a run is integrated and sampled.
-_RUN_FLAGS = ("tol", "sample_count", "method", "mode")
+_RUN_FLAGS = ("tol", "sample_count", "mode")
 
 
 def _add_system_flags(sub: argparse.ArgumentParser, flags: tuple[str, ...]) -> None:

@@ -1,20 +1,20 @@
 """Deterministic Runge-Kutta integration with dense sampling.
 
-Two drivers: classical fixed-step RK4 for convergence studies, and an
-embedded Dormand-Prince 5(4) pair with PI step-size control for production
-runs.  A run is four settings: the method, one tolerance (absolute and
-relative), the sample count and, for a gauged run, its route.  Samples
-are spaced by the clock: geometrically in t on a gauged clock, whose spans
-cover decades from t0 > 0, and linearly on the identity clock; off-step
-samples come from the pair's own 4th-order continuous extension
-over the bracketing step (Hairer, Norsett & Wanner, Solving ODEs I, II.6),
-built from the seven stages already in hand, so it costs no extra field
-evaluations.  The DP54 step sequence depends only on the field, the start
+Two drivers: classical fixed-step RK4 for convergence studies and the
+twin-trajectory estimators, and an embedded Dormand-Prince 5(4) pair with
+PI step-size control, which solves every run.  A run is three settings:
+one tolerance (absolute and relative), the sample count and, for a gauged
+run, its route.  Samples are spaced by the clock: geometrically in t on a
+gauged clock, whose spans cover decades from t0 > 0, and linearly on the
+identity clock; off-step samples come from the pair's own 4th-order
+continuous extension over the bracketing step (Hairer, Norsett & Wanner,
+Solving ODEs I, II.6), built from the seven stages already in hand, so it
+costs no extra field evaluations.  The DP54 step sequence depends only on the field, the start
 point and the tolerances, never on where the samples fall or the run ends,
 so one solve can serve several sample grids (`integrate_sl_gauges`).
 
 Settled tail.  A DP54 solve of the quadratic field (`integrate_sl_gauges`,
-hence every DP54 `integrate_sl` run but a direct-t one) stops stepping once
+hence every `integrate_sl` run but a direct-t one) stops stepping once
 an accepted step ends close to a stable equilibrium x* (a "stable node" or
 "stable focus-node" of the `analysis.conjecture_report` table): every later
 sample comes from the exact linear flow there,
@@ -51,13 +51,13 @@ from typing import TYPE_CHECKING, Callable, Sequence
 import numpy as np
 
 from .dynamics import State3, SystemKind, SystemParams, make_field
+# Unused here, `unscale_time` is a target of slbench's `timegauge.map` trace hook.
 from .timegauge import Gauge, make_gauged_field, scale_time, unscale_time
 
 if TYPE_CHECKING:
     from .analysis import StableTail
 
 __all__ = [
-    "Method",
     "SLMode",
     "check_settings",
     "IntegrationMeta",
@@ -70,11 +70,6 @@ __all__ = [
 ]
 
 RHS = Callable[[float, tuple[float, float, float]], tuple[float, float, float]]
-
-
-class Method(enum.Enum):
-    RK4_FIXED = "rk4"
-    RK45_ADAPTIVE = "rk45"
 
 
 class SLMode(enum.Enum):
@@ -91,12 +86,10 @@ class SLMode(enum.Enum):
 
 
 def check_settings(
-    tol: float, samples: int, method: Method = Method.RK45_ADAPTIVE, mode: SLMode = SLMode.SCALED_S
+    tol: float, samples: int, mode: SLMode = SLMode.SCALED_S
 ) -> tuple[float, int]:
     """The run settings `tol` and `samples` as float and int, or ValueError
-    if any of the four is out of range."""
-    if not isinstance(method, Method):
-        raise ValueError(f"method must be a Method, got {method!r}")
+    if any of the three is out of range."""
     if not isinstance(mode, SLMode):
         raise ValueError(f"mode must be an SLMode, got {mode!r}")
     tol = float(tol)
@@ -245,7 +238,7 @@ def integrate_fixed(
                 np.asarray(times[: i + 1]),
                 np.asarray(times[: i + 1]),
                 np.asarray(states),
-                IntegrationMeta(i, 0, Method.RK4_FIXED.value),
+                IntegrationMeta(i, 0, "rk4"),
             )
             raise IntegrationError(str(exc), step_index=i, partial=partial) from None
         states.append(y)
@@ -255,7 +248,7 @@ def integrate_fixed(
         arr_t,
         arr_t.copy(),
         np.asarray(states),
-        IntegrationMeta(n, 0, Method.RK4_FIXED.value),
+        IntegrationMeta(n, 0, "rk4"),
     )
 
 
@@ -346,7 +339,7 @@ def _adaptive_solve(
     attempts = 0
 
     def meta() -> IntegrationMeta:
-        return IntegrationMeta(accepted, rejected, Method.RK45_ADAPTIVE.value, tol, tol)
+        return IntegrationMeta(accepted, rejected, "rk45", tol, tol)
 
     def runs(message: str = "", step_index: int | None = None) -> list[Trajectory | IntegrationError]:
         """Each grid's run, or for a grid left unfinished, `message` with
@@ -555,7 +548,6 @@ def integrate_sl(
     gauge: Gauge | None,
     span: tuple[float, float],
     x0: State3 | Sequence[float],
-    method: Method = Method.RK45_ADAPTIVE,
     tol: float = 1e-9,
     samples: int = 2000,
     mode: SLMode = SLMode.SCALED_S,
@@ -570,46 +562,20 @@ def integrate_sl(
     start at any finite t0, `mode` is ignored and `meta.mode` is None.
     Each row carries both times, related by the clock.
 
-    Under DP54 every run but a direct-t one is `integrate_sl_gauges` with
-    one gauge; DIRECT_T samples the same t grid, which makes cross-mode
-    rows directly comparable.  RK4 takes samples - 1 uniform steps in its
-    own integration variable (t, or s from s_0), so its samples are uniform
-    in t under DIRECT_T and uniform in s under SCALED_S, and the two modes
-    sample different instants.  `tol` does not enter an RK4 run, whose
-    `meta` tolerances are None.
+    Every run but a direct-t one is `integrate_sl_gauges` with one gauge;
+    DIRECT_T samples the same t grid, which makes cross-mode rows directly
+    comparable.
     """
-    tol, samples = check_settings(tol, samples, method, mode)
-    direct = gauge is not None and mode is SLMode.DIRECT_T
-    if method is Method.RK45_ADAPTIVE and not direct:
+    tol, samples = check_settings(tol, samples, mode)
+    if gauge is None or mode is SLMode.SCALED_S:
         run = integrate_sl_gauges(params, [gauge], span, x0, tol, samples)[0]
     else:
-        t0, t1, t = _span(gauge, span, samples)
-        u0, u1 = t0, t1
-        if direct:
-            rhs = make_gauged_field(params, gauge)
-
-            def columns(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-                return u, np.asarray([scale_time(gauge, tv) for tv in u])
-        elif gauge is None:
-            rhs = make_field(SystemKind.SL, params)
-
-            def columns(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-                return u.copy(), u
-        else:
-            rhs = make_field(SystemKind.SL, params)
-            u0, u1 = scale_time(gauge, t0), scale_time(gauge, t1)
-
-            def columns(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-                return np.asarray([unscale_time(gauge, sv) for sv in u]), u
-
-        try:
-            if method is Method.RK4_FIXED:
-                run = integrate_fixed(rhs, u0, u1, x0, samples - 1)
-            else:
-                run = _adaptive_solve(rhs, u0, x0, tol, [t])[0]
-        except IntegrationError as exc:
-            run = exc
-        run = _relabel(run, columns, None if gauge is None else mode.value)
+        t0, _, t = _span(gauge, span, samples)
+        run = _relabel(
+            _adaptive_solve(make_gauged_field(params, gauge), t0, x0, tol, [t])[0],
+            lambda u: (u, np.asarray([scale_time(gauge, tv) for tv in u])),
+            mode.value,
+        )
     if isinstance(run, IntegrationError):
         raise run
     return run

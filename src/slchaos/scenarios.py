@@ -29,7 +29,6 @@ from .analysis import conjecture_report, max_lyapunov
 from .dynamics import State3, SystemKind, SystemParams, effective_params
 from .integrate import (
     IntegrationError,
-    Method,
     SLMode,
     Trajectory,
     check_settings,
@@ -65,7 +64,7 @@ LYAPUNOV_INTERVALS = 500
 
 SWEEPABLE = ("a", "b", "c", "D", "mu")
 _START = ("x0", "y0", "z0")
-_SETTINGS = (*SWEEPABLE, *_START, "t0", "t1", "tol", "method", "sample_count", "mode")
+_SETTINGS = (*SWEEPABLE, *_START, "t0", "t1", "tol", "sample_count", "mode")
 
 
 class ScenarioNotFound(KeyError):
@@ -75,7 +74,7 @@ class ScenarioNotFound(KeyError):
 @dataclass(frozen=True)
 class Scenario:
     """A complete run description: system, coefficients, gauge (for SL),
-    start state, ordinary-time span, and the four run settings of
+    start state, ordinary-time span, and the three run settings of
     `integrate_sl`.  Samples are spaced by the clock, so a gauged run is
     sampled geometrically and a Lorenz run linearly."""
 
@@ -85,7 +84,6 @@ class Scenario:
     gauge: Gauge | None
     x0: State3
     span: tuple[float, float]
-    method: Method = Method.RK45_ADAPTIVE
     tol: float = 1e-9
     sample_count: int = 2000
     sl_mode: SLMode = SLMode.SCALED_S
@@ -97,7 +95,7 @@ class Scenario:
         if not (math.isfinite(t0) and math.isfinite(t1) and t1 > t0):
             raise ValueError(f"scenario {self.name!r}: span must be finite with t1 > t0")
         object.__setattr__(self, "span", (t0, t1))
-        tol, n = check_settings(self.tol, self.sample_count, self.method, self.sl_mode)
+        tol, n = check_settings(self.tol, self.sample_count, self.sl_mode)
         object.__setattr__(self, "tol", tol)
         object.__setattr__(self, "sample_count", n)
         if self.kind is SystemKind.SL:
@@ -191,9 +189,9 @@ def derive(base: Scenario, name: str, **settings: object) -> Scenario:
     This is the one map from a setting name to a Scenario field: `a`, `b`,
     `c` set a coefficient (SL runs only; the Lorenz systems have fixed
     coefficients), `D` and `mu` rebuild the gauge (gauged runs only), `x0`,
-    `y0`, `z0` set the start state, `t0`, `t1` the span, and `method`,
-    `tol`, `sample_count`, `mode` the integration method, the absolute and
-    relative tolerance, the sample count and the SL route.  The result is
+    `y0`, `z0` set the start state, `t0`, `t1` the span, and `tol`,
+    `sample_count`, `mode` the absolute and relative tolerance, the sample
+    count and the SL route.  The result is
     validated like any Scenario, so a bad value raises ValueError.
     """
     for key in settings:
@@ -212,7 +210,6 @@ def derive(base: Scenario, name: str, **settings: object) -> Scenario:
         gauge=None if gauge is None else Gauge(get("mu", gauge.mu), get("D", gauge.D)),
         x0=State3(*(get(k, v) for k, v in zip(_START, base.x0))),
         span=(get("t0", base.span[0]), get("t1", base.span[1])),
-        method=Method(get("method", base.method)),
         tol=get("tol", base.tol),
         sample_count=get("sample_count", base.sample_count),
         sl_mode=SLMode(get("mode", base.sl_mode)),
@@ -232,7 +229,6 @@ def run_trajectory(scenario: Scenario) -> Trajectory:
         scenario.gauge,
         scenario.span,
         scenario.x0,
-        scenario.method,
         scenario.tol,
         scenario.sample_count,
         scenario.sl_mode,
@@ -370,8 +366,8 @@ def run_sweep(spec: SweepSpec, output_dir: str | Path) -> dict:
 
     The members of a `D` or `mu` sweep differ only in the gauge, so they
     follow one orbit of dx/ds = f: their reports share one fixed-point
-    table and one Lyapunov estimate, and under DP54 on the scaled-s route
-    one solve serves them all.  Each member's files stay byte-identical to
+    table and one Lyapunov estimate, and on the scaled-s route one solve
+    serves them all.  Each member's files stay byte-identical to
     a standalone run of it.
     """
     base = _resolve(spec.base)
@@ -393,7 +389,7 @@ def run_sweep(spec: SweepSpec, output_dir: str | Path) -> dict:
     runs: list[Trajectory | IntegrationError | None] = [None] * len(members)
     if one_orbit and members:
         first = members[0][2]
-        if first.method is Method.RK45_ADAPTIVE and first.sl_mode is SLMode.SCALED_S:
+        if first.sl_mode is SLMode.SCALED_S:
             gauges = [m.gauge for _, _, m in members]
             runs = integrate_sl_gauges(
                 first.params, gauges, first.span, first.x0, first.tol, first.sample_count

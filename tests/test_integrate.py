@@ -15,7 +15,6 @@ from slchaos.dynamics import (
 )
 from slchaos.integrate import (
     IntegrationError,
-    Method,
     SLMode,
     Trajectory,
     integrate_fixed,
@@ -376,14 +375,13 @@ class TestIdentityClock:
     """Without a gauge, `integrate_sl` runs on the identity clock s = t: the
     route every Lorenz run takes."""
 
-    @pytest.mark.parametrize("method", ["rk45", "rk4"])
     @pytest.mark.parametrize("name", ["lorenz-standard", "lorenz-literal"])
-    def test_lorenz_scenarios_are_identity_runs(self, name, method):
-        sc = derive(scenario_registry()[name], name, method=method)
-        tr = integrate_sl(effective_params(sc.kind), None, sc.span, sc.x0, sc.method, sc.tol, sc.sample_count)
+    def test_lorenz_scenarios_are_identity_runs(self, name):
+        sc = scenario_registry()[name]
+        tr = integrate_sl(effective_params(sc.kind), None, sc.span, sc.x0, sc.tol, sc.sample_count)
         ref = run_trajectory(sc)
         assert tr == ref and tr.meta == ref.meta
-        assert tr.meta.mode is None and tr.meta.method == method
+        assert tr.meta.mode is None and tr.meta.method == "rk45"
         assert np.array_equal(tr.t, tr.s)
 
     def test_mode_is_ignored(self):
@@ -431,28 +429,6 @@ class TestIntegrateSL:
         dev = np.max(np.abs(a.states - b.states))
         assert dev <= 1e-6
 
-    def test_fixed_method_scaled(self):
-        tr = integrate_sl(ATTRACTOR_II, GAUGE, (0.1, 10.0), (0.1, 0.1, 0.1), Method.RK4_FIXED, samples=200)
-        assert len(tr) == 200
-        assert tr.meta.method == "rk4"
-        # s column is the uniform integration grid; t is its preimage
-        assert tr.s[0] == pytest.approx(scale_time(GAUGE, 0.1), rel=1e-12)
-        assert tr.t[0] == pytest.approx(0.1, rel=1e-12)
-        assert tr.t[-1] == pytest.approx(10.0, rel=1e-12)
-
-    def test_fixed_method_is_uniform_in_its_own_variable(self):
-        # RK4 ignores the gauged clock's geometric spacing and steps uniformly
-        # in the variable it integrates, so the two routes sample different
-        # instants.
-        rk4 = Method.RK4_FIXED
-        span = (0.1, 10.0)
-        scaled = integrate_sl(ATTRACTOR_II, GAUGE, span, (0.1, 0.1, 0.1), rk4, 1e-9, 200, SLMode.SCALED_S)
-        direct = integrate_sl(ATTRACTOR_II, GAUGE, span, (0.1, 0.1, 0.1), rk4, 1e-9, 200, SLMode.DIRECT_T)
-        s0, s1 = scale_time(GAUGE, span[0]), scale_time(GAUGE, span[1])
-        assert np.allclose(np.diff(scaled.s), (s1 - s0) / 199, rtol=1e-9, atol=0.0)
-        assert np.allclose(np.diff(direct.t), (span[1] - span[0]) / 199, rtol=1e-9, atol=0.0)
-        assert np.max(np.abs(scaled.t - direct.t)) > 1.0
-
     @pytest.mark.parametrize("mode", [SLMode.SCALED_S, SLMode.DIRECT_T])
     def test_partial_carries_both_time_columns(self, mode, monkeypatch):
         monkeypatch.setattr(integrate, "_MAX_STEPS", 50)
@@ -489,8 +465,9 @@ def test_config_validation():
             integrate_sl(DECAY, None, (0.0, 1.0), (1.0, 0.0, 0.0), tol=tol)
         with pytest.raises(ValueError, match="tol must be positive and finite"):
             integrate_sl_gauges(DECAY, (None,), (0.0, 1.0), (1.0, 0.0, 0.0), tol=tol)
-    with pytest.raises(ValueError, match="method must be a Method"):
-        integrate_sl(DECAY, None, (0.0, 1.0), (1.0, 0.0, 0.0), "rk4")  # type: ignore[arg-type]
+    # DP54 is the only integrator of a run: there is no method to choose.
+    with pytest.raises(TypeError, match="method"):
+        integrate_sl(DECAY, None, (0.0, 1.0), (1.0, 0.0, 0.0), method="rk4")  # type: ignore[call-arg]
 
 
 def test_plan_validation():

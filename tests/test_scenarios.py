@@ -8,7 +8,7 @@ import pytest
 from slchaos import scenarios
 from slchaos.cli import cli_main
 from slchaos.dynamics import State3, SystemKind, SystemParams
-from slchaos.integrate import Method, SLMode
+from slchaos.integrate import SLMode
 from slchaos.scenarios import (
     Scenario,
     ScenarioNotFound,
@@ -46,7 +46,7 @@ class TestRegistry:
             assert sc.gauge.D == 2.0 / 3.0
             assert tuple(sc.x0) == (0.1, 0.1, 0.1)
             assert sc.span == (0.1, 1e6)
-            assert (sc.method, sc.tol, sc.sample_count) == (Method.RK45_ADAPTIVE, 1e-9, 2000)
+            assert (sc.tol, sc.sample_count) == (1e-9, 2000)
             assert sc.sl_mode is SLMode.SCALED_S
 
     def test_lorenz_members(self):
@@ -58,7 +58,7 @@ class TestRegistry:
         for sc in (std, lit):
             assert sc.gauge is None
             assert sc.span == (0.0, 60.0)
-            assert (sc.method, sc.tol, sc.sample_count) == (Method.RK45_ADAPTIVE, 1e-9, 2000)
+            assert (sc.tol, sc.sample_count) == (1e-9, 2000)
 
     def test_unknown_name(self):
         with pytest.raises(ScenarioNotFound, match="unknown scenario"):
@@ -303,20 +303,22 @@ class TestRunScenario:
 class TestDerive:
     def test_replaces_only_the_given_settings(self):
         base = lookup_scenario("sl-a2")
-        sc = derive(base, "x", b=0.5, D=0.5, y0=0.2, t1=10.0, tol=1e-6, method="rk4",
-                    sample_count=50, mode="direct-t")
+        sc = derive(base, "x", b=0.5, D=0.5, y0=0.2, t1=10.0, tol=1e-6, sample_count=50,
+                    mode="direct-t")
         assert sc.name == "x"
         assert sc.params == SystemParams(2.0, 0.5, 27.0)
         assert sc.gauge == Gauge(0.9, 0.5)
         assert sc.x0 == State3(0.1, 0.2, 0.1)
         assert sc.span == (0.1, 10.0)
-        assert (sc.method, sc.tol, sc.sample_count) == (Method.RK4_FIXED, 1e-6, 50)
+        assert (sc.tol, sc.sample_count) == (1e-6, 50)
         assert sc.sl_mode is SLMode.DIRECT_T
         assert derive(base, base.name) == base
 
     def test_unknown_setting_is_rejected(self):
         with pytest.raises(ValueError, match="unknown run setting 'rho'"):
             derive(lookup_scenario("sl-a2"), "x", rho=1.0)
+        with pytest.raises(ValueError, match="unknown run setting 'method'"):
+            derive(lookup_scenario("sl-a2"), "x", method="rk4")
 
 
 def _shared_solve_sizes(monkeypatch) -> list[int]:
@@ -417,10 +419,9 @@ class TestSweep:
         assert [r["scenario"] for r in (rows[0], rows[2])] == ["sl-a2-D0.5", "sl-a2-D0.9"]
         assert sizes == [2]
 
-    @pytest.mark.parametrize("settings", [{"method": "rk4"}, {"mode": "direct-t", "t1": 1000.0}])
-    def test_rk4_and_direct_t_members_solve_alone(self, settings, tmp_path, monkeypatch):
+    def test_direct_t_members_solve_alone(self, tmp_path, monkeypatch):
         sizes = _shared_solve_sizes(monkeypatch)
-        base = derive(lookup_scenario("sl-a2"), "sl-a2", sample_count=300, **settings)
+        base = derive(lookup_scenario("sl-a2"), "sl-a2", sample_count=300, mode="direct-t", t1=1000.0)
         _sweep_matching_standalone_runs(base, "D", (0.5, 0.9), tmp_path)
         assert sizes == []
 

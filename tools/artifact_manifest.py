@@ -6,15 +6,15 @@ temporary directory, and every file it writes gets one line,
 rendered from the CSV that the PLOT_SOURCE writer produced, into its own
 subdirectory, and gets one line the same way.  Each command in PRINTERS
 writes JSON to stdout, which gets one line, `<sha256>  <label> (stdout)`.
-The commands cover `simulate` for all six built-in scenarios, both
-integration methods, both SL routes, a `--tol` on each of the DP54
-identity-clock, direct-t and RK4 routes, and custom runs of every system (one
-of them a Lorenz run from t0 = 1, and one a Lorenz run resting on its
-origin, whose CSV has integral fields and whose views are dot markers),
-plus coefficient, `D` and `mu` sweeps (one of them over sigma-ranges up to
-2.3e5, where the orbit settles on the stable origin), a run that settles on
-a stable focus-node pair, `compare` with and without run overrides, every
-`plot` view, `fixed-points` and `lyapunov`.
+The commands cover `simulate` for all six built-in scenarios, both SL
+routes, a `--tol` on the identity-clock and direct-t routes, and custom
+runs of every system (one of them a Lorenz run from t0 = 1, and one a
+Lorenz run resting on its origin, whose CSV has integral fields and whose
+views are dot markers), plus coefficient, `D` and `mu` sweeps (one of them
+over sigma-ranges up to 2.3e5, where the orbit settles on the stable
+origin), a run that settles on a stable focus-node pair, `compare` with
+and without run overrides (`--tol`, `--samples` and `--mode`), every `plot`
+view, `fixed-points` and `lyapunov`.
 
 A change meant to leave every artifact byte-identical is checked by running
 the tool against both source trees and diffing the output:
@@ -41,15 +41,6 @@ SCENARIOS = ("sl-a2.35", "sl-a2", "sl-a1.5", "sl-a1.35", "lorenz-standard", "lor
 # (label, argv without --out)
 WRITERS: list[tuple[str, list[str]]] = [
     *((f"simulate-{name}", ["simulate", "--scenario", name]) for name in SCENARIOS),
-    ("simulate-sl-a2-rk4", ["simulate", "--scenario", "sl-a2", "--method", "rk4"]),
-    (
-        "simulate-lorenz-literal-rk4",
-        ["simulate", "--scenario", "lorenz-literal", "--method", "rk4", "--samples", "6001"],
-    ),
-    (
-        "simulate-sl-a2-rk4-tol",
-        ["simulate", "--scenario", "sl-a2", "--method", "rk4", "--tol", "1e-6", "--samples", "1000"],
-    ),
     (
         "simulate-lorenz-literal-tol",
         ["simulate", "--scenario", "lorenz-literal", "--tol", "1e-7"],
@@ -62,11 +53,6 @@ WRITERS: list[tuple[str, list[str]]] = [
         "simulate-custom-direct-t-tol",
         ["simulate", "--system", "sl", "--a", "2", "--t1", "1000", "--mode", "direct-t",
          "--tol", "1e-7"],
-    ),
-    (
-        "simulate-custom-direct-t-rk4",
-        ["simulate", "--system", "sl", "--a", "2", "--t0", "1", "--t1", "10",
-         "--mode", "direct-t", "--method", "rk4"],
     ),
     (
         "simulate-custom-lorenz-literal",
@@ -106,10 +92,6 @@ WRITERS: list[tuple[str, list[str]]] = [
     ),
     ("simulate-custom-sl-pair", ["simulate", "--system", "sl", "--a", "2", "--b", "5"]),
     ("compare-sl-a2-lorenz-literal", ["compare", "sl-a2", "lorenz-literal", "--axis", "t"]),
-    (
-        "compare-sl-a2-lorenz-literal-rk4",
-        ["compare", "sl-a2", "lorenz-literal", "--method", "rk4", "--samples", "5000"],
-    ),
     (
         "compare-sl-a2-lorenz-literal-overrides",
         ["compare", "sl-a2", "lorenz-literal", "--tol", "1e-7", "--samples", "500",
