@@ -97,6 +97,10 @@ WRITERS: list[tuple[str, list[str]]] = [
         ["compare", "sl-a2", "lorenz-literal", "--tol", "1e-7", "--samples", "500",
          "--mode", "direct-t"],
     ),
+    (
+        "compare-sl-a2-lorenz-literal-tol-samples",
+        ["compare", "sl-a2", "lorenz-literal", "--tol", "1e-7", "--samples", "500"],
+    ),
 ]
 
 # (writer label, CSV path inside its output) that every plot view reads
