@@ -238,16 +238,15 @@ def char_poly_residual(matrix: np.ndarray, spectrum: Spectrum3) -> float:
 
 
 def _char_poly_coeffs(m: np.ndarray) -> tuple[float, float, float]:
-    tr = m[0, 0] + m[1, 1] + m[2, 2]
-    minors = (
-        (m[1, 1] * m[2, 2] - m[1, 2] * m[2, 1])
-        + (m[0, 0] * m[2, 2] - m[0, 2] * m[2, 0])
-        + (m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0])
-    )
+    # Python floats, not numpy scalars: an overflowing `**` in `_cubic_roots`
+    # then raises OverflowError instead of warning and going on with inf.
+    (m00, m01, m02), (m10, m11, m12), (m20, m21, m22) = m.tolist()
+    tr = m00 + m11 + m22
+    minors = (m11 * m22 - m12 * m21) + (m00 * m22 - m02 * m20) + (m00 * m11 - m01 * m10)
     det = (
-        m[0, 0] * (m[1, 1] * m[2, 2] - m[1, 2] * m[2, 1])
-        - m[0, 1] * (m[1, 0] * m[2, 2] - m[1, 2] * m[2, 0])
-        + m[0, 2] * (m[1, 0] * m[2, 1] - m[1, 1] * m[2, 0])
+        m00 * (m11 * m22 - m12 * m21)
+        - m01 * (m10 * m22 - m12 * m20)
+        + m02 * (m10 * m21 - m11 * m20)
     )
     return (-tr, minors, -det)
 
@@ -258,7 +257,7 @@ def eigenvalues_3x3(matrix: np.ndarray | Sequence[Sequence[float]]) -> Spectrum3
     Each root gets one Newton correction on the characteristic polynomial,
     applied only when it is a genuine contraction, which tightens simple
     roots without destabilizing near-multiple ones.  ArithmeticError when
-    a root is not finite: the cubic's coefficients overflowed.
+    the cubic's terms overflow or a root is not finite.
     """
     m = np.asarray(matrix, dtype=float)
     if m.shape != (3, 3):
@@ -266,8 +265,12 @@ def eigenvalues_3x3(matrix: np.ndarray | Sequence[Sequence[float]]) -> Spectrum3
     if not np.all(np.isfinite(m)):
         raise ValueError("matrix contains non-finite entries")
 
+    overflow = "the characteristic polynomial overflows: no finite spectrum"
     p, q, r = _char_poly_coeffs(m)
-    roots = _cubic_roots(p, q, r)
+    try:
+        roots = _cubic_roots(p, q, r)
+    except OverflowError:
+        raise ArithmeticError(overflow) from None
 
     polished: list[complex] = []
     for lam in roots:
@@ -286,7 +289,7 @@ def eigenvalues_3x3(matrix: np.ndarray | Sequence[Sequence[float]]) -> Spectrum3
         polished.append(lam)
 
     if not np.all(np.isfinite(polished)):
-        raise ArithmeticError("the characteristic polynomial overflows: no finite spectrum")
+        raise ArithmeticError(overflow)
     polished.sort(key=lambda v: (-v.real, -v.imag))
     return Spectrum3((polished[0], polished[1], polished[2]))
 

@@ -129,12 +129,15 @@ class TestEigenvalues:
         with pytest.raises(ValueError):
             eigenvalues_3x3(bad)
 
+    @pytest.mark.filterwarnings("error")
     def test_overflowing_cubic_is_an_arithmetic_error(self):
-        # At a = 1e103 the origin's spectrum is about (-1e103, -0.7, -27),
-        # but p**3 of the characteristic cubic overflows: no root is finite.
-        m = jacobian(SystemKind.SL, SystemParams(1e103, 0.3, 27.0), (0.0, 0.0, 0.0))
-        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ArithmeticError, match="overflows"):
-            eigenvalues_3x3(m)
+        # At a = 1e102 the origin's spectrum is about (-1e102, -0.7, -27),
+        # but the cube of the depressed cubic's A overflows (at 1e103 so does
+        # p**3): an error, never a warning and a finite but wrong root.
+        for a in (1e102, 1e103):
+            m = jacobian(SystemKind.SL, SystemParams(a, 0.3, 27.0), (0.0, 0.0, 0.0))
+            with pytest.raises(ArithmeticError, match="characteristic polynomial overflows"):
+                eigenvalues_3x3(m)
 
 
 class TestClassification:
