@@ -14,7 +14,7 @@ from pathlib import Path
 
 from .analysis import max_lyapunov
 from .dynamics import SystemKind
-from .integrate import IntegrationError, SLMode
+from .integrate import IntegrationError
 from .scenarios import (
     LYAPUNOV_HORIZON,
     LYAPUNOV_INTERVALS,
@@ -51,12 +51,6 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument(
         "--samples", dest="sample_count", type=int, default=None, help="sample count override"
     )
-    sub.add_argument(
-        "--mode",
-        choices=[m.value for m in SLMode],
-        default=None,
-        help="integration route of a gauged run (compare applies it to gauged members only)",
-    )
 
 
 # Flags that describe a custom run.  Each defaults to None, so a flag left
@@ -65,7 +59,7 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
 # registers only the ones it reads.
 _SYSTEM_FLAGS = ("system", *SWEEPABLE, "x0", "y0", "z0", "t0", "t1")
 # The `_add_common` flags that change how a run is integrated and sampled.
-_RUN_FLAGS = ("tol", "sample_count", "mode")
+_RUN_FLAGS = ("tol", "sample_count")
 
 
 def _add_system_flags(sub: argparse.ArgumentParser, flags: tuple[str, ...]) -> None:
@@ -155,8 +149,7 @@ def _given(ns: argparse.Namespace, flags: tuple[str, ...]) -> dict:
 def _scenario(ns: argparse.Namespace) -> Scenario:
     """The run the flags describe: the `--scenario` registry entry, or the
     registry scenario of `--system` with every given system flag applied;
-    either way with every given run flag applied.  `--mode` picks the
-    route of a gauged run, so it is an error on a run with no gauge."""
+    either way with every given run flag applied."""
     system, run = _given(ns, _SYSTEM_FLAGS), _given(ns, _RUN_FLAGS)
     if getattr(ns, "scenario", None) is not None:
         if system:
@@ -173,8 +166,6 @@ def _scenario(ns: argparse.Namespace) -> Scenario:
             if "a" not in system:
                 raise _UsageError("--system sl needs --a (and optionally --b, --c)")
             name = f"custom-sl-a{format_float(system['a'])}"
-    if "mode" in run and base.gauge is None:
-        raise _UsageError(f"--mode picks the route of a gauged run; {base.name!r} has no gauge")
     return derive(base, name, **system, **run)
 
 

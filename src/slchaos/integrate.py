@@ -2,23 +2,23 @@
 
 Two drivers: classical fixed-step RK4 for convergence studies and the
 twin-trajectory estimators, and an embedded Dormand-Prince 5(4) pair with
-PI step-size control, which solves every run.  A run is three settings:
-one tolerance (absolute and relative), the sample count and, for a gauged
-run, its route.  Samples are spaced by the clock: geometrically in t on a
-gauged clock, whose spans cover decades from t0 > 0, and linearly on the
-identity clock; off-step samples come from the pair's own 4th-order
-continuous extension over the bracketing step (Hairer, Norsett & Wanner,
-Solving ODEs I, II.6), built from the seven stages already in hand, so it
-costs no extra field evaluations.  The DP54 step sequence depends only on
+PI step-size control, which solves every run.  A run is two settings:
+one tolerance (absolute and relative) and the sample count.  Samples are
+spaced by the clock: geometrically in t on a gauged clock, whose spans
+cover decades from t0 > 0, and linearly on the identity clock; off-step
+samples come from the pair's own 4th-order continuous extension over the
+bracketing step (Hairer, Norsett & Wanner, Solving ODEs I, II.6), built
+from the seven stages already in hand, so it costs no extra field
+evaluations.  The DP54 step sequence depends only on
 the field, the start point and the tolerances, never on where the samples
 fall or the run ends, so one solve can serve several sample grids
 (`integrate_sl_gauges`).
 
 Settled tail.  A DP54 solve of the quadratic field (`integrate_sl_gauges`,
-hence every `integrate_sl` run but a direct-t one) stops stepping once
-an accepted step ends close to a stable equilibrium x* (a "stable node" or
-"stable focus-node" of the `analysis.conjecture_report` table): every later
-sample comes from the exact linear flow there,
+hence every run) stops stepping once an accepted step ends close to a
+stable equilibrium x* (a "stable node" or "stable focus-node" of the
+`analysis.conjecture_report` table): every later sample comes from the
+exact linear flow there,
 
     x(sigma) = x* + V exp(Lambda (sigma - sigma_1)) V^-1 (x(sigma_1) - x*),
 
@@ -74,25 +74,22 @@ RHS = Callable[[float, tuple[float, float, float]], tuple[float, float, float]]
 
 
 class SLMode(enum.Enum):
-    """How a gauged run is carried out.
+    """The two routes of `integrate_sl` for a gauged run.
 
-    DIRECT_T integrates dx/dt = lam * t**(-D) * f(x) in ordinary time.
     SCALED_S integrates the autonomous dx/ds = f(x) in scaled time and
-    relabels the samples through the gauge map.  The two must agree; that
-    equivalence is checked by the test suite rather than assumed.
+    relabels the samples through the gauge map; every run takes it.
+    DIRECT_T integrates dx/dt = lam * t**(-D) * f(x) in ordinary time.  It
+    is not a run setting but criterion 1's reference: the two must agree,
+    and the acceptance suite checks that rather than assuming it.
     """
 
     DIRECT_T = "direct-t"
     SCALED_S = "scaled-s"
 
 
-def check_settings(
-    tol: float, samples: int, mode: SLMode = SLMode.SCALED_S
-) -> tuple[float, int]:
+def check_settings(tol: float, samples: int) -> tuple[float, int]:
     """The run settings `tol` and `samples` as float and int, or ValueError
-    if any of the three is out of range."""
-    if not isinstance(mode, SLMode):
-        raise ValueError(f"mode must be an SLMode, got {mode!r}")
+    if either is out of range."""
     tol = float(tol)
     if not (math.isfinite(tol) and tol > 0.0):
         raise ValueError(f"tol must be positive and finite, got {tol!r}")
@@ -556,18 +553,17 @@ def integrate_sl(
     """Integrate the quadratic field with coefficients `params` over an
     ordinary-time span, on the clock of `gauge`, to `samples` rows.
 
-    This is the one solve entry of every run.  With a gauge, DIRECT_T
-    solves the weighted equations in t and SCALED_S solves the autonomous
-    dx/ds = f over the image of the span under the gauge.  With `gauge`
-    None the clock is the identity, s = t (a Lorenz run): the span may
-    start at any finite t0, `mode` is ignored and `meta.mode` is None.
-    Each row carries both times, related by the clock.
-
-    Every run but a direct-t one is `integrate_sl_gauges` with one gauge;
-    DIRECT_T samples the same t grid, which makes cross-mode rows directly
-    comparable.
+    This is the one solve entry of every run: `integrate_sl_gauges` with
+    one clock, which solves the autonomous dx/ds = f over the image of the
+    span under the gauge.  With `gauge` None the clock is the identity,
+    s = t (a Lorenz run): the span may start at any finite t0, `mode` is
+    ignored and `meta.mode` is None.  Each row carries both times, related
+    by the clock.  `mode` DIRECT_T instead solves the weighted equations in
+    t on the same t grid, as criterion 1's reference.
     """
-    tol, samples = check_settings(tol, samples, mode)
+    if not isinstance(mode, SLMode):
+        raise ValueError(f"mode must be an SLMode, got {mode!r}")
+    tol, samples = check_settings(tol, samples)
     if gauge is None or mode is SLMode.SCALED_S:
         run = integrate_sl_gauges(params, [gauge], span, x0, tol, samples)[0]
     else:

@@ -29,7 +29,6 @@ from .analysis import conjecture_report, max_lyapunov
 from .dynamics import State3, SystemKind, SystemParams, effective_params
 from .integrate import (
     IntegrationError,
-    SLMode,
     Trajectory,
     check_settings,
     integrate_sl,
@@ -64,7 +63,7 @@ LYAPUNOV_INTERVALS = 500
 
 SWEEPABLE = ("a", "b", "c", "D", "mu")
 _START = ("x0", "y0", "z0")
-_SETTINGS = (*SWEEPABLE, *_START, "t0", "t1", "tol", "sample_count", "mode")
+_SETTINGS = (*SWEEPABLE, *_START, "t0", "t1", "tol", "sample_count")
 
 
 class ScenarioNotFound(KeyError):
@@ -74,7 +73,7 @@ class ScenarioNotFound(KeyError):
 @dataclass(frozen=True)
 class Scenario:
     """A complete run description: system, coefficients, gauge (for SL),
-    start state, ordinary-time span, and the three run settings of
+    start state, ordinary-time span, and the two run settings of
     `integrate_sl`.  Samples are spaced by the clock, so a gauged run is
     sampled geometrically and a Lorenz run linearly."""
 
@@ -86,7 +85,6 @@ class Scenario:
     span: tuple[float, float]
     tol: float = 1e-9
     sample_count: int = 2000
-    sl_mode: SLMode = SLMode.SCALED_S
 
     def __post_init__(self) -> None:
         if not self.name:
@@ -95,7 +93,7 @@ class Scenario:
         if not (math.isfinite(t0) and math.isfinite(t1) and t1 > t0):
             raise ValueError(f"scenario {self.name!r}: span must be finite with t1 > t0")
         object.__setattr__(self, "span", (t0, t1))
-        tol, n = check_settings(self.tol, self.sample_count, self.sl_mode)
+        tol, n = check_settings(self.tol, self.sample_count)
         object.__setattr__(self, "tol", tol)
         object.__setattr__(self, "sample_count", n)
         if self.kind is SystemKind.SL:
@@ -189,10 +187,10 @@ def derive(base: Scenario, name: str, **settings: object) -> Scenario:
     This is the one map from a setting name to a Scenario field: `a`, `b`,
     `c` set a coefficient (SL runs only; the Lorenz systems have fixed
     coefficients), `D` and `mu` rebuild the gauge (gauged runs only), `x0`,
-    `y0`, `z0` set the start state, `t0`, `t1` the span, and `tol`,
-    `sample_count`, `mode` the absolute and relative tolerance, the sample
-    count and the SL route.  The result is
-    validated like any Scenario, so a bad value raises ValueError.
+    `y0`, `z0` set the start state, `t0`, `t1` the span, and `tol` and
+    `sample_count` the absolute and relative tolerance and the sample
+    count.  The result is validated like any Scenario, so a bad value
+    raises ValueError.
     """
     for key in settings:
         if key not in _SETTINGS:
@@ -212,7 +210,6 @@ def derive(base: Scenario, name: str, **settings: object) -> Scenario:
         span=(get("t0", base.span[0]), get("t1", base.span[1])),
         tol=get("tol", base.tol),
         sample_count=get("sample_count", base.sample_count),
-        sl_mode=SLMode(get("mode", base.sl_mode)),
     )
 
 
@@ -221,9 +218,8 @@ def _resolve(scenario: Scenario | str) -> Scenario:
 
 
 def run_trajectory(scenario: Scenario) -> Trajectory:
-    """Integrate a scenario with `integrate_sl`: a gauged run takes the
-    route `scenario.sl_mode`, and a Lorenz run, which has no gauge, the
-    identity clock."""
+    """Integrate a scenario with `integrate_sl`: a gauged run on its gauge's
+    clock, and a Lorenz run, which has no gauge, on the identity clock."""
     return integrate_sl(
         effective_params(scenario.kind, scenario.params),
         scenario.gauge,
@@ -231,7 +227,6 @@ def run_trajectory(scenario: Scenario) -> Trajectory:
         scenario.x0,
         scenario.tol,
         scenario.sample_count,
-        scenario.sl_mode,
     )
 
 
@@ -365,10 +360,9 @@ def run_sweep(spec: SweepSpec, output_dir: str | Path) -> dict:
     to build or run contributes an error row instead of aborting the rest.
 
     The members of a `D` or `mu` sweep differ only in the gauge, so they
-    follow one orbit of dx/ds = f: their reports share one fixed-point
-    table and one Lyapunov estimate, and on the scaled-s route one solve
-    serves them all.  Each member's files stay byte-identical to
-    a standalone run of it.
+    follow one orbit of dx/ds = f: one solve serves them all, and their
+    reports share one fixed-point table and one Lyapunov estimate.  Each
+    member's files stay byte-identical to a standalone run of it.
     """
     base = _resolve(spec.base)
     out = Path(output_dir)
@@ -389,11 +383,10 @@ def run_sweep(spec: SweepSpec, output_dir: str | Path) -> dict:
     runs: list[Trajectory | IntegrationError | None] = [None] * len(members)
     if one_orbit and members:
         first = members[0][2]
-        if first.sl_mode is SLMode.SCALED_S:
-            gauges = [m.gauge for _, _, m in members]
-            runs = integrate_sl_gauges(
-                first.params, gauges, first.span, first.x0, first.tol, first.sample_count
-            )
+        gauges = [m.gauge for _, _, m in members]
+        runs = integrate_sl_gauges(
+            first.params, gauges, first.span, first.x0, first.tol, first.sample_count
+        )
     orbit_of = None
     for (row, subdir, member), run in zip(members, runs):
         try:

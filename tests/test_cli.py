@@ -73,10 +73,6 @@ class TestUsageErrors:
             ["fixed-points", "--system", "sl", "--a", "2", "--mu", "3"],
             ["lyapunov", "--system", "sl", "--a", "2", "--D", "0.5"],
             ["lyapunov", "--system", "lorenz-standard", "--t1", "5", "--horizon", "50"],
-            ["simulate", "--system", "lorenz-standard", "--t1", "1", "--samples", "20",
-             "--mode", "direct-t"],
-            ["sweep", "--scenario", "lorenz-literal", "--param", "a", "--values", "1",
-             "--mode", "direct-t"],
         ],
     )
     def test_system_flags_are_never_dropped(self, capsys, tmp_path, monkeypatch, argv):
@@ -322,7 +318,9 @@ def test_pair_far_from_the_origin_is_valid(capsys, tmp_path, monkeypatch, argv):
     assert code == 0, err
 
 
-@pytest.mark.parametrize("flag", ["--tol 0", "--tol -1", "--tol nan", "--samples 1", "--method rk4"])
+@pytest.mark.parametrize(
+    "flag", ["--tol 0", "--tol -1", "--tol nan", "--samples 1", "--method rk4", "--mode direct-t"]
+)
 @pytest.mark.parametrize(
     "command",
     [
@@ -337,15 +335,20 @@ def test_bad_run_setting_is_usage_error(capsys, tmp_path, command, flag):
     code, _, err = run_cli(capsys, *command.split(), *flag.split(), "--out", str(out))
     assert code == 1
     assert "usage error" in err
+    if flag.startswith(("--method", "--mode")):
+        # Retired route choices: every run is one DP54 solve on its clock.
+        assert "unrecognized arguments" in err
     assert not out.exists() or list(out.iterdir()) == []
 
 
 def test_overflowing_spectrum_is_runtime_failure(capsys):
-    # The origin's characteristic cubic overflows at a = 1e103.
-    code, out, err = run_cli(capsys, "fixed-points", "--system", "sl", "--a", "1e103")
-    assert code == 2
-    assert "run failed" in err
-    assert "Infinity" not in out
+    # The origin's characteristic cubic overflows at a = 1e102 and beyond:
+    # one "run failed" line, with no numpy warning before it.
+    for a in ("1e102", "1e103"):
+        code, out, err = run_cli(capsys, "fixed-points", "--system", "sl", "--a", a)
+        assert code == 2
+        assert err == "run failed: the characteristic polynomial overflows: no finite spectrum\n"
+        assert out == ""
 
 
 def test_module_entry_point():

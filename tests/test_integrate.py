@@ -22,7 +22,7 @@ from slchaos.integrate import (
     integrate_sl_gauges,
     rk4_step,
 )
-from slchaos.scenarios import derive, run_trajectory, scenario_registry
+from slchaos.scenarios import run_trajectory, scenario_registry
 from slchaos.timegauge import Gauge, scale_time
 
 ATTRACTOR_II = SystemParams(2.0, 0.3, 27.0)
@@ -385,9 +385,12 @@ class TestIdentityClock:
         assert np.array_equal(tr.t, tr.s)
 
     def test_mode_is_ignored(self):
-        base = scenario_registry()["lorenz-literal"]
-        direct = run_trajectory(derive(base, base.name, mode="direct-t"))
-        ref = run_trajectory(base)
+        sc = scenario_registry()["lorenz-literal"]
+        direct = integrate_sl(
+            effective_params(sc.kind), None, sc.span, sc.x0, sc.tol, sc.sample_count,
+            mode=SLMode.DIRECT_T,
+        )
+        ref = run_trajectory(sc)
         assert direct == ref and direct.meta == ref.meta and direct.meta.mode is None
 
     def test_span_may_start_anywhere(self):

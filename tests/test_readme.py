@@ -19,7 +19,7 @@ def test_library_use_blocks_run_in_order(tmp_path, monkeypatch, capsys):
     namespace: dict = {}
     for block in blocks:
         exec(compile(block, str(README), "exec"), namespace)
-    assert sorted(p.name for p in (tmp_path / "runs" / "sl-a2-direct").iterdir()) == [
+    assert sorted(p.name for p in (tmp_path / "runs" / "sl-a2-tol").iterdir()) == [
         "sl-a2-analysis.json",
         "sl-a2-traj3d.svg",
         "sl-a2-xy.svg",

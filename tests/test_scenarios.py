@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import math
 
@@ -8,7 +7,6 @@ import pytest
 from slchaos import scenarios
 from slchaos.cli import cli_main
 from slchaos.dynamics import State3, SystemKind, SystemParams
-from slchaos.integrate import SLMode
 from slchaos.scenarios import (
     Scenario,
     ScenarioNotFound,
@@ -47,7 +45,6 @@ class TestRegistry:
             assert tuple(sc.x0) == (0.1, 0.1, 0.1)
             assert sc.span == (0.1, 1e6)
             assert (sc.tol, sc.sample_count) == (1e-9, 2000)
-            assert sc.sl_mode is SLMode.SCALED_S
 
     def test_lorenz_members(self):
         std, lit = builtin_scenarios()[4:]
@@ -293,25 +290,17 @@ class TestRunScenario:
         write_trajectory_csv(traj, path)
         assert read_trajectory_csv(path) == traj
 
-    def test_mode_override(self):
-        sc = lookup_scenario("sl-a2")
-        assert run_trajectory(sc).meta.mode == "scaled-s"
-        direct = dataclasses.replace(sc, sl_mode=SLMode.DIRECT_T)
-        assert run_trajectory(direct).meta.mode == "direct-t"
-
 
 class TestDerive:
     def test_replaces_only_the_given_settings(self):
         base = lookup_scenario("sl-a2")
-        sc = derive(base, "x", b=0.5, D=0.5, y0=0.2, t1=10.0, tol=1e-6, sample_count=50,
-                    mode="direct-t")
+        sc = derive(base, "x", b=0.5, D=0.5, y0=0.2, t1=10.0, tol=1e-6, sample_count=50)
         assert sc.name == "x"
         assert sc.params == SystemParams(2.0, 0.5, 27.0)
         assert sc.gauge == Gauge(0.9, 0.5)
         assert sc.x0 == State3(0.1, 0.2, 0.1)
         assert sc.span == (0.1, 10.0)
         assert (sc.tol, sc.sample_count) == (1e-6, 50)
-        assert sc.sl_mode is SLMode.DIRECT_T
         assert derive(base, base.name) == base
 
     def test_unknown_setting_is_rejected(self):
@@ -319,6 +308,8 @@ class TestDerive:
             derive(lookup_scenario("sl-a2"), "x", rho=1.0)
         with pytest.raises(ValueError, match="unknown run setting 'method'"):
             derive(lookup_scenario("sl-a2"), "x", method="rk4")
+        with pytest.raises(ValueError, match="unknown run setting 'mode'"):
+            derive(lookup_scenario("sl-a2"), "x", mode="direct-t")
 
 
 def _shared_solve_sizes(monkeypatch) -> list[int]:
@@ -419,11 +410,13 @@ class TestSweep:
         assert [r["scenario"] for r in (rows[0], rows[2])] == ["sl-a2-D0.5", "sl-a2-D0.9"]
         assert sizes == [2]
 
-    def test_direct_t_members_solve_alone(self, tmp_path, monkeypatch):
+    def test_gauge_sweep_with_overrides_shares_one_solve(self, tmp_path, monkeypatch):
+        # The members inherit the base's tol, sample count and span, and one
+        # solve still serves them all.
         sizes = _shared_solve_sizes(monkeypatch)
-        base = derive(lookup_scenario("sl-a2"), "sl-a2", sample_count=300, mode="direct-t", t1=1000.0)
+        base = derive(lookup_scenario("sl-a2"), "sl-a2", tol=1e-8, sample_count=300, t1=1000.0)
         _sweep_matching_standalone_runs(base, "D", (0.5, 0.9), tmp_path)
-        assert sizes == []
+        assert sizes == [2]
 
     def test_bad_value_becomes_error_row(self, tmp_path):
         summary = run_sweep(SweepSpec("sl-a2", "c", (-1.0, 27.0)), tmp_path)

@@ -6,15 +6,15 @@ temporary directory, and every file it writes gets one line,
 rendered from the CSV that the PLOT_SOURCE writer produced, into its own
 subdirectory, and gets one line the same way.  Each command in PRINTERS
 writes JSON to stdout, which gets one line, `<sha256>  <label> (stdout)`.
-The commands cover `simulate` for all six built-in scenarios, both SL
-routes, a `--tol` on the identity-clock and direct-t routes, and custom
-runs of every system (one of them a Lorenz run from t0 = 1, and one a
-Lorenz run resting on its origin, whose CSV has integral fields and whose
-views are dot markers), plus coefficient, `D` and `mu` sweeps (one of them
-over sigma-ranges up to 2.3e5, where the orbit settles on the stable
-origin), a run that settles on a stable focus-node pair, `compare` with
-and without run overrides (`--tol`, `--samples` and `--mode`), every `plot`
-view, `fixed-points` and `lyapunov`.
+The commands cover `simulate` for all six built-in scenarios, a `--tol`
+on the identity clock, and custom runs of every system (one of them a
+Lorenz run from t0 = 1, and one a Lorenz run resting on its origin, whose
+CSV has integral fields and whose views are dot markers), plus
+coefficient, `D` and `mu` sweeps (one of them over sigma-ranges up to
+2.3e5, where the orbit settles on the stable origin), a run that settles
+on a stable focus-node pair, `compare` with and without run overrides
+(`--tol` and `--samples`), every `plot` view, `fixed-points` and
+`lyapunov`.
 
 A change meant to leave every artifact byte-identical is checked by running
 the tool against both source trees and diffing the output:
@@ -44,15 +44,6 @@ WRITERS: list[tuple[str, list[str]]] = [
     (
         "simulate-lorenz-literal-tol",
         ["simulate", "--scenario", "lorenz-literal", "--tol", "1e-7"],
-    ),
-    (
-        "simulate-custom-direct-t",
-        ["simulate", "--system", "sl", "--a", "2", "--t1", "1000", "--mode", "direct-t"],
-    ),
-    (
-        "simulate-custom-direct-t-tol",
-        ["simulate", "--system", "sl", "--a", "2", "--t1", "1000", "--mode", "direct-t",
-         "--tol", "1e-7"],
     ),
     (
         "simulate-custom-lorenz-literal",
@@ -92,11 +83,6 @@ WRITERS: list[tuple[str, list[str]]] = [
     ),
     ("simulate-custom-sl-pair", ["simulate", "--system", "sl", "--a", "2", "--b", "5"]),
     ("compare-sl-a2-lorenz-literal", ["compare", "sl-a2", "lorenz-literal", "--axis", "t"]),
-    (
-        "compare-sl-a2-lorenz-literal-overrides",
-        ["compare", "sl-a2", "lorenz-literal", "--tol", "1e-7", "--samples", "500",
-         "--mode", "direct-t"],
-    ),
     (
         "compare-sl-a2-lorenz-literal-tol-samples",
         ["compare", "sl-a2", "lorenz-literal", "--tol", "1e-7", "--samples", "500"],
