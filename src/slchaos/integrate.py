@@ -9,10 +9,9 @@ cover decades from t0 > 0, and linearly on the identity clock; off-step
 samples come from the pair's own 4th-order continuous extension over the
 bracketing step (Hairer, Norsett & Wanner, Solving ODEs I, II.6), built
 from the seven stages already in hand, so it costs no extra field
-evaluations.  The DP54 step sequence depends only on
-the field, the start point and the tolerances, never on where the samples
-fall or the run ends, so one solve can serve several sample grids
-(`integrate_sl_gauges`).
+evaluations.  The DP54 step sequence depends only on the field, the start
+point and the tolerances, never on where the samples fall or the run ends,
+so one solve can serve several sample grids (`integrate_sl_gauges`).
 
 Settled tail.  A DP54 solve of the quadratic field (`integrate_sl_gauges`,
 hence every run) stops stepping once an accepted step ends close to a
