@@ -648,9 +648,11 @@ class StableTail:
         bound 2 K**3 r**2 / alpha stays below that share."""
         return min(TAIL_SHARE * tol * self.alpha / (2.0 * self.cond**3), self.radius2)
 
-    def flow(self, s1: float, state: tuple[float, float, float]) -> Callable[[float], tuple[float, float, float]]:
-        """The linear flow through `state` at time `s1`, as a function of
-        time: the real part of sum_i v_i c_i exp(lambda_i (s - s1)) with
+    def flow(
+        self, s1: float, state: tuple[float, float, float], times: Sequence[float]
+    ) -> list[tuple[float, float, float]]:
+        """The linear flow through `state` at time `s1`, at each of `times`:
+        the real part of sum_i v_i c_i exp(lambda_i (s - s1)) with
         c = V^-1 (state - point), in real arithmetic."""
         px, py, pz = self.point
         dx, dy, dz = state[0] - px, state[1] - py, state[2] - pz
@@ -659,8 +661,8 @@ class StableTail:
             c = w[0] * dx + w[1] * dy + w[2] * dz
             ax, ay, az = v[0] * c, v[1] * c, v[2] * c
             terms.append((lam.real, lam.imag, ax.real, ax.imag, ay.real, ay.imag, az.real, az.imag))
-
-        def at(s: float) -> tuple[float, float, float]:
+        rows = []
+        for s in times:
             tau = s - s1
             fx = fy = fz = 0.0
             for re, im, axr, axi, ayr, ayi, azr, azi in terms:
@@ -669,9 +671,8 @@ class StableTail:
                 fx += axr * gc - axi * gs
                 fy += ayr * gc - ayi * gs
                 fz += azr * gc - azi * gs
-            return (px + fx, py + fy, pz + fz)
-
-        return at
+            rows.append((px + fx, py + fy, pz + fz))
+        return rows
 
 
 def stable_tails(params: SystemParams) -> list[StableTail]:

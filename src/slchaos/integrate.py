@@ -88,10 +88,12 @@ class SLMode(enum.Enum):
 
 def check_settings(tol: float, samples: int) -> tuple[float, int]:
     """The run settings `tol` and `samples` as float and int, or ValueError
-    if either is out of range."""
+    if either is out of range or `samples` is not a whole number."""
     tol = float(tol)
     if not (math.isfinite(tol) and tol > 0.0):
         raise ValueError(f"tol must be positive and finite, got {tol!r}")
+    if not isinstance(samples, (int, np.integer)) and not float(samples).is_integer():
+        raise ValueError(f"sample_count must be an integer, got {samples!r}")
     if int(samples) < 2:
         raise ValueError(f"sample_count must be >= 2, got {samples!r}")
     return tol, int(samples)
@@ -322,10 +324,10 @@ def _adaptive_solve(
     last one, and every sample after it comes from that tail's linear flow,
     with the step counts reached there.
     """
-    # Per grid: its samples, its rows (written through a flat memoryview,
-    # far cheaper per row than numpy indexing), how many rows are out, and
-    # the step counts once the last one is.  `active` lists the unfinished
-    # grids and `next_t` is the earliest sample any of them still needs.
+    # Per grid: its samples, its rows (stepped ones through a flat memoryview,
+    # cheaper per row than numpy indexing; settled ones in one slice), how many
+    # rows are out, and the step counts once the last one is.  `active` lists
+    # the unfinished grids and `next_t` is the earliest sample any still needs.
     samples = [grid.tolist() for grid in grids]
     outs = [np.empty((grid.size, 3)) for grid in grids]
     bufs = [memoryview(rows.reshape(-1)) for rows in outs]
@@ -368,18 +370,26 @@ def _adaptive_solve(
     # it.  The floor, 1e-14*max(1, |t|), is near where t + h stops moving t.
     sx, sy, sz = tol + tol * abs(x), tol + tol * abs(y), tol + tol * abs(z)
     # Squares as products: a float multiply overflows to inf, `**` raises.
-    d0 = math.sqrt((x / sx * (x / sx) + y / sy * (y / sy) + z / sz * (z / sz)) / 3.0)
-    d1 = math.sqrt((k1x / sx * (k1x / sx) + k1y / sy * (k1y / sy) + k1z / sz * (k1z / sz)) / 3.0)
-    h = max(0.01 * d0 / d1 if d0 > 1e-10 and d1 > 1e-10 else 1e-6, 1e-14 * max(1.0, abs(t0)))
+    n0 = math.sqrt((x / sx * (x / sx) + y / sy * (y / sy) + z / sz * (z / sz)) / 3.0)
+    n1 = math.sqrt((k1x / sx * (k1x / sx) + k1y / sy * (k1y / sy) + k1z / sz * (k1z / sz)) / 3.0)
+    h = max(0.01 * n0 / n1 if n0 > 1e-10 and n1 > 1e-10 else 1e-6, 1e-14 * max(1.0, abs(t0)))
 
     t = t0
     errold = 1e-4
     just_rejected = False
     near = [(*tail.point, tail.switch_radius2(tol), tail) for tail in tails]
+    # The tableau, the controller and the step budget (read per call, so a patch
+    # applies) as locals: in the stage loop a global lookup costs more than a multiply.
+    c2, c3, c4, c5, a21, a31, a32, a41, a42, a43 = _C2, _C3, _C4, _C5, _A21, _A31, _A32, _A41, _A42, _A43
+    a51, a52, a53, a54, a61, a62, a63, a64, a65 = _A51, _A52, _A53, _A54, _A61, _A62, _A63, _A64, _A65
+    b1, b3, b4, b5, b6, e1, e3, e4, e5, e6, e7 = _B1, _B3, _B4, _B5, _B6, _E1, _E3, _E4, _E5, _E6, _E7
+    d1, d3, d4, d5, d6, d7 = _D1, _D3, _D4, _D5, _D6, _D7
+    safety, pi_alpha, pi_beta, fac_min, fac_max = _SAFETY, _PI_ALPHA, _PI_BETA, _FAC_MIN, _FAC_MAX
+    max_steps, isfinite = _MAX_STEPS, math.isfinite
 
     while active:
-        if attempts >= _MAX_STEPS:
-            return runs(f"step budget of {_MAX_STEPS} exhausted at t = {t!r}", attempts)
+        if attempts >= max_steps:
+            return runs(f"step budget of {max_steps} exhausted at t = {t!r}", attempts)
         at = t if t >= 0.0 else -t  # the floor above, spelled out for speed
         if h < (1e-14 * at if at > 1.0 else 1e-14):
             return runs(
@@ -389,46 +399,46 @@ def _adaptive_solve(
             )
         attempts += 1
 
-        x2 = x + h * (_A21 * k1x)
-        y2 = y + h * (_A21 * k1y)
-        z2 = z + h * (_A21 * k1z)
-        k2x, k2y, k2z = rhs(t + _C2 * h, (x2, y2, z2))
+        x2 = x + h * (a21 * k1x)
+        y2 = y + h * (a21 * k1y)
+        z2 = z + h * (a21 * k1z)
+        k2x, k2y, k2z = rhs(t + c2 * h, (x2, y2, z2))
 
-        x3 = x + h * (_A31 * k1x + _A32 * k2x)
-        y3 = y + h * (_A31 * k1y + _A32 * k2y)
-        z3 = z + h * (_A31 * k1z + _A32 * k2z)
-        k3x, k3y, k3z = rhs(t + _C3 * h, (x3, y3, z3))
+        x3 = x + h * (a31 * k1x + a32 * k2x)
+        y3 = y + h * (a31 * k1y + a32 * k2y)
+        z3 = z + h * (a31 * k1z + a32 * k2z)
+        k3x, k3y, k3z = rhs(t + c3 * h, (x3, y3, z3))
 
-        x4 = x + h * (_A41 * k1x + _A42 * k2x + _A43 * k3x)
-        y4 = y + h * (_A41 * k1y + _A42 * k2y + _A43 * k3y)
-        z4 = z + h * (_A41 * k1z + _A42 * k2z + _A43 * k3z)
-        k4x, k4y, k4z = rhs(t + _C4 * h, (x4, y4, z4))
+        x4 = x + h * (a41 * k1x + a42 * k2x + a43 * k3x)
+        y4 = y + h * (a41 * k1y + a42 * k2y + a43 * k3y)
+        z4 = z + h * (a41 * k1z + a42 * k2z + a43 * k3z)
+        k4x, k4y, k4z = rhs(t + c4 * h, (x4, y4, z4))
 
-        x5 = x + h * (_A51 * k1x + _A52 * k2x + _A53 * k3x + _A54 * k4x)
-        y5 = y + h * (_A51 * k1y + _A52 * k2y + _A53 * k3y + _A54 * k4y)
-        z5 = z + h * (_A51 * k1z + _A52 * k2z + _A53 * k3z + _A54 * k4z)
-        k5x, k5y, k5z = rhs(t + _C5 * h, (x5, y5, z5))
+        x5 = x + h * (a51 * k1x + a52 * k2x + a53 * k3x + a54 * k4x)
+        y5 = y + h * (a51 * k1y + a52 * k2y + a53 * k3y + a54 * k4y)
+        z5 = z + h * (a51 * k1z + a52 * k2z + a53 * k3z + a54 * k4z)
+        k5x, k5y, k5z = rhs(t + c5 * h, (x5, y5, z5))
 
-        x6 = x + h * (_A61 * k1x + _A62 * k2x + _A63 * k3x + _A64 * k4x + _A65 * k5x)
-        y6 = y + h * (_A61 * k1y + _A62 * k2y + _A63 * k3y + _A64 * k4y + _A65 * k5y)
-        z6 = z + h * (_A61 * k1z + _A62 * k2z + _A63 * k3z + _A64 * k4z + _A65 * k5z)
+        x6 = x + h * (a61 * k1x + a62 * k2x + a63 * k3x + a64 * k4x + a65 * k5x)
+        y6 = y + h * (a61 * k1y + a62 * k2y + a63 * k3y + a64 * k4y + a65 * k5y)
+        z6 = z + h * (a61 * k1z + a62 * k2z + a63 * k3z + a64 * k4z + a65 * k5z)
         k6x, k6y, k6z = rhs(t + h, (x6, y6, z6))
 
-        xn = x + h * (_B1 * k1x + _B3 * k3x + _B4 * k4x + _B5 * k5x + _B6 * k6x)
-        yn = y + h * (_B1 * k1y + _B3 * k3y + _B4 * k4y + _B5 * k5y + _B6 * k6y)
-        zn = z + h * (_B1 * k1z + _B3 * k3z + _B4 * k4z + _B5 * k5z + _B6 * k6z)
+        xn = x + h * (b1 * k1x + b3 * k3x + b4 * k4x + b5 * k5x + b6 * k6x)
+        yn = y + h * (b1 * k1y + b3 * k3y + b4 * k4y + b5 * k5y + b6 * k6y)
+        zn = z + h * (b1 * k1z + b3 * k3z + b4 * k4z + b5 * k5z + b6 * k6z)
         tn = t + h
         k7x, k7y, k7z = rhs(tn, (xn, yn, zn))
 
-        ex = h * (_E1 * k1x + _E3 * k3x + _E4 * k4x + _E5 * k5x + _E6 * k6x + _E7 * k7x)
-        ey = h * (_E1 * k1y + _E3 * k3y + _E4 * k4y + _E5 * k5y + _E6 * k6y + _E7 * k7y)
-        ez = h * (_E1 * k1z + _E3 * k3z + _E4 * k4z + _E5 * k5z + _E6 * k6z + _E7 * k7z)
+        ex = h * (e1 * k1x + e3 * k3x + e4 * k4x + e5 * k5x + e6 * k6x + e7 * k7x)
+        ey = h * (e1 * k1y + e3 * k3y + e4 * k4y + e5 * k5y + e6 * k6y + e7 * k7y)
+        ez = h * (e1 * k1z + e3 * k3z + e4 * k4z + e5 * k5z + e6 * k6z + e7 * k7z)
 
         # A non-finite estimate rejects the step (a `max` would drop a NaN).
-        if not math.isfinite(ex + ey + ez):
+        if not isfinite(ex + ey + ez):
             rejected += 1
             just_rejected = True
-            h *= _FAC_MIN
+            h *= fac_min
             continue
         a, b = abs(x), abs(xn)
         err = abs(ex) / (tol + tol * (a if a >= b else b))
@@ -447,9 +457,9 @@ def _adaptive_solve(
                 dx, dy, dz = xn - x, yn - y, zn - z
                 bx, by, bz = h * k1x - dx, h * k1y - dy, h * k1z - dz
                 cx, cy, cz = dx - h * k7x - bx, dy - h * k7y - by, dz - h * k7z - bz
-                qx = h * (_D1 * k1x + _D3 * k3x + _D4 * k4x + _D5 * k5x + _D6 * k6x + _D7 * k7x)
-                qy = h * (_D1 * k1y + _D3 * k3y + _D4 * k4y + _D5 * k5y + _D6 * k6y + _D7 * k7y)
-                qz = h * (_D1 * k1z + _D3 * k3z + _D4 * k4z + _D5 * k5z + _D6 * k6z + _D7 * k7z)
+                qx = h * (d1 * k1x + d3 * k3x + d4 * k4x + d5 * k5x + d6 * k6x + d7 * k7x)
+                qy = h * (d1 * k1y + d3 * k3y + d4 * k4y + d5 * k5y + d6 * k6y + d7 * k7y)
+                qz = h * (d1 * k1z + d3 * k3z + d4 * k4z + d5 * k5z + d6 * k6z + d7 * k7z)
                 next_t = math.inf
                 finished = False
                 for i in active:
@@ -480,29 +490,26 @@ def _adaptive_solve(
             for px, py, pz, r2, tail in near:
                 dx, dy, dz = x - px, y - py, z - pz
                 if dx * dx + dy * dy + dz * dz <= r2:
-                    flow = tail.flow(t, (x, y, z))
                     for i in active:
-                        smp, buf = samples[i], bufs[i]
-                        for k in range(emitted[i], len(smp)):
-                            buf[3 * k], buf[3 * k + 1], buf[3 * k + 2] = flow(smp[k])
-                        emitted[i] = len(smp)
+                        outs[i][emitted[i] :] = tail.flow(t, (x, y, z), samples[i][emitted[i] :])
+                        emitted[i] = len(samples[i])
                         metas[i] = meta()
                     active = []
                     break
             if err == 0.0:
-                fac = _FAC_MAX
+                fac = fac_max
             else:
-                fac = _SAFETY * err**-_PI_ALPHA * errold**_PI_BETA
-                fac = min(_FAC_MAX, max(_FAC_MIN, fac))
-            if just_rejected:
-                fac = min(fac, 1.0)
+                fac = safety * err**-pi_alpha * errold**pi_beta
+                fac = fac_max if fac > fac_max else (fac_min if fac < fac_min else fac)
+            if just_rejected and fac > 1.0:
+                fac = 1.0
             h *= fac
-            errold = max(err, 1e-4)
+            errold = 1e-4 if err < 1e-4 else err
             just_rejected = False
         else:
             rejected += 1
             just_rejected = True
-            h *= max(_FAC_MIN, min(1.0, _SAFETY * err**-0.2))
+            h *= max(fac_min, min(1.0, safety * err**-0.2))
 
     return runs()
 
@@ -569,7 +576,7 @@ def integrate_sl(
         t0, _, t = _span(gauge, span, samples)
         run = _relabel(
             _adaptive_solve(make_gauged_field(params, gauge), t0, x0, tol, [t])[0],
-            lambda u: (u, np.asarray([scale_time(gauge, tv) for tv in u])),
+            lambda u: (u, scale_time(gauge, u)),
             mode.value,
         )
     if isinstance(run, IntegrationError):
@@ -603,10 +610,7 @@ def integrate_sl_gauges(
 
     tol, samples = check_settings(tol, samples)
     t_grids = [_span(gauge, span, samples)[2] for gauge in gauges]
-    s_grids = [
-        t.copy() if gauge is None else np.asarray([scale_time(gauge, tv) for tv in t])
-        for gauge, t in zip(gauges, t_grids)
-    ]
+    s_grids = [t.copy() if gauge is None else scale_time(gauge, t) for gauge, t in zip(gauges, t_grids)]
     runs = _adaptive_solve(
         make_field(SystemKind.SL, params),
         0.0,

@@ -24,6 +24,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable
 
+import numpy as np
+
 from .dynamics import SystemParams
 
 __all__ = [
@@ -61,8 +63,15 @@ class Gauge:
         object.__setattr__(self, "lam", mu * (1.0 - D))
 
 
-def scale_time(gauge: Gauge, t: float) -> float:
-    """Map ordinary time t >= 0 to scaled time s = mu * t**(1 - D)."""
+def scale_time(gauge: Gauge, t: float | np.ndarray) -> float | np.ndarray:
+    """Map ordinary time t >= 0 to scaled time s = mu * t**(1 - D), or a 1-D
+    array of times elementwise by scalar exp and log (numpy's may round apart)."""
+    if isinstance(t, np.ndarray) and t.ndim == 1:
+        bad = t[~(np.isfinite(t) & (t >= 0.0))]
+        if bad.size:
+            raise ValueError(f"scale_time needs finite t >= 0, got {bad[0].item()!r}")
+        mu, p, exp, log = gauge.mu, 1.0 - gauge.D, math.exp, math.log
+        return np.array([mu * exp(p * log(v)) if v else 0.0 for v in t.tolist()])
     t = float(t)
     if not math.isfinite(t) or t < 0.0:
         raise ValueError(f"scale_time needs finite t >= 0, got {t!r}")

@@ -63,7 +63,7 @@ def read_trajectory_csv(path: str | Path) -> Trajectory:
         if len(parts) != 5:
             raise ValueError(f"{path}:{ln}: expected 5 fields, got {len(parts)}")
         try:
-            vals = [float(p) for p in parts]
+            vals = list(map(float, parts))
         except ValueError as exc:
             raise ValueError(f"{path}:{ln}: {exc}") from None
         t.append(vals[0])

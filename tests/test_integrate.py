@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from slchaos import integrate
-from slchaos.analysis import stable_tails
+from slchaos.analysis import StableTail, stable_tails
 from slchaos.dynamics import (
     LORENZ_LITERAL_PARAMS,
     LORENZ_STANDARD_PARAMS,
@@ -298,13 +298,38 @@ class TestSettledTail:
 
             u = rng.normal(size=3)
             d0 = math.sqrt(tail.switch_radius2(atol)) * u / np.linalg.norm(u)
-            flow = tail.flow(0.0, tuple(np.asarray(tail.point) + d0))
             taus = np.linspace(0.0, 2.0, 41)
+            rows = tail.flow(0.0, tuple(np.asarray(tail.point) + d0), taus.tolist())
             ref = solve_ivp(
                 deviation, (0.0, 2.0), d0, method="DOP853", t_eval=taus, rtol=1e-13, atol=1e-22
             ).y.T
-            err = max(np.max(np.abs(np.subtract(flow(tau), tail.point) - row)) for tau, row in zip(taus, ref))
+            err = np.max(np.abs(np.subtract(rows, tail.point) - ref))
             assert err <= 1e-2 * atol
+
+    def test_every_field_evaluation_is_a_closure_call(self, monkeypatch):
+        # The solve's field is a call to `make_field`'s closure, which a
+        # tracer can wrap: one call at the start and six per attempted step,
+        # and a settled run makes none after its switch step.
+        calls = [0]
+
+        def counted_field(kind, params):
+            field = make_field(kind, params)
+
+            def rhs(t, state):
+                calls[0] += 1
+                return field(t, state)
+
+            return rhs
+
+        monkeypatch.setattr(integrate, "make_field", counted_field)
+        lorenz = integrate_sl(LORENZ_STANDARD_PARAMS, None, (0.0, 5.0), (0.1, 0.1, 0.1))
+        assert calls[0] == 1 + 6 * (lorenz.meta.steps_taken + lorenz.meta.steps_rejected)
+        flow, switched = StableTail.flow, []
+        monkeypatch.setattr(StableTail, "flow", lambda tail, *args: switched.append(tail) or flow(tail, *args))
+        calls[0] = 0
+        settled = run_trajectory(scenario_registry()["sl-a2"])
+        assert switched
+        assert calls[0] == 1 + 6 * (settled.meta.steps_taken + settled.meta.steps_rejected)
 
     def test_runs_that_do_not_settle_keep_their_steps(self):
         # lorenz-standard has no stable equilibrium; the origin at b = 1 is
@@ -476,6 +501,14 @@ def test_config_validation():
 def test_plan_validation():
     with pytest.raises(ValueError, match="sample_count must be >= 2"):
         integrate_sl(DECAY, None, (0.0, 1.0), (1.0, 0.0, 0.0), samples=1)
+    # A fractional or non-finite count is rejected, not truncated.
+    for samples in (2.5, math.inf, math.nan):
+        with pytest.raises(ValueError, match="sample_count must be an integer"):
+            integrate.check_settings(1e-9, samples)
+        with pytest.raises(ValueError, match="sample_count must be an integer"):
+            integrate_sl(DECAY, None, (0.0, 1.0), (1.0, 0.0, 0.0), samples=samples)
+    for samples in (5, np.int64(5), 5.0, np.float64(5.0)):
+        assert integrate.check_settings(1e-9, samples) == (1e-9, 5)
     with pytest.raises(ValueError, match="sample_count must be >= 2"):
         integrate_sl_gauges(DECAY, (None,), (0.0, 1.0), (1.0, 0.0, 0.0), samples=1)
     with pytest.raises(ValueError, match="mode must be an SLMode"):

@@ -110,6 +110,14 @@ class TestScenarioValidation:
         with pytest.raises(ValueError, match="name"):
             Scenario(**kw)
 
+    def test_sample_count_must_be_an_integer(self):
+        kw = self._sl_kwargs()
+        for n in (2.5, math.inf, math.nan):
+            with pytest.raises(ValueError, match="sample_count must be an integer"):
+                Scenario(**kw, sample_count=n)
+        assert Scenario(**kw, sample_count=np.int64(50)).sample_count == 50
+        assert Scenario(**kw, sample_count=50.0).sample_count == 50
+
 
 class TestRunScenario:
     def test_writes_six_artifacts(self, tmp_path):

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -46,6 +47,21 @@ def test_scale_time_rejects_negative():
         scale_time(G, -0.5)
     with pytest.raises(ValueError):
         scale_time(G, math.inf)
+
+
+def test_scale_time_maps_arrays_bit_for_bit():
+    ts = np.concatenate(([0.0], np.geomspace(0.1, 1e6, 2000)))
+    for gauge in (G, Gauge(1.8, 0.5), Gauge(3.0, 0.95)):
+        mapped = scale_time(gauge, ts)
+        assert isinstance(mapped, np.ndarray) and mapped.shape == ts.shape
+        assert mapped.tobytes() == np.array([scale_time(gauge, v) for v in ts]).tobytes()
+        assert mapped[0] == 0.0
+
+
+@pytest.mark.parametrize("bad", [-0.5, math.nan, math.inf])
+def test_scale_time_rejects_bad_array_entries(bad):
+    with pytest.raises(ValueError, match="finite t >= 0"):
+        scale_time(G, np.array([0.0, 1.0, bad, 2.0]))
 
 
 def test_unscale_time_inverts():
