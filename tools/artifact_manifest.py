@@ -12,7 +12,8 @@ Lorenz run from t0 = 1, and one a Lorenz run resting on its origin, whose
 CSV has integral fields and whose views are dot markers), plus
 coefficient, `D` and `mu` sweeps (one of them over sigma-ranges up to
 2.3e5, where the orbit settles on the stable origin), a run that settles
-on a stable focus-node pair, `compare` with and without run overrides
+on a stable focus-node pair, a run to t = 1e30 (whose CSV prints times in
+positive exponent form), `compare` with and without run overrides
 (`--tol` and `--samples`), every `plot` view, `fixed-points` and
 `lyapunov`.
 
@@ -82,6 +83,10 @@ WRITERS: list[tuple[str, list[str]]] = [
         ["sweep", "--scenario", "sl-a2", "--param", "D", "--values", "0.1,0.3", "--samples", "300"],
     ),
     ("simulate-custom-sl-pair", ["simulate", "--system", "sl", "--a", "2", "--b", "5"]),
+    (
+        "simulate-custom-sl-t1e30",
+        ["simulate", "--system", "sl", "--a", "2", "--t1", "1e30", "--samples", "300"],
+    ),
     ("compare-sl-a2-lorenz-literal", ["compare", "sl-a2", "lorenz-literal", "--axis", "t"]),
     (
         "compare-sl-a2-lorenz-literal-tol-samples",
