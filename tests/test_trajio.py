@@ -1,9 +1,13 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from slchaos import trajio
 from slchaos.integrate import IntegrationMeta, Trajectory
+from slchaos.scenarios import builtin_scenarios, run_trajectory
 from slchaos.trajio import (
     CSV_HEADER,
     format_float,
@@ -112,6 +116,108 @@ class TestWrite:
         assert read_trajectory_csv(path) == traj
 
 
+def _format_float_rows(values):
+    """The CSV body built value by value with `format_float`."""
+    rows = values.reshape(-1, 5).tolist()
+    return "".join(",".join(map(format_float, row)) + "\n" for row in rows).encode("ascii")
+
+
+def _write_values(values, path):
+    """Write finite `values` (a multiple of 5 long) as the rows of a CSV.
+
+    `t` and `s` must increase, so the first two fifths of the values, sorted
+    and deduplicated, become those columns; the rest fill the states.  The
+    values in the order written are returned with the path."""
+    n = values.size // 5
+    columns = np.unique(values[: 2 * n])
+    n = min(n, columns.size // 2)
+    t, s = columns[:n], columns[columns.size - n :]
+    states = values[2 * n : 5 * n].reshape(n, 3)
+    write_trajectory_csv(Trajectory(t, s, states, _meta()), path)
+    return np.column_stack((t, s, states)).ravel(), path
+
+
+def _edge_values():
+    """Values where repr's choice is hardest to reproduce."""
+    up = lambda v: np.nextafter(v, np.inf)  # noqa: E731
+    down = lambda v: np.nextafter(v, -np.inf)  # noqa: E731
+    tiny = np.finfo(float).tiny
+    powers2 = np.ldexp(1.0, np.arange(-1022, 1024))
+    powers10 = np.array([float(f"1e{k}") for k in range(-307, 309)])
+    near = np.concatenate([powers2, powers10, [1e16, 1e-4, 2.0**53, tiny]])
+    integers = 2.0**53 + np.arange(-20, 21)
+    subnormals = np.array([5e-324, 1e-323, down(tiny), 1e-310, 2.5e-320, 4.9e-324 * 12345])
+    # Dyadic c / 2^j whose exact decimal has 17 digits, the last a 5.
+    rng = np.random.default_rng(17)
+    dyadic = []
+    for j in range(1, 24):
+        lo, hi = -(-(10**16) // 5**j), min(10**17 // 5**j, 2**53)
+        if lo < hi:
+            c = rng.integers(lo, hi, 40) | 1
+            dyadic.append(c / 2.0**j)
+    values = np.concatenate(
+        [near, up(near), down(near), integers, subnormals, [0.0, np.finfo(float).max]] + dyadic
+    )
+    values = np.concatenate([values, -values])
+    return values[: values.size // 5 * 5]
+
+
+class TestWriteMatchesFormatFloat:
+    """The array formatter against `format_float`, one value at a time."""
+
+    def test_random_bit_patterns(self, tmp_path):
+        rng = np.random.default_rng(20261019)
+        for chunk in range(4):
+            bits = rng.integers(0, 2**64, 250_000, dtype=np.uint64, endpoint=False)
+            values = bits.view(np.float64)
+            values = values[np.isfinite(values)]
+            values = values[: values.size // 5 * 5]
+            written, path = _write_values(values, tmp_path / f"chunk{chunk}.csv")
+            body = path.read_bytes().split(b"\n", 1)[1]
+            assert body == _format_float_rows(written)
+            if chunk == 0:
+                back = read_trajectory_csv(path)
+                read = np.column_stack((back.t, back.s, back.states)).ravel()
+                assert np.array_equal(read.view(np.uint64), written.view(np.uint64))
+
+    def test_edge_values(self, tmp_path):
+        values = _edge_values()
+        rows = values.reshape(-1, 5)
+        # Every edge value in a states column, beside increasing t and s.
+        n = rows.shape[0] * 5 // 3 + 1
+        states = np.resize(values, (n, 3))
+        path = write_trajectory_csv(
+            Trajectory(np.arange(n) / 8.0, np.arange(n) + 0.5, states, _meta()), tmp_path / "e.csv"
+        )
+        expected = np.column_stack((np.arange(n) / 8.0, np.arange(n) + 0.5, states))
+        assert path.read_bytes().split(b"\n", 1)[1] == _format_float_rows(expected)
+        # And in the t and s columns, sorted.
+        columns = np.unique(values)
+        written, path = _write_values(
+            np.concatenate([columns[: columns.size // 2], columns[columns.size // 2 :]]),
+            tmp_path / "ts.csv",
+        )
+        assert path.read_bytes().split(b"\n", 1)[1] == _format_float_rows(written)
+
+    def test_registry_runs_take_the_array_path(self, tmp_path, monkeypatch):
+        # A fast path that silently handed its values to `format_float`
+        # would still write the right bytes: count the hand-overs.
+        handed = []
+
+        def counting(v):
+            handed.append(v)
+            return format_float(v)
+
+        monkeypatch.setattr(trajio, "format_float", counting)
+        total = 0
+        for sc in builtin_scenarios():
+            traj = run_trajectory(sc)
+            write_trajectory_csv(traj, tmp_path / f"{sc.name}.csv")
+            total += 5 * len(traj)
+        assert total == 60_000
+        assert len(handed) <= 0.01 * total
+
+
 class TestRead:
     def test_header_enforced(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -144,3 +250,24 @@ class TestRead:
         assert traj.meta.method == "imported"
         assert len(traj) == 1
         assert tuple(traj.states[-1]) == (1.0, 2.0, 3.0)
+
+    @pytest.mark.parametrize(
+        "body,line,message",
+        [
+            ("0,0,1,2,3\n1,1,nan,2,3\n", 3, "unexpected character b'n'"),
+            ("0,0,1,2,3\n1,1,1,inf,3\n", 3, "unexpected character b'i'"),
+            ("0,0,1,2,3\n1,1,1,2,1e999\n", 3, "z = 1e999 is not finite"),
+            ("0,0,1,2,3\r\n1,1,1,2,3\r\n", 2, "unexpected character b'\\r'"),
+            ("0,0, 1_0 ,2,3\n", 2, "unexpected character b' '"),
+            ("0,0,1_0,2,3\n", 2, "unexpected character b'_'"),
+            ("0,0,1,2,3\n1,1,1,2,3\n1,2,1,2,3\n", 4, "t = 1 does not increase from 1"),
+            ("0,0,1,2,3\n1,1,1,2,3\n2,0.5,1,2,3\n", 4, "s = 0.5 does not increase from 1"),
+            ("0,0,1,2,3\n1,1,1e,2,3\n", 3, "could not convert string to float: '1e'"),
+            ("0,0,1,2,3\n\n", 3, "expected 5 fields, got 1"),
+        ],
+    )
+    def test_rejects_what_the_writer_never_writes(self, tmp_path, body, line, message):
+        path = tmp_path / "bad.csv"
+        path.write_bytes((CSV_HEADER + "\n" + body).encode("ascii"))
+        with pytest.raises(ValueError, match=re.escape(f"{path}:{line}: {message}")):
+            read_trajectory_csv(path)
