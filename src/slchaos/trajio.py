@@ -34,6 +34,7 @@ finite values and strictly increasing `t` and `s`.  Anything else is a
 from __future__ import annotations
 
 import functools
+import io
 import re
 from pathlib import Path
 from typing import NamedTuple
@@ -51,8 +52,7 @@ _INTEGRAL_END = re.compile(r"\.0(?=[,\n]|\Z)")
 # Rows per block: bounds the transient arrays to about 0.6 MB.
 _BLOCK_ROWS = 512
 # The bytes a CSV body may hold: what the writer writes.
-_ALPHABET = np.zeros(256, bool)
-_ALPHABET[list(b"0123456789.+-e,\n")] = True
+_ALPHABET = b"0123456789.+-e,\n"
 # Decisions closer than this (in units of the 17th digit) to an interval
 # edge or a tie go to `format_float`; w's own error is below 1e-13 units.
 _MARGIN = 1e-9
@@ -266,12 +266,27 @@ def write_trajectory_csv(trajectory: Trajectory, path: str | Path) -> Path:
     return path
 
 
+def _bad_row(path: Path, lines: list[bytes]) -> ValueError:
+    """The error for the first line that is not five numbers."""
+    for line_no, line in enumerate(lines, start=2):
+        fields = line.split(b",")
+        if len(fields) != 5:
+            return ValueError(f"{path}:{line_no}: expected 5 fields, got {len(fields)}")
+        for field in fields:
+            try:
+                float(field)
+            except ValueError:
+                return ValueError(f"{path}:{line_no}: could not convert string to float: {field.decode()!r}")
+    return ValueError(f"{path}: sample rows do not parse")
+
+
 def read_trajectory_csv(path: str | Path) -> Trajectory:
     """Read a CSV in the writer's format; any other input is a `path:line` error.
 
     The body may hold only the writer's alphabet, five fields a line, finite
     values and strictly increasing `t` and `s` columns.  The checks are one
-    table lookup per byte and numpy reductions; a failed one looks for its line.
+    byte scan, numpy's parser and numpy reductions; a failed one looks for
+    its line.
     """
     path = Path(path)
     header, _, body = path.read_bytes().partition(b"\n")
@@ -281,40 +296,31 @@ def read_trajectory_csv(path: str | Path) -> Trajectory:
         raise ValueError(f"{path}: no sample rows")
     if not body.endswith(b"\n"):
         body += b"\n"
-    codes = np.frombuffer(body, np.uint8)
-    allowed = np.take(_ALPHABET, codes)
-    if not allowed.all():
-        at = int(np.argmin(allowed))
-        line = body.count(b"\n", 0, at) + 2
-        raise ValueError(f"{path}:{line}: unexpected character {body[at : at + 1]!r}")
-    ends = np.flatnonzero(codes == ord("\n"))
-    commas = np.bincount(np.searchsorted(ends, np.flatnonzero(codes == ord(","))), minlength=ends.size)
-    bad = np.flatnonzero(commas != 4)
-    if bad.size:
-        raise ValueError(f"{path}:{bad[0] + 2}: expected 5 fields, got {commas[bad[0]] + 1}")
-    fields = body.decode("ascii").replace("\n", ",").split(",")[:-1]
+    stray = body.translate(None, _ALPHABET)
+    if stray:
+        at = body.index(stray[:1])
+        line_no = body.count(b"\n", 0, at) + 2
+        raise ValueError(f"{path}:{line_no}: unexpected character {stray[:1]!r}")
+    rows = body.count(b"\n")
     try:
-        values = np.array(fields, dtype=float).reshape(-1, 5)
+        values = np.loadtxt(io.BytesIO(body), delimiter=",", ndmin=2)
     except ValueError:
-        for row in range(len(ends)):
-            try:
-                np.array(fields[5 * row : 5 * row + 5], dtype=float)
-            except ValueError as exc:
-                raise ValueError(f"{path}:{row + 2}: {exc}") from None
-        raise
+        values = None
+    # loadtxt skips blank lines, so a short result has one.
+    if values is None or values.shape != (rows, 5):
+        raise _bad_row(path, body.split(b"\n")[:-1])
     names = CSV_HEADER.split(",")
     infinite = np.flatnonzero(~np.isfinite(values.ravel()))
     if infinite.size:
         row, col = divmod(int(infinite[0]), 5)
-        raise ValueError(f"{path}:{row + 2}: {names[col]} = {fields[infinite[0]]} is not finite")
+        field = body.split(b"\n")[row].split(b",")[col].decode()
+        raise ValueError(f"{path}:{row + 2}: {names[col]} = {field} is not finite")
     for col in (0, 1):
         stalls = np.flatnonzero(np.diff(values[:, col]) <= 0.0)
         if stalls.size:
             row = int(stalls[0]) + 1
-            raise ValueError(
-                f"{path}:{row + 2}: {names[col]} = {fields[5 * row + col]} does not increase"
-                f" from {fields[5 * row + col - 5]}"
-            )
+            before, at = (line.split(b",")[col].decode() for line in body.split(b"\n")[row - 1 : row + 1])
+            raise ValueError(f"{path}:{row + 2}: {names[col]} = {at} does not increase from {before}")
     return Trajectory(
         values[:, 0].copy(),
         values[:, 1].copy(),
