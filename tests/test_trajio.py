@@ -52,13 +52,9 @@ _VALUES = st.one_of(
 
 
 def _reference_bytes(t, s, states):
-    """The CSV built value by value: repr, less the `.0` of an integral value."""
-
-    def ref(v):
-        r = repr(v)
-        return r[:-2] if r.endswith(".0") else r
-
-    rows = [",".join(map(ref, (ti, si, *st_))) for ti, si, st_ in zip(t, s, states)]
+    """The CSV built value by value with `format_float`: repr, less the `.0`
+    of an integral value."""
+    rows = [",".join(map(format_float, (ti, si, *st_))) for ti, si, st_ in zip(t, s, states)]
     return ("\n".join([CSV_HEADER, *rows]) + "\n").encode("ascii")
 
 
@@ -116,25 +112,19 @@ class TestWrite:
         assert read_trajectory_csv(path) == traj
 
 
-def _format_float_rows(values):
-    """The CSV body built value by value with `format_float`."""
-    rows = values.reshape(-1, 5).tolist()
-    return "".join(",".join(map(format_float, row)) + "\n" for row in rows).encode("ascii")
-
-
 def _write_values(values, path):
-    """Write finite `values` (a multiple of 5 long) as the rows of a CSV.
+    """Write finite `values` as the columns of a CSV and return the columns.
 
     `t` and `s` must increase, so the first two fifths of the values, sorted
-    and deduplicated, become those columns; the rest fill the states.  The
-    values in the order written are returned with the path."""
+    and deduplicated, become those columns; the next three fifths fill the
+    states."""
     n = values.size // 5
     columns = np.unique(values[: 2 * n])
     n = min(n, columns.size // 2)
     t, s = columns[:n], columns[columns.size - n :]
     states = values[2 * n : 5 * n].reshape(n, 3)
     write_trajectory_csv(Trajectory(t, s, states, _meta()), path)
-    return np.column_stack((t, s, states)).ravel(), path
+    return t, s, states
 
 
 def _edge_values():
@@ -165,19 +155,17 @@ class TestWriteMatchesFormatFloat:
     """The array formatter against `format_float`, one value at a time."""
 
     def test_random_bit_patterns(self, tmp_path):
+        # About 10^6 random 64-bit patterns: both signs, every exponent.
         rng = np.random.default_rng(20261019)
         for chunk in range(4):
-            bits = rng.integers(0, 2**64, 250_000, dtype=np.uint64, endpoint=False)
-            values = bits.view(np.float64)
-            values = values[np.isfinite(values)]
-            values = values[: values.size // 5 * 5]
-            written, path = _write_values(values, tmp_path / f"chunk{chunk}.csv")
-            body = path.read_bytes().split(b"\n", 1)[1]
-            assert body == _format_float_rows(written)
+            values = rng.integers(0, 2**64, 250_000, dtype=np.uint64, endpoint=False).view(np.float64)
+            path = tmp_path / f"chunk{chunk}.csv"
+            t, s, states = _write_values(values[np.isfinite(values)], path)
+            assert path.read_bytes() == _reference_bytes(t.tolist(), s.tolist(), states.tolist())
             if chunk == 0:
                 back = read_trajectory_csv(path)
-                read = np.column_stack((back.t, back.s, back.states)).ravel()
-                assert np.array_equal(read.view(np.uint64), written.view(np.uint64))
+                read = np.column_stack((back.t, back.s, back.states))
+                assert np.array_equal(read.view(np.uint64), np.column_stack((t, s, states)).view(np.uint64))
 
     def test_edge_values(self, tmp_path):
         # Every edge value in the t and s columns (sorted) and in the states.
@@ -185,8 +173,7 @@ class TestWriteMatchesFormatFloat:
         columns = np.unique(values)
         states = np.resize(values, (columns.size, 3))
         path = write_trajectory_csv(Trajectory(columns, columns, states, _meta()), tmp_path / "e.csv")
-        expected = np.column_stack((columns, columns, states))
-        assert path.read_bytes().split(b"\n", 1)[1] == _format_float_rows(expected)
+        assert path.read_bytes() == _reference_bytes(columns.tolist(), columns.tolist(), states.tolist())
 
     def test_registry_runs_take_the_array_path(self, tmp_path, monkeypatch):
         # A fast path that silently handed its values to `format_float`
