@@ -12,6 +12,8 @@ from the seven stages already in hand, so it costs no extra field
 evaluations.  The DP54 step sequence depends only on the field, the start
 point and the tolerances, never on where the samples fall or the run ends,
 so one solve can serve several sample grids (`integrate_sl_gauges`).
+Every run solves in scaled time; `integrate_direct_t` solves a gauged
+field in ordinary t with the same driver, as criterion 1's reference.
 
 Settled tail.  A DP54 solve of the quadratic field (`integrate_sl_gauges`,
 hence every run) stops stepping once an accepted step ends close to a
@@ -43,9 +45,8 @@ produced by `dynamics.make_field` and `timegauge.make_gauged_field`.
 
 from __future__ import annotations
 
-import enum
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
@@ -58,7 +59,6 @@ if TYPE_CHECKING:
     from .analysis import StableTail
 
 __all__ = [
-    "SLMode",
     "check_settings",
     "IntegrationMeta",
     "Trajectory",
@@ -67,23 +67,10 @@ __all__ = [
     "integrate_fixed",
     "integrate_sl",
     "integrate_sl_gauges",
+    "integrate_direct_t",
 ]
 
 RHS = Callable[[float, tuple[float, float, float]], tuple[float, float, float]]
-
-
-class SLMode(enum.Enum):
-    """The two routes of `integrate_sl` for a gauged run.
-
-    SCALED_S integrates the autonomous dx/ds = f(x) in scaled time and
-    relabels the samples through the gauge map; every run takes it.
-    DIRECT_T integrates dx/dt = lam * t**(-D) * f(x) in ordinary time.  It
-    is not a run setting but criterion 1's reference: the two must agree,
-    and the acceptance suite checks that rather than assuming it.
-    """
-
-    DIRECT_T = "direct-t"
-    SCALED_S = "scaled-s"
 
 
 def check_settings(tol: float, samples: int) -> tuple[float, int]:
@@ -103,14 +90,14 @@ def check_settings(tol: float, samples: int) -> tuple[float, int]:
 class IntegrationMeta:
     """Step accounting for a finished run.  Both tolerances are the run's
     `tol`; they are None for fixed-step output and for trajectories read
-    back from CSV."""
+    back from CSV.  The clock is not recorded: the trajectory's s column
+    carries it, and the analysis report names it from the scenario."""
 
     steps_taken: int
     steps_rejected: int
     method: str
     abs_tol: float | None = None
     rel_tol: float | None = None
-    mode: str | None = None
 
 
 @dataclass(eq=False)
@@ -514,37 +501,33 @@ def _adaptive_solve(
     return runs()
 
 
-def _span(
-    gauge: Gauge | None, span: tuple[float, float], samples: int
-) -> tuple[float, float, np.ndarray]:
-    """t0, t1 and the sample instants in t of a checked span.  A gauged span
-    needs 0 < t0 < t1: the direct weight t**(-D) is singular at the origin
-    and the gauge map is not invertible there; its samples are geometric.
-    The identity clock (no gauge, a Lorenz run) takes any finite t0 < t1,
-    sampled linearly."""
+def _span(gauge: Gauge | None, span: tuple[float, float], samples: int) -> np.ndarray:
+    """The sample instants in t of a checked span, from t0 to t1.  A gauged
+    span needs 0 < t0 < t1: the direct weight t**(-D) is singular at the
+    origin and the gauge map is not invertible there; its samples are
+    geometric.  The identity clock (no gauge, a Lorenz run) takes any finite
+    t0 < t1, sampled linearly."""
     t0, t1 = (float(span[0]), float(span[1]))
     if not (math.isfinite(t0) and math.isfinite(t1) and t1 > t0):
         raise ValueError(f"need finite t1 > t0, got [{t0!r}, {t1!r}]")
     if gauge is None:
-        return t0, t1, np.linspace(t0, t1, samples)
+        return np.linspace(t0, t1, samples)
     if t0 <= 0.0:
         raise ValueError(f"SL span needs 0 < t0 < t1, got [{t0!r}, {t1!r}]")
-    return t0, t1, np.geomspace(t0, t1, samples)
+    return np.geomspace(t0, t1, samples)
 
 
 def _relabel(
-    run: Trajectory | IntegrationError,
-    columns: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
-    mode: str | None,
+    run: Trajectory | IntegrationError, t: np.ndarray, s: np.ndarray
 ) -> Trajectory | IntegrationError:
-    """`run` with the time columns `columns(run.t)` in place of its
-    integration variable and `meta.mode` set to `mode`; for an error, the
-    same error with its partial relabelled so."""
+    """`run` with the leading rows of the time columns `t` and `s` in place
+    of its integration variable; for an error, the same error with its
+    partial relabelled so."""
     if isinstance(run, IntegrationError):
         if run.partial is not None:
-            run.partial = _relabel(run.partial, columns, mode)
+            run.partial = _relabel(run.partial, t, s)
         return run
-    return Trajectory(*columns(run.t), run.states, replace(run.meta, mode=mode))
+    return Trajectory(t[: len(run)], s[: len(run)], run.states, run.meta)
 
 
 def integrate_sl(
@@ -554,7 +537,6 @@ def integrate_sl(
     x0: State3 | Sequence[float],
     tol: float = 1e-9,
     samples: int = 2000,
-    mode: SLMode = SLMode.SCALED_S,
 ) -> Trajectory:
     """Integrate the quadratic field with coefficients `params` over an
     ordinary-time span, on the clock of `gauge`, to `samples` rows.
@@ -562,23 +544,10 @@ def integrate_sl(
     This is the one solve entry of every run: `integrate_sl_gauges` with
     one clock, which solves the autonomous dx/ds = f over the image of the
     span under the gauge.  With `gauge` None the clock is the identity,
-    s = t (a Lorenz run): the span may start at any finite t0, `mode` is
-    ignored and `meta.mode` is None.  Each row carries both times, related
-    by the clock.  `mode` DIRECT_T instead solves the weighted equations in
-    t on the same t grid, as criterion 1's reference.
+    s = t (a Lorenz run), and the span may start at any finite t0.  Each row
+    carries both times, related by the clock.
     """
-    if not isinstance(mode, SLMode):
-        raise ValueError(f"mode must be an SLMode, got {mode!r}")
-    tol, samples = check_settings(tol, samples)
-    if gauge is None or mode is SLMode.SCALED_S:
-        run = integrate_sl_gauges(params, [gauge], span, x0, tol, samples)[0]
-    else:
-        t0, _, t = _span(gauge, span, samples)
-        run = _relabel(
-            _adaptive_solve(make_gauged_field(params, gauge), t0, x0, tol, [t])[0],
-            lambda u: (u, scale_time(gauge, u)),
-            mode.value,
-        )
+    run = integrate_sl_gauges(params, [gauge], span, x0, tol, samples)[0]
     if isinstance(run, IntegrationError):
         raise run
     return run
@@ -609,7 +578,7 @@ def integrate_sl_gauges(
     from .analysis import stable_tails
 
     tol, samples = check_settings(tol, samples)
-    t_grids = [_span(gauge, span, samples)[2] for gauge in gauges]
+    t_grids = [_span(gauge, span, samples) for gauge in gauges]
     s_grids = [t.copy() if gauge is None else scale_time(gauge, t) for gauge, t in zip(gauges, t_grids)]
     runs = _adaptive_solve(
         make_field(SystemKind.SL, params),
@@ -619,11 +588,29 @@ def integrate_sl_gauges(
         [s - s[0] for s in s_grids],
         stable_tails(params),
     )
-    return [
-        _relabel(
-            run,
-            lambda u, t=t, s=s: (t[: len(u)], s[: len(u)]),
-            None if gauge is None else SLMode.SCALED_S.value,
-        )
-        for run, gauge, t, s in zip(runs, gauges, t_grids, s_grids)
-    ]
+    return [_relabel(run, t, s) for run, t, s in zip(runs, t_grids, s_grids)]
+
+
+def integrate_direct_t(
+    params: SystemParams,
+    gauge: Gauge,
+    span: tuple[float, float],
+    x0: State3 | Sequence[float],
+    tol: float = 1e-9,
+    samples: int = 2000,
+) -> Trajectory:
+    """Criterion 1's reference: dx/dt = lam * t**(-D) * f(x), the weighted
+    equations of `timegauge.make_gauged_field`, solved in t (no settled
+    tail) by the DP54 driver on `integrate_sl`'s t grid, with s =
+    scale_time(gauge, t) beside each row.  No run takes it; the acceptance
+    suite checks that the two agree rather than assuming it.  `gauge` None
+    is a ValueError."""
+    if gauge is None:
+        raise ValueError("integrate_direct_t needs a gauge; the identity clock has no direct-t form")
+    tol, samples = check_settings(tol, samples)
+    t = _span(gauge, span, samples)
+    run = _adaptive_solve(make_gauged_field(params, gauge), float(t[0]), x0, tol, [t])[0]
+    run = _relabel(run, t, scale_time(gauge, t))
+    if isinstance(run, IntegrationError):
+        raise run
+    return run

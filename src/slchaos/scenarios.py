@@ -19,6 +19,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import re
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator, Sequence
@@ -64,6 +65,9 @@ LYAPUNOV_INTERVALS = 500
 SWEEPABLE = ("a", "b", "c", "D", "mu")
 _START = ("x0", "y0", "z0")
 _SETTINGS = (*SWEEPABLE, *_START, "t0", "t1", "tol", "sample_count")
+# A name is the stem of every file a run writes and the text of its SVG
+# titles, so it may hold neither a path separator nor XML markup.
+_NAME = re.compile(r"[A-Za-z0-9][A-Za-z0-9._+-]*")
 
 
 class ScenarioNotFound(KeyError):
@@ -87,8 +91,8 @@ class Scenario:
     sample_count: int = 2000
 
     def __post_init__(self) -> None:
-        if not self.name:
-            raise ValueError("scenario needs a non-empty name")
+        if not _NAME.fullmatch(self.name):
+            raise ValueError(f"scenario name {self.name!r} must be a plain file stem: {_NAME.pattern}")
         t0, t1 = (float(self.span[0]), float(self.span[1]))
         if not (math.isfinite(t0) and math.isfinite(t1) and t1 > t0):
             raise ValueError(f"scenario {self.name!r}: span must be finite with t1 > t0")
@@ -300,7 +304,8 @@ def scenario_report(scenario: Scenario, trajectory: Trajectory, orbit_of: dict |
         "equilibria": orbit_of["equilibria"],
         "lyapunov": orbit_of["lyapunov"],
         "conjecture": orbit_of["conjecture"],
-        "meta": dataclasses.asdict(trajectory.meta),
+        # "mode" names the clock: every gauged run is solved in scaled time s.
+        "meta": {**dataclasses.asdict(trajectory.meta), "mode": "scaled-s" if scenario.gauge else None},
     }
 
 

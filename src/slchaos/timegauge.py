@@ -11,8 +11,9 @@ derivative by t**D / lam turns dx/dt into d/ds, so the gauged system
 
 is equivalent to the autonomous system dx/ds = f under the substitution
 above: the chain rule gives ds/dt = mu * (1 - D) * t**(-D) = lam * t**(-D).
-That equivalence is the correctness anchor for the two integration modes in
-`integrate.integrate_sl`.
+That equivalence is the correctness anchor of every run, which solves in s
+(`integrate.integrate_sl`), and criterion 1 checks it against the solve in t
+(`integrate.integrate_direct_t`).
 
 Real powers are evaluated as exp(p * log(t)) rather than t**p so that both
 directions of the map use the identical primitive and round-trip cleanly.

@@ -31,7 +31,7 @@ from slchaos.dynamics import (
     equilibria,
     jacobian,
 )
-from slchaos.integrate import SLMode, integrate_fixed, integrate_sl
+from slchaos.integrate import integrate_direct_t, integrate_fixed, integrate_sl
 from slchaos.scenarios import builtin_scenarios, lookup_scenario, run_trajectory, scenario_report
 from slchaos.timegauge import Gauge
 from slchaos.trajio import read_trajectory_csv, write_trajectory_csv
@@ -46,8 +46,8 @@ def test_criterion_1_gauge_reduction_equivalence():
     at 100 geometric samples over t in [0.1, 1e4], within 5 seconds."""
     span = (0.1, 1e4)
     start = time.monotonic()
-    direct = integrate_sl(ATTRACTOR_II, GAUGE, span, X0, tol=1e-9, samples=100, mode=SLMode.DIRECT_T)
-    scaled = integrate_sl(ATTRACTOR_II, GAUGE, span, X0, tol=1e-9, samples=100, mode=SLMode.SCALED_S)
+    direct = integrate_direct_t(ATTRACTOR_II, GAUGE, span, X0, tol=1e-9, samples=100)
+    scaled = integrate_sl(ATTRACTOR_II, GAUGE, span, X0, tol=1e-9, samples=100)
     elapsed = time.monotonic() - start
     deviation = float(
         np.max(np.abs(direct.states - scaled.states) / np.maximum(1.0, np.abs(scaled.states)))

@@ -15,8 +15,8 @@ from slchaos.dynamics import (
 )
 from slchaos.integrate import (
     IntegrationError,
-    SLMode,
     Trajectory,
+    integrate_direct_t,
     integrate_fixed,
     integrate_sl,
     integrate_sl_gauges,
@@ -406,22 +406,17 @@ class TestIdentityClock:
         tr = integrate_sl(effective_params(sc.kind), None, sc.span, sc.x0, sc.tol, sc.sample_count)
         ref = run_trajectory(sc)
         assert tr == ref and tr.meta == ref.meta
-        assert tr.meta.mode is None and tr.meta.method == "rk45"
+        assert tr.meta.method == "rk45"
         assert np.array_equal(tr.t, tr.s)
 
-    def test_mode_is_ignored(self):
+    def test_direct_t_needs_a_gauge(self):
         sc = scenario_registry()["lorenz-literal"]
-        direct = integrate_sl(
-            effective_params(sc.kind), None, sc.span, sc.x0, sc.tol, sc.sample_count,
-            mode=SLMode.DIRECT_T,
-        )
-        ref = run_trajectory(sc)
-        assert direct == ref and direct.meta == ref.meta and direct.meta.mode is None
+        with pytest.raises(ValueError, match="needs a gauge"):
+            integrate_direct_t(effective_params(sc.kind), None, sc.span, sc.x0, sc.tol, sc.sample_count)
 
     def test_span_may_start_anywhere(self):
         tr = integrate_sl(LORENZ_STANDARD_PARAMS, None, (-1.0, 1.0), (0.1, 0.1, 0.1), samples=21)
         assert np.array_equal(tr.t, np.linspace(-1.0, 1.0, 21)) and np.array_equal(tr.t, tr.s)
-        assert tr.meta.mode is None
 
 
 class TestIntegrateSL:
@@ -433,37 +428,34 @@ class TestIntegrateSL:
             integrate_sl(ATTRACTOR_II, GAUGE, (5.0, 1.0), (0.1, 0.1, 0.1))
 
     def test_origin_is_invariant_both_modes(self):
-        for mode in (SLMode.DIRECT_T, SLMode.SCALED_S):
-            tr = integrate_sl(ATTRACTOR_II, GAUGE, (0.1, 100.0), (0.0, 0.0, 0.0), samples=20, mode=mode)
+        for run in (integrate_direct_t, integrate_sl):
+            tr = run(ATTRACTOR_II, GAUGE, (0.1, 100.0), (0.0, 0.0, 0.0), samples=20)
             assert np.all(tr.states == 0.0)
 
     def test_scaled_s_columns(self):
         tr = integrate_sl(ATTRACTOR_II, GAUGE, (0.1, 1000.0), (0.1, 0.1, 0.1), samples=30)
-        assert tr.meta.mode == "scaled-s"
         assert np.array_equal(tr.t, np.geomspace(0.1, 1000.0, 30))
         expect_s = np.array([scale_time(GAUGE, tv) for tv in tr.t])
         assert np.array_equal(tr.s, expect_s)
 
     def test_direct_t_columns(self):
-        tr = integrate_sl(ATTRACTOR_II, GAUGE, (0.1, 1000.0), (0.1, 0.1, 0.1), samples=30, mode=SLMode.DIRECT_T)
-        assert tr.meta.mode == "direct-t"
+        tr = integrate_direct_t(ATTRACTOR_II, GAUGE, (0.1, 1000.0), (0.1, 0.1, 0.1), samples=30)
         assert np.array_equal(tr.t, np.geomspace(0.1, 1000.0, 30))
         for tv, sv in zip(tr.t, tr.s):
             assert sv == scale_time(GAUGE, tv)
 
     def test_modes_agree(self):
-        a = integrate_sl(ATTRACTOR_II, GAUGE, (0.1, 100.0), (0.1, 0.1, 0.1), samples=50, mode=SLMode.DIRECT_T)
-        b = integrate_sl(ATTRACTOR_II, GAUGE, (0.1, 100.0), (0.1, 0.1, 0.1), samples=50, mode=SLMode.SCALED_S)
+        a = integrate_direct_t(ATTRACTOR_II, GAUGE, (0.1, 100.0), (0.1, 0.1, 0.1), samples=50)
+        b = integrate_sl(ATTRACTOR_II, GAUGE, (0.1, 100.0), (0.1, 0.1, 0.1), samples=50)
         dev = np.max(np.abs(a.states - b.states))
         assert dev <= 1e-6
 
-    @pytest.mark.parametrize("mode", [SLMode.SCALED_S, SLMode.DIRECT_T])
-    def test_partial_carries_both_time_columns(self, mode, monkeypatch):
+    @pytest.mark.parametrize("run", [integrate_sl, integrate_direct_t], ids=lambda run: run.__name__)
+    def test_partial_carries_both_time_columns(self, run, monkeypatch):
         monkeypatch.setattr(integrate, "_MAX_STEPS", 50)
         with pytest.raises(IntegrationError) as info:
-            integrate_sl(ATTRACTOR_II, GAUGE, (0.1, 1e6), (0.1, 0.1, 0.1), mode=mode)
+            run(ATTRACTOR_II, GAUGE, (0.1, 1e6), (0.1, 0.1, 0.1))
         partial = info.value.partial
-        assert partial.meta.mode == mode.value
         assert partial.t[0] == 0.1
         assert np.array_equal(partial.s, [scale_time(GAUGE, tv) for tv in partial.t])
 
@@ -511,5 +503,3 @@ def test_plan_validation():
         assert integrate.check_settings(1e-9, samples) == (1e-9, 5)
     with pytest.raises(ValueError, match="sample_count must be >= 2"):
         integrate_sl_gauges(DECAY, (None,), (0.0, 1.0), (1.0, 0.0, 0.0), samples=1)
-    with pytest.raises(ValueError, match="mode must be an SLMode"):
-        integrate_sl(ATTRACTOR_II, GAUGE, (0.1, 1.0), (0.1, 0.1, 0.1), mode="direct-t")  # type: ignore[arg-type]

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -110,6 +111,14 @@ class TestScenarioValidation:
         with pytest.raises(ValueError, match="name"):
             Scenario(**kw)
 
+    @pytest.mark.parametrize("name", ["../escaped", "a/b", "a<b&c", ".hidden", "-x", "a b", "sl-a2\n"])
+    def test_name_must_be_a_plain_file_stem(self, name):
+        # A name is a file stem and SVG title text: one with a path or
+        # markup in it would write outside the output directory or break
+        # the SVG, so no Scenario can carry it.
+        with pytest.raises(ValueError, match="plain file stem"):
+            dataclasses.replace(lookup_scenario("lorenz-literal"), name=name)
+
     def test_sample_count_must_be_an_integer(self):
         kw = self._sl_kwargs()
         for n in (2.5, math.inf, math.nan):
@@ -185,6 +194,7 @@ class TestRunScenario:
         traj = run_trajectory(sc)
         report = scenario_report(sc, traj)
         assert report["gauge"] is None
+        assert report["meta"]["mode"] is None
         assert report["lyapunov"]["time_variable"] == "t"
         assert report["lyapunov"]["lambda_max"] > 0.0
         assert [e["class"] for e in report["equilibria"]] == ["saddle", "saddle", "saddle"]
