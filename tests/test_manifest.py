@@ -19,7 +19,7 @@ def test_manifest_is_complete_and_repeatable(tmp_path):
     first = tool.manifest(tmp_path / "first")
     second = tool.manifest(tmp_path / "second")
     assert first == second
-    assert len(first) == 173
+    assert len(first) == 211
     labels = {line.split("  ", 1)[1] for line in first}
     groups = {label.split("/", 1)[0] for label in labels}
     for label, _ in tool.WRITERS:

@@ -11,11 +11,12 @@ on the identity clock, and custom runs of every system (one of them a
 Lorenz run from t0 = 1, and one a Lorenz run resting on its origin, whose
 CSV has integral fields and whose views are dot markers), plus
 coefficient, `D` and `mu` sweeps (one of them over sigma-ranges up to
-2.3e5, where the orbit settles on the stable origin), a run that settles
-on a stable focus-node pair, a run to t = 1e30 (whose CSV prints times in
-positive exponent form), `compare` with and without run overrides
-(`--tol` and `--samples`), every `plot` view, `fixed-points` and
-`lyapunov`.
+2.3e5, where the orbit settles on the stable origin, and one the
+benchmark's five-member `D` sweep at the default sample count), a run
+that settles on a stable focus-node pair, a run to t = 1e30 (whose CSV
+prints times in positive exponent form), `compare` of all six scenarios
+and with and without run overrides (`--tol` and `--samples`), every
+`plot` view, `fixed-points` and `lyapunov`.
 
 A change meant to leave every artifact byte-identical is checked by running
 the tool against both source trees and diffing the output:
@@ -82,12 +83,17 @@ WRITERS: list[tuple[str, list[str]]] = [
         "sweep-sl-a2-D-stiff",
         ["sweep", "--scenario", "sl-a2", "--param", "D", "--values", "0.1,0.3", "--samples", "300"],
     ),
+    (
+        "sweep-sl-a2-D-five",
+        ["sweep", "--scenario", "sl-a2", "--param", "D", "--values", "0.5,0.6,0.7,0.8,0.9"],
+    ),
     ("simulate-custom-sl-pair", ["simulate", "--system", "sl", "--a", "2", "--b", "5"]),
     (
         "simulate-custom-sl-t1e30",
         ["simulate", "--system", "sl", "--a", "2", "--t1", "1e30", "--samples", "300"],
     ),
     ("compare-sl-a2-lorenz-literal", ["compare", "sl-a2", "lorenz-literal", "--axis", "t"]),
+    ("compare-all-six", ["compare", *SCENARIOS]),
     (
         "compare-sl-a2-lorenz-literal-tol-samples",
         ["compare", "sl-a2", "lorenz-literal", "--tol", "1e-7", "--samples", "500"],
