@@ -649,30 +649,27 @@ class StableTail:
         return min(TAIL_SHARE * tol * self.alpha / (2.0 * self.cond**3), self.radius2)
 
     def flow(
-        self, s1: float, state: tuple[float, float, float], times: Sequence[float]
-    ) -> list[tuple[float, float, float]]:
-        """The linear flow through `state` at time `s1`, at each of `times`:
-        the real part of sum_i v_i c_i exp(lambda_i (s - s1)) with
-        c = V^-1 (state - point), in real arithmetic."""
-        px, py, pz = self.point
-        dx, dy, dz = state[0] - px, state[1] - py, state[2] - pz
-        terms = []
+        self, s1: float, state: tuple[float, float, float], times: np.ndarray | Sequence[float]
+    ) -> np.ndarray:
+        """The linear flow through `state` at time `s1` at each of `times`, an
+        (n, 3) array: the real part of sum_i v_i c_i exp(lambda_i (s - s1)),
+        c = V^-1 (state - point), in the scalar order with `math`'s exp, cos and
+        sin (numpy's may round apart).  Real modes skip cos 0 = 1, sin 0 = 0."""
+        tau = np.asarray(times, dtype=float) - s1
+        dx, dy, dz = (state[i] - self.point[i] for i in range(3))
+        rows = np.zeros((tau.size, 3))
         for lam, v, w in self.modes:
             c = w[0] * dx + w[1] * dy + w[2] * dz
-            ax, ay, az = v[0] * c, v[1] * c, v[2] * c
-            terms.append((lam.real, lam.imag, ax.real, ax.imag, ay.real, ay.imag, az.real, az.imag))
-        rows = []
-        for s in times:
-            tau = s - s1
-            fx = fy = fz = 0.0
-            for re, im, axr, axi, ayr, ayi, azr, azi in terms:
-                g = math.exp(re * tau)
-                gc, gs = g * math.cos(im * tau), g * math.sin(im * tau)
-                fx += axr * gc - axi * gs
-                fy += ayr * gc - ayi * gs
-                fz += azr * gc - azi * gs
-            rows.append((px + fx, py + fy, pz + fz))
-        return rows
+            a = np.array([vi * c for vi in v])
+            g = np.fromiter(map(math.exp, (lam.real * tau).tolist()), float, tau.size)
+            if lam.imag == 0.0:
+                rows += np.multiply.outer(g, a.real)
+            else:
+                phase = (lam.imag * tau).tolist()
+                gc = g * np.fromiter(map(math.cos, phase), float, tau.size)
+                gs = g * np.fromiter(map(math.sin, phase), float, tau.size)
+                rows += np.multiply.outer(gc, a.real) - np.multiply.outer(gs, a.imag)
+        return rows + self.point
 
 
 def stable_tails(params: SystemParams) -> list[StableTail]:

@@ -8,10 +8,11 @@ spaced by the clock: geometrically in t on a gauged clock, whose spans
 cover decades from t0 > 0, and linearly on the identity clock; off-step
 samples come from the pair's own 4th-order continuous extension over the
 bracketing step (Hairer, Norsett & Wanner, Solving ODEs I, II.6), built
-from the seven stages already in hand, so it costs no extra field
-evaluations.  The DP54 step sequence depends only on the field, the start
-point and the tolerances, never on where the samples fall or the run ends,
-so one solve can serve several sample grids (`integrate_sl_gauges`).
+from the seven stages in hand at no extra field evaluation, and evaluated
+over arrays after the solve from a record of the steps that bracket a
+sample.  The DP54 step sequence depends only on the field, the start point
+and the tolerances, not on the samples or where the run ends, so one solve
+can serve several sample grids (`integrate_sl_gauges`).
 Every run solves in scaled time; `integrate_direct_t` solves a gauged
 field in ordinary t with the same driver, as criterion 1's reference.
 
@@ -37,8 +38,9 @@ keeps stepping.  The switch point depends only on the field, the start
 point and the tolerances, so the prefix property above holds, and a grid
 that ends after the switch records the step counts reached at it.
 
-All state arithmetic is plain scalar double precision with a fixed
-evaluation order, so identical inputs produce bit-identical trajectories.
+All state arithmetic is double precision in a fixed order (arrays follow
+the scalar formulas element by element), so identical inputs produce
+bit-identical trajectories.
 Right-hand sides are callables rhs(t, (x, y, z)) -> (fx, fy, fz), as
 produced by `dynamics.make_field` and `timegauge.make_gauged_field`.
 """
@@ -46,6 +48,8 @@ produced by `dynamics.make_field` and `timegauge.make_gauged_field`.
 from __future__ import annotations
 
 import math
+import struct
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Sequence
 
@@ -286,6 +290,28 @@ _FAC_MAX = 5.0
 _MAX_STEPS = 10_000_000
 
 
+# The step record: per accepted step that brackets a sample, t, h, t + h,
+# x, x_new, k1, k7 and the extension's q sums, in float64 blocks.
+_RECORD_ROW = struct.Struct("18d")
+_RECORD_BLOCK = 256
+
+
+def _extension(record: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """The rows at `times` (after the first recorded step's start) from the
+    continuous extension of the recorded step, its fields as the rows of
+    `record`, that brackets each, or its end state where theta >= 1."""
+    # y(t + theta*h) = x + theta*(dx + th1*(bx + theta*(cx + th1*q))), th1 = 1 - theta
+    steps = np.take(record, np.searchsorted(record[2], times), axis=1)
+    t, h = steps[0], steps[1]
+    x, xn, k1, k7, q = steps[3:].reshape(5, 3, -1)
+    theta = (times - t) / h
+    th1 = 1.0 - theta
+    dx = xn - x
+    bx = h * k1 - dx
+    cx = dx - h * k7 - bx
+    return np.where(theta >= 1.0, xn, x + theta * (dx + th1 * (bx + theta * (cx + th1 * q)))).T
+
+
 def _adaptive_solve(
     rhs: RHS,
     t0: float,
@@ -299,58 +325,53 @@ def _adaptive_solve(
     Each grid is strictly increasing from t0 and ends where its run ends.
     The solve never clips a step to land on an end: it steps until it has
     passed the last sample of every grid.  Rows sit exactly on the grids,
-    read off the continuous extension of the step that brackets them, so
-    the steps taken depend on neither the grids nor their ends, and the
-    rows of a solve to any end are bit-equal to those of a solve to a later
-    one.  Entry i is grid i's run, with the grid as both time columns and
-    the step counts at its last sample, or the IntegrationError
-    that a solve on grid i alone raises.
+    read after the solve off the continuous extension of the step that
+    brackets them, kept in a record of such steps, so the steps taken
+    depend on neither the grids nor their ends, and the rows of a solve to
+    any end are bit-equal to those of a solve to a later one.  Entry i is
+    grid i's run, with the grid as both time columns and the step counts at
+    its last sample, or the IntegrationError that a solve on it alone raises.
 
     After each accepted step the end point is checked against `tails`; the
     first step that ends within a tail's switch radius at `tol` is the
     last one, and every sample after it comes from that tail's linear flow,
     with the step counts reached there.
     """
-    # Per grid: its samples, its rows (stepped ones through a flat memoryview,
-    # cheaper per row than numpy indexing; settled ones in one slice), how many
-    # rows are out, and the step counts once the last one is.  `active` lists
-    # the unfinished grids and `next_t` is the earliest sample any still needs.
-    samples = [grid.tolist() for grid in grids]
-    outs = [np.empty((grid.size, 3)) for grid in grids]
-    bufs = [memoryview(rows.reshape(-1)) for rows in outs]
-    emitted = [0] * len(grids)
+    # Every grid's samples and an end marker, from which a recorded step finds
+    # the next sample, and the unfinished grids by last sample, latest first.
+    merged = sorted(np.concatenate(grids).tolist() + [math.inf])
+    pending = sorted(((float(grid[-1]), i) for i, grid in enumerate(grids)), reverse=True)
     metas: list[IntegrationMeta | None] = [None] * len(grids)
-    accepted = 0
-    rejected = 0
-    attempts = 0
+    blocks: list[np.ndarray] = []
+    recorded = accepted = rejected = attempts = 0
+    settled: tuple[StableTail, float, tuple[float, float, float]] | None = None
 
     def meta() -> IntegrationMeta:
         return IntegrationMeta(accepted, rejected, "rk45", tol, tol)
 
-    def runs(message: str = "", step_index: int | None = None) -> list[Trajectory | IntegrationError]:
-        """Each grid's run, or for a grid left unfinished, `message` with
-        the rows it got so far as the partial."""
+    def runs(t: float, message: str, step_index: int | None) -> list[Trajectory | IntegrationError]:
+        """Each grid's run once the solve has stepped to `t`, or for a grid
+        left unfinished, `message` with the rows it got so far as the partial."""
+        record = np.concatenate([b.T for b in blocks] or [np.empty((18, 0))], axis=1)[:, :recorded]
         result: list[Trajectory | IntegrationError] = []
-        for grid, rows, k, done in zip(grids, outs, emitted, metas):
-            if done is not None:
-                result.append(Trajectory(grid, grid.copy(), rows, done))
-            else:
-                partial = Trajectory(grid[:k], grid[:k].copy(), rows[:k], meta()) if k else None
-                result.append(IntegrationError(message, step_index, partial))
+        for grid, done in zip(grids, metas):
+            lead, k = np.searchsorted(grid, (t0, t), side="right")
+            rows = np.empty((k if done is None else grid.size, 3))
+            rows[:lead] = start
+            rows[lead:k] = _extension(record, grid[lead:k])
+            if k < len(rows):
+                tail, s1, state = settled
+                rows[k:] = tail.flow(s1, state, grid[k:])
+            n = len(rows)
+            run = Trajectory(grid[:n], grid[:n].copy(), rows, done or meta()) if n else None
+            result.append(run if done else IntegrationError(message, step_index, run))
         return result
 
-    x, y, z = (float(v) for v in x0)
-    k1x, k1y, k1z = rhs(t0, (x, y, z))
+    x, y, z = start = tuple(float(v) for v in x0)
+    k1x, k1y, k1z = rhs(t0, start)
     if not (math.isfinite(k1x) and math.isfinite(k1y) and math.isfinite(k1z)):
-        return runs(f"non-finite field at the initial point t = {t0!r}", 0)
-    for i, (smp, buf) in enumerate(zip(samples, bufs)):
-        k = 0
-        while smp[k] <= t0:
-            buf[3 * k], buf[3 * k + 1], buf[3 * k + 2] = x, y, z
-            k += 1
-        emitted[i] = k
-    active = list(range(len(grids)))
-    next_t = min(smp[k] for smp, k in zip(samples, emitted))
+        return [IntegrationError(f"non-finite field at the initial point t = {t0!r}", 0) for _ in grids]
+    next_t = merged[bisect_right(merged, t0)]
 
     # Hairer's first guess: a step that moves the scaled state by 1%.  It
     # starts at or above the underflow floor; only the controller may cross
@@ -372,15 +393,15 @@ def _adaptive_solve(
     b1, b3, b4, b5, b6, e1, e3, e4, e5, e6, e7 = _B1, _B3, _B4, _B5, _B6, _E1, _E3, _E4, _E5, _E6, _E7
     d1, d3, d4, d5, d6, d7 = _D1, _D3, _D4, _D5, _D6, _D7
     safety, pi_alpha, pi_beta, fac_min, fac_max = _SAFETY, _PI_ALPHA, _PI_BETA, _FAC_MIN, _FAC_MAX
-    max_steps, isfinite = _MAX_STEPS, math.isfinite
+    max_steps, isfinite, pack = _MAX_STEPS, math.isfinite, _RECORD_ROW.pack_into
 
-    while active:
+    while pending:
         if attempts >= max_steps:
-            return runs(f"step budget of {max_steps} exhausted at t = {t!r}", attempts)
+            return runs(t, f"step budget of {max_steps} exhausted at t = {t!r}", attempts)
         at = t if t >= 0.0 else -t  # the floor above, spelled out for speed
         if h < (1e-14 * at if at > 1.0 else 1e-14):
             return runs(
-                f"step size underflow (h = {h!r}) at t = {t!r}; "
+                t, f"step size underflow (h = {h!r}) at t = {t!r}; "
                 "the error estimate refuses to shrink with the step",
                 attempts,
             )
@@ -439,49 +460,29 @@ def _adaptive_solve(
         if err <= 1.0:
             accepted += 1
             if next_t <= tn:
-                # y(t + theta*h) = x + theta*(dx + th1*(bx + theta*(cx + th1*qx)))
-                # with th1 = 1 - theta, per component.
-                dx, dy, dz = xn - x, yn - y, zn - z
-                bx, by, bz = h * k1x - dx, h * k1y - dy, h * k1z - dz
-                cx, cy, cz = dx - h * k7x - bx, dy - h * k7y - by, dz - h * k7z - bz
-                qx = h * (d1 * k1x + d3 * k3x + d4 * k4x + d5 * k5x + d6 * k6x + d7 * k7x)
-                qy = h * (d1 * k1y + d3 * k3y + d4 * k4y + d5 * k5y + d6 * k6y + d7 * k7y)
-                qz = h * (d1 * k1z + d3 * k3z + d4 * k4z + d5 * k5z + d6 * k6z + d7 * k7z)
-                next_t = math.inf
-                finished = False
-                for i in active:
-                    smp, buf, k = samples[i], bufs[i], emitted[i]
-                    n = len(smp)
-                    while k < n and smp[k] <= tn:
-                        theta = (smp[k] - t) / h
-                        j = 3 * k
-                        if theta >= 1.0:
-                            buf[j], buf[j + 1], buf[j + 2] = xn, yn, zn
-                        else:
-                            th1 = 1.0 - theta
-                            buf[j] = x + theta * (dx + th1 * (bx + theta * (cx + th1 * qx)))
-                            buf[j + 1] = y + theta * (dy + th1 * (by + theta * (cy + th1 * qy)))
-                            buf[j + 2] = z + theta * (dz + th1 * (bz + theta * (cz + th1 * qz)))
-                        k += 1
-                    emitted[i] = k
-                    if k == n:
-                        metas[i] = meta()
-                        finished = True
-                    elif smp[k] < next_t:
-                        next_t = smp[k]
-                if finished:
-                    active = [i for i in active if metas[i] is None]
+                row = recorded % _RECORD_BLOCK
+                if row == 0:
+                    blocks.append(np.empty((_RECORD_BLOCK, 18)))
+                pack(
+                    blocks[-1], 144 * row, t, h, tn, x, y, z, xn, yn, zn, k1x, k1y, k1z, k7x, k7y, k7z,
+                    h * (d1 * k1x + d3 * k3x + d4 * k4x + d5 * k5x + d6 * k6x + d7 * k7x),
+                    h * (d1 * k1y + d3 * k3y + d4 * k4y + d5 * k5y + d6 * k6y + d7 * k7y),
+                    h * (d1 * k1z + d3 * k3z + d4 * k4z + d5 * k5z + d6 * k6z + d7 * k7z),
+                )
+                recorded += 1
+                next_t = merged[bisect_right(merged, tn)]
+                while pending and pending[-1][0] <= tn:
+                    metas[pending.pop()[1]] = meta()
             t = tn
             x, y, z = xn, yn, zn
             k1x, k1y, k1z = k7x, k7y, k7z
             for px, py, pz, r2, tail in near:
                 dx, dy, dz = x - px, y - py, z - pz
                 if dx * dx + dy * dy + dz * dz <= r2:
-                    for i in active:
-                        outs[i][emitted[i] :] = tail.flow(t, (x, y, z), samples[i][emitted[i] :])
-                        emitted[i] = len(samples[i])
+                    settled = (tail, t, (x, y, z))
+                    for _, i in pending:
                         metas[i] = meta()
-                    active = []
+                    pending = []
                     break
             if err == 0.0:
                 fac = fac_max
@@ -498,7 +499,7 @@ def _adaptive_solve(
             just_rejected = True
             h *= max(fac_min, min(1.0, safety * err**-0.2))
 
-    return runs()
+    return runs(t, "", None)
 
 
 def _span(gauge: Gauge | None, span: tuple[float, float], samples: int) -> np.ndarray:

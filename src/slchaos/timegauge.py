@@ -71,8 +71,10 @@ def scale_time(gauge: Gauge, t: float | np.ndarray) -> float | np.ndarray:
         bad = t[~(np.isfinite(t) & (t >= 0.0))]
         if bad.size:
             raise ValueError(f"scale_time needs finite t >= 0, got {bad[0].item()!r}")
-        mu, p, exp, log = gauge.mu, 1.0 - gauge.D, math.exp, math.log
-        return np.array([mu * exp(p * log(v)) if v else 0.0 for v in t.tolist()])
+        s, on = np.zeros(t.size), t > 0.0
+        logs = np.fromiter(map(math.log, t[on].tolist()), float)
+        s[on] = gauge.mu * np.fromiter(map(math.exp, ((1.0 - gauge.D) * logs).tolist()), float)
+        return s
     t = float(t)
     if not math.isfinite(t) or t < 0.0:
         raise ValueError(f"scale_time needs finite t >= 0, got {t!r}")

@@ -351,6 +351,95 @@ class TestSettledTail:
         assert run == without and run.meta == without.meta
 
 
+def scalar_flow(tail, s1, state, times):
+    """`StableTail.flow` one row and one mode at a time, with scalar exp, cos
+    and sin: the reference its array evaluation must equal bit for bit."""
+    px, py, pz = tail.point
+    dx, dy, dz = state[0] - px, state[1] - py, state[2] - pz
+    terms = []
+    for lam, v, w in tail.modes:
+        c = w[0] * dx + w[1] * dy + w[2] * dz
+        ax, ay, az = v[0] * c, v[1] * c, v[2] * c
+        terms.append((lam.real, lam.imag, ax.real, ax.imag, ay.real, ay.imag, az.real, az.imag))
+    rows = []
+    for s in times:
+        tau = s - s1
+        fx = fy = fz = 0.0
+        for re, im, axr, axi, ayr, ayi, azr, azi in terms:
+            g = math.exp(re * tau)
+            gc, gs = g * math.cos(im * tau), g * math.sin(im * tau)
+            fx += axr * gc - axi * gs
+            fy += ayr * gc - ayi * gs
+            fz += azr * gc - azi * gs
+        rows.append((px + fx, py + fy, pz + fz))
+    return np.array(rows)
+
+
+class TestArraySampling:
+    """The settled tail and the rows of a solve are evaluated over arrays;
+    each must equal its scalar evaluation bit for bit."""
+
+    @staticmethod
+    def registry_tails():
+        return [
+            tail
+            for sc in scenario_registry().values()
+            for tail in stable_tails(effective_params(sc.kind, sc.params))
+        ]
+
+    @pytest.mark.parametrize("complex_modes", [False, True], ids=["registry", "focus-node-pair"])
+    def test_linear_flow_equals_its_scalar_evaluation(self, complex_modes):
+        tails = stable_tails(SystemParams(2.0, 5.0, 27.0)) if complex_modes else self.registry_tails()
+        assert len(tails) >= 2
+        for tail in tails:
+            assert any(lam.imag != 0.0 for lam, _, _ in tail.modes) == complex_modes
+            s1 = 12.5
+            state = tuple(p + 1e-3 * (i + 1) for i, p in enumerate(tail.point))
+            # Up to tau = 1e5, where the slowest mode's exp(-alpha tau) is 0.
+            times = (s1 + np.concatenate(([0.0], np.geomspace(1e-6, 1e5, 400)))).tolist()
+            assert math.exp(-tail.alpha * (times[-1] - s1)) == 0.0
+            rows = tail.flow(s1, state, np.asarray(times))
+            assert rows.shape == (len(times), 3)
+            assert rows.tobytes() == scalar_flow(tail, s1, state, times).tobytes()
+            assert np.array_equal(rows[-1], tail.point)
+
+    def test_sample_on_a_step_end_is_that_steps_end_state(self):
+        # A constant field leaves only rounding in the error estimate, so from
+        # x0 = 0 (first step 1e-6) each step is the growth cap times the last.
+        # A grid of the step ends puts one sample at the end of every step,
+        # where theta = (t_end - t) / h is 1, or just off it by rounding.
+        c = (1.0, -0.5, 0.25)
+        b1, b3, b4, b5, b6 = integrate._B1, integrate._B3, integrate._B4, integrate._B5, integrate._B6
+        t, h, x = 0.0, 1e-6, (0.0, 0.0, 0.0)
+        times, ends, thetas = [t], [x], []
+        for _ in range(14):
+            tn = t + h
+            x = tuple(xi + h * (b1 * ci + b3 * ci + b4 * ci + b5 * ci + b6 * ci) for xi, ci in zip(x, c))
+            thetas.append((tn - t) / h)
+            times.append(tn)
+            ends.append(x)
+            t, h = tn, h * integrate._FAC_MAX
+        assert thetas.count(1.0) >= 10 and max(thetas) > 1.0
+        (run,) = integrate._adaptive_solve(lambda t, s: c, 0.0, (0.0, 0.0, 0.0), 1e-9, [np.array(times)])
+        assert (run.meta.steps_taken, run.meta.steps_rejected) == (14, 0)
+        assert run.states.tobytes() == np.array(ends).tobytes()
+
+    def test_five_gauges_share_one_solve(self):
+        # sweep-gauge's D sweep of sl-a2: each member of the shared solve is
+        # its gauge solved alone, rows and step counts both.
+        base = scenario_registry()["sl-a2"]
+        params = effective_params(base.kind, base.params)
+        gauges = [Gauge(base.gauge.mu, d) for d in (0.5, 0.6, 0.7, 0.8, 0.9)]
+        shared = integrate_sl_gauges(params, gauges, base.span, base.x0, base.tol, 2000)
+        for gauge, run in zip(gauges, shared):
+            alone = integrate_sl(params, gauge, base.span, base.x0, base.tol, 2000)
+            assert run.meta == alone.meta
+            for col in ("t", "s", "states"):
+                assert getattr(run, col).tobytes() == getattr(alone, col).tobytes()
+        # The members end at different steps: some before the settled tail.
+        assert len({run.meta.steps_taken for run in shared}) > 1
+
+
 class TestTrajectory:
     def test_requires_matching_shapes(self):
         from slchaos.integrate import IntegrationMeta
