@@ -8,11 +8,10 @@ spaced by the clock: geometrically in t on a gauged clock, whose spans
 cover decades from t0 > 0, and linearly on the identity clock; off-step
 samples come from the pair's own 4th-order continuous extension over the
 bracketing step (Hairer, Norsett & Wanner, Solving ODEs I, II.6), built
-from the seven stages in hand at no extra field evaluation, and evaluated
-over arrays after the solve from a record of the steps that bracket a
-sample.  The DP54 step sequence depends only on the field, the start point
-and the tolerances, not on the samples or where the run ends, so one solve
-can serve several sample grids (`integrate_sl_gauges`).
+from the seven stages in hand, evaluated over arrays after the solve from
+a record of the steps that bracket a sample.  The DP54 step sequence
+depends only on the field, the start point and the tolerances, not on the
+samples or the end, so one solve can serve several sample grids.
 Every run solves in scaled time; `integrate_direct_t` solves a gauged
 field in ordinary t with the same driver, as criterion 1's reference.
 
@@ -38,9 +37,8 @@ keeps stepping.  The switch point depends only on the field, the start
 point and the tolerances, so the prefix property above holds, and a grid
 that ends after the switch records the step counts reached at it.
 
-All state arithmetic is double precision in a fixed order (arrays follow
-the scalar formulas element by element), so identical inputs produce
-bit-identical trajectories.
+All state arithmetic is double precision in a fixed order, element by
+element in arrays too, so identical inputs produce bit-identical trajectories.
 Right-hand sides are callables rhs(t, (x, y, z)) -> (fx, fy, fz), as
 produced by `dynamics.make_field` and `timegauge.make_gauged_field`.
 """
@@ -51,7 +49,7 @@ import math
 import struct
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -296,20 +294,28 @@ _RECORD_ROW = struct.Struct("18d")
 _RECORD_BLOCK = 256
 
 
-def _extension(record: np.ndarray, times: np.ndarray) -> np.ndarray:
-    """The rows at `times` (after the first recorded step's start) from the
-    continuous extension of the recorded step, its fields as the rows of
-    `record`, that brackets each, or its end state where theta >= 1."""
-    # y(t + theta*h) = x + theta*(dx + th1*(bx + theta*(cx + th1*q))), th1 = 1 - theta
-    steps = np.take(record, np.searchsorted(record[2], times), axis=1)
-    t, h = steps[0], steps[1]
-    x, xn, k1, k7, q = steps[3:].reshape(5, 3, -1)
-    theta = (times - t) / h
-    th1 = 1.0 - theta
-    dx = xn - x
-    bx = h * k1 - dx
-    cx = dx - h * k7 - bx
-    return np.where(theta >= 1.0, xn, x + theta * (dx + th1 * (bx + theta * (cx + th1 * q)))).T
+def _extension(blocks: list[np.ndarray], recorded: int, times: np.ndarray) -> np.ndarray:
+    """The rows at `times`, past the first recorded step's start, from the
+    continuous extension of the first of the `recorded` steps to end at or
+    after each (its end state where theta >= 1), a block of samples at a time."""
+    rows = np.empty((times.size, 3))
+    at = np.searchsorted(np.concatenate([b[:, 2] for b in blocks] or [np.empty(0)])[:recorded], times)
+    for j, block in enumerate(blocks):
+        lo, hi = np.searchsorted(at, (j * _RECORD_BLOCK, (j + 1) * _RECORD_BLOCK))
+        for a in range(lo, hi, _RECORD_BLOCK):
+            part = slice(a, min(a + _RECORD_BLOCK, hi))
+            steps = np.take(block.T, at[part] - j * _RECORD_BLOCK, axis=1)
+            x, xn, k1, k7, q = steps[3:].reshape(5, 3, -1)
+            h = steps[1]
+            theta = (times[part] - steps[0]) / h
+            th1 = 1.0 - theta
+            # y(t + theta*h) = x + theta*(dx + th1*(bx + theta*(cx + th1*q))), per component
+            dx = xn - x
+            bx = h * k1 - dx
+            cx = dx - h * k7 - bx
+            y = x + theta * (dx + th1 * (bx + theta * (cx + th1 * q)))
+            rows[part] = np.where(theta >= 1.0, xn, y).T
+    return rows
 
 
 def _adaptive_solve(
@@ -337,8 +343,7 @@ def _adaptive_solve(
     last one, and every sample after it comes from that tail's linear flow,
     with the step counts reached there.
     """
-    # Every grid's samples and an end marker, from which a recorded step finds
-    # the next sample, and the unfinished grids by last sample, latest first.
+    # All samples and an end marker, and the unfinished grids, latest end first.
     merged = sorted(np.concatenate(grids).tolist() + [math.inf])
     pending = sorted(((float(grid[-1]), i) for i, grid in enumerate(grids)), reverse=True)
     metas: list[IntegrationMeta | None] = [None] * len(grids)
@@ -349,23 +354,20 @@ def _adaptive_solve(
     def meta() -> IntegrationMeta:
         return IntegrationMeta(accepted, rejected, "rk45", tol, tol)
 
-    def runs(t: float, message: str, step_index: int | None) -> list[Trajectory | IntegrationError]:
+    def runs(t: float, message: str, step_index: int | None) -> Iterator[Trajectory | IntegrationError]:
         """Each grid's run once the solve has stepped to `t`, or for a grid
         left unfinished, `message` with the rows it got so far as the partial."""
-        record = np.concatenate([b.T for b in blocks] or [np.empty((18, 0))], axis=1)[:, :recorded]
-        result: list[Trajectory | IntegrationError] = []
         for grid, done in zip(grids, metas):
             lead, k = np.searchsorted(grid, (t0, t), side="right")
             rows = np.empty((k if done is None else grid.size, 3))
             rows[:lead] = start
-            rows[lead:k] = _extension(record, grid[lead:k])
+            rows[lead:k] = _extension(blocks, recorded, grid[lead:k])
             if k < len(rows):
                 tail, s1, state = settled
                 rows[k:] = tail.flow(s1, state, grid[k:])
             n = len(rows)
             run = Trajectory(grid[:n], grid[:n].copy(), rows, done or meta()) if n else None
-            result.append(run if done else IntegrationError(message, step_index, run))
-        return result
+            yield run if done else IntegrationError(message, step_index, run)
 
     x, y, z = start = tuple(float(v) for v in x0)
     k1x, k1y, k1z = rhs(t0, start)
@@ -397,14 +399,14 @@ def _adaptive_solve(
 
     while pending:
         if attempts >= max_steps:
-            return runs(t, f"step budget of {max_steps} exhausted at t = {t!r}", attempts)
+            return list(runs(t, f"step budget of {max_steps} exhausted at t = {t!r}", attempts))
         at = t if t >= 0.0 else -t  # the floor above, spelled out for speed
         if h < (1e-14 * at if at > 1.0 else 1e-14):
-            return runs(
+            return list(runs(
                 t, f"step size underflow (h = {h!r}) at t = {t!r}; "
                 "the error estimate refuses to shrink with the step",
                 attempts,
-            )
+            ))
         attempts += 1
 
         x2 = x + h * (a21 * k1x)
@@ -480,8 +482,7 @@ def _adaptive_solve(
                 dx, dy, dz = x - px, y - py, z - pz
                 if dx * dx + dy * dy + dz * dz <= r2:
                     settled = (tail, t, (x, y, z))
-                    for _, i in pending:
-                        metas[i] = meta()
+                    metas = [done or meta() for done in metas]
                     pending = []
                     break
             if err == 0.0:
@@ -499,7 +500,7 @@ def _adaptive_solve(
             just_rejected = True
             h *= max(fac_min, min(1.0, safety * err**-0.2))
 
-    return runs(t, "", None)
+    return list(runs(t, "", None))
 
 
 def _span(gauge: Gauge | None, span: tuple[float, float], samples: int) -> np.ndarray:

@@ -71,10 +71,9 @@ def scale_time(gauge: Gauge, t: float | np.ndarray) -> float | np.ndarray:
         bad = t[~(np.isfinite(t) & (t >= 0.0))]
         if bad.size:
             raise ValueError(f"scale_time needs finite t >= 0, got {bad[0].item()!r}")
-        s, on = np.zeros(t.size), t > 0.0
-        logs = np.fromiter(map(math.log, t[on].tolist()), float)
-        s[on] = gauge.mu * np.fromiter(map(math.exp, ((1.0 - gauge.D) * logs).tolist()), float)
-        return s
+        logs = np.fromiter(map(math.log, np.where(t > 0.0, t, 1.0).tolist()), float, t.size)
+        s = gauge.mu * np.fromiter(map(math.exp, ((1.0 - gauge.D) * logs).tolist()), float, t.size)
+        return np.where(t > 0.0, s, 0.0)
     t = float(t)
     if not math.isfinite(t) or t < 0.0:
         raise ValueError(f"scale_time needs finite t >= 0, got {t!r}")
