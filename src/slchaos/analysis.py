@@ -654,7 +654,7 @@ class StableTail:
         """The linear flow through `state` at time `s1` at each of `times`, an
         (n, 3) array: the real part of sum_i v_i c_i exp(lambda_i (s - s1)),
         c = V^-1 (state - point), in the scalar order with `math`'s exp, cos and
-        sin (numpy's may round apart).  Real modes skip cos 0 = 1, sin 0 = 0."""
+        sin (numpy's may round apart).  A real mode skips cos 0 = 1 and sin 0 = 0."""
         tau = np.asarray(times, dtype=float) - s1
         dx, dy, dz = (state[i] - self.point[i] for i in range(3))
         rows = np.zeros((tau.size, 3))
