@@ -18,11 +18,13 @@ with a convergence radius: an orbit that enters it provably converges to
 that equilibrium.  Entering that radius is the one settle rule.  The DP54
 integrator finishes such orbits on the linear flow, inside the part of the
 radius where the flow is accurate to a share of its tolerance.  The
-estimator for a named system stops there: the largest exponent of a
-settled orbit is the leading real part of the closed-form spectrum, which
-is exact, so no twin run can improve on it.  Orbits that settle nowhere,
-only on a saddle or a marginal point, or on a stable point without an
-eigenbasis (a defective one), get the full twin run.
+estimator reads the tails it is given (`max_lyapunov` gives it the named
+system's) and stops at the first renormalization boundary inside a
+radius: the largest exponent of a settled orbit is the leading real part
+of the closed-form spectrum, which is exact, so no twin run can improve
+on it.  Orbits that settle nowhere, only on a saddle or a marginal point,
+or on a stable point without an eigenbasis (a defective one), get the
+full twin run.
 
 Gauged systems are analyzed in scaled time: under s = mu * t**(1 - D) the
 system is autonomous, so exponents quoted per unit s are honest constants,
@@ -430,7 +432,7 @@ def lyapunov_from_field(
     renorm_interval: float,
     *,
     time_variable: str = "t",
-    settled: Callable[[tuple[float, float, float]], float | None] | None = None,
+    tails: Sequence[StableTail] = (),
 ) -> LyapunovEstimate:
     """Benettin-style largest exponent for an arbitrary autonomous field.
 
@@ -441,9 +443,11 @@ def lyapunov_from_field(
     is discarded; the mean of the rest is the estimate and their standard
     deviation is reported as a quality signal.
 
-    `settled`, if given, sees the reference state at the start and at every
-    renormalization boundary.  The first time it returns a number rather
-    than None, that number is the estimate and the run stops there.
+    The reference state is checked against `tails` at the start and at
+    every renormalization boundary.  The first time it lies within a
+    tail's convergence radius, which no other tail's overlaps, the orbit
+    has settled on that equilibrium: its leading real part -alpha is the
+    estimate and the run stops there.
     """
     # Building the estimate's geometry first checks the budget before
     # anything is integrated.
@@ -455,11 +459,14 @@ def lyapunov_from_field(
     twin = (ref[0] + LYAPUNOV_OFFSET, ref[1], ref[2])
     rates: list[float] = []
     for i in range(n_intervals):
-        exact = None if settled is None else settled(ref)
-        if exact is not None:
-            return dataclasses.replace(
-                budget, lambda_max=exact, estimator="equilibrium", settled_at=i * renorm_interval
-            )
+        for tail in tails:
+            px, py, pz = tail.point
+            dx, dy, dz = ref[0] - px, ref[1] - py, ref[2] - pz
+            # A non-finite state fails the comparison.
+            if dx * dx + dy * dy + dz * dz <= tail.radius2:
+                return dataclasses.replace(
+                    budget, lambda_max=-tail.alpha, estimator="equilibrium", settled_at=i * renorm_interval
+                )
         ref, twin = _twin_rk4(rhs, ref, twin, i * renorm_interval, renorm_interval)
         dx = twin[0] - ref[0]
         dy = twin[1] - ref[1]
@@ -475,11 +482,11 @@ def lyapunov_from_field(
         twin = (ref[0] + dx * f, ref[1] + dy * f, ref[2] + dz * f)
 
     discard = int(len(rates) * TRANSIENT_FRACTION)
-    tail = rates[discard:]
-    if not tail:
+    kept = rates[discard:]
+    if not kept:
         raise ValueError("no growth samples survived the transient discard")
     return dataclasses.replace(
-        budget, lambda_max=float(np.mean(tail)), sample_stddev=float(np.std(tail))
+        budget, lambda_max=float(np.mean(kept)), sample_stddev=float(np.std(kept))
     )
 
 
@@ -499,30 +506,8 @@ def max_lyapunov(
         horizon,
         renorm_interval,
         time_variable=_time_variable(kind),
-        settled=_stable_equilibrium_exit(kind, params),
+        tails=stable_tails(effective_params(kind, params)),
     )
-
-
-def _stable_equilibrium_exit(
-    kind: SystemKind, params: SystemParams | None
-) -> Callable[[tuple[float, float, float]], float | None]:
-    """The exact exponent of a state that has settled on a stable
-    equilibrium: for a state within the convergence radius of one of the
-    `stable_tails`, that equilibrium's leading real part; for any other
-    state, None.  The radius is at most half the distance to any other
-    equilibrium, so no state lies within two of them."""
-    tails = stable_tails(effective_params(kind, params))
-
-    def check(state: tuple[float, float, float]) -> float | None:
-        for tail in tails:
-            px, py, pz = tail.point
-            dx, dy, dz = state[0] - px, state[1] - py, state[2] - pz
-            # A non-finite state fails the comparison.
-            if dx * dx + dy * dy + dz * dz <= tail.radius2:
-                return -tail.alpha
-        return None
-
-    return check
 
 
 def divergence_probe(

@@ -125,10 +125,11 @@ def make_field(
     """Bind coefficients into a plain-tuple evaluator rhs(t, (x, y, z)) of
     f(x, y, z) = (a(y-x), x(b-z)-y, xy-cz).
 
-    The returned closure is the one evaluator of the field.  The integrators
-    call it in their inner loops, so it works on bare floats and skips
-    dataclass construction.  The time argument is accepted for signature
-    compatibility and ignored (the field is autonomous).
+    The returned closure is the one evaluator of the field; the gauged
+    field (`timegauge.make_gauged_field`) weights its output.  The
+    integrators call it in their inner loops, so it works on bare floats
+    and skips dataclass construction.  The time argument is accepted for
+    signature compatibility and ignored (the field is autonomous).
     """
     p = effective_params(kind, params)
     a, b, c = p.a, p.b, p.c

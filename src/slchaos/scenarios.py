@@ -107,6 +107,11 @@ class Scenario:
                 raise ValueError(f"scenario {self.name!r}: SL spans must start at t0 > 0")
         elif self.gauge is not None:
             raise ValueError(f"scenario {self.name!r}: Lorenz runs take no gauge")
+        elif self.params != (fixed := effective_params(self.kind)):
+            raise ValueError(
+                f"scenario {self.name!r}: {self.kind.value} has fixed coefficients "
+                f"(a, b, c) = ({fixed.a!r}, {fixed.b!r}, {fixed.c!r}), got {self.params!r}"
+            )
         if self.params.c <= 0.0:
             raise ValueError(f"scenario {self.name!r}: c must be positive, got {self.params.c!r}")
 
@@ -225,7 +230,7 @@ def run_trajectory(scenario: Scenario) -> Trajectory:
     """Integrate a scenario with `integrate_sl`: a gauged run on its gauge's
     clock, and a Lorenz run, which has no gauge, on the identity clock."""
     return integrate_sl(
-        effective_params(scenario.kind, scenario.params),
+        scenario.params,
         scenario.gauge,
         scenario.span,
         scenario.x0,
@@ -279,7 +284,6 @@ def scenario_report(scenario: Scenario, trajectory: Trajectory, orbit_of: dict |
     member of the same `D` or `mu` sweep), lends them instead of their
     being computed again.
     """
-    eff = effective_params(scenario.kind, scenario.params)
     if orbit_of is None:
         eq_doc = equilibria_doc(scenario.kind, scenario.params)
         horizon = _analysis_horizon(scenario)
@@ -297,7 +301,7 @@ def scenario_report(scenario: Scenario, trajectory: Trajectory, orbit_of: dict |
     return {
         "scenario": scenario.name,
         "system": scenario.kind.value,
-        "params": {"a": eff.a, "b": eff.b, "c": eff.c},
+        "params": {"a": scenario.params.a, "b": scenario.params.b, "c": scenario.params.c},
         "gauge": gauge_doc,
         "x0": [scenario.x0.x, scenario.x0.y, scenario.x0.z],
         "span": [scenario.span[0], scenario.span[1]],

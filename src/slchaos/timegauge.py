@@ -27,7 +27,7 @@ from typing import Callable
 
 import numpy as np
 
-from .dynamics import SystemParams
+from .dynamics import SystemKind, SystemParams, make_field
 
 __all__ = [
     "Gauge",
@@ -65,21 +65,17 @@ class Gauge:
 
 
 def scale_time(gauge: Gauge, t: float | np.ndarray) -> float | np.ndarray:
-    """Map ordinary time t >= 0 to scaled time s = mu * t**(1 - D), or a 1-D
-    array of times elementwise by scalar exp and log (numpy's may round apart)."""
-    if isinstance(t, np.ndarray) and t.ndim == 1:
-        bad = t[~(np.isfinite(t) & (t >= 0.0))]
-        if bad.size:
-            raise ValueError(f"scale_time needs finite t >= 0, got {bad[0].item()!r}")
-        logs = np.fromiter(map(math.log, np.where(t > 0.0, t, 1.0).tolist()), float, t.size)
-        s = gauge.mu * np.fromiter(map(math.exp, ((1.0 - gauge.D) * logs).tolist()), float, t.size)
-        return np.where(t > 0.0, s, 0.0)
-    t = float(t)
-    if not math.isfinite(t) or t < 0.0:
-        raise ValueError(f"scale_time needs finite t >= 0, got {t!r}")
-    if t == 0.0:
-        return 0.0
-    return gauge.mu * math.exp((1.0 - gauge.D) * math.log(t))
+    """Map ordinary time t >= 0 to scaled time s = mu * t**(1 - D): a float
+    to a float, a 1-D array elementwise.  Both go through `math`'s exp and
+    log, one value at a time, since numpy's may round apart."""
+    ts = np.atleast_1d(np.asarray(t, dtype=float))
+    bad = ts[~(np.isfinite(ts) & (ts >= 0.0))]
+    if bad.size:
+        raise ValueError(f"scale_time needs finite t >= 0, got {bad[0].item()!r}")
+    logs = np.fromiter(map(math.log, np.where(ts > 0.0, ts, 1.0).tolist()), float, ts.size)
+    s = gauge.mu * np.fromiter(map(math.exp, ((1.0 - gauge.D) * logs).tolist()), float, ts.size)
+    s = np.where(ts > 0.0, s, 0.0)
+    return s if np.ndim(t) else float(s[0])
 
 
 def unscale_time(gauge: Gauge, s: float) -> float:
@@ -96,11 +92,12 @@ def make_gauged_field(
     params: SystemParams, gauge: Gauge
 ) -> Callable[[float, tuple[float, float, float]], tuple[float, float, float]]:
     """Bind (params, gauge) into a plain-tuple evaluator rhs(t, (x, y, z)) of
-    the gauged right-hand side lam * t**(-D) * f(state) for the integrators.
+    the gauged right-hand side lam * t**(-D) * f(state): the output of
+    `dynamics.make_field`'s SL closure, weighted.
 
     The weight is singular at t = 0, so the evaluator rejects t <= 0.
     """
-    a, b, c = params.a, params.b, params.c
+    f = make_field(SystemKind.SL, params)
     lam, D = gauge.lam, gauge.D
     log = math.log
     exp = math.exp
@@ -109,7 +106,7 @@ def make_gauged_field(
         if t <= 0.0:
             raise ValueError(f"gauged field needs t > 0, got {t!r}")
         w = lam * exp(-D * log(t))
-        x, y, z = state
-        return (w * a * (y - x), w * (x * (b - z) - y), w * (x * y - c * z))
+        fx, fy, fz = f(t, state)
+        return (w * fx, w * fy, w * fz)
 
     return rhs

@@ -1,13 +1,14 @@
 import dataclasses
 import json
 import math
+import re
 
 import numpy as np
 import pytest
 
 from slchaos import scenarios
 from slchaos.cli import cli_main
-from slchaos.dynamics import State3, SystemKind, SystemParams
+from slchaos.dynamics import State3, SystemKind, SystemParams, effective_params
 from slchaos.scenarios import (
     Scenario,
     ScenarioNotFound,
@@ -92,6 +93,24 @@ class TestScenarioValidation:
         kw["span"] = (0.0, 10.0)
         with pytest.raises(ValueError, match="no gauge"):
             Scenario(**kw)
+
+    @pytest.mark.parametrize(
+        "kind, fixed",
+        [
+            (SystemKind.LORENZ_STANDARD, "(10.0, 28.0, 2.6666666666666665)"),
+            (SystemKind.LORENZ_LITERAL, "(10.0, 2.6666666666666665, 28.0)"),
+        ],
+        ids=["lorenz-standard", "lorenz-literal"],
+    )
+    def test_lorenz_coefficients_are_fixed(self, kind, fixed):
+        # A Lorenz run is solved and reported with its fixed coefficients, so
+        # a Scenario that carries any others would describe a run it is not.
+        x0 = State3(0.1, 0.1, 0.1)
+        with pytest.raises(ValueError, match=re.escape(f"fixed coefficients (a, b, c) = {fixed}")):
+            Scenario("odd", kind, SystemParams(1.0, 2.0, 3.0), None, x0, (0.0, 5.0))
+        p = effective_params(kind)
+        sc = Scenario("ok", kind, p, None, x0, (0.0, 5.0))
+        assert scenario_report(sc, run_trajectory(sc))["params"] == {"a": p.a, "b": p.b, "c": p.c}
 
     def test_c_must_be_positive(self):
         kw = self._sl_kwargs()
@@ -233,18 +252,19 @@ class TestRunScenario:
         "name, settled_at",
         [("sl-a2.35", 6.0), ("sl-a2", 6.0), ("sl-a1.5", 6.0), ("sl-a1.35", 6.0), ("lorenz-literal", 5.04)],
     )
-    def test_report_settles_on_entering_a_convergence_radius(self, name, settled_at):
+    def test_report_settles_on_entering_a_convergence_radius(self, name, settled_at, monkeypatch):
         # `settled_at` is the first renormalization boundary at which the
         # twin's reference state lies within a stable tail's convergence
         # radius; at the boundary before, it lies outside every one.
+        from slchaos import analysis
         from slchaos.analysis import lyapunov_from_field, stable_tails
-        from slchaos.dynamics import effective_params, make_field
+        from slchaos.dynamics import make_field
 
         sc = lookup_scenario(name)
         lyap = scenario_report(sc, run_trajectory(sc))["lyapunov"]
         assert lyap["estimator"] == "equilibrium"
         assert lyap["settled_at"] == settled_at
-        tails = stable_tails(effective_params(sc.kind, sc.params))
+        tails = stable_tails(sc.params)
         assert lyap["lambda_max"] in [-tail.alpha for tail in tails]
 
         def inside(state):
@@ -252,15 +272,20 @@ class TestRunScenario:
                 sum((u - v) ** 2 for u, v in zip(state, tail.point)) <= tail.radius2 for tail in tails
             )
 
-        seen = []
+        # The reference state at each boundary: the start, then the end of
+        # each interval the twin run carries it across.
+        seen = [tuple(sc.x0)]
+        twin_rk4 = analysis._twin_rk4
 
-        def record(state):
-            seen.append(state)
-            return 0.0 if inside(state) else None
+        def record(*args):
+            ref, twin = twin_rk4(*args)
+            seen.append(ref)
+            return ref, twin
 
-        rhs = make_field(sc.kind, sc.params)
-        est = lyapunov_from_field(rhs, tuple(sc.x0), lyap["horizon"], lyap["renorm_interval"], settled=record)
-        assert est.settled_at == settled_at
+        monkeypatch.setattr(analysis, "_twin_rk4", record)
+        rhs, renorm = make_field(sc.kind, sc.params), lyap["renorm_interval"]
+        est = lyapunov_from_field(rhs, tuple(sc.x0), lyap["horizon"], renorm, tails=tails)
+        assert est.settled_at == settled_at == (len(seen) - 1) * renorm
         assert inside(seen[-1]) and not inside(seen[-2])
 
     def test_settled_report_stops_its_twin_at_the_radius(self, monkeypatch):

@@ -34,6 +34,21 @@ def test_gauge_lam_is_derived():
         g.lam = 5.0  # type: ignore[misc]
 
 
+def scalar_scale_time(gauge, t):
+    """The reference: one time at a time, by `math`'s log and exp in the
+    order the package applies them."""
+    return 0.0 if t == 0.0 else gauge.mu * math.exp((1.0 - gauge.D) * math.log(t))
+
+
+@given(D=st.floats(0.05, 0.95), mu=st.floats(0.1, 10.0), t=st.floats(0.0, 1e300))
+def test_scale_time_of_a_float_is_the_scalar_formula(D, mu, t):
+    g = Gauge(mu, D)
+    got = scale_time(g, t)
+    assert type(got) is float
+    assert got.hex() == scalar_scale_time(g, t).hex()
+    assert scale_time(g, 0.0) == 0.0
+
+
 def test_scale_time_values():
     assert scale_time(G, 0.0) == 0.0
     assert scale_time(G, 1.0) == 0.9
@@ -54,7 +69,7 @@ def test_scale_time_maps_arrays_bit_for_bit():
     for gauge in (G, Gauge(1.8, 0.5), Gauge(3.0, 0.95)):
         mapped = scale_time(gauge, ts)
         assert isinstance(mapped, np.ndarray) and mapped.shape == ts.shape
-        assert mapped.tobytes() == np.array([scale_time(gauge, v) for v in ts]).tobytes()
+        assert mapped.tobytes() == np.array([scalar_scale_time(gauge, v) for v in ts]).tobytes()
         assert mapped[0] == 0.0
 
 
