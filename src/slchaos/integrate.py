@@ -11,7 +11,9 @@ bracketing step (Hairer, Norsett & Wanner, Solving ODEs I, II.6), built
 from the seven stages in hand, evaluated over arrays after the solve from
 a record of the steps that bracket a sample.  The DP54 step sequence
 depends only on the field, the start point and the tolerances, not on the
-samples or the end, so one solve can serve several sample grids.
+samples or the end, so one solve can serve several sample grids.  Each
+grid brings the t and s columns its run carries, and its rows and step
+counts are read off the record after the solve.
 Every run solves in scaled time; `integrate_direct_t` solves a gauged
 field in ordinary t with the same driver, as criterion 1's reference.
 
@@ -35,7 +37,7 @@ Equilibria with a near-singular eigenbasis (coalescing eigenvalues) get no
 switch; nor do saddles, marginal points and unstable points, where the run
 keeps stepping.  The switch point depends only on the field, the start
 point and the tolerances, so the prefix property above holds, and a grid
-that ends after the switch records the step counts reached at it.
+that ends after the switch gets the step counts reached at it, the final ones.
 
 All state arithmetic is double precision in a fixed order, element by
 element in arrays too, so identical inputs produce bit-identical trajectories.
@@ -289,23 +291,25 @@ _MAX_STEPS = 10_000_000
 
 
 # The step record: per accepted step that brackets a sample, t, h, t + h,
-# x, x_new, k1, k7 and the extension's q sums, in float64 blocks.
-_RECORD_ROW = struct.Struct("18d")
+# x, x_new, k1, k7, the extension's q sums and the accepted and rejected
+# step counts at its end, in float64 blocks.
+_RECORD_ROW = struct.Struct("20d")
 _RECORD_BLOCK = 256
 
 
-def _extension(blocks: list[np.ndarray], recorded: int, times: np.ndarray) -> np.ndarray:
+def _extension(blocks: list[np.ndarray], ends: np.ndarray, times: np.ndarray) -> np.ndarray:
     """The rows at `times`, past the first recorded step's start, from the
-    continuous extension of the first of the `recorded` steps to end at or
-    after each (its end state where theta >= 1), a block of samples at a time."""
+    continuous extension of the first recorded step to end at or after each
+    (its end state where theta >= 1), a block of samples at a time.  `ends`
+    is the recorded steps' end column."""
     rows = np.empty((times.size, 3))
-    at = np.searchsorted(np.concatenate([b[:, 2] for b in blocks] or [np.empty(0)])[:recorded], times)
+    at = np.searchsorted(ends, times)
     for j, block in enumerate(blocks):
         lo, hi = np.searchsorted(at, (j * _RECORD_BLOCK, (j + 1) * _RECORD_BLOCK))
         for a in range(lo, hi, _RECORD_BLOCK):
             part = slice(a, min(a + _RECORD_BLOCK, hi))
             steps = np.take(block.T, at[part] - j * _RECORD_BLOCK, axis=1)
-            x, xn, k1, k7, q = steps[3:].reshape(5, 3, -1)
+            x, xn, k1, k7, q = steps[3:18].reshape(5, 3, -1)
             h = steps[1]
             theta = (times[part] - steps[0]) / h
             th1 = 1.0 - theta
@@ -323,51 +327,55 @@ def _adaptive_solve(
     t0: float,
     x0: Sequence[float],
     tol: float,
-    grids: Sequence[np.ndarray],
+    grids: Sequence[tuple[np.ndarray, np.ndarray, np.ndarray]],
     tails: Sequence[StableTail] = (),
 ) -> list[Trajectory | IntegrationError]:
     """Core DP54 driver: one solve from (t0, x0), sampled on several grids.
 
-    Each grid is strictly increasing from t0 and ends where its run ends.
-    The solve never clips a step to land on an end: it steps until it has
-    passed the last sample of every grid.  Rows sit exactly on the grids,
-    read after the solve off the continuous extension of the step that
-    brackets them, kept in a record of such steps, so the steps taken
-    depend on neither the grids nor their ends, and the rows of a solve to
-    any end are bit-equal to those of a solve to a later one.  Entry i is
-    grid i's run, with the grid as both time columns and the step counts at
-    its last sample, or the IntegrationError that a solve on it alone raises.
+    Each grid is a triple (instants, t column, s column) of equal-length
+    arrays: the instants in the solve's variable, strictly increasing from
+    t0 and ending where the run ends, and the two time columns its run
+    carries.  The solve never clips a step to land on an end: it steps
+    until it has passed the last instant of every grid.  Rows sit exactly
+    on the instants, read after the solve off the continuous extension of
+    the step that brackets them, kept in a record of such steps, so the
+    steps taken depend on neither the grids nor their ends, and the rows of
+    a solve to any end are bit-equal to those of a solve to a later one.
+    Entry i is grid i's run, or the IntegrationError that a solve on it
+    alone raises, its rows so far as the partial.  A run's step counts are
+    those the record holds for the first recorded step to end at or after
+    its last instant, or, past every recorded step, the solve's final ones.
 
     After each accepted step the end point is checked against `tails`; the
     first step that ends within a tail's switch radius at `tol` is the
     last one, and every sample after it comes from that tail's linear flow,
     with the step counts reached there.
     """
-    # All samples and an end marker, and the unfinished grids, latest end first.
-    merged = sorted(np.concatenate(grids).tolist() + [math.inf])
-    pending = sorted(((float(grid[-1]), i) for i, grid in enumerate(grids)), reverse=True)
-    metas: list[IntegrationMeta | None] = [None] * len(grids)
+    # All samples and an end marker.
+    merged = sorted(np.concatenate([grid[0] for grid in grids]).tolist() + [math.inf])
     blocks: list[np.ndarray] = []
     recorded = accepted = rejected = attempts = 0
     settled: tuple[StableTail, float, tuple[float, float, float]] | None = None
 
-    def meta() -> IntegrationMeta:
-        return IntegrationMeta(accepted, rejected, "rk45", tol, tol)
-
     def runs(t: float, message: str, step_index: int | None) -> Iterator[Trajectory | IntegrationError]:
         """Each grid's run once the solve has stepped to `t`, or for a grid
         left unfinished, `message` with the rows it got so far as the partial."""
-        for grid, done in zip(grids, metas):
-            lead, k = np.searchsorted(grid, (t0, t), side="right")
-            rows = np.empty((k if done is None else grid.size, 3))
+        ends = np.concatenate([b[:, 2] for b in blocks] or [np.empty(0)])[:recorded]
+        for instants, t_col, s_col in grids:
+            lead, k = np.searchsorted(instants, (t0, t), side="right")
+            rows = np.empty((k if settled is None else instants.size, 3))
             rows[:lead] = start
-            rows[lead:k] = _extension(blocks, recorded, grid[lead:k])
+            rows[lead:k] = _extension(blocks, ends, instants[lead:k])
             if k < len(rows):
                 tail, s1, state = settled
-                rows[k:] = tail.flow(s1, state, grid[k:])
+                rows[k:] = tail.flow(s1, state, instants[k:])
+            last = int(np.searchsorted(ends, instants[-1]))
+            j, row = divmod(last, _RECORD_BLOCK)
+            counts = blocks[j][row, 18:] if last < recorded else (accepted, rejected)
+            meta = IntegrationMeta(int(counts[0]), int(counts[1]), "rk45", tol, tol)
             n = len(rows)
-            run = Trajectory(grid[:n], grid[:n].copy(), rows, done or meta()) if n else None
-            yield run if done else IntegrationError(message, step_index, run)
+            run = Trajectory(t_col[:n], s_col[:n], rows, meta) if n else None
+            yield run if n == instants.size else IntegrationError(message, step_index, run)
 
     x, y, z = start = tuple(float(v) for v in x0)
     k1x, k1y, k1z = rhs(t0, start)
@@ -395,9 +403,9 @@ def _adaptive_solve(
     b1, b3, b4, b5, b6, e1, e3, e4, e5, e6, e7 = _B1, _B3, _B4, _B5, _B6, _E1, _E3, _E4, _E5, _E6, _E7
     d1, d3, d4, d5, d6, d7 = _D1, _D3, _D4, _D5, _D6, _D7
     safety, pi_alpha, pi_beta, fac_min, fac_max = _SAFETY, _PI_ALPHA, _PI_BETA, _FAC_MIN, _FAC_MAX
-    max_steps, isfinite, pack = _MAX_STEPS, math.isfinite, _RECORD_ROW.pack_into
+    max_steps, isfinite, pack, inf = _MAX_STEPS, math.isfinite, _RECORD_ROW.pack_into, math.inf
 
-    while pending:
+    while next_t < inf:
         if attempts >= max_steps:
             return list(runs(t, f"step budget of {max_steps} exhausted at t = {t!r}", attempts))
         at = t if t >= 0.0 else -t  # the floor above, spelled out for speed
@@ -464,17 +472,16 @@ def _adaptive_solve(
             if next_t <= tn:
                 row = recorded % _RECORD_BLOCK
                 if row == 0:
-                    blocks.append(np.empty((_RECORD_BLOCK, 18)))
+                    blocks.append(np.empty((_RECORD_BLOCK, 20)))
                 pack(
-                    blocks[-1], 144 * row, t, h, tn, x, y, z, xn, yn, zn, k1x, k1y, k1z, k7x, k7y, k7z,
+                    blocks[-1], 160 * row, t, h, tn, x, y, z, xn, yn, zn, k1x, k1y, k1z, k7x, k7y, k7z,
                     h * (d1 * k1x + d3 * k3x + d4 * k4x + d5 * k5x + d6 * k6x + d7 * k7x),
                     h * (d1 * k1y + d3 * k3y + d4 * k4y + d5 * k5y + d6 * k6y + d7 * k7y),
                     h * (d1 * k1z + d3 * k3z + d4 * k4z + d5 * k5z + d6 * k6z + d7 * k7z),
+                    accepted, rejected,
                 )
                 recorded += 1
                 next_t = merged[bisect_right(merged, tn)]
-                while pending and pending[-1][0] <= tn:
-                    metas[pending.pop()[1]] = meta()
             t = tn
             x, y, z = xn, yn, zn
             k1x, k1y, k1z = k7x, k7y, k7z
@@ -482,8 +489,7 @@ def _adaptive_solve(
                 dx, dy, dz = x - px, y - py, z - pz
                 if dx * dx + dy * dy + dz * dz <= r2:
                     settled = (tail, t, (x, y, z))
-                    metas = [done or meta() for done in metas]
-                    pending = []
+                    next_t = inf
                     break
             if err == 0.0:
                 fac = fac_max
@@ -517,19 +523,6 @@ def _span(gauge: Gauge | None, span: tuple[float, float], samples: int) -> np.nd
     if t0 <= 0.0:
         raise ValueError(f"SL span needs 0 < t0 < t1, got [{t0!r}, {t1!r}]")
     return np.geomspace(t0, t1, samples)
-
-
-def _relabel(
-    run: Trajectory | IntegrationError, t: np.ndarray, s: np.ndarray
-) -> Trajectory | IntegrationError:
-    """`run` with the leading rows of the time columns `t` and `s` in place
-    of its integration variable; for an error, the same error with its
-    partial relabelled so."""
-    if isinstance(run, IntegrationError):
-        if run.partial is not None:
-            run.partial = _relabel(run.partial, t, s)
-        return run
-    return Trajectory(t[: len(run)], s[: len(run)], run.states, run.meta)
 
 
 def integrate_sl(
@@ -580,17 +573,18 @@ def integrate_sl_gauges(
     from .analysis import stable_tails
 
     tol, samples = check_settings(tol, samples)
+    if not gauges:
+        raise ValueError("integrate_sl_gauges needs at least one gauge (None for the identity clock)")
     t_grids = [_span(gauge, span, samples) for gauge in gauges]
     s_grids = [t.copy() if gauge is None else scale_time(gauge, t) for gauge, t in zip(gauges, t_grids)]
-    runs = _adaptive_solve(
+    return _adaptive_solve(
         make_field(SystemKind.SL, params),
         0.0,
         x0,
         tol,
-        [s - s[0] for s in s_grids],
+        [(s - s[0], t, s) for t, s in zip(t_grids, s_grids)],
         stable_tails(params),
     )
-    return [_relabel(run, t, s) for run, t, s in zip(runs, t_grids, s_grids)]
 
 
 def integrate_direct_t(
@@ -611,8 +605,8 @@ def integrate_direct_t(
         raise ValueError("integrate_direct_t needs a gauge; the identity clock has no direct-t form")
     tol, samples = check_settings(tol, samples)
     t = _span(gauge, span, samples)
-    run = _adaptive_solve(make_gauged_field(params, gauge), float(t[0]), x0, tol, [t])[0]
-    run = _relabel(run, t, scale_time(gauge, t))
+    grid = (t, t, scale_time(gauge, t))
+    run = _adaptive_solve(make_gauged_field(params, gauge), float(t[0]), x0, tol, [grid])[0]
     if isinstance(run, IntegrationError):
         raise run
     return run

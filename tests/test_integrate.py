@@ -162,7 +162,7 @@ class TestAdaptive:
         # shrink with h, so the controller drives h below the floor
         rhs = lambda t, s: (1e20 * math.sin(1e20 * t), 0.0, 0.0)
         grid = np.linspace(0.0, 1.0, 2000)
-        (run,) = integrate._adaptive_solve(rhs, 0.0, (0.0, 0.0, 0.0), 1e-9, [grid])
+        (run,) = integrate._adaptive_solve(rhs, 0.0, (0.0, 0.0, 0.0), 1e-9, [(grid, grid, grid)])
         with pytest.raises(IntegrationError, match="underflow"):
             raise run
 
@@ -179,7 +179,7 @@ class TestAdaptive:
         # a step across the jump in the field must be rejected, not absorbed
         rhs = lambda t, s: (1.0 if t < 1.0 else -1.0, 0.0, 0.0)
         grid = np.linspace(0.0, 5.0, 50)
-        (tr,) = integrate._adaptive_solve(rhs, 0.0, (0.1, 0.1, 0.1), 1e-9, [grid])
+        (tr,) = integrate._adaptive_solve(rhs, 0.0, (0.1, 0.1, 0.1), 1e-9, [(grid, grid, grid)])
         assert tr.meta.steps_rejected >= 1
 
 
@@ -203,7 +203,8 @@ class TestPrefix:
         assert long.meta.steps_taken > short.meta.steps_taken
         # The step counts at `end` inside the longer solve are the short solve's.
         inside, whole = integrate._adaptive_solve(
-            make_field(kind, params), 0.0, x0, 1e-9, [short.t, long.t], stable_tails(params)
+            make_field(kind, params), 0.0, x0, 1e-9,
+            [(short.t, short.t, short.t), (long.t, long.t, long.t)], stable_tails(params),
         )
         assert inside == short and inside.meta == short.meta
         assert whole == long and whole.meta == long.meta
@@ -345,8 +346,9 @@ class TestSettledTail:
         params = SystemParams(2.0, -0.125, 27.0)
         assert stable_tails(params) == []
         run = integrate_sl(params, None, (0.0, 50.0), (0.1, 0.1, 0.1), samples=50)
+        grid = np.linspace(0.0, 50.0, 50)
         (without,) = integrate._adaptive_solve(
-            make_field(SystemKind.SL, params), 0.0, (0.1, 0.1, 0.1), 1e-9, [np.linspace(0.0, 50.0, 50)]
+            make_field(SystemKind.SL, params), 0.0, (0.1, 0.1, 0.1), 1e-9, [(grid, grid, grid)]
         )
         assert run == without and run.meta == without.meta
 
@@ -420,9 +422,16 @@ class TestArraySampling:
             ends.append(x)
             t, h = tn, h * integrate._FAC_MAX
         assert thetas.count(1.0) >= 10 and max(thetas) > 1.0
-        (run,) = integrate._adaptive_solve(lambda t, s: c, 0.0, (0.0, 0.0, 0.0), 1e-9, [np.array(times)])
-        assert (run.meta.steps_taken, run.meta.steps_rejected) == (14, 0)
-        assert run.states.tobytes() == np.array(ends).tobytes()
+        # Prefix grids in the same solve end exactly on step k's end: their
+        # counts are the ones recorded at that step, k accepted and none rejected.
+        ks = (14, 1, 5, 9)
+        grids = [np.array(times[: k + 1]) for k in ks]
+        runs = integrate._adaptive_solve(
+            lambda t, s: c, 0.0, (0.0, 0.0, 0.0), 1e-9, [(grid, grid, grid) for grid in grids]
+        )
+        for k, run in zip(ks, runs):
+            assert (run.meta.steps_taken, run.meta.steps_rejected) == (k, 0)
+            assert run.states.tobytes() == np.array(ends[: k + 1]).tobytes()
 
     def test_five_gauges_share_one_solve(self):
         # sweep-gauge's D sweep of sl-a2: each member of the shared solve is
@@ -566,6 +575,13 @@ class TestIntegrateSL:
         assert (str(failed), failed.step_index) == (str(alone), alone.step_index)
         assert failed.partial == alone.partial and failed.partial.meta == alone.partial.meta
         assert 0 < len(failed.partial) < 300
+
+    def test_gauges_need_at_least_one(self):
+        with pytest.raises(ValueError, match="at least one gauge"):
+            integrate_sl_gauges(ATTRACTOR_II, [], (0.1, 10.0), (0.1, 0.1, 0.1))
+        # The settings are checked first.
+        with pytest.raises(ValueError, match="tol must be positive"):
+            integrate_sl_gauges(ATTRACTOR_II, [], (0.1, 10.0), (0.1, 0.1, 0.1), tol=0.0)
 
 
 def test_config_validation():
