@@ -18,13 +18,15 @@ with a convergence radius: an orbit that enters it provably converges to
 that equilibrium.  Entering that radius is the one settle rule.  The DP54
 integrator finishes such orbits on the linear flow, inside the part of the
 radius where the flow is accurate to a share of its tolerance.  The
-estimator reads the tails it is given (`max_lyapunov` gives it the named
-system's) and stops at the first renormalization boundary inside a
-radius: the largest exponent of a settled orbit is the leading real part
-of the closed-form spectrum, which is exact, so no twin run can improve
-on it.  Orbits that settle nowhere, only on a saddle or a marginal point,
-or on a stable point without an eigenbasis (a defective one), get the
-full twin run.
+estimator carries the reference orbit alone first, keeping its state at
+each renormalization boundary (three doubles), and checks it against the
+tails it is given (`max_lyapunov` gives it the named system's): it stops
+at the first boundary inside a radius, before the twin takes a step, as
+the largest exponent of a settled orbit is the leading real part of the
+closed-form spectrum, which is exact, so no twin run can improve on it.
+Orbits that settle nowhere, only on a saddle or a marginal point, or on a
+stable point without an eigenbasis (a defective one), then get the full
+twin run against the stored states.
 
 Gauged systems are analyzed in scaled time: under s = mu * t**(1 - D) the
 system is autonomous, so exponents quoted per unit s are honest constants,
@@ -37,6 +39,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
+from array import array
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -412,17 +415,14 @@ def _time_variable(kind: SystemKind) -> str:
     return "s" if kind is SystemKind.SL else "t"
 
 
-def _twin_rk4(rhs: Callable, a: tuple, b: tuple, t0: float, interval: float) -> tuple:
-    """Carry two states side by side from `t0` across `interval` in equal
-    fixed RK4 steps no wider than RK4_DT: the stepper both divergence
-    estimators share."""
+def _carry(rhs: Callable, state: tuple, t0: float, interval: float) -> tuple:
+    """Carry one state from `t0` across `interval` in equal fixed RK4 steps no
+    wider than RK4_DT: the stepper both divergence estimators share."""
     n_sub = max(1, math.ceil(interval / RK4_DT))
     dt = interval / n_sub
     for j in range(n_sub):
-        tj = t0 + j * dt
-        a = rk4_step(rhs, tj, a, dt)
-        b = rk4_step(rhs, tj, b, dt)
-    return a, b
+        state = rk4_step(rhs, t0 + j * dt, state, dt)
+    return state
 
 
 def lyapunov_from_field(
@@ -436,28 +436,29 @@ def lyapunov_from_field(
 ) -> LyapunovEstimate:
     """Benettin-style largest exponent for an arbitrary autonomous field.
 
-    Two copies run side by side, the second displaced by LYAPUNOV_OFFSET along
-    x.  After every `renorm_interval` the log growth of their separation is
-    recorded and the twin is pulled back to that distance along the current
-    separation direction.  The first TRANSIENT_FRACTION of the growth samples
-    is discarded; the mean of the rest is the estimate and their standard
-    deviation is reported as a quality signal.
+    The reference orbit runs first, alone, and its state at the start and
+    at every `renorm_interval` boundary is kept (24 bytes each) and checked
+    against `tails`.  The first time it lies within a tail's convergence
+    radius, which no other tail's overlaps, the orbit has settled on that
+    equilibrium: its leading real part -alpha is the estimate and the run
+    stops there, before the twin takes a step.
 
-    The reference state is checked against `tails` at the start and at
-    every renormalization boundary.  The first time it lies within a
-    tail's convergence radius, which no other tail's overlaps, the orbit
-    has settled on that equilibrium: its leading real part -alpha is the
-    estimate and the run stops there.
+    An orbit that never settles then gets its twin, displaced by
+    LYAPUNOV_OFFSET along x and carried interval by interval.  At each
+    boundary the log growth of its separation from the stored reference
+    state is recorded and the twin is pulled back to that distance along
+    the current separation direction.  The first TRANSIENT_FRACTION of the
+    growth samples is discarded; the mean of the rest is the estimate and
+    their standard deviation is reported as a quality signal.
     """
     # Building the estimate's geometry first checks the budget before
     # anything is integrated.
     budget = LyapunovEstimate(math.nan, float(horizon), float(renorm_interval), 0.0, time_variable)
     n_intervals = int(round(horizon / renorm_interval))
 
-    rx, ry, rz = (float(v) for v in x0)
-    ref = (rx, ry, rz)
-    twin = (ref[0] + LYAPUNOV_OFFSET, ref[1], ref[2])
-    rates: list[float] = []
+    ref = tuple(float(v) for v in x0)
+    # The reference at every boundary, 3 doubles each, for the twin pass.
+    states = array("d", ref)
     for i in range(n_intervals):
         for tail in tails:
             px, py, pz = tail.point
@@ -467,19 +468,24 @@ def lyapunov_from_field(
                 return dataclasses.replace(
                     budget, lambda_max=-tail.alpha, estimator="equilibrium", settled_at=i * renorm_interval
                 )
-        ref, twin = _twin_rk4(rhs, ref, twin, i * renorm_interval, renorm_interval)
-        dx = twin[0] - ref[0]
-        dy = twin[1] - ref[1]
-        dz = twin[2] - ref[2]
+        ref = _carry(rhs, ref, i * renorm_interval, renorm_interval)
+        states.extend(ref)
+
+    twin = (states[0] + LYAPUNOV_OFFSET, states[1], states[2])
+    rates: list[float] = []
+    for i in range(n_intervals):
+        twin = _carry(rhs, twin, i * renorm_interval, renorm_interval)
+        rx, ry, rz = states[3 * i + 3 : 3 * i + 6]
+        dx, dy, dz = twin[0] - rx, twin[1] - ry, twin[2] - rz
         d = math.hypot(dx, dy, dz)
         if d == 0.0:
             # The twins collapsed onto each other below double resolution;
             # restart the displacement and skip the unusable sample.
-            twin = (ref[0] + LYAPUNOV_OFFSET, ref[1], ref[2])
+            twin = (rx + LYAPUNOV_OFFSET, ry, rz)
             continue
         rates.append(math.log(d / LYAPUNOV_OFFSET) / renorm_interval)
         f = LYAPUNOV_OFFSET / d
-        twin = (ref[0] + dx * f, ref[1] + dy * f, ref[2] + dz * f)
+        twin = (rx + dx * f, ry + dy * f, rz + dz * f)
 
     discard = int(len(rates) * TRANSIENT_FRACTION)
     kept = rates[discard:]
@@ -499,7 +505,7 @@ def max_lyapunov(
 ) -> LyapunovEstimate:
     """Largest Lyapunov exponent of a system, measured in its natural time
     variable: scaled time s for the gauged SL system, ordinary t otherwise.
-    The twin run stops once its orbit has settled on a stable equilibrium."""
+    An orbit that settles on a stable equilibrium gets no twin run."""
     return lyapunov_from_field(
         make_field(kind, params),
         tuple(float(v) for v in x0),
@@ -536,7 +542,8 @@ def divergence_probe(
     times = [0.0]
     seps = [delta0]
     for i in range(PROBE_SAMPLES):
-        a, b = _twin_rk4(rhs, a, b, i * sample_interval, sample_interval)
+        a = _carry(rhs, a, i * sample_interval, sample_interval)
+        b = _carry(rhs, b, i * sample_interval, sample_interval)
         times.append((i + 1) * sample_interval)
         seps.append(math.hypot(b[0] - a[0], b[1] - a[1], b[2] - a[2]))
     return SeparationSeries(np.asarray(times), np.asarray(seps), delta0, _time_variable(kind))

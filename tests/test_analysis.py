@@ -1,9 +1,14 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from slchaos.analysis import (
+    LYAPUNOV_OFFSET,
+    PROBE_SAMPLES,
+    RK4_DT,
+    TRANSIENT_FRACTION,
     LyapunovEstimate,
     NewtonError,
     Spectrum3,
@@ -17,15 +22,19 @@ from slchaos.analysis import (
     max_lyapunov,
     newton_fixed_point,
     separation_slope,
+    stable_tails,
 )
 from slchaos.dynamics import (
     LORENZ_LITERAL_PARAMS,
     LORENZ_STANDARD_PARAMS,
     SystemKind,
     SystemParams,
+    effective_params,
     jacobian,
     make_field,
 )
+from slchaos.integrate import rk4_step
+from slchaos.scenarios import LYAPUNOV_HORIZON, LYAPUNOV_INTERVALS, lookup_scenario
 
 ATTRACTOR_II = SystemParams(2.0, 0.3, 27.0)
 
@@ -282,6 +291,110 @@ class TestLyapunov:
             LyapunovEstimate(0.1, 1000.0, -0.5, 0.0)
         with pytest.raises(ValueError, match="estimator"):
             LyapunovEstimate(0.1, 1000.0, 0.5, 0.0, "t", "qr")
+
+
+def _interleaved_rk4(rhs, a, b, t0, interval):
+    """The stepper the estimators used to share: both states side by side,
+    a then b at each step."""
+    n_sub = max(1, math.ceil(interval / RK4_DT))
+    dt = interval / n_sub
+    for j in range(n_sub):
+        tj = t0 + j * dt
+        a = rk4_step(rhs, tj, a, dt)
+        b = rk4_step(rhs, tj, b, dt)
+    return a, b
+
+
+def _interleaved_lyapunov(rhs, x0, horizon, renorm_interval, *, time_variable="t", tails=()):
+    """The estimator as it was before the reference ran first: reference and
+    twin interleaved, checked against the tails at every boundary."""
+    budget = LyapunovEstimate(math.nan, float(horizon), float(renorm_interval), 0.0, time_variable)
+    n_intervals = int(round(horizon / renorm_interval))
+    ref = tuple(float(v) for v in x0)
+    twin = (ref[0] + LYAPUNOV_OFFSET, ref[1], ref[2])
+    rates = []
+    for i in range(n_intervals):
+        for tail in tails:
+            px, py, pz = tail.point
+            dx, dy, dz = ref[0] - px, ref[1] - py, ref[2] - pz
+            if dx * dx + dy * dy + dz * dz <= tail.radius2:
+                return dataclasses.replace(
+                    budget, lambda_max=-tail.alpha, estimator="equilibrium", settled_at=i * renorm_interval
+                )
+        ref, twin = _interleaved_rk4(rhs, ref, twin, i * renorm_interval, renorm_interval)
+        dx, dy, dz = twin[0] - ref[0], twin[1] - ref[1], twin[2] - ref[2]
+        d = math.hypot(dx, dy, dz)
+        if d == 0.0:
+            twin = (ref[0] + LYAPUNOV_OFFSET, ref[1], ref[2])
+            continue
+        rates.append(math.log(d / LYAPUNOV_OFFSET) / renorm_interval)
+        f = LYAPUNOV_OFFSET / d
+        twin = (ref[0] + dx * f, ref[1] + dy * f, ref[2] + dz * f)
+    kept = rates[int(len(rates) * TRANSIENT_FRACTION) :]
+    return dataclasses.replace(budget, lambda_max=float(np.mean(kept)), sample_stddev=float(np.std(kept)))
+
+
+def _scenario_case(name, horizon=None, renorm=None):
+    """A registry scenario's estimator inputs, at its report budget unless
+    `horizon` and `renorm` are given."""
+    sc = lookup_scenario(name)
+    if horizon is None:
+        horizon = LYAPUNOV_HORIZON if sc.gauge is not None else sc.span[1] - sc.span[0]
+        renorm = horizon / LYAPUNOV_INTERVALS
+    return sc.kind, sc.params, tuple(sc.x0), horizon, renorm
+
+
+class TestReferenceFirst:
+    """The reference-first estimator gives today's interleaved estimate bit
+    for bit: every RK4 step is the same call on the same inputs."""
+
+    @pytest.mark.parametrize(
+        "case, estimator",
+        [
+            # settled, at the report budgets
+            (_scenario_case("sl-a2"), "equilibrium"),
+            (_scenario_case("lorenz-literal"), "equilibrium"),
+            # no tails at all
+            (_scenario_case("lorenz-standard"), "twin"),
+            # a stable origin without an eigenbasis: no tail, the full twin
+            ((SystemKind.SL, SystemParams(2.0, -0.125, 27.0), (0.1, 0.1, 0.1), 200.0, 2.0), "twin"),
+            # gauged with the Lorenz coefficients: chaotic
+            ((SystemKind.SL, SystemParams(10.0, 28.0, 8.0 / 3.0), (0.1, 0.1, 0.1), 50.0, 0.5), "twin"),
+            # tails, but not settled by the horizon: the twin runs from the
+            # stored reference states
+            (_scenario_case("sl-a2", 4.0, 0.04), "twin"),
+        ],
+        ids=["sl-a2", "lorenz-literal", "lorenz-standard", "defective-origin", "gauged-lorenz", "sl-a2-short"],
+    )
+    def test_estimate_matches_the_interleaved_loop(self, case, estimator):
+        kind, params, x0, horizon, renorm = case
+        rhs = make_field(kind, params)
+        tails = stable_tails(effective_params(kind, params))
+        time_variable = "t" if kind is not SystemKind.SL else "s"
+        est = lyapunov_from_field(rhs, x0, horizon, renorm, time_variable=time_variable, tails=tails)
+        old = _interleaved_lyapunov(rhs, x0, horizon, renorm, time_variable=time_variable, tails=tails)
+        assert est.estimator == estimator
+        assert dataclasses.astuple(est) == dataclasses.astuple(old)
+        assert est == max_lyapunov(kind, params, x0, horizon, renorm)
+
+    def test_short_sl_a2_run_has_tails_but_no_settle(self):
+        kind, params, x0, horizon, renorm = _scenario_case("sl-a2", 4.0, 0.04)
+        assert stable_tails(params)
+        est = max_lyapunov(kind, params, x0, horizon, renorm)
+        assert est.estimator == "twin"
+        assert est.lambda_max == pytest.approx(-0.79447, abs=1e-5)
+
+    def test_probe_matches_the_interleaved_probe(self):
+        x0, delta0, horizon = (0.1, 0.1, 0.1), 1e-8, 40.0
+        series = divergence_probe(SystemKind.LORENZ_STANDARD, None, x0, delta0, horizon)
+        rhs = make_field(SystemKind.LORENZ_STANDARD, None)
+        interval = horizon / PROBE_SAMPLES
+        a, b = x0, (x0[0] + delta0, x0[1], x0[2])
+        seps = [delta0]
+        for i in range(PROBE_SAMPLES):
+            a, b = _interleaved_rk4(rhs, a, b, i * interval, interval)
+            seps.append(math.hypot(b[0] - a[0], b[1] - a[1], b[2] - a[2]))
+        assert series.separation.tolist() == seps
 
 
 class TestDivergenceProbe:

@@ -254,8 +254,8 @@ class TestRunScenario:
     )
     def test_report_settles_on_entering_a_convergence_radius(self, name, settled_at, monkeypatch):
         # `settled_at` is the first renormalization boundary at which the
-        # twin's reference state lies within a stable tail's convergence
-        # radius; at the boundary before, it lies outside every one.
+        # reference state lies within a stable tail's convergence radius; at
+        # the boundary before, it lies outside every one.
         from slchaos import analysis
         from slchaos.analysis import lyapunov_from_field, stable_tails
         from slchaos.dynamics import make_field
@@ -273,23 +273,24 @@ class TestRunScenario:
             )
 
         # The reference state at each boundary: the start, then the end of
-        # each interval the twin run carries it across.
+        # each interval it is carried across.  The reference runs first, so
+        # every state carried before the settle is a reference state.
         seen = [tuple(sc.x0)]
-        twin_rk4 = analysis._twin_rk4
+        carry = analysis._carry
 
         def record(*args):
-            ref, twin = twin_rk4(*args)
-            seen.append(ref)
-            return ref, twin
+            seen.append(carry(*args))
+            return seen[-1]
 
-        monkeypatch.setattr(analysis, "_twin_rk4", record)
+        monkeypatch.setattr(analysis, "_carry", record)
         rhs, renorm = make_field(sc.kind, sc.params), lyap["renorm_interval"]
         est = lyapunov_from_field(rhs, tuple(sc.x0), lyap["horizon"], renorm, tails=tails)
         assert est.settled_at == settled_at == (len(seen) - 1) * renorm
         assert inside(seen[-1]) and not inside(seen[-2])
 
-    def test_settled_report_stops_its_twin_at_the_radius(self, monkeypatch):
-        # sl-a2 settles at s = 6, 600 RK4 step pairs into the twin run.
+    def test_settled_report_carries_only_its_reference(self, monkeypatch):
+        # sl-a2 settles at s = 6: 3 intervals of 200 RK4 steps of the
+        # reference alone, and the twin never takes a step.
         from slchaos import analysis
 
         sc = lookup_scenario("sl-a2")
@@ -303,7 +304,7 @@ class TestRunScenario:
 
         monkeypatch.setattr(analysis, "rk4_step", counted)
         assert scenario_report(sc, traj)["lyapunov"]["settled_at"] == 6.0
-        assert len(calls) <= 1200
+        assert len(calls) == 600
 
     def test_chaotic_gauged_report_does_not_depend_on_the_span(self):
         # With the Lorenz coefficients the gauged orbit is chaotic and settles

@@ -1,9 +1,13 @@
-"""Time the sampling layer in one process: the median and quartiles per case.
+"""Time the sampling layer and the report in process: median and quartiles per case.
 
 The cases, each run once per round, round-robin, after one warm-up round:
 
 - `solve-<name>`: one `scenarios.run_trajectory` per registry scenario
   (its span, start, tolerance and 2,000 samples);
+- `report-<name>`: one `scenarios.scenario_report` per registry scenario,
+  on its trajectory solved once up front, so the case times the Lyapunov
+  estimator and the report's assembly; the `conjecture_report` memo stays
+  warm, as it does in a benchmark loop;
 - `solve-five-gauges`: the shared solve of `sweep-gauge`'s D sweep of
   sl-a2 (`integrate_sl_gauges`, D = 0.5, 0.6, 0.7, 0.8, 0.9);
 - `flow-real` and `flow-complex`: `StableTail.flow` at 2,000 times from a
@@ -13,8 +17,8 @@ The cases, each run once per round, round-robin, after one warm-up round:
 - `scale-time`: `timegauge.scale_time` of sl-a2's gauge on its 2,000-sample
   geometric grid.
 
-Effects of a few percent on one solve are below `slbench`'s run-to-run
-spread; run the tool alternately on two trees to see them:
+Effects of a few percent on one solve or report are below `slbench`'s
+run-to-run spread; run the tool alternately on two trees to see them:
 
     python tools/layer_times.py --src OLD/src
     python tools/layer_times.py
@@ -43,13 +47,15 @@ def cases() -> dict[str, Callable[[], object]]:
     from slchaos.analysis import stable_tails
     from slchaos.dynamics import SystemParams, effective_params
     from slchaos.integrate import integrate_sl_gauges
-    from slchaos.scenarios import run_trajectory, scenario_registry
+    from slchaos.scenarios import run_trajectory, scenario_registry, scenario_report
     from slchaos.timegauge import Gauge, scale_time
 
     registry = scenario_registry()
     out: dict[str, Callable[[], object]] = {
         f"solve-{name}": (lambda sc=sc: run_trajectory(sc)) for name, sc in registry.items()
     }
+    for name, sc in registry.items():
+        out[f"report-{name}"] = lambda sc=sc, traj=run_trajectory(sc): scenario_report(sc, traj)
     base = registry["sl-a2"]
     params = effective_params(base.kind, base.params)
     gauges = [Gauge(base.gauge.mu, d) for d in SWEEP_D]
