@@ -664,7 +664,8 @@ class StableTail:
         return rows + self.point
 
 
-def stable_tails(params: SystemParams) -> list[StableTail]:
+@functools.lru_cache(maxsize=128)
+def stable_tails(params: SystemParams) -> tuple[StableTail, ...]:
     """The linear flow at each stable node or focus-node of the
     `conjecture_report` table, with its convergence radius.
 
@@ -680,12 +681,13 @@ def stable_tails(params: SystemParams) -> list[StableTail]:
     one), or whose K is above TAIL_MAX_CONDITION (coalescing eigenvalues),
     gets no tail.  Coefficients without a finite closed-form equilibrium
     list get none either: a tail only saves work, so it must never turn a
-    run into an error.
+    run into an error.  Memoised like `conjecture_report`, so a run's solve
+    and its report share one build.
     """
     try:
         rep = conjecture_report(params)
     except (ValueError, ArithmeticError):
-        return []
+        return ()
     points = [tuple(eq.point) for eq in rep.equilibria_found]
     tails = []
     for point, spec, cls in zip(points, rep.spectra, rep.classes):
@@ -705,4 +707,4 @@ def stable_tails(params: SystemParams) -> list[StableTail]:
         tails.append(
             StableTail(point, radius2, alpha, cond, tuple(zip(spec.eigenvalues, cols, rows)))
         )
-    return tails
+    return tuple(tails)

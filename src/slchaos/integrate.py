@@ -9,7 +9,8 @@ cover decades from t0 > 0, and linearly on the identity clock; off-step
 samples come from the pair's own 4th-order continuous extension over the
 bracketing step (Hairer, Norsett & Wanner, Solving ODEs I, II.6), built
 from the seven stages in hand, evaluated over arrays after the solve from
-a record of the steps that bracket a sample.  The DP54 step sequence
+a record of the steps that bracket a sample: one table, allocated with a
+row per sample, since each such step passes one.  The DP54 step sequence
 depends only on the field, the start point and the tolerances, not on the
 samples or the end, so one solve can serve several sample grids.  Each
 grid brings the t and s columns its run carries, and its rows and step
@@ -51,7 +52,7 @@ import math
 import struct
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Iterator, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 
@@ -292,33 +293,29 @@ _MAX_STEPS = 10_000_000
 
 # The step record: per accepted step that brackets a sample, t, h, t + h,
 # x, x_new, k1, k7, the extension's q sums and the accepted and rejected
-# step counts at its end, in float64 blocks.
+# step counts at its end, one float64 row of a table with a row per sample.
 _RECORD_ROW = struct.Struct("20d")
-_RECORD_BLOCK = 256
 
 
-def _extension(blocks: list[np.ndarray], ends: np.ndarray, times: np.ndarray) -> np.ndarray:
+def _extension(steps: np.ndarray, times: np.ndarray) -> np.ndarray:
     """The rows at `times`, past the first recorded step's start, from the
-    continuous extension of the first recorded step to end at or after each
-    (its end state where theta >= 1), a block of samples at a time.  `ends`
-    is the recorded steps' end column."""
+    continuous extension of the first row of `steps` to end at or after each
+    (its end state where theta >= 1), 256 samples at a time."""
     rows = np.empty((times.size, 3))
-    at = np.searchsorted(ends, times)
-    for j, block in enumerate(blocks):
-        lo, hi = np.searchsorted(at, (j * _RECORD_BLOCK, (j + 1) * _RECORD_BLOCK))
-        for a in range(lo, hi, _RECORD_BLOCK):
-            part = slice(a, min(a + _RECORD_BLOCK, hi))
-            steps = np.take(block.T, at[part] - j * _RECORD_BLOCK, axis=1)
-            x, xn, k1, k7, q = steps[3:18].reshape(5, 3, -1)
-            h = steps[1]
-            theta = (times[part] - steps[0]) / h
-            th1 = 1.0 - theta
-            # y(t + theta*h) = x + theta*(dx + th1*(bx + theta*(cx + th1*q))), per component
-            dx = xn - x
-            bx = h * k1 - dx
-            cx = dx - h * k7 - bx
-            y = x + theta * (dx + th1 * (bx + theta * (cx + th1 * q)))
-            rows[part] = np.where(theta >= 1.0, xn, y).T
+    at = np.searchsorted(steps[:, 2], times)
+    for a in range(0, times.size, 256):
+        part = slice(a, a + 256)
+        step = steps[at[part]].T
+        x, xn, k1, k7, q = step[3:18].reshape(5, 3, -1)
+        h = step[1]
+        theta = (times[part] - step[0]) / h
+        th1 = 1.0 - theta
+        # y(t + theta*h) = x + theta*(dx + th1*(bx + theta*(cx + th1*q))), per component
+        dx = xn - x
+        bx = h * k1 - dx
+        cx = dx - h * k7 - bx
+        y = x + theta * (dx + th1 * (bx + theta * (cx + th1 * q)))
+        rows[part] = np.where(theta >= 1.0, xn, y).T
     return rows
 
 
@@ -341,10 +338,13 @@ def _adaptive_solve(
     the step that brackets them, kept in a record of such steps, so the
     steps taken depend on neither the grids nor their ends, and the rows of
     a solve to any end are bit-equal to those of a solve to a later one.
-    Entry i is grid i's run, or the IntegrationError that a solve on it
-    alone raises, its rows so far as the partial.  A run's step counts are
-    those the record holds for the first recorded step to end at or after
-    its last instant, or, past every recorded step, the solve's final ones.
+    Each recorded step passes at least one instant, so the record is one
+    table with a row per instant; a loop that stops early leaves a message,
+    and every grid's run is read off the table after the loop.  Entry i is
+    grid i's run, or the IntegrationError that a solve on it alone raises,
+    its rows so far as the partial.  A run's step counts are those the
+    record holds for the first recorded step to end at or after its last
+    instant, or, past every recorded step, the solve's final ones.
 
     After each accepted step the end point is checked against `tails`; the
     first step that ends within a tail's switch radius at `tol` is the
@@ -353,29 +353,10 @@ def _adaptive_solve(
     """
     # All samples and an end marker.
     merged = sorted(np.concatenate([grid[0] for grid in grids]).tolist() + [math.inf])
-    blocks: list[np.ndarray] = []
+    table = np.empty((len(merged) - 1, 20))
     recorded = accepted = rejected = attempts = 0
     settled: tuple[StableTail, float, tuple[float, float, float]] | None = None
-
-    def runs(t: float, message: str, step_index: int | None) -> Iterator[Trajectory | IntegrationError]:
-        """Each grid's run once the solve has stepped to `t`, or for a grid
-        left unfinished, `message` with the rows it got so far as the partial."""
-        ends = np.concatenate([b[:, 2] for b in blocks] or [np.empty(0)])[:recorded]
-        for instants, t_col, s_col in grids:
-            lead, k = np.searchsorted(instants, (t0, t), side="right")
-            rows = np.empty((k if settled is None else instants.size, 3))
-            rows[:lead] = start
-            rows[lead:k] = _extension(blocks, ends, instants[lead:k])
-            if k < len(rows):
-                tail, s1, state = settled
-                rows[k:] = tail.flow(s1, state, instants[k:])
-            last = int(np.searchsorted(ends, instants[-1]))
-            j, row = divmod(last, _RECORD_BLOCK)
-            counts = blocks[j][row, 18:] if last < recorded else (accepted, rejected)
-            meta = IntegrationMeta(int(counts[0]), int(counts[1]), "rk45", tol, tol)
-            n = len(rows)
-            run = Trajectory(t_col[:n], s_col[:n], rows, meta) if n else None
-            yield run if n == instants.size else IntegrationError(message, step_index, run)
+    message = ""
 
     x, y, z = start = tuple(float(v) for v in x0)
     k1x, k1y, k1z = rhs(t0, start)
@@ -407,14 +388,15 @@ def _adaptive_solve(
 
     while next_t < inf:
         if attempts >= max_steps:
-            return list(runs(t, f"step budget of {max_steps} exhausted at t = {t!r}", attempts))
+            message = f"step budget of {max_steps} exhausted at t = {t!r}"
+            break
         at = t if t >= 0.0 else -t  # the floor above, spelled out for speed
         if h < (1e-14 * at if at > 1.0 else 1e-14):
-            return list(runs(
-                t, f"step size underflow (h = {h!r}) at t = {t!r}; "
-                "the error estimate refuses to shrink with the step",
-                attempts,
-            ))
+            message = (
+                f"step size underflow (h = {h!r}) at t = {t!r}; "
+                "the error estimate refuses to shrink with the step"
+            )
+            break
         attempts += 1
 
         x2 = x + h * (a21 * k1x)
@@ -470,11 +452,8 @@ def _adaptive_solve(
         if err <= 1.0:
             accepted += 1
             if next_t <= tn:
-                row = recorded % _RECORD_BLOCK
-                if row == 0:
-                    blocks.append(np.empty((_RECORD_BLOCK, 20)))
                 pack(
-                    blocks[-1], 160 * row, t, h, tn, x, y, z, xn, yn, zn, k1x, k1y, k1z, k7x, k7y, k7z,
+                    table, 160 * recorded, t, h, tn, x, y, z, xn, yn, zn, k1x, k1y, k1z, k7x, k7y, k7z,
                     h * (d1 * k1x + d3 * k3x + d4 * k4x + d5 * k5x + d6 * k6x + d7 * k7x),
                     h * (d1 * k1y + d3 * k3y + d4 * k4y + d5 * k5y + d6 * k6y + d7 * k7y),
                     h * (d1 * k1z + d3 * k3z + d4 * k4z + d5 * k5z + d6 * k6z + d7 * k7z),
@@ -506,7 +485,24 @@ def _adaptive_solve(
             just_rejected = True
             h *= max(fac_min, min(1.0, safety * err**-0.2))
 
-    return list(runs(t, "", None))
+    # Each grid's run, or for one left unfinished, `message` and its partial.
+    steps = table[:recorded]
+    runs: list[Trajectory | IntegrationError] = []
+    for instants, t_col, s_col in grids:
+        k = int(np.searchsorted(instants, t, side="right"))
+        rows = np.empty((k if settled is None else instants.size, 3))
+        rows[0] = start
+        rows[1:k] = _extension(steps, instants[1:k])
+        if k < len(rows):
+            tail, s1, state = settled
+            rows[k:] = tail.flow(s1, state, instants[k:])
+        last = int(np.searchsorted(steps[:, 2], instants[-1]))
+        counts = steps[last, 18:] if last < recorded else (accepted, rejected)
+        meta = IntegrationMeta(int(counts[0]), int(counts[1]), "rk45", tol, tol)
+        n = len(rows)
+        run = Trajectory(t_col[:n], s_col[:n], rows, meta)
+        runs.append(run if n == instants.size else IntegrationError(message, attempts, run))
+    return runs
 
 
 def _span(gauge: Gauge | None, span: tuple[float, float], samples: int) -> np.ndarray:

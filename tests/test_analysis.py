@@ -450,3 +450,21 @@ class TestConjecture:
         for eq, spec in zip(rep.equilibria_found, rep.spectra):
             jac = jacobian(SystemKind.LORENZ_LITERAL, None, eq.point)
             assert spec == eigenvalues_3x3(jac)
+
+    def test_stable_tails_are_built_once_per_coefficient_set(self, monkeypatch):
+        # Two solves and a report of the same coefficients share one build:
+        # one eigenbasis per stable equilibrium, and one immutable result.
+        from slchaos import analysis
+        from slchaos.scenarios import run_trajectory, scenario_report
+
+        build, calls = analysis.eigenbasis_3x3, []
+        monkeypatch.setattr(analysis, "eigenbasis_3x3", lambda *args: calls.append(args) or build(*args))
+        for name, stable in (("sl-a2", 1), ("lorenz-literal", 2)):
+            sc = lookup_scenario(name)
+            calls.clear()
+            run = run_trajectory(sc)
+            assert run_trajectory(sc) == run
+            scenario_report(sc, run)
+            assert len(calls) == stable
+        tails = stable_tails(LORENZ_LITERAL_PARAMS)
+        assert isinstance(tails, tuple) and stable_tails(LORENZ_LITERAL_PARAMS) is tails

@@ -344,7 +344,7 @@ class TestSettledTail:
         # b = -(a-1)**2/(4a) merges the origin's two slow eigenvalues into a
         # double root with one eigenvector: the run keeps stepping.
         params = SystemParams(2.0, -0.125, 27.0)
-        assert stable_tails(params) == []
+        assert not stable_tails(params)
         run = integrate_sl(params, None, (0.0, 50.0), (0.1, 0.1, 0.1), samples=50)
         grid = np.linspace(0.0, 50.0, 50)
         (without,) = integrate._adaptive_solve(
@@ -405,7 +405,7 @@ class TestArraySampling:
             assert rows.tobytes() == scalar_flow(tail, s1, state, times).tobytes()
             assert np.array_equal(rows[-1], tail.point)
 
-    def test_sample_on_a_step_end_is_that_steps_end_state(self):
+    def test_sample_on_a_step_end_is_that_steps_end_state(self, monkeypatch):
         # A constant field leaves only rounding in the error estimate, so from
         # x0 = 0 (first step 1e-6) each step is the growth cap times the last.
         # A grid of the step ends puts one sample at the end of every step,
@@ -422,16 +422,24 @@ class TestArraySampling:
             ends.append(x)
             t, h = tn, h * integrate._FAC_MAX
         assert thetas.count(1.0) >= 10 and max(thetas) > 1.0
-        # Prefix grids in the same solve end exactly on step k's end: their
-        # counts are the ones recorded at that step, k accepted and none rejected.
-        ks = (14, 1, 5, 9)
-        grids = [np.array(times[: k + 1]) for k in ks]
-        runs = integrate._adaptive_solve(
-            lambda t, s: c, 0.0, (0.0, 0.0, 0.0), 1e-9, [(grid, grid, grid) for grid in grids]
+        extension, records = integrate._extension, []
+        monkeypatch.setattr(
+            integrate, "_extension", lambda steps, at: records.append(steps) or extension(steps, at)
         )
-        for k, run in zip(ks, runs):
-            assert (run.meta.steps_taken, run.meta.steps_rejected) == (k, 0)
-            assert run.states.tobytes() == np.array(ends[: k + 1]).tobytes()
+        # Prefix grids in the same solve end exactly on step k's end: their
+        # counts are the ones recorded at that step, k accepted and none
+        # rejected.  Every step brackets a sample, so all 14 are recorded; the
+        # one grid alone fills 14 rows of its 15-row table, the fullest it can be.
+        for ks in ((14, 1, 5, 9), (14,)):
+            records.clear()
+            grids = [np.array(times[: k + 1]) for k in ks]
+            runs = integrate._adaptive_solve(
+                lambda t, s: c, 0.0, (0.0, 0.0, 0.0), 1e-9, [(grid, grid, grid) for grid in grids]
+            )
+            assert [len(steps) for steps in records] == [14] * len(ks)
+            for k, run in zip(ks, runs):
+                assert (run.meta.steps_taken, run.meta.steps_rejected) == (k, 0)
+                assert run.states.tobytes() == np.array(ends[: k + 1]).tobytes()
 
     def test_five_gauges_share_one_solve(self):
         # sweep-gauge's D sweep of sl-a2: each member of the shared solve is
