@@ -236,21 +236,13 @@ def _cmd_plot(ns: argparse.Namespace) -> int:
 
 
 def cli_main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        ns = parser.parse_args(argv)
-    except _UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 1
-    except SystemExit as exc:
-        # argparse help actions exit directly; mirror their code.
-        return int(exc.code) if exc.code else 0
-    try:
+        ns = build_parser().parse_args(argv)
         return ns.func(ns)
-    except _UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 1
-    except (ScenarioNotFound, ValueError) as exc:
+    except SystemExit as exc:
+        # argparse help actions exit directly (no command does); mirror their code.
+        return int(exc.code) if exc.code else 0
+    except (_UsageError, ScenarioNotFound, ValueError) as exc:
         msg = exc.args[0] if exc.args else str(exc)
         print(f"usage error: {msg}", file=sys.stderr)
         return 1

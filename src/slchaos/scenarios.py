@@ -365,13 +365,16 @@ def run_sweep(spec: SweepSpec, output_dir: str | Path) -> dict:
 
     Each member lands in `<parameter>-<value>/` with the full scenario
     artifact set; `summary.json` collects per-value rows (final state,
-    lambda_max, origin classification) in input order.  A member that fails
-    to build or run contributes an error row instead of aborting the rest.
+    lambda_max, origin classification) in input order.  A member with
+    invalid settings, a solve that returns an IntegrationError, or a report
+    or file that fails gets an error row and no artifact; the rest still run.
 
     The members of a `D` or `mu` sweep differ only in the gauge, so they
-    follow one orbit of dx/ds = f: one solve serves them all, and their
-    reports share one fixed-point table and one Lyapunov estimate.  Each
-    member's files stay byte-identical to a standalone run of it.
+    are one orbit of dx/ds = f; any other sweep has an orbit per member.
+    Each orbit's runs come from one `integrate_sl_gauges` call, and each
+    member's report lends its fixed-point table and Lyapunov estimate to
+    the next member of the orbit.  Each member's files stay byte-identical
+    to a standalone run of it.
     """
     base = _resolve(spec.base)
     out = Path(output_dir)
@@ -387,34 +390,30 @@ def run_sweep(spec: SweepSpec, output_dir: str | Path) -> dict:
             members.append((row, subdir, derive(base, f"{base.name}-{tag}", **{spec.parameter: value})))
         except Exception as exc:
             row["error"] = f"{type(exc).__name__}: {exc}"
-    one_orbit = spec.parameter in ("D", "mu")
-    # Each member's run from one shared solve, or None: the member solves alone.
-    runs: list[Trajectory | IntegrationError | None] = [None] * len(members)
-    if one_orbit and members:
-        first = members[0][2]
-        gauges = [m.gauge for _, _, m in members]
+    # A D or mu sweep is one orbit (none if no member is valid), any other
+    # sweep an orbit per member.
+    orbits = [members] if spec.parameter in ("D", "mu") else [[m] for m in members]
+    for orbit in filter(None, orbits):
+        first = orbit[0][2]
         runs = integrate_sl_gauges(
-            first.params, gauges, first.span, first.x0, first.tol, first.sample_count
+            first.params, [m.gauge for _, _, m in orbit], first.span, first.x0, first.tol, first.sample_count
         )
-    orbit_of = None
-    for (row, subdir, member), run in zip(members, runs):
-        try:
-            subdir.mkdir(parents=True, exist_ok=True)
-            if isinstance(run, IntegrationError):
-                raise run
-            traj = run if run is not None else run_trajectory(member)
-            report = scenario_report(member, traj, orbit_of)
-            if one_orbit:
-                orbit_of = report
-            _write_run(member, subdir, traj, report)
-        except Exception as exc:
-            row["error"] = f"{type(exc).__name__}: {exc}"
-        else:
-            row["scenario"] = member.name
-            row["gauge"] = report["gauge"]
-            row["final_state"] = [float(v) for v in traj.states[-1]]
-            row["lambda_max"] = report["lyapunov"]["lambda_max"]
-            row["origin_class"] = report["equilibria"][0]["class"]
+        orbit_of = None
+        for (row, subdir, member), traj in zip(orbit, runs):
+            try:
+                subdir.mkdir(parents=True, exist_ok=True)
+                if isinstance(traj, IntegrationError):
+                    raise traj
+                orbit_of = report = scenario_report(member, traj, orbit_of)
+                _write_run(member, subdir, traj, report)
+            except Exception as exc:
+                row["error"] = f"{type(exc).__name__}: {exc}"
+            else:
+                row["scenario"] = member.name
+                row["gauge"] = report["gauge"]
+                row["final_state"] = [float(v) for v in traj.states[-1]]
+                row["lambda_max"] = report["lyapunov"]["lambda_max"]
+                row["origin_class"] = report["equilibria"][0]["class"]
     summary = {
         "base": base.name,
         "parameter": spec.parameter,

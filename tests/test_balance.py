@@ -15,7 +15,7 @@ import pytest
 
 from slchaos.dynamics import State3, SystemParams
 from slchaos.integrate import integrate_sl
-from slchaos.scenarios import lookup_scenario, run_trajectory
+from slchaos.scenarios import derive, lookup_scenario, run_trajectory
 from slchaos.timegauge import Gauge
 
 LORENZ = (10.0, 28.0, 8.0 / 3.0)
@@ -65,3 +65,23 @@ def test_five_balance_identities_close(run):
     # The bound has power: the same rows fail it with c off by 1%.
     a, b, c = LORENZ
     assert max(balance_residuals(time, states, a, b, 1.01 * c)) > 10.0 * BOUND
+
+
+def test_settled_average_tends_to_the_equilibrium_at_order_one_over_t():
+    # lorenz-literal settles on its pair, at z* = b - 1 = 5/3, so T (<z> - z*)
+    # tends to a constant: the integral of the decaying transient.  Read
+    # with trapezoid averages at the registry spacing, it is -5.1512967 at
+    # T = 60, 600 and 6000, the three equal to 3e-13 relative.
+    base = lookup_scenario("lorenz-literal")
+    z_star = base.params.b - 1.0
+    scaled = []
+    for stretch in (1, 10):
+        run = run_trajectory(
+            derive(base, base.name, t1=60.0 * stretch, sample_count=(base.sample_count - 1) * stretch + 1)
+        )
+        t, z = run.t, run.states[:, 2]
+        T = t[-1] - t[0]
+        mean = float(np.sum(np.diff(t) * (z[1:] + z[:-1])) / (2.0 * T))
+        scaled.append(T * (mean - z_star))
+    assert scaled[0] == pytest.approx(-5.151297, rel=1e-6)
+    assert scaled[1] == pytest.approx(scaled[0], rel=1e-6)

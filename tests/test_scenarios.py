@@ -6,7 +6,7 @@ import re
 import numpy as np
 import pytest
 
-from slchaos import scenarios
+from slchaos import integrate, scenarios
 from slchaos.cli import cli_main
 from slchaos.dynamics import State3, SystemKind, SystemParams, effective_params
 from slchaos.scenarios import (
@@ -461,6 +461,27 @@ class TestSweep:
         base = derive(lookup_scenario("sl-a2"), "sl-a2", tol=1e-8, sample_count=300, t1=1000.0)
         _sweep_matching_standalone_runs(base, "D", (0.5, 0.9), tmp_path)
         assert sizes == [2]
+
+    @pytest.mark.parametrize(
+        "parameter, values, budget, sizes_read",
+        [("D", (0.5, 0.9), 200, [2]), ("a", (1.35, 2.0), 330, [1, 1])],
+    )
+    def test_member_whose_solve_fails_keeps_its_row(
+        self, tmp_path, monkeypatch, parameter, values, budget, sizes_read
+    ):
+        # Under the patched step budget the first member's solve fails (D =
+        # 0.5 needs 321 steps, a = 1.35 needs 347) and the second's does not
+        # (D = 0.9 needs 134, a = 2 needs 321).  The failure is the first
+        # member's row alone: its directory holds nothing, and the second
+        # member still matches its standalone run under the same budget.
+        monkeypatch.setattr(integrate, "_MAX_STEPS", budget)
+        sizes = _shared_solve_sizes(monkeypatch)
+        summary = _sweep_matching_standalone_runs(lookup_scenario("sl-a2"), parameter, values, tmp_path)
+        failed, kept = summary["results"]
+        assert failed["error"].startswith(f"IntegrationError: step budget of {budget} exhausted at t = ")
+        assert list((tmp_path / "sweep" / failed["directory"]).iterdir()) == []
+        assert "error" not in kept
+        assert sizes == sizes_read
 
     def test_bad_value_becomes_error_row(self, tmp_path):
         summary = run_sweep(SweepSpec("sl-a2", "c", (-1.0, 27.0)), tmp_path)
