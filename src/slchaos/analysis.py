@@ -8,12 +8,12 @@ fixed points, a twin-trajectory largest-Lyapunov estimator with periodic
 renormalization, a raw two-run divergence probe, and a report for the
 fixed-point-existence property that every parameter choice is expected to
 satisfy.  That report is the one table of the closed-form equilibria with
-their spectra and classes: the JSON report, the `fixed-points` command and
-the settle rule below all read it, so a fixed point's class is decided in
-one place.  It is built once per coefficient set and shared.
+their spectra, classes and tails: the JSON report, the `fixed-points`
+command and the settle rule below all read it, so a fixed point's class is
+decided in one place.  It is built once per coefficient set and shared.
 
-Each stable equilibrium of that table also gets its exact linear flow
-(`stable_tails`), built from closed-form eigenvectors (`eigenbasis_3x3`),
+Each stable equilibrium of that table also holds its exact linear flow
+(its tail), built from closed-form eigenvectors (`eigenbasis_3x3`),
 with a convergence radius: an orbit that enters it provably converges to
 that equilibrium.  Entering that radius is the one settle rule.  The DP54
 integrator finishes such orbits on the linear flow, inside the part of the
@@ -167,12 +167,12 @@ class ConjectureReport:
     'satisfied'; the report makes that check explicit.  `spectra` and
     `classes` are index-aligned with `equilibria_found`: the closed-form
     spectrum of the Jacobian at each equilibrium and its
-    `classify_spectrum` class."""
+    `classify_spectrum` class; `tails` the stable ones' linear flows."""
 
-    params: SystemParams
     equilibria_found: tuple[Equilibrium, ...]
     spectra: tuple[Spectrum3, ...]
     classes: tuple[str, ...]
+    tails: tuple[StableTail, ...]
     verdict: str
     note: str
 
@@ -415,13 +415,14 @@ def _time_variable(kind: SystemKind) -> str:
     return "s" if kind is SystemKind.SL else "t"
 
 
-def _carry(rhs: Callable, state: tuple, t0: float, interval: float) -> tuple:
-    """Carry one state from `t0` across `interval` in equal fixed RK4 steps no
-    wider than RK4_DT: the stepper both divergence estimators share."""
+def _carry(rhs: Callable, state: tuple, interval: float) -> tuple:
+    """Carry one state across `interval` in equal fixed RK4 steps no wider
+    than RK4_DT: the stepper both divergence estimators share.  Every field
+    it carries is autonomous, so each step starts at time 0.0."""
     n_sub = max(1, math.ceil(interval / RK4_DT))
     dt = interval / n_sub
-    for j in range(n_sub):
-        state = rk4_step(rhs, t0 + j * dt, state, dt)
+    for _ in range(n_sub):
+        state = rk4_step(rhs, 0.0, state, dt)
     return state
 
 
@@ -468,13 +469,13 @@ def lyapunov_from_field(
                 return dataclasses.replace(
                     budget, lambda_max=-tail.alpha, estimator="equilibrium", settled_at=i * renorm_interval
                 )
-        ref = _carry(rhs, ref, i * renorm_interval, renorm_interval)
+        ref = _carry(rhs, ref, renorm_interval)
         states.extend(ref)
 
     twin = (states[0] + LYAPUNOV_OFFSET, states[1], states[2])
     rates: list[float] = []
     for i in range(n_intervals):
-        twin = _carry(rhs, twin, i * renorm_interval, renorm_interval)
+        twin = _carry(rhs, twin, renorm_interval)
         rx, ry, rz = states[3 * i + 3 : 3 * i + 6]
         dx, dy, dz = twin[0] - rx, twin[1] - ry, twin[2] - rz
         d = math.hypot(dx, dy, dz)
@@ -542,8 +543,8 @@ def divergence_probe(
     times = [0.0]
     seps = [delta0]
     for i in range(PROBE_SAMPLES):
-        a = _carry(rhs, a, i * sample_interval, sample_interval)
-        b = _carry(rhs, b, i * sample_interval, sample_interval)
+        a = _carry(rhs, a, sample_interval)
+        b = _carry(rhs, b, sample_interval)
         times.append((i + 1) * sample_interval)
         seps.append(math.hypot(b[0] - a[0], b[1] - a[1], b[2] - a[2]))
     return SeparationSeries(np.asarray(times), np.asarray(seps), delta0, _time_variable(kind))
@@ -598,9 +599,22 @@ def conjecture_report(params: SystemParams) -> ConjectureReport:
 
     Uses the closed-form solution set, which `equilibria` lists with the
     origin first or raises, so the verdict is 'satisfied' for every input
-    that returns.  Each equilibrium gets the closed-form spectrum of its
-    Jacobian and that spectrum's class.  This is the one place the
-    equilibria are listed and classified.  Raises what `equilibria` raises.
+    that returns.  Each equilibrium's Jacobian is built once; it gives the
+    closed-form spectrum, that spectrum's class and, at a stable node or
+    focus-node, the tail.  This is the one place the equilibria are listed
+    and classified.  Raises what `equilibria` raises.
+
+    At a stable equilibrium x* the field is exactly J d + q(d) in d = x - x*,
+    with q(d) = (0, -dx dz, dx dy), so |q(d)| <= |d|**2 / 2.  With the
+    leading real part -alpha < 0 and K = ||V||_F ||V^-1||_F >= ||exp(J s)||
+    exp(alpha s), an orbit starting at |d| = r <= alpha / (2 K**2) stays
+    within 2 K r exp(-alpha s) of x*, and the linear flow from the same start
+    is off by at most 2 K**3 r**2 / alpha at every later s.  The tail's
+    convergence radius is the smaller of alpha / (4 K**2) and half the
+    distance to any other equilibrium, so x* is the nearest one;
+    `StableTail.switch_radius2` cuts it to a tolerance.  An equilibrium
+    without an eigenbasis (a defective one), or whose K is above
+    TAIL_MAX_CONDITION (coalescing eigenvalues), gets no tail.
 
     The report is immutable and memoised on the (frozen, hashable)
     coefficients, so every reader of one run, and every run of the same
@@ -608,11 +622,31 @@ def conjecture_report(params: SystemParams) -> ConjectureReport:
     the memo.  Errors are not memoised.
     """
     eqs = tuple(equilibria(params))
-    spectra = tuple(eigenvalues_3x3(jacobian(SystemKind.SL, params, eq.point)) for eq in eqs)
+    points = [tuple(eq.point) for eq in eqs]
+    jacs = [jacobian(SystemKind.SL, params, point) for point in points]
+    spectra = tuple(eigenvalues_3x3(jac) for jac in jacs)
     classes = tuple(classify_spectrum(spec) for spec in spectra)
+    tails = []
+    for point, jac, spec, cls in zip(points, jacs, spectra, classes):
+        if not cls.startswith("stable"):
+            continue
+        basis = eigenbasis_3x3(jac, spec)
+        if basis is None:
+            continue
+        cols, rows = basis
+        # ||V||_F ||V^-1||_F with unit columns.
+        cond = math.sqrt(3.0 * sum(_norm2(row) for row in rows))
+        if not cond <= TAIL_MAX_CONDITION:
+            continue
+        alpha = -spec.real_parts[0]
+        apart = min((math.dist(point, q) for q in points if q != point), default=math.inf)
+        radius2 = min((alpha / (4.0 * cond**2)) ** 2, (0.5 * apart) ** 2)
+        tails.append(
+            StableTail(point, radius2, alpha, cond, tuple(zip(spec.eigenvalues, cols, rows)))
+        )
     count = len(eqs)
     kinds = "origin only" if count == 1 else f"origin and symmetric pair ({count} total)"
-    return ConjectureReport(params, eqs, spectra, classes, "satisfied", kinds)
+    return ConjectureReport(eqs, spectra, classes, tuple(tails), "satisfied", kinds)
 
 
 # ---------------------------------------------------------------------------
@@ -626,7 +660,7 @@ class StableTail:
     eigenvalue with its column of V and its row of V^-1, with the leading
     real part -`alpha` and the eigenbasis condition `cond` (K).  An orbit
     that comes within sqrt(`radius2`), its convergence radius, of `point`
-    converges to it (`stable_tails`)."""
+    converges to it (`conjecture_report`)."""
 
     point: tuple[float, float, float]
     radius2: float
@@ -664,47 +698,12 @@ class StableTail:
         return rows + self.point
 
 
-@functools.lru_cache(maxsize=128)
 def stable_tails(params: SystemParams) -> tuple[StableTail, ...]:
-    """The linear flow at each stable node or focus-node of the
-    `conjecture_report` table, with its convergence radius.
-
-    The field is exactly J d + q(d) in d = x - x*, with q(d) = (0, -dx dz,
-    dx dy), so |q(d)| <= |d|**2 / 2.  With the leading real part -alpha < 0
-    and K = ||V||_F ||V^-1||_F >= ||exp(J s)|| exp(alpha s), an orbit
-    starting at |d| = r <= alpha / (2 K**2) stays within 2 K r exp(-alpha s)
-    of x*, and the linear flow from the same start is off by at most
-    2 K**3 r**2 / alpha at every later s.  The convergence radius is the
-    smaller of alpha / (4 K**2) and half the distance to any other
-    equilibrium, so x* is the nearest one; `StableTail.switch_radius2` cuts
-    it to a tolerance.  An equilibrium without an eigenbasis (a defective
-    one), or whose K is above TAIL_MAX_CONDITION (coalescing eigenvalues),
-    gets no tail.  Coefficients without a finite closed-form equilibrium
-    list get none either: a tail only saves work, so it must never turn a
-    run into an error.  Memoised like `conjecture_report`, so a run's solve
-    and its report share one build.
-    """
+    """The `conjecture_report` table's tails: the linear flow at each stable
+    node or focus-node, with its convergence radius.  Coefficients without
+    a finite closed-form equilibrium list get none: a tail only saves work,
+    so it must never turn a run into an error."""
     try:
-        rep = conjecture_report(params)
+        return conjecture_report(params).tails
     except (ValueError, ArithmeticError):
         return ()
-    points = [tuple(eq.point) for eq in rep.equilibria_found]
-    tails = []
-    for point, spec, cls in zip(points, rep.spectra, rep.classes):
-        if not cls.startswith("stable"):
-            continue
-        basis = eigenbasis_3x3(jacobian(SystemKind.SL, params, point), spec)
-        if basis is None:
-            continue
-        cols, rows = basis
-        # ||V||_F ||V^-1||_F with unit columns.
-        cond = math.sqrt(3.0 * sum(_norm2(row) for row in rows))
-        if not cond <= TAIL_MAX_CONDITION:
-            continue
-        alpha = -spec.real_parts[0]
-        apart = min((math.dist(point, q) for q in points if q != point), default=math.inf)
-        radius2 = min((alpha / (4.0 * cond**2)) ** 2, (0.5 * apart) ** 2)
-        tails.append(
-            StableTail(point, radius2, alpha, cond, tuple(zip(spec.eigenvalues, cols, rows)))
-        )
-    return tuple(tails)

@@ -93,16 +93,15 @@ def check_settings(tol: float, samples: int) -> tuple[float, int]:
 
 @dataclass(frozen=True)
 class IntegrationMeta:
-    """Step accounting for a finished run.  Both tolerances are the run's
-    `tol`; they are None for fixed-step output and for trajectories read
-    back from CSV.  The clock is not recorded: the trajectory's s column
-    carries it, and the analysis report names it from the scenario."""
+    """Step accounting for a finished run.  `tol` is the run's tolerance,
+    absolute and relative; None for fixed-step output and for trajectories
+    read back from CSV.  The clock is not recorded: the trajectory's s
+    column carries it, and the analysis report names it as its `gauge`."""
 
     steps_taken: int
     steps_rejected: int
     method: str
-    abs_tol: float | None = None
-    rel_tol: float | None = None
+    tol: float | None = None
 
 
 @dataclass(eq=False)
@@ -221,6 +220,8 @@ def integrate_fixed(
     times.append(t1)
     states: list[tuple[float, float, float]] = [tuple(float(v) for v in x0)]
     y = states[0]
+    if not all(map(math.isfinite, y)):
+        raise IntegrationError(f"non-finite initial state {y!r}", 0)
     for i in range(n):
         try:
             y = rk4_step(rhs, times[i], y, times[i + 1] - times[i])
@@ -498,7 +499,7 @@ def _adaptive_solve(
             rows[k:] = tail.flow(s1, state, instants[k:])
         last = int(np.searchsorted(steps[:, 2], instants[-1]))
         counts = steps[last, 18:] if last < recorded else (accepted, rejected)
-        meta = IntegrationMeta(int(counts[0]), int(counts[1]), "rk45", tol, tol)
+        meta = IntegrationMeta(int(counts[0]), int(counts[1]), "rk45", tol)
         n = len(rows)
         run = Trajectory(t_col[:n], s_col[:n], rows, meta)
         runs.append(run if n == instants.size else IntegrationError(message, attempts, run))

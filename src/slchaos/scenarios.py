@@ -308,8 +308,7 @@ def scenario_report(scenario: Scenario, trajectory: Trajectory, orbit_of: dict |
         "equilibria": orbit_of["equilibria"],
         "lyapunov": orbit_of["lyapunov"],
         "conjecture": orbit_of["conjecture"],
-        # "mode" names the clock: every gauged run is solved in scaled time s.
-        "meta": {**dataclasses.asdict(trajectory.meta), "mode": "scaled-s" if scenario.gauge else None},
+        "meta": dataclasses.asdict(trajectory.meta),
     }
 
 

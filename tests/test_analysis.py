@@ -452,19 +452,37 @@ class TestConjecture:
             assert spec == eigenvalues_3x3(jac)
 
     def test_stable_tails_are_built_once_per_coefficient_set(self, monkeypatch):
-        # Two solves and a report of the same coefficients share one build:
-        # one eigenbasis per stable equilibrium, and one immutable result.
+        # Two solves, a report and the `fixed-points` blocks of the same
+        # coefficients share one build: one Jacobian per equilibrium, one
+        # eigenbasis per stable equilibrium, and one immutable result.
         from slchaos import analysis
-        from slchaos.scenarios import run_trajectory, scenario_report
+        from slchaos.scenarios import equilibria_doc, run_trajectory, scenario_report
 
-        build, calls = analysis.eigenbasis_3x3, []
-        monkeypatch.setattr(analysis, "eigenbasis_3x3", lambda *args: calls.append(args) or build(*args))
-        for name, stable in (("sl-a2", 1), ("lorenz-literal", 2)):
+        calls = {"jacobian": [], "eigenbasis_3x3": []}
+        for fn, log in calls.items():
+            spied = getattr(analysis, fn)
+            monkeypatch.setattr(analysis, fn, lambda *args, log=log, spied=spied: log.append(args) or spied(*args))
+        for name, found, stable in (("sl-a2", 1, 1), ("lorenz-literal", 3, 2)):
             sc = lookup_scenario(name)
-            calls.clear()
+            for log in calls.values():
+                log.clear()
             run = run_trajectory(sc)
             assert run_trajectory(sc) == run
             scenario_report(sc, run)
-            assert len(calls) == stable
+            equilibria_doc(sc.kind, sc.params)
+            assert (len(calls["jacobian"]), len(calls["eigenbasis_3x3"])) == (found, stable)
         tails = stable_tails(LORENZ_LITERAL_PARAMS)
         assert isinstance(tails, tuple) and stable_tails(LORENZ_LITERAL_PARAMS) is tails
+        assert conjecture_report(LORENZ_LITERAL_PARAMS).tails is tails
+
+    @pytest.mark.parametrize("params", [SystemParams(0.0, 0.3, 27.0), SystemParams(2.0, 0.3, 0.0)])
+    def test_coefficients_without_a_table_get_no_tails(self, params):
+        # a = 0 or c = 0: the zeros are no finite list, so there is no
+        # table, and a solve runs without tails rather than failing.
+        from slchaos.integrate import integrate_sl
+
+        with pytest.raises(ValueError):
+            conjecture_report(params)
+        assert stable_tails(params) == ()
+        run = integrate_sl(params, None, (0.0, 1.0), (0.1, 0.1, 0.1), samples=20)
+        assert len(run) == 20 and run.meta.steps_rejected == 0

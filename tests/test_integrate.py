@@ -95,6 +95,15 @@ class TestFixed:
         assert err.partial is not None
         assert len(err.partial) == err.step_index + 1
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_start_is_an_integration_error(self, bad):
+        # Caught before the first step, as `integrate_sl` does: step 0 and no
+        # partial, not the partial trajectory's own ValueError.
+        with pytest.raises(IntegrationError) as info:
+            integrate_fixed(decay, 0.0, 1.0, (bad, 0.0, 0.0), 10)
+        assert info.value.step_index == 0
+        assert info.value.partial is None
+
     def test_validation(self):
         with pytest.raises(ValueError):
             integrate_fixed(decay, 1.0, 0.0, (1.0, 0.0, 0.0), 10)
@@ -252,9 +261,9 @@ class TestSettledTail:
         # which is not held by a stability limit, beyond.
         head = sigma <= 200.0
         ref_head = self.reference(ATTRACTOR_II, x0, np.append(sigma[head], 200.0))
-        assert np.max(np.abs(tr.states[head] - ref_head[:-1])) <= tr.meta.abs_tol
+        assert np.max(np.abs(tr.states[head] - ref_head[:-1])) <= tr.meta.tol
         ref_tail = self.reference(ATTRACTOR_II, ref_head[-1], sigma[~head], 200.0, "Radau")
-        assert np.max(np.abs(tr.states[~head] - ref_tail)) <= tr.meta.abs_tol
+        assert np.max(np.abs(tr.states[~head] - ref_tail)) <= tr.meta.tol
 
     @pytest.mark.parametrize(
         "kind, params, parent_steps",
@@ -270,8 +279,8 @@ class TestSettledTail:
         assert tr.meta.steps_taken < 0.7 * parent_steps
         err = np.abs(tr.states - self.reference(params, x0, tr.t))
         # The orbit has settled by t = 20: every later sample is on the tail.
-        assert np.max(err[tr.t >= 20.0]) <= 0.1 * tr.meta.abs_tol
-        assert np.max(err) <= 10.0 * tr.meta.abs_tol
+        assert np.max(err[tr.t >= 20.0]) <= 0.1 * tr.meta.tol
+        assert np.max(err) <= 10.0 * tr.meta.tol
 
     @pytest.mark.parametrize(
         "params", [ATTRACTOR_II, SystemParams(2.0, 5.0, 27.0), LORENZ_LITERAL_PARAMS]
@@ -484,7 +493,7 @@ class TestTrajectory:
 
         t = np.array([0.0, 1.0])
         st = np.zeros((2, 3))
-        a = Trajectory(t, t.copy(), st, IntegrationMeta(5, 1, "rk45", 1e-9, 1e-9))
+        a = Trajectory(t, t.copy(), st, IntegrationMeta(5, 1, "rk45", 1e-9))
         b = Trajectory(t, t.copy(), st, IntegrationMeta(0, 0, "imported"))
         assert a == b
 

@@ -55,7 +55,7 @@ def test_gauged_run_is_the_identity_clock_run_in_sigma():
     gauged = integrate_sl(params, gauge, span, x0)
     sigma = gauged.s - gauged.s[0]
     (identity,) = integrate._adaptive_solve(
-        make_field(SystemKind.SL, params), 0.0, x0, gauged.meta.abs_tol, [(sigma, sigma, sigma)]
+        make_field(SystemKind.SL, params), 0.0, x0, gauged.meta.tol, [(sigma, sigma, sigma)]
     )
     assert identity.states.tobytes() == gauged.states.tobytes()
     assert identity.meta == gauged.meta

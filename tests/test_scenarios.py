@@ -205,15 +205,17 @@ class TestRunScenario:
             "note": "origin only",
         }
         assert report["meta"]["method"] == "rk45"
-        assert report["meta"]["mode"] == "scaled-s"
+        assert report["meta"]["tol"] == lookup_scenario("sl-a2").tol
         assert report["meta"]["steps_taken"] > 0
+        # the clock is named once, by the gauge block
+        assert "mode" not in report["meta"]
 
     def test_lorenz_report(self):
         sc = lookup_scenario("lorenz-standard")
         traj = run_trajectory(sc)
         report = scenario_report(sc, traj)
         assert report["gauge"] is None
-        assert report["meta"]["mode"] is None
+        assert set(report["meta"]) == {"steps_taken", "steps_rejected", "method", "tol"}
         assert report["lyapunov"]["time_variable"] == "t"
         assert report["lyapunov"]["lambda_max"] > 0.0
         assert [e["class"] for e in report["equilibria"]] == ["saddle", "saddle", "saddle"]
