@@ -15,7 +15,7 @@ decided in one place.  It is built once per coefficient set and shared.
 Each stable equilibrium of that table also holds its exact linear flow
 (its tail), built from closed-form eigenvectors (`eigenbasis_3x3`),
 with a convergence radius: an orbit that enters it provably converges to
-that equilibrium.  Entering that radius is the one settle rule.  The DP54
+that equilibrium.  Entering that radius is the one settle rule.  The Taylor
 integrator finishes such orbits on the linear flow, inside the part of the
 radius where the flow is accurate to a share of its tolerance.  The
 estimator carries the reference orbit alone first, keeping its state at

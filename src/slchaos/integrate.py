@@ -1,35 +1,50 @@
-"""Deterministic Runge-Kutta integration with dense sampling.
+"""Deterministic integration of the quadratic field with dense sampling.
 
 Two drivers: classical fixed-step RK4 for convergence studies and the
-twin-trajectory estimators, and an embedded Dormand-Prince 5(4) pair with
-PI step-size control, which solves every run.  A run is two settings:
-one tolerance (absolute and relative) and the sample count.  Samples are
-spaced by the clock: geometrically in t on a gauged clock, whose spans
-cover decades from t0 > 0, and linearly on the identity clock; off-step
-samples come from the pair's own 4th-order continuous extension over the
-bracketing step (Hairer, Norsett & Wanner, Solving ODEs I, II.6), built
-from the seven stages in hand, evaluated over arrays after the solve from
-a record of the steps that bracket a sample: one table, allocated with a
-row per sample, since each such step passes one.  The DP54 step sequence
-depends only on the field, the start point and the tolerances, not on the
+twin-trajectory estimators, and a Taylor-series driver, which solves every
+run.  A run is two settings: one tolerance (absolute and relative) and the
+sample count.  Samples are spaced by the clock: geometrically in t on a
+gauged clock, whose spans cover decades from t0 > 0, and linearly on the
+identity clock.
+
+Taylor steps.  The field f = (a(y - x), x(b - z) - y, xy - cz) is
+quadratic, so the Taylor coefficients of the orbit through a point follow
+exactly from Cauchy products (Corliss & Chang, ACM TOMS 8, 1982; Jorba &
+Zou, Experimental Math. 14, 2005):
+
+    X_{k+1} = a (Y_k - X_k) / (k + 1)
+    Y_{k+1} = (b X_k - Y_k - sum_i X_i Z_{k-i}) / (k + 1)
+    Z_{k+1} = (sum_i X_i Y_{k-i} - c Z_k) / (k + 1)
+
+Each step builds them to the order p = ceil(-ln(tol) / 2) + 1 (12 at tol
+1e-9) and takes h = min((eps / |X_{p-1}|)**(1/(p-1)), (eps / |X_p|)**(1/p))
+with eps = tol (1 + |x|), in max norms; it rejects nothing.  So the step
+count grows like tol**(-1/p), which the order itself follows, and a run at
+tol 1e-12 costs about what one at 1e-9 does.  Where both last coefficients
+vanish, a zero field above all, no bound applies: the one step has
+h = inf and its polynomial is the orbit for all time.  Rows come from Horner
+on the polynomial of the step that brackets them, evaluated over arrays
+after the solve from a record of such steps: one table, allocated with a
+row per sample, since each recorded step passes one.  The step sequence
+depends only on the field, the start point and the tolerance, not on the
 samples or the end, so one solve can serve several sample grids.  Each
 grid brings the t and s columns its run carries, and its rows and step
 counts are read off the record after the solve.
 Every run solves in scaled time; `integrate_direct_t` solves a gauged
 field in ordinary t with the same driver, as criterion 1's reference.
 
-Settled tail.  A DP54 solve of the quadratic field (`integrate_sl_gauges`,
-hence every run) stops stepping once an accepted step ends close to a
-stable equilibrium x* (a "stable node" or "stable focus-node" of the
+Settled tail.  A solve of the quadratic field (`integrate_sl_gauges`,
+hence every run) stops stepping once a step ends close to a stable
+equilibrium x* (a "stable node" or "stable focus-node" of the
 `analysis.conjecture_report` table): every later sample comes from the
 exact linear flow there,
 
     x(sigma) = x* + V exp(Lambda (sigma - sigma_1)) V^-1 (x(sigma_1) - x*),
 
 with the closed-form spectrum Lambda and eigenvectors V of the Jacobian at
-x* (`analysis.stable_tails`).  Near a stable equilibrium DP54's step is
-held by its stability region, not by the tolerance, so this is where a
-long run spent almost all of its steps.  "Close" is within the tail's
+x* (`analysis.stable_tails`).  Near a stable equilibrium an explicit step
+is held by its stability region, not by the tolerance, so this is where a
+long run would spend almost all of its steps.  "Close" is within the tail's
 convergence radius, cut to where the part of the field the linear flow
 leaves out moves no later sample by more than 1e-2 * tol: with
 d = x - x*, leading real part -alpha < 0 and eigenbasis condition K, the
@@ -37,12 +52,12 @@ flow is off by at most 2 K**3 |d|**2 / alpha (`StableTail.switch_radius2`).
 Equilibria with a near-singular eigenbasis (coalescing eigenvalues) get no
 switch; nor do saddles, marginal points and unstable points, where the run
 keeps stepping.  The switch point depends only on the field, the start
-point and the tolerances, so the prefix property above holds, and a grid
-that ends after the switch gets the step counts reached at it, the final ones.
+point and the tolerance, so the prefix property above holds, and a grid
+that ends after the switch gets the step count reached at it, the final one.
 
 All state arithmetic is double precision in a fixed order, element by
 element in arrays too, so identical inputs produce bit-identical trajectories.
-Right-hand sides are callables rhs(t, (x, y, z)) -> (fx, fy, fz), as
+RK4's right-hand sides are callables rhs(t, (x, y, z)) -> (fx, fy, fz), as
 produced by `dynamics.make_field` and `timegauge.make_gauged_field`.
 """
 
@@ -56,9 +71,10 @@ from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 
-from .dynamics import State3, SystemKind, SystemParams, make_field
-# Unused here, `unscale_time` is a target of slbench's `timegauge.map` trace hook.
-from .timegauge import Gauge, make_gauged_field, scale_time, unscale_time
+# Unused here, `make_field`, `make_gauged_field` and `unscale_time` are targets
+# of slbench's `dynamics.field` and `timegauge.map` trace hooks.
+from .dynamics import State3, SystemParams, make_field
+from .timegauge import Gauge, make_gauged_field, scale_grid, scale_time, unscale_time
 
 if TYPE_CHECKING:
     from .analysis import StableTail
@@ -153,7 +169,7 @@ class Trajectory:
 
 
 class IntegrationError(RuntimeError):
-    """Raised when a run cannot continue: a non-finite stage or state, an
+    """Raised when a run cannot continue: a non-finite start or state, an
     exhausted step budget, or step-size underflow.  Carries the index of the
     failing step and the trajectory accumulated so far (when available)."""
 
@@ -245,246 +261,191 @@ def integrate_fixed(
 
 
 # ---------------------------------------------------------------------------
-# Dormand-Prince 5(4)
+# Taylor series of the quadratic field
 # ---------------------------------------------------------------------------
 
-_C2, _C3, _C4, _C5 = 1.0 / 5.0, 3.0 / 10.0, 4.0 / 5.0, 8.0 / 9.0
-_A21 = 1.0 / 5.0
-_A31, _A32 = 3.0 / 40.0, 9.0 / 40.0
-_A41, _A42, _A43 = 44.0 / 45.0, -56.0 / 15.0, 32.0 / 9.0
-_A51, _A52, _A53, _A54 = 19372.0 / 6561.0, -25360.0 / 2187.0, 64448.0 / 6561.0, -212.0 / 729.0
-_A61, _A62, _A63, _A64, _A65 = (
-    9017.0 / 3168.0,
-    -355.0 / 33.0,
-    46732.0 / 5247.0,
-    49.0 / 176.0,
-    -5103.0 / 18656.0,
-)
-_B1, _B3, _B4, _B5, _B6 = 35.0 / 384.0, 500.0 / 1113.0, 125.0 / 192.0, -2187.0 / 6784.0, 11.0 / 84.0
-_E1, _E3, _E4, _E5, _E6, _E7 = (
-    71.0 / 57600.0,
-    -71.0 / 16695.0,
-    71.0 / 1920.0,
-    -17253.0 / 339200.0,
-    22.0 / 525.0,
-    -1.0 / 40.0,
-)
-# Dense output: the 4th-order continuous extension of the pair (Hairer's
-# DOPRI5 `contd5`), its last coefficient weighting the seven stages.
-_D1, _D3, _D4, _D5, _D6, _D7 = (
-    -12715105075.0 / 11282082432.0,
-    87487479700.0 / 32700410799.0,
-    -10690763975.0 / 1880347072.0,
-    701980252875.0 / 199316789632.0,
-    -1453857185.0 / 822651844.0,
-    69997945.0 / 29380423.0,
-)
-
-# PI controller: classic exponents for a 5th-order pair, the usual 0.9
-# safety factor, growth clamped to [0.2, 5.0], plus the usual cap at 1.0
-# right after a rejection.
-_SAFETY = 0.9
-_PI_ALPHA = 0.7 / 5.0
-_PI_BETA = 0.4 / 5.0
-_FAC_MIN = 0.2
-_FAC_MAX = 5.0
-# Attempted steps before a run gives up.
+# Steps before a run gives up.
 _MAX_STEPS = 10_000_000
 
 
-# The step record: per accepted step that brackets a sample, t, h, t + h,
-# x, x_new, k1, k7, the extension's q sums and the accepted and rejected
-# step counts at its end, one float64 row of a table with a row per sample.
-_RECORD_ROW = struct.Struct("20d")
+def _order(tol: float) -> int:
+    """The series order at `tol`: ceil(-ln(tol) / 2) + 1, at least 2 (Jorba &
+    Zou's rule; 12 at tol 1e-9)."""
+    return max(2, math.ceil(-0.5 * math.log(tol)) + 1)
 
 
-def _extension(steps: np.ndarray, times: np.ndarray) -> np.ndarray:
-    """The rows at `times`, past the first recorded step's start, from the
-    continuous extension of the first row of `steps` to end at or after each
-    (its end state where theta >= 1), 256 samples at a time."""
+def _series(
+    a: float, b: float, c: float, products: list, x: float, y: float, z: float, w: list[float] | None = None
+) -> tuple[list[float], list[float], list[float]]:
+    """The Taylor coefficients X_0..X_p, Y_0..Y_p, Z_0..Z_p of the orbit of
+    dx/dt = w(t) f(x) through (x, y, z): X_{k+1} = (w * F)_k / (k + 1), where
+    F_k, the coefficients of f(x(t)), are exact Cauchy products of the
+    orbit's own.  `products` holds k + 1 and the index pairs (i, k - i) for
+    each order k < p, and `w` the weight's coefficients w_0..w_{p-1} (None
+    for w = 1)."""
+    X, Y, Z = [x], [y], [z]
+    FX, FY, FZ = [], [], []
+    xk, yk, zk = x, y, z
+    for n, pairs in products:
+        xz = xy = 0.0
+        for i, j in pairs:
+            xi = X[i]
+            xz += xi * Z[j]
+            xy += xi * Y[j]
+        fx, fy, fz = a * (yk - xk), b * xk - yk - xz, xy - c * zk
+        if w is not None:
+            FX.append(fx)
+            FY.append(fy)
+            FZ.append(fz)
+            fx = fy = fz = 0.0
+            for i, j in pairs:
+                wi = w[i]
+                fx += wi * FX[j]
+                fy += wi * FY[j]
+                fz += wi * FZ[j]
+        xk, yk, zk = fx / n, fy / n, fz / n
+        X.append(xk)
+        Y.append(yk)
+        Z.append(zk)
+    return X, Y, Z
+
+
+def _dense(steps: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """The rows at `times`, each by Horner on the Taylor polynomial of the
+    first row of `steps` to end at or after it, 256 samples at a time.  A
+    row of `steps` is t, h, the step count at its end and the coefficients
+    X_0..X_p, Y_0..Y_p, Z_0..Z_p.  A sample on a step's end t + h is
+    evaluated at h itself, not at (t + h) - t, so its row is bit-equal to
+    the end state the step went on from."""
     rows = np.empty((times.size, 3))
-    at = np.searchsorted(steps[:, 2], times)
+    ends = steps[:, 0] + steps[:, 1]
+    at = np.searchsorted(ends, times)
+    width = steps.shape[1] // 3 - 1
     for a in range(0, times.size, 256):
         part = slice(a, a + 256)
-        step = steps[at[part]].T
-        x, xn, k1, k7, q = step[3:18].reshape(5, 3, -1)
-        h = step[1]
-        theta = (times[part] - step[0]) / h
-        th1 = 1.0 - theta
-        # y(t + theta*h) = x + theta*(dx + th1*(bx + theta*(cx + th1*q))), per component
-        dx = xn - x
-        bx = h * k1 - dx
-        cx = dx - h * k7 - bx
-        y = x + theta * (dx + th1 * (bx + theta * (cx + th1 * q)))
-        rows[part] = np.where(theta >= 1.0, xn, y).T
+        step = steps[at[part]]
+        tau = np.where(times[part] == ends[at[part]], step[:, 1], times[part] - step[:, 0])[:, None]
+        # Order by order: coeffs[k] is the (n, 3) array of order-k terms.
+        coeffs = step[:, 3:].reshape(len(step), 3, width).transpose(2, 0, 1)
+        y = coeffs[-1]
+        for terms in coeffs[-2::-1]:
+            y = y * tau + terms
+        rows[part] = y
     return rows
 
 
 def _adaptive_solve(
-    rhs: RHS,
+    params: SystemParams,
     t0: float,
     x0: Sequence[float],
     tol: float,
     grids: Sequence[tuple[np.ndarray, np.ndarray, np.ndarray]],
     tails: Sequence[StableTail] = (),
+    weight: Gauge | None = None,
 ) -> list[Trajectory | IntegrationError]:
-    """Core DP54 driver: one solve from (t0, x0), sampled on several grids.
+    """Core Taylor driver: one solve of dx/dt = f(x), the quadratic field of
+    `params`, from (t0, x0), sampled on several grids.  Given a gauge as
+    `weight`, it solves dx/dt = lam * t**(-D) * f(x) in t > 0 instead, with
+    the weight's binomial series about each step's start,
+    w_k = w_{k-1} (-D - k + 1) / (k t).
 
     Each grid is a triple (instants, t column, s column) of equal-length
     arrays: the instants in the solve's variable, strictly increasing from
     t0 and ending where the run ends, and the two time columns its run
     carries.  The solve never clips a step to land on an end: it steps
     until it has passed the last instant of every grid.  Rows sit exactly
-    on the instants, read after the solve off the continuous extension of
-    the step that brackets them, kept in a record of such steps, so the
-    steps taken depend on neither the grids nor their ends, and the rows of
-    a solve to any end are bit-equal to those of a solve to a later one.
+    on the instants, read after the solve off the Taylor polynomial of the
+    step that brackets them, kept in a record of such steps, so the steps
+    taken depend on neither the grids nor their ends, and the rows of a
+    solve to any end are bit-equal to those of a solve to a later one.
     Each recorded step passes at least one instant, so the record is one
     table with a row per instant; a loop that stops early leaves a message,
     and every grid's run is read off the table after the loop.  Entry i is
     grid i's run, or the IntegrationError that a solve on it alone raises,
-    its rows so far as the partial.  A run's step counts are those the
+    its rows so far as the partial.  A run's step count is the one the
     record holds for the first recorded step to end at or after its last
-    instant, or, past every recorded step, the solve's final ones.
+    instant, or, past every recorded step, the solve's final one.
 
-    After each accepted step the end point is checked against `tails`; the
-    first step that ends within a tail's switch radius at `tol` is the
-    last one, and every sample after it comes from that tail's linear flow,
-    with the step counts reached there.
+    After each step the end point is checked against `tails`; the first
+    step that ends within a tail's switch radius at `tol` is the last one,
+    and every sample after it comes from that tail's linear flow, with the
+    step count reached there.
     """
-    # All samples and an end marker.
+    # All samples and an end marker, which no lookup passes.
     merged = sorted(np.concatenate([grid[0] for grid in grids]).tolist() + [math.inf])
-    table = np.empty((len(merged) - 1, 20))
-    recorded = accepted = rejected = attempts = 0
+    last = len(merged) - 1
+    p = _order(tol)
+    table = np.empty((last, 3 * p + 6))
+    recorded = accepted = 0
     settled: tuple[StableTail, float, tuple[float, float, float]] | None = None
     message = ""
 
     x, y, z = start = tuple(float(v) for v in x0)
-    k1x, k1y, k1z = rhs(t0, start)
-    if not (math.isfinite(k1x) and math.isfinite(k1y) and math.isfinite(k1z)):
-        return [IntegrationError(f"non-finite field at the initial point t = {t0!r}", 0) for _ in grids]
-    next_t = merged[bisect_right(merged, t0)]
-
-    # Hairer's first guess: a step that moves the scaled state by 1%.  It
-    # starts at or above the underflow floor; only the controller may cross
-    # it.  The floor, 1e-14*max(1, |t|), is near where t + h stops moving t.
-    sx, sy, sz = tol + tol * abs(x), tol + tol * abs(y), tol + tol * abs(z)
-    # Squares as products: a float multiply overflows to inf, `**` raises.
-    n0 = math.sqrt((x / sx * (x / sx) + y / sy * (y / sy) + z / sz * (z / sz)) / 3.0)
-    n1 = math.sqrt((k1x / sx * (k1x / sx) + k1y / sy * (k1y / sy) + k1z / sz * (k1z / sz)) / 3.0)
-    h = max(0.01 * n0 / n1 if n0 > 1e-10 and n1 > 1e-10 else 1e-6, 1e-14 * max(1.0, abs(t0)))
-
+    if not all(map(math.isfinite, start)):
+        return [IntegrationError(f"non-finite initial state {start!r}", 0) for _ in grids]
     t = t0
-    errold = 1e-4
-    just_rejected = False
+    next_t = merged[bisect_right(merged, t0, 0, last)]
     near = [(*tail.point, tail.switch_radius2(tol), tail) for tail in tails]
-    # The tableau, the controller and the step budget (read per call, so a patch
-    # applies) as locals: in the stage loop a global lookup costs more than a multiply.
-    c2, c3, c4, c5, a21, a31, a32, a41, a42, a43 = _C2, _C3, _C4, _C5, _A21, _A31, _A32, _A41, _A42, _A43
-    a51, a52, a53, a54, a61, a62, a63, a64, a65 = _A51, _A52, _A53, _A54, _A61, _A62, _A63, _A64, _A65
-    b1, b3, b4, b5, b6, e1, e3, e4, e5, e6, e7 = _B1, _B3, _B4, _B5, _B6, _E1, _E3, _E4, _E5, _E6, _E7
-    d1, d3, d4, d5, d6, d7 = _D1, _D3, _D4, _D5, _D6, _D7
-    safety, pi_alpha, pi_beta, fac_min, fac_max = _SAFETY, _PI_ALPHA, _PI_BETA, _FAC_MIN, _FAC_MAX
-    max_steps, isfinite, pack, inf = _MAX_STEPS, math.isfinite, _RECORD_ROW.pack_into, math.inf
+    a, b, c = params.a, params.b, params.c
+    # The step budget is read per call, so a patch applies.
+    max_steps, isfinite, inf, exp, log = _MAX_STEPS, math.isfinite, math.inf, math.exp, math.log
+    pack = struct.Struct(f"{3 * p + 6}d").pack_into
+    products = [(k + 1.0, [(i, k - i) for i in range(k + 1)]) for k in range(p)]
+    orders = range(p - 1, -1, -1)
 
     while next_t < inf:
-        if attempts >= max_steps:
+        if accepted >= max_steps:
             message = f"step budget of {max_steps} exhausted at t = {t!r}"
             break
-        at = t if t >= 0.0 else -t  # the floor above, spelled out for speed
-        if h < (1e-14 * at if at > 1.0 else 1e-14):
+        w = None
+        if weight is not None:
+            w = [weight.lam * exp(-weight.D * log(t))]
+            for k in range(1, p):
+                w.append(w[-1] * (-weight.D - k + 1.0) / (k * t))
+        X, Y, Z = _series(a, b, c, products, x, y, z, w)
+        # h from the last two coefficients (Jorba & Zou); where both vanish,
+        # a zero field above all, the polynomial is the orbit for all time.
+        # A NaN bound (NaN != NaN) is kept, so it fails the floor below.
+        eps = tol + tol * max(abs(x), abs(y), abs(z))
+        h = inf
+        for k in (p - 1, p):
+            norm = max(abs(X[k]), abs(Y[k]), abs(Z[k]))
+            if norm != 0.0:
+                hk = (eps / norm) ** (1.0 / k)
+                h = hk if hk < h or hk != hk else h
+        # The floor, 1e-14*max(1, |t|), is near where t + h stops moving t.
+        at = t if t >= 0.0 else -t
+        if not h >= (1e-14 * at if at > 1.0 else 1e-14):
             message = (
                 f"step size underflow (h = {h!r}) at t = {t!r}; "
-                "the error estimate refuses to shrink with the step"
+                "the Taylor coefficients are too large for any step at this tolerance"
             )
             break
-        attempts += 1
-
-        x2 = x + h * (a21 * k1x)
-        y2 = y + h * (a21 * k1y)
-        z2 = z + h * (a21 * k1z)
-        k2x, k2y, k2z = rhs(t + c2 * h, (x2, y2, z2))
-
-        x3 = x + h * (a31 * k1x + a32 * k2x)
-        y3 = y + h * (a31 * k1y + a32 * k2y)
-        z3 = z + h * (a31 * k1z + a32 * k2z)
-        k3x, k3y, k3z = rhs(t + c3 * h, (x3, y3, z3))
-
-        x4 = x + h * (a41 * k1x + a42 * k2x + a43 * k3x)
-        y4 = y + h * (a41 * k1y + a42 * k2y + a43 * k3y)
-        z4 = z + h * (a41 * k1z + a42 * k2z + a43 * k3z)
-        k4x, k4y, k4z = rhs(t + c4 * h, (x4, y4, z4))
-
-        x5 = x + h * (a51 * k1x + a52 * k2x + a53 * k3x + a54 * k4x)
-        y5 = y + h * (a51 * k1y + a52 * k2y + a53 * k3y + a54 * k4y)
-        z5 = z + h * (a51 * k1z + a52 * k2z + a53 * k3z + a54 * k4z)
-        k5x, k5y, k5z = rhs(t + c5 * h, (x5, y5, z5))
-
-        x6 = x + h * (a61 * k1x + a62 * k2x + a63 * k3x + a64 * k4x + a65 * k5x)
-        y6 = y + h * (a61 * k1y + a62 * k2y + a63 * k3y + a64 * k4y + a65 * k5y)
-        z6 = z + h * (a61 * k1z + a62 * k2z + a63 * k3z + a64 * k4z + a65 * k5z)
-        k6x, k6y, k6z = rhs(t + h, (x6, y6, z6))
-
-        xn = x + h * (b1 * k1x + b3 * k3x + b4 * k4x + b5 * k5x + b6 * k6x)
-        yn = y + h * (b1 * k1y + b3 * k3y + b4 * k4y + b5 * k5y + b6 * k6y)
-        zn = z + h * (b1 * k1z + b3 * k3z + b4 * k4z + b5 * k5z + b6 * k6z)
+        if h < inf:
+            xn, yn, zn = X[p], Y[p], Z[p]
+            for k in orders:
+                xn = xn * h + X[k]
+                yn = yn * h + Y[k]
+                zn = zn * h + Z[k]
+            if not (isfinite(xn) and isfinite(yn) and isfinite(zn)):
+                message = f"non-finite state while stepping from t = {t!r}"
+                break
+        accepted += 1
         tn = t + h
-        k7x, k7y, k7z = rhs(tn, (xn, yn, zn))
-
-        ex = h * (e1 * k1x + e3 * k3x + e4 * k4x + e5 * k5x + e6 * k6x + e7 * k7x)
-        ey = h * (e1 * k1y + e3 * k3y + e4 * k4y + e5 * k5y + e6 * k6y + e7 * k7y)
-        ez = h * (e1 * k1z + e3 * k3z + e4 * k4z + e5 * k5z + e6 * k6z + e7 * k7z)
-
-        # A non-finite estimate rejects the step (a `max` would drop a NaN).
-        if not isfinite(ex + ey + ez):
-            rejected += 1
-            just_rejected = True
-            h *= fac_min
-            continue
-        a, b = abs(x), abs(xn)
-        err = abs(ex) / (tol + tol * (a if a >= b else b))
-        a, b = abs(y), abs(yn)
-        e = abs(ey) / (tol + tol * (a if a >= b else b))
-        err = e if e > err else err
-        a, b = abs(z), abs(zn)
-        e = abs(ez) / (tol + tol * (a if a >= b else b))
-        err = e if e > err else err
-
-        if err <= 1.0:
-            accepted += 1
-            if next_t <= tn:
-                pack(
-                    table, 160 * recorded, t, h, tn, x, y, z, xn, yn, zn, k1x, k1y, k1z, k7x, k7y, k7z,
-                    h * (d1 * k1x + d3 * k3x + d4 * k4x + d5 * k5x + d6 * k6x + d7 * k7x),
-                    h * (d1 * k1y + d3 * k3y + d4 * k4y + d5 * k5y + d6 * k6y + d7 * k7y),
-                    h * (d1 * k1z + d3 * k3z + d4 * k4z + d5 * k5z + d6 * k6z + d7 * k7z),
-                    accepted, rejected,
-                )
-                recorded += 1
-                next_t = merged[bisect_right(merged, tn)]
-            t = tn
-            x, y, z = xn, yn, zn
-            k1x, k1y, k1z = k7x, k7y, k7z
-            for px, py, pz, r2, tail in near:
-                dx, dy, dz = x - px, y - py, z - pz
-                if dx * dx + dy * dy + dz * dz <= r2:
-                    settled = (tail, t, (x, y, z))
-                    next_t = inf
-                    break
-            if err == 0.0:
-                fac = fac_max
-            else:
-                fac = safety * err**-pi_alpha * errold**pi_beta
-                fac = fac_max if fac > fac_max else (fac_min if fac < fac_min else fac)
-            if just_rejected and fac > 1.0:
-                fac = 1.0
-            h *= fac
-            errold = 1e-4 if err < 1e-4 else err
-            just_rejected = False
-        else:
-            rejected += 1
-            just_rejected = True
-            h *= max(fac_min, min(1.0, safety * err**-0.2))
+        if next_t <= tn:
+            pack(table, 8 * (3 * p + 6) * recorded, t, h, accepted, *X, *Y, *Z)
+            recorded += 1
+            next_t = merged[bisect_right(merged, tn, 0, last)]
+        t = tn
+        if h == inf:
+            break
+        x, y, z = xn, yn, zn
+        for px, py, pz, r2, tail in near:
+            dx, dy, dz = x - px, y - py, z - pz
+            if dx * dx + dy * dy + dz * dz <= r2:
+                settled = (tail, t, (x, y, z))
+                next_t = inf
+                break
 
     # Each grid's run, or for one left unfinished, `message` and its partial.
     steps = table[:recorded]
@@ -493,16 +454,15 @@ def _adaptive_solve(
         k = int(np.searchsorted(instants, t, side="right"))
         rows = np.empty((k if settled is None else instants.size, 3))
         rows[0] = start
-        rows[1:k] = _extension(steps, instants[1:k])
+        rows[1:k] = _dense(steps, instants[1:k])
         if k < len(rows):
             tail, s1, state = settled
             rows[k:] = tail.flow(s1, state, instants[k:])
-        last = int(np.searchsorted(steps[:, 2], instants[-1]))
-        counts = steps[last, 18:] if last < recorded else (accepted, rejected)
-        meta = IntegrationMeta(int(counts[0]), int(counts[1]), "rk45", tol)
+        end = int(np.searchsorted(steps[:, 0] + steps[:, 1], instants[-1]))
+        meta = IntegrationMeta(int(steps[end, 2]) if end < recorded else accepted, 0, "taylor", tol)
         n = len(rows)
         run = Trajectory(t_col[:n], s_col[:n], rows, meta)
-        runs.append(run if n == instants.size else IntegrationError(message, attempts, run))
+        runs.append(run if n == instants.size else IntegrationError(message, accepted, run))
     return runs
 
 
@@ -553,13 +513,13 @@ def integrate_sl_gauges(
     tol: float = 1e-9,
     samples: int = 2000,
 ) -> list[Trajectory | IntegrationError]:
-    """DP54 runs of one orbit under several clocks, from one solve.
+    """Taylor runs of one orbit under several clocks, from one solve.
 
     Whatever the clock, the run solves the autonomous dx/ds = f from x0, in
     sigma = s - s_0 from 0; clocks change only the sigma-range and the
     sample instants sigma_k = s_k - s_0, where s_k is the clock's t grid
     mapped by the gauge (s_k = t_k for None, the identity clock).  So one
-    solve to the largest sigma-range serves every clock, and since a DP54
+    solve to the largest sigma-range serves every clock, and since a
     solve to any end is a bit-equal prefix of a solve to a later one,
     entry i is exactly what `integrate_sl(params, gauges[i], span, x0,
     tol=tol, samples=samples)` returns, or the IntegrationError it raises,
@@ -573,9 +533,13 @@ def integrate_sl_gauges(
     if not gauges:
         raise ValueError("integrate_sl_gauges needs at least one gauge (None for the identity clock)")
     t_grids = [_span(gauge, span, samples) for gauge in gauges]
-    s_grids = [t.copy() if gauge is None else scale_time(gauge, t) for gauge, t in zip(gauges, t_grids)]
+    # Every gauged clock has the same geometric t grid: one log pass maps it
+    # under all of them.
+    gauged = [(gauge, t) for gauge, t in zip(gauges, t_grids) if gauge is not None]
+    mapped = iter(scale_grid([gauge for gauge, _ in gauged], gauged[0][1]) if gauged else ())
+    s_grids = [t.copy() if gauge is None else next(mapped) for gauge, t in zip(gauges, t_grids)]
     return _adaptive_solve(
-        make_field(SystemKind.SL, params),
+        params,
         0.0,
         x0,
         tol,
@@ -594,16 +558,16 @@ def integrate_direct_t(
 ) -> Trajectory:
     """Criterion 1's reference: dx/dt = lam * t**(-D) * f(x), the weighted
     equations of `timegauge.make_gauged_field`, solved in t (no settled
-    tail) by the DP54 driver on `integrate_sl`'s t grid, with s =
-    scale_time(gauge, t) beside each row.  No run takes it; the acceptance
-    suite checks that the two agree rather than assuming it.  `gauge` None
-    is a ValueError."""
+    tail) by the Taylor driver with the weight's series, on `integrate_sl`'s
+    t grid, with s = scale_time(gauge, t) beside each row.  No run takes it;
+    the acceptance suite checks that the two agree rather than assuming it.
+    `gauge` None is a ValueError."""
     if gauge is None:
         raise ValueError("integrate_direct_t needs a gauge; the identity clock has no direct-t form")
     tol, samples = check_settings(tol, samples)
     t = _span(gauge, span, samples)
     grid = (t, t, scale_time(gauge, t))
-    run = _adaptive_solve(make_gauged_field(params, gauge), float(t[0]), x0, tol, [grid])[0]
+    run = _adaptive_solve(params, float(t[0]), x0, tol, [grid], weight=gauge)[0]
     if isinstance(run, IntegrationError):
         raise run
     return run

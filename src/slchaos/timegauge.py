@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -32,6 +32,7 @@ from .dynamics import SystemKind, SystemParams, make_field
 __all__ = [
     "Gauge",
     "scale_time",
+    "scale_grid",
     "unscale_time",
     "make_gauged_field",
 ]
@@ -66,16 +67,24 @@ class Gauge:
 
 def scale_time(gauge: Gauge, t: float | np.ndarray) -> float | np.ndarray:
     """Map ordinary time t >= 0 to scaled time s = mu * t**(1 - D): a float
-    to a float, a 1-D array elementwise.  Both go through `math`'s exp and
-    log, one value at a time, since numpy's may round apart."""
-    ts = np.atleast_1d(np.asarray(t, dtype=float))
+    to a float, a 1-D array elementwise, by `scale_grid`."""
+    s = scale_grid([gauge], np.atleast_1d(np.asarray(t, dtype=float)))[0]
+    return s if np.ndim(t) else float(s[0])
+
+
+def scale_grid(gauges: Sequence[Gauge], t: np.ndarray) -> list[np.ndarray]:
+    """Map a 1-D array of ordinary times t >= 0 under each of `gauges`:
+    entry i is s = mu_i * exp((1 - D_i) * log t) elementwise (0 at t = 0).
+    The logs are taken once for every gauge; logs and exps both go through
+    `math`, one value at a time, since numpy's may round apart."""
+    ts = np.asarray(t, dtype=float)
     bad = ts[~(np.isfinite(ts) & (ts >= 0.0))]
     if bad.size:
         raise ValueError(f"scale_time needs finite t >= 0, got {bad[0].item()!r}")
-    logs = np.fromiter(map(math.log, np.where(ts > 0.0, ts, 1.0).tolist()), float, ts.size)
-    s = gauge.mu * np.fromiter(map(math.exp, ((1.0 - gauge.D) * logs).tolist()), float, ts.size)
-    s = np.where(ts > 0.0, s, 0.0)
-    return s if np.ndim(t) else float(s[0])
+    positive = ts > 0.0
+    logs = np.fromiter(map(math.log, np.where(positive, ts, 1.0).tolist()), float, ts.size)
+    exps = (np.fromiter(map(math.exp, ((1.0 - gauge.D) * logs).tolist()), float, ts.size) for gauge in gauges)
+    return [np.where(positive, gauge.mu * e, 0.0) for gauge, e in zip(gauges, exps)]
 
 
 def unscale_time(gauge: Gauge, s: float) -> float:

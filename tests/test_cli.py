@@ -336,7 +336,7 @@ def test_bad_run_setting_is_usage_error(capsys, tmp_path, command, flag):
     assert code == 1
     assert "usage error" in err
     if flag.startswith(("--method", "--mode")):
-        # Retired route choices: every run is one DP54 solve on its clock.
+        # Retired route choices: every run is one Taylor solve on its clock.
         assert "unrecognized arguments" in err
     assert not out.exists() or list(out.iterdir()) == []
 

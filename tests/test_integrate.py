@@ -134,8 +134,8 @@ class TestAdaptive:
         assert a.meta == b.meta
 
     def test_samples_match_dop853_oracle(self):
-        # Off-step samples come from the pair's continuous extension, so
-        # they must be about as accurate as the step endpoints.
+        # Off-step samples come from the bracketing step's Taylor
+        # polynomial, so they must be about as accurate as the step ends.
         solve_ivp = pytest.importorskip("scipy.integrate").solve_ivp
         rhs = make_field(SystemKind.LORENZ_STANDARD)
         x0 = (0.1, 0.1, 0.1)
@@ -155,11 +155,22 @@ class TestAdaptive:
         assert np.array_equal(a.states[-1], b.states[-1])
 
     def test_long_run_from_an_equilibrium(self):
-        # The field vanishes at x0, so the first step is the 1e-6 fallback
-        # and every step grows fivefold with zero error; none may fall under
-        # the underflow floor 1e-14*max(1, |t|) on the way to t = 1e9.
+        # The field vanishes at x0, so every Taylor coefficient does and no
+        # step bound applies: the solve takes one step of h = inf and fills
+        # every row with x0, instead of stepping to the end.
         tr = integrate_sl(LORENZ_STANDARD_PARAMS, None, (0.0, 1e9), (0.0, 0.0, 0.0), samples=20)
         assert np.all(tr.states == 0.0)
+        assert tr.meta.steps_taken <= 2
+
+    def test_cost_scales_with_accuracy(self):
+        # The order follows from tol, so a thousandfold tighter tolerance
+        # costs few more steps: 1,591 and 1,732.
+        sc = scenario_registry()["lorenz-standard"]
+        steps = [
+            integrate_sl(sc.params, None, sc.span, sc.x0, tol, sc.sample_count).meta.steps_taken
+            for tol in (1e-9, 1e-12)
+        ]
+        assert steps[1] <= 2 * steps[0]
 
     def test_max_steps_exhaustion(self, monkeypatch):
         monkeypatch.setattr(integrate, "_MAX_STEPS", 20)
@@ -167,34 +178,39 @@ class TestAdaptive:
             integrate_sl(LORENZ_STANDARD_PARAMS, None, (0.0, 60.0), (0.1, 0.1, 0.1))
 
     def test_step_underflow_on_pathological_field(self):
-        # effectively white-noise derivative: the error estimate cannot
-        # shrink with h, so the controller drives h below the floor
-        rhs = lambda t, s: (1e20 * math.sin(1e20 * t), 0.0, 0.0)
+        # a = 1e20 keeps every Taylor coefficient finite, but the step the
+        # last two allow (about 5e-19) is below the floor 1e-14*max(1, |t|).
         grid = np.linspace(0.0, 1.0, 2000)
-        (run,) = integrate._adaptive_solve(rhs, 0.0, (0.0, 0.0, 0.0), 1e-9, [(grid, grid, grid)])
+        (run,) = integrate._adaptive_solve(
+            SystemParams(1e20, 0.3, 27.0), 0.0, (0.1, 0.1, 0.1), 1e-9, [(grid, grid, grid)]
+        )
         with pytest.raises(IntegrationError, match="underflow"):
             raise run
+        assert run.step_index == 0 and len(run.partial) == 1
 
     @pytest.mark.parametrize(
         "x0", [(1e100, -1e100, 1e100), (1e150, 1e150, 1e150)], ids=["nan-estimate", "huge-guess"]
     )
     def test_huge_start_is_an_integration_error(self, x0):
-        # The first start gives a NaN error estimate, which must reject the
-        # step; the second overflows the squares of the first-step guess.
-        with pytest.raises(IntegrationError, match="underflow"):
+        # Both starts overflow the Taylor coefficients to inf or NaN, so no
+        # step passes the floor: an error whose partial is the finite start
+        # row, never a trajectory with non-finite rows.
+        with pytest.raises(IntegrationError, match="underflow") as info:
             integrate_sl(LORENZ_STANDARD_PARAMS, None, (0.0, 1.0), x0, samples=11)
+        assert info.value.partial.states.tolist() == [list(x0)]
 
     def test_rejection_accounting(self):
-        # a step across the jump in the field must be rejected, not absorbed
-        rhs = lambda t, s: (1.0 if t < 1.0 else -1.0, 0.0, 0.0)
-        grid = np.linspace(0.0, 5.0, 50)
-        (tr,) = integrate._adaptive_solve(rhs, 0.0, (0.1, 0.1, 0.1), 1e-9, [(grid, grid, grid)])
-        assert tr.meta.steps_rejected >= 1
+        # The Taylor step takes h from its own coefficients and rejects
+        # nothing, so every run, direct-t included, records 0 rejected steps.
+        runs = [run_trajectory(sc) for sc in scenario_registry().values()]
+        runs.append(integrate_direct_t(ATTRACTOR_II, GAUGE, (0.1, 100.0), (0.1, 0.1, 0.1), samples=50))
+        assert [run.meta.steps_rejected for run in runs] == [0] * 7
+        assert all(run.meta.steps_taken > 0 for run in runs)
 
 
 class TestPrefix:
-    """A DP54 solve to any end is a bit-equal prefix of a solve to a later
-    end: the last step is never clipped, so no step depends on the end."""
+    """A solve to any end is a bit-equal prefix of a solve to a later end:
+    the last step is never clipped, so no step depends on the end."""
 
     @pytest.mark.parametrize(
         "kind, params, end, long_end",
@@ -212,7 +228,7 @@ class TestPrefix:
         assert long.meta.steps_taken > short.meta.steps_taken
         # The step counts at `end` inside the longer solve are the short solve's.
         inside, whole = integrate._adaptive_solve(
-            make_field(kind, params), 0.0, x0, 1e-9,
+            params, 0.0, x0, 1e-9,
             [(short.t, short.t, short.t), (long.t, long.t, long.t)], stable_tails(params),
         )
         assert inside == short and inside.meta == short.meta
@@ -317,9 +333,9 @@ class TestSettledTail:
             assert err <= 1e-2 * atol
 
     def test_every_field_evaluation_is_a_closure_call(self, monkeypatch):
-        # The solve's field is a call to `make_field`'s closure, which a
-        # tracer can wrap: one call at the start and six per attempted step,
-        # and a settled run makes none after its switch step.
+        # The Taylor driver builds its coefficients from (a, b, c) by Cauchy
+        # products and evaluates no field: a tracer that wraps `make_field`'s
+        # closure counts no call in a solve, settled or not.
         calls = [0]
 
         def counted_field(kind, params):
@@ -333,21 +349,19 @@ class TestSettledTail:
 
         monkeypatch.setattr(integrate, "make_field", counted_field)
         lorenz = integrate_sl(LORENZ_STANDARD_PARAMS, None, (0.0, 5.0), (0.1, 0.1, 0.1))
-        assert calls[0] == 1 + 6 * (lorenz.meta.steps_taken + lorenz.meta.steps_rejected)
+        assert lorenz.meta.steps_taken > 0 and calls[0] == 0
         flow, switched = StableTail.flow, []
         monkeypatch.setattr(StableTail, "flow", lambda tail, *args: switched.append(tail) or flow(tail, *args))
-        calls[0] = 0
         settled = run_trajectory(scenario_registry()["sl-a2"])
-        assert switched
-        assert calls[0] == 1 + 6 * (settled.meta.steps_taken + settled.meta.steps_rejected)
+        assert switched and calls[0] == 0
 
     def test_runs_that_do_not_settle_keep_their_steps(self):
         # lorenz-standard has no stable equilibrium; the origin at b = 1 is
-        # marginal.  Both keep the step counts of the DP54-only solve.
+        # marginal.  Both keep the step counts of a solve without a tail.
         lorenz = run_trajectory(scenario_registry()["lorenz-standard"])
-        assert (lorenz.meta.steps_taken, lorenz.meta.steps_rejected) == (12413, 0)
+        assert (lorenz.meta.steps_taken, lorenz.meta.steps_rejected) == (1591, 0)
         marginal = integrate_sl(SystemParams(2.0, 1.0, 27.0), GAUGE, (0.1, 1e6), (0.1, 0.1, 0.1))
-        assert (marginal.meta.steps_taken, marginal.meta.steps_rejected) == (809, 1)
+        assert (marginal.meta.steps_taken, marginal.meta.steps_rejected) == (423, 0)
 
     def test_coalescing_eigenvalues_get_no_tail(self):
         # b = -(a-1)**2/(4a) merges the origin's two slow eigenvalues into a
@@ -356,9 +370,7 @@ class TestSettledTail:
         assert not stable_tails(params)
         run = integrate_sl(params, None, (0.0, 50.0), (0.1, 0.1, 0.1), samples=50)
         grid = np.linspace(0.0, 50.0, 50)
-        (without,) = integrate._adaptive_solve(
-            make_field(SystemKind.SL, params), 0.0, (0.1, 0.1, 0.1), 1e-9, [(grid, grid, grid)]
-        )
+        (without,) = integrate._adaptive_solve(params, 0.0, (0.1, 0.1, 0.1), 1e-9, [(grid, grid, grid)])
         assert run == without and run.meta == without.meta
 
 
@@ -415,40 +427,33 @@ class TestArraySampling:
             assert np.array_equal(rows[-1], tail.point)
 
     def test_sample_on_a_step_end_is_that_steps_end_state(self, monkeypatch):
-        # A constant field leaves only rounding in the error estimate, so from
-        # x0 = 0 (first step 1e-6) each step is the growth cap times the last.
-        # A grid of the step ends puts one sample at the end of every step,
-        # where theta = (t_end - t) / h is 1, or just off it by rounding.
-        c = (1.0, -0.5, 0.25)
-        b1, b3, b4, b5, b6 = integrate._B1, integrate._B3, integrate._B4, integrate._B5, integrate._B6
-        t, h, x = 0.0, 1e-6, (0.0, 0.0, 0.0)
-        times, ends, thetas = [t], [x], []
-        for _ in range(14):
-            tn = t + h
-            x = tuple(xi + h * (b1 * ci + b3 * ci + b4 * ci + b5 * ci + b6 * ci) for xi, ci in zip(x, c))
-            thetas.append((tn - t) / h)
-            times.append(tn)
-            ends.append(x)
-            t, h = tn, h * integrate._FAC_MAX
-        assert thetas.count(1.0) >= 10 and max(thetas) > 1.0
-        extension, records = integrate._extension, []
-        monkeypatch.setattr(
-            integrate, "_extension", lambda steps, at: records.append(steps) or extension(steps, at)
-        )
+        # A solve on a fine grid records every step, since each brackets a
+        # sample: its t, h, step count and coefficients.  A grid of the step
+        # ends t + h then puts one sample at the end of every step, and each
+        # row is that step's end state, the next step's start X_0, bit for bit.
+        dense, records = integrate._dense, []
+        monkeypatch.setattr(integrate, "_dense", lambda steps, at: records.append(steps) or dense(steps, at))
+        x0, p = (0.1, 0.1, 0.1), integrate._order(1e-9)
+        fine = np.linspace(0.0, 10.0, 20001)
+        integrate._adaptive_solve(ATTRACTOR_II, 0.0, x0, 1e-9, [(fine, fine, fine)])
+        steps = records[0]
+        n = len(steps) - 1
+        assert steps[:, 2].tolist() == list(range(1, n + 2))
+        ends = steps[:n, 0] + steps[:n, 1]
+        starts = steps[1:, 3 :: p + 1]
+        # Many ends round apart: (t + h) - t is not h.
+        assert np.count_nonzero(ends - steps[:n, 0] != steps[:n, 1]) > n // 10
         # Prefix grids in the same solve end exactly on step k's end: their
-        # counts are the ones recorded at that step, k accepted and none
-        # rejected.  Every step brackets a sample, so all 14 are recorded; the
-        # one grid alone fills 14 rows of its 15-row table, the fullest it can be.
-        for ks in ((14, 1, 5, 9), (14,)):
+        # counts are the ones recorded at that step.  The one grid alone
+        # fills n rows of its (n + 1)-row table, the fullest it can be.
+        for ks in ((n, 1, 5, 9), (n,)):
             records.clear()
-            grids = [np.array(times[: k + 1]) for k in ks]
-            runs = integrate._adaptive_solve(
-                lambda t, s: c, 0.0, (0.0, 0.0, 0.0), 1e-9, [(grid, grid, grid) for grid in grids]
-            )
-            assert [len(steps) for steps in records] == [14] * len(ks)
+            grids = [np.concatenate(([0.0], ends[:k])) for k in ks]
+            runs = integrate._adaptive_solve(ATTRACTOR_II, 0.0, x0, 1e-9, [(grid, grid, grid) for grid in grids])
+            assert [len(steps) for steps in records] == [n] * len(ks)
             for k, run in zip(ks, runs):
                 assert (run.meta.steps_taken, run.meta.steps_rejected) == (k, 0)
-                assert run.states.tobytes() == np.array(ends[: k + 1]).tobytes()
+                assert run.states[1:].tobytes() == np.ascontiguousarray(starts[:k]).tobytes()
 
     def test_five_gauges_share_one_solve(self):
         # sweep-gauge's D sweep of sl-a2: each member of the shared solve is
@@ -464,6 +469,25 @@ class TestArraySampling:
                 assert getattr(run, col).tobytes() == getattr(alone, col).tobytes()
         # The members end at different steps: some before the settled tail.
         assert len({run.meta.steps_taken for run in shared}) > 1
+
+    def test_five_gauges_take_the_logs_of_their_grid_once(self, monkeypatch):
+        # Every gauged clock maps the same geometric t grid, so the shared
+        # solve takes one pass of `math.log` over its 2,000 times, not five,
+        # and each s column is still the gauge's `scale_time` bit for bit.
+        base = scenario_registry()["sl-a2"]
+        gauges = [Gauge(base.gauge.mu, d) for d in (0.5, 0.6, 0.7, 0.8, 0.9)]
+        log, calls = math.log, [0]
+
+        def counted(value):
+            calls[0] += 1
+            return log(value)
+
+        monkeypatch.setattr(math, "log", counted)
+        shared = integrate_sl_gauges(base.params, gauges, base.span, base.x0, base.tol, 2000)
+        assert 2000 <= calls[0] < 4000
+        monkeypatch.setattr(math, "log", log)
+        for gauge, run in zip(gauges, shared):
+            assert run.s.tobytes() == scale_time(gauge, run.t).tobytes()
 
 
 class TestTrajectory:
@@ -493,7 +517,7 @@ class TestTrajectory:
 
         t = np.array([0.0, 1.0])
         st = np.zeros((2, 3))
-        a = Trajectory(t, t.copy(), st, IntegrationMeta(5, 1, "rk45", 1e-9))
+        a = Trajectory(t, t.copy(), st, IntegrationMeta(5, 0, "taylor", 1e-9))
         b = Trajectory(t, t.copy(), st, IntegrationMeta(0, 0, "imported"))
         assert a == b
 
@@ -521,7 +545,7 @@ class TestIdentityClock:
         tr = integrate_sl(effective_params(sc.kind), None, sc.span, sc.x0, sc.tol, sc.sample_count)
         ref = run_trajectory(sc)
         assert tr == ref and tr.meta == ref.meta
-        assert tr.meta.method == "rk45"
+        assert tr.meta.method == "taylor"
         assert np.array_equal(tr.t, tr.s)
 
     def test_direct_t_needs_a_gauge(self):
@@ -575,11 +599,11 @@ class TestIntegrateSL:
         assert np.array_equal(partial.s, [scale_time(GAUGE, tv) for tv in partial.t])
 
     def test_gauges_share_one_solve_and_its_failure(self, monkeypatch):
-        # With a budget that D = 0.9's short sigma-range fits in (134 steps)
-        # and D = 0.5's does not (321 steps to its settled tail), each gauge's
+        # With a budget that D = 0.9's short sigma-range fits in (21 steps)
+        # and D = 0.5's does not (116 steps to its settled tail), each gauge's
         # entry is what its own run gives: a run, or the same error with the
         # same partial.
-        monkeypatch.setattr(integrate, "_MAX_STEPS", 200)
+        monkeypatch.setattr(integrate, "_MAX_STEPS", 60)
         gauges = (Gauge(0.9, 0.5), Gauge(0.9, 0.9))
         span, x0 = (0.1, 1e6), (0.1, 0.1, 0.1)
         failed, done = integrate_sl_gauges(ATTRACTOR_II, gauges, span, x0, samples=300)
@@ -607,7 +631,7 @@ def test_config_validation():
             integrate_sl(DECAY, None, (0.0, 1.0), (1.0, 0.0, 0.0), tol=tol)
         with pytest.raises(ValueError, match="tol must be positive and finite"):
             integrate_sl_gauges(DECAY, (None,), (0.0, 1.0), (1.0, 0.0, 0.0), tol=tol)
-    # DP54 is the only integrator of a run: there is no method to choose.
+    # The Taylor driver is the only integrator of a run: there is no method to choose.
     with pytest.raises(TypeError, match="method"):
         integrate_sl(DECAY, None, (0.0, 1.0), (1.0, 0.0, 0.0), method="rk4")  # type: ignore[call-arg]
 

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from slchaos import integrate
-from slchaos.dynamics import LORENZ_STANDARD_PARAMS, SystemKind, SystemParams, make_field
+from slchaos.dynamics import LORENZ_STANDARD_PARAMS, SystemParams
 from slchaos.integrate import integrate_sl
 from slchaos.scenarios import derive, run_trajectory, scenario_registry
 from slchaos.timegauge import Gauge, scale_time, unscale_time
@@ -54,10 +54,8 @@ def test_gauged_run_is_the_identity_clock_run_in_sigma():
     span = (0.1, unscale_time(gauge, scale_time(gauge, 0.1) + 60.0))
     gauged = integrate_sl(params, gauge, span, x0)
     sigma = gauged.s - gauged.s[0]
-    (identity,) = integrate._adaptive_solve(
-        make_field(SystemKind.SL, params), 0.0, x0, gauged.meta.tol, [(sigma, sigma, sigma)]
-    )
+    (identity,) = integrate._adaptive_solve(params, 0.0, x0, gauged.meta.tol, [(sigma, sigma, sigma)])
     assert identity.states.tobytes() == gauged.states.tobytes()
     assert identity.meta == gauged.meta
-    assert (gauged.meta.steps_taken, gauged.meta.steps_rejected) == (12413, 0)
+    assert (gauged.meta.steps_taken, gauged.meta.steps_rejected) == (1591, 0)
     assert run_trajectory(scenario_registry()["lorenz-standard"]).meta == gauged.meta

@@ -15,6 +15,6 @@ def _load_tool():
 
 def test_every_case_runs_once():
     table = _load_tool().cases()
-    assert len(table) == 16
+    assert len(table) == 17
     for name, case in table.items():
         assert case() is not None, name

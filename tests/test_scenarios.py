@@ -204,7 +204,7 @@ class TestRunScenario:
             "equilibrium_count": 1,
             "note": "origin only",
         }
-        assert report["meta"]["method"] == "rk45"
+        assert report["meta"]["method"] == "taylor"
         assert report["meta"]["tol"] == lookup_scenario("sl-a2").tol
         assert report["meta"]["steps_taken"] > 0
         # the clock is named once, by the gauge block
@@ -466,14 +466,14 @@ class TestSweep:
 
     @pytest.mark.parametrize(
         "parameter, values, budget, sizes_read",
-        [("D", (0.5, 0.9), 200, [2]), ("a", (1.35, 2.0), 330, [1, 1])],
+        [("D", (0.5, 0.9), 60, [2]), ("a", (1.35, 2.0), 120, [1, 1])],
     )
     def test_member_whose_solve_fails_keeps_its_row(
         self, tmp_path, monkeypatch, parameter, values, budget, sizes_read
     ):
         # Under the patched step budget the first member's solve fails (D =
-        # 0.5 needs 321 steps, a = 1.35 needs 347) and the second's does not
-        # (D = 0.9 needs 134, a = 2 needs 321).  The failure is the first
+        # 0.5 needs 116 steps, a = 1.35 needs 129) and the second's does not
+        # (D = 0.9 needs 21, a = 2 needs 116).  The failure is the first
         # member's row alone: its directory holds nothing, and the second
         # member still matches its standalone run under the same budget.
         monkeypatch.setattr(integrate, "_MAX_STEPS", budget)

@@ -8,6 +8,7 @@ from slchaos.dynamics import SystemKind, SystemParams, make_field
 from slchaos.timegauge import (
     Gauge,
     make_gauged_field,
+    scale_grid,
     scale_time,
     unscale_time,
 )
@@ -66,15 +67,20 @@ def test_scale_time_rejects_negative():
 
 def test_scale_time_maps_arrays_bit_for_bit():
     ts = np.concatenate(([0.0], np.geomspace(0.1, 1e6, 2000)))
-    for gauge in (G, Gauge(1.8, 0.5), Gauge(3.0, 0.95)):
+    gauges = (G, Gauge(1.8, 0.5), Gauge(3.0, 0.95))
+    # One grid under several gauges at once maps each as it maps alone.
+    for gauge, shared in zip(gauges, scale_grid(gauges, ts), strict=True):
         mapped = scale_time(gauge, ts)
         assert isinstance(mapped, np.ndarray) and mapped.shape == ts.shape
         assert mapped.tobytes() == np.array([scalar_scale_time(gauge, v) for v in ts]).tobytes()
+        assert shared.tobytes() == mapped.tobytes()
         assert mapped[0] == 0.0
 
 
 @pytest.mark.parametrize("bad", [-0.5, math.nan, math.inf])
 def test_scale_time_rejects_bad_array_entries(bad):
+    with pytest.raises(ValueError, match="finite t >= 0"):
+        scale_grid([G, Gauge(1.8, 0.5)], np.array([0.0, 1.0, bad, 2.0]))
     with pytest.raises(ValueError, match="finite t >= 0"):
         scale_time(G, np.array([0.0, 1.0, bad, 2.0]))
 

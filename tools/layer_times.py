@@ -10,6 +10,10 @@ The cases, each run once per round, round-robin, after one warm-up round:
   warm, as it does in a benchmark loop;
 - `solve-five-gauges`: the shared solve of `sweep-gauge`'s D sweep of
   sl-a2 (`integrate_sl_gauges`, D = 0.5, 0.6, 0.7, 0.8, 0.9);
+- `solve-stiff`: sl with (a, b, c) = (1e3, 0.3, 27) on sl-a2's gauge, span,
+  start and tolerance, where the fast eigenvalue -a - 0.3 holds an explicit
+  step at its stability limit: the regime where the Taylor driver is
+  slower than the DP54 driver it replaced;
 - `flow-real` and `flow-complex`: `StableTail.flow` at 2,000 times from a
   state on the switch radius of sl-a2's stable node (real modes) and of
   one point of the stable focus-node pair of (a, b, c) = (2, 5, 27)
@@ -46,7 +50,7 @@ def cases() -> dict[str, Callable[[], object]]:
 
     from slchaos.analysis import stable_tails
     from slchaos.dynamics import SystemParams, effective_params
-    from slchaos.integrate import integrate_sl_gauges
+    from slchaos.integrate import integrate_sl, integrate_sl_gauges
     from slchaos.scenarios import run_trajectory, scenario_registry, scenario_report
     from slchaos.timegauge import Gauge, scale_time
 
@@ -62,6 +66,8 @@ def cases() -> dict[str, Callable[[], object]]:
     out["solve-five-gauges"] = lambda: integrate_sl_gauges(
         params, gauges, base.span, base.x0, base.tol, base.sample_count
     )
+    stiff = SystemParams(1e3, 0.3, 27.0)
+    out["solve-stiff"] = lambda: integrate_sl(stiff, base.gauge, base.span, base.x0, base.tol, base.sample_count)
     times = np.linspace(0.0, 50.0, SAMPLES).tolist()
     for label, tail_params in (("flow-real", params), ("flow-complex", SystemParams(2.0, 5.0, 27.0))):
         tail = stable_tails(tail_params)[-1]
