@@ -22,7 +22,11 @@ with eps = tol (1 + |x|), in max norms; it rejects nothing.  So the step
 count grows like tol**(-1/p), which the order itself follows, and a run at
 tol 1e-12 costs about what one at 1e-9 does.  Where both last coefficients
 vanish, a zero field above all, no bound applies: the one step has
-h = inf and its polynomial is the orbit for all time.  Rows come from Horner
+h = inf and its polynomial is the orbit for all time.  The step (the
+coefficients, h and Horner at h) is one straight-line function per order,
+generated as Python source from p alone, with every coefficient a local and
+every Cauchy sum written out; it is compiled on the first solve at that
+order and cached for the process (`_kernel`).  Rows come from Horner
 on the polynomial of the step that brackets them, evaluated over arrays
 after the solve from a record of such steps: one table, allocated with a
 row per sample, since each recorded step passes one.  The step sequence
@@ -63,6 +67,7 @@ produced by `dynamics.make_field` and `timegauge.make_gauged_field`.
 
 from __future__ import annotations
 
+import functools
 import math
 import struct
 from bisect import bisect_right
@@ -274,40 +279,51 @@ def _order(tol: float) -> int:
     return max(2, math.ceil(-0.5 * math.log(tol)) + 1)
 
 
-def _series(
-    a: float, b: float, c: float, products: list, x: float, y: float, z: float, w: list[float] | None = None
-) -> tuple[list[float], list[float], list[float]]:
-    """The Taylor coefficients X_0..X_p, Y_0..Y_p, Z_0..Z_p of the orbit of
-    dx/dt = w(t) f(x) through (x, y, z): X_{k+1} = (w * F)_k / (k + 1), where
-    F_k, the coefficients of f(x(t)), are exact Cauchy products of the
-    orbit's own.  `products` holds k + 1 and the index pairs (i, k - i) for
-    each order k < p, and `w` the weight's coefficients w_0..w_{p-1} (None
-    for w = 1)."""
-    X, Y, Z = [x], [y], [z]
-    FX, FY, FZ = [], [], []
-    xk, yk, zk = x, y, z
-    for n, pairs in products:
-        xz = xy = 0.0
-        for i, j in pairs:
-            xi = X[i]
-            xz += xi * Z[j]
-            xy += xi * Y[j]
-        fx, fy, fz = a * (yk - xk), b * xk - yk - xz, xy - c * zk
-        if w is not None:
-            FX.append(fx)
-            FY.append(fy)
-            FZ.append(fz)
-            fx = fy = fz = 0.0
-            for i, j in pairs:
-                wi = w[i]
-                fx += wi * FX[j]
-                fy += wi * FY[j]
-                fz += wi * FZ[j]
-        xk, yk, zk = fx / n, fy / n, fz / n
-        X.append(xk)
-        Y.append(yk)
-        Z.append(zk)
-    return X, Y, Z
+# p <= 374 for any tol >= 5e-324, so the cache stays bounded.
+@functools.cache
+def _kernel(p: int, weighted: bool) -> Callable:
+    """The Taylor step of order p, compiled from source generated from p
+    alone and bound by `bind(a, b, c, tol, weight)`.  `step(x0, y0, z0, t)`
+    returns h, the end state at h and the coefficients x0..xp, y0..yp,
+    z0..zp, the record table's layout.  Weighted, each order is the Cauchy
+    product of the weight's series about t with f's coefficients fx_k,
+    fy_k, fz_k.  Every sum starts from 0.0, so a -0.0 first term adds to
+    +0.0, and runs in the order i = 0..k of the recurrence's sum_i."""
+
+    def cauchy(u: str, v: str, k: int) -> str:
+        return " + ".join(["(0.0"] + [f"{u}{i} * {v}{k - i}" for i in range(k + 1)]) + ")"
+
+    src = ["def bind(a, b, c, tol, weight):", "    def step(x0, y0, z0, t):"]
+    if weighted:
+        src.append("        w0 = weight.lam * exp(-weight.D * log(t))")
+        src += [f"        w{k} = w{k - 1} * (-weight.D - {k} + 1.0) / ({k} * t)" for k in range(1, p)]
+    for k in range(p):
+        f = [f"a * (y{k} - x{k})", f"b * x{k} - y{k} - {cauchy('x', 'z', k)}", f"{cauchy('x', 'y', k)} - c * z{k}"]
+        if weighted:
+            src.append(f"        fx{k}, fy{k}, fz{k} = {', '.join(f)}")
+            f = [cauchy("w", f"f{v}", k) for v in "xyz"]
+        src.append(f"        x{k + 1}, y{k + 1}, z{k + 1} = " + ", ".join(f"({e}) / {k + 1.0!r}" for e in f))
+    # h from the last two coefficients (Jorba & Zou); where both vanish, a
+    # zero field above all, the polynomial is the orbit for all time.  A NaN
+    # bound (NaN != NaN) is kept, so it fails the driver's floor.
+    src += ["        eps = tol + tol * max(abs(x0), abs(y0), abs(z0))", "        h = inf"]
+    for k in (p - 1, p):
+        src += [
+            f"        norm = max(abs(x{k}), abs(y{k}), abs(z{k}))",
+            "        if norm != 0.0:",
+            f"            hk = (eps / norm) ** {1.0 / k!r}",
+            "            h = hk if hk < h or hk != hk else h",
+        ]
+    # Horner, one statement per order: nested, it would pass the parser's
+    # limit of 200 parentheses past p = 200.
+    src.append(f"        xn, yn, zn = x{p}, y{p}, z{p}")
+    src += [f"        xn, yn, zn = xn * h + x{k}, yn * h + y{k}, zn * h + z{k}" for k in range(p - 1, -1, -1)]
+    coeffs = ", ".join(f"{v}{k}" for v in "xyz" for k in range(p + 1))
+    src += [f"        return h, xn, yn, zn, ({coeffs})", "    return step"]
+    name = f"<slchaos.integrate {'weighted ' if weighted else ''}taylor step p={p}>"
+    scope = {"inf": math.inf, "exp": math.exp, "log": math.log}
+    exec(compile("\n".join(src), name, "exec"), scope)
+    return scope["bind"]
 
 
 def _dense(steps: np.ndarray, times: np.ndarray) -> np.ndarray:
@@ -386,33 +402,16 @@ def _adaptive_solve(
     t = t0
     next_t = merged[bisect_right(merged, t0, 0, last)]
     near = [(*tail.point, tail.switch_radius2(tol), tail) for tail in tails]
-    a, b, c = params.a, params.b, params.c
     # The step budget is read per call, so a patch applies.
-    max_steps, isfinite, inf, exp, log = _MAX_STEPS, math.isfinite, math.inf, math.exp, math.log
+    max_steps, isfinite, inf = _MAX_STEPS, math.isfinite, math.inf
     pack = struct.Struct(f"{3 * p + 6}d").pack_into
-    products = [(k + 1.0, [(i, k - i) for i in range(k + 1)]) for k in range(p)]
-    orders = range(p - 1, -1, -1)
+    step = _kernel(p, weight is not None)(params.a, params.b, params.c, tol, weight)
 
     while next_t < inf:
         if accepted >= max_steps:
             message = f"step budget of {max_steps} exhausted at t = {t!r}"
             break
-        w = None
-        if weight is not None:
-            w = [weight.lam * exp(-weight.D * log(t))]
-            for k in range(1, p):
-                w.append(w[-1] * (-weight.D - k + 1.0) / (k * t))
-        X, Y, Z = _series(a, b, c, products, x, y, z, w)
-        # h from the last two coefficients (Jorba & Zou); where both vanish,
-        # a zero field above all, the polynomial is the orbit for all time.
-        # A NaN bound (NaN != NaN) is kept, so it fails the floor below.
-        eps = tol + tol * max(abs(x), abs(y), abs(z))
-        h = inf
-        for k in (p - 1, p):
-            norm = max(abs(X[k]), abs(Y[k]), abs(Z[k]))
-            if norm != 0.0:
-                hk = (eps / norm) ** (1.0 / k)
-                h = hk if hk < h or hk != hk else h
+        h, xn, yn, zn, coeffs = step(x, y, z, t)
         # The floor, 1e-14*max(1, |t|), is near where t + h stops moving t.
         at = t if t >= 0.0 else -t
         if not h >= (1e-14 * at if at > 1.0 else 1e-14):
@@ -421,19 +420,13 @@ def _adaptive_solve(
                 "the Taylor coefficients are too large for any step at this tolerance"
             )
             break
-        if h < inf:
-            xn, yn, zn = X[p], Y[p], Z[p]
-            for k in orders:
-                xn = xn * h + X[k]
-                yn = yn * h + Y[k]
-                zn = zn * h + Z[k]
-            if not (isfinite(xn) and isfinite(yn) and isfinite(zn)):
-                message = f"non-finite state while stepping from t = {t!r}"
-                break
+        if h < inf and not (isfinite(xn) and isfinite(yn) and isfinite(zn)):
+            message = f"non-finite state while stepping from t = {t!r}"
+            break
         accepted += 1
         tn = t + h
         if next_t <= tn:
-            pack(table, 8 * (3 * p + 6) * recorded, t, h, accepted, *X, *Y, *Z)
+            pack(table, 8 * (3 * p + 6) * recorded, t, h, accepted, *coeffs)
             recorded += 1
             next_t = merged[bisect_right(merged, tn, 0, last)]
         t = tn

@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,6 +33,7 @@ ATTRACTOR_II = SystemParams(2.0, 0.3, 27.0)
 GAUGE = Gauge(0.9, 2.0 / 3.0)
 # From (1, 0, 0) these coefficients keep y = z = 0 exactly, so x' = -x.
 DECAY = SystemParams(1.0, 0.0, 1.0)
+LORENZ = (LORENZ_STANDARD_PARAMS.a, LORENZ_STANDARD_PARAMS.b, LORENZ_STANDARD_PARAMS.c)
 
 
 def decay(t, state):
@@ -206,6 +211,108 @@ class TestAdaptive:
         runs.append(integrate_direct_t(ATTRACTOR_II, GAUGE, (0.1, 100.0), (0.1, 0.1, 0.1), samples=50))
         assert [run.meta.steps_rejected for run in runs] == [0] * 7
         assert all(run.meta.steps_taken > 0 for run in runs)
+
+
+def loop_step(params, tol, p, state, t, weight=None):
+    """The Taylor step in loop form, the oracle of `integrate._kernel`: the
+    coefficients to order p by Cauchy products (with the weight's series
+    when `weight` is a gauge), h from the last two, and Horner at h.
+    Returns h, the end state and the coefficients X_0..X_p, Y_0..Y_p,
+    Z_0..Z_p."""
+    a, b, c = params.a, params.b, params.c
+    x, y, z = state
+    w = None
+    if weight is not None:
+        w = [weight.lam * math.exp(-weight.D * math.log(t))]
+        for k in range(1, p):
+            w.append(w[-1] * (-weight.D - k + 1.0) / (k * t))
+    X, Y, Z = [x], [y], [z]
+    FX, FY, FZ = [], [], []
+    xk, yk, zk = x, y, z
+    for k in range(p):
+        pairs = [(i, k - i) for i in range(k + 1)]
+        xz = xy = 0.0
+        for i, j in pairs:
+            xz += X[i] * Z[j]
+            xy += X[i] * Y[j]
+        fx, fy, fz = a * (yk - xk), b * xk - yk - xz, xy - c * zk
+        if w is not None:
+            FX.append(fx)
+            FY.append(fy)
+            FZ.append(fz)
+            fx = fy = fz = 0.0
+            for i, j in pairs:
+                fx += w[i] * FX[j]
+                fy += w[i] * FY[j]
+                fz += w[i] * FZ[j]
+        xk, yk, zk = fx / (k + 1.0), fy / (k + 1.0), fz / (k + 1.0)
+        X.append(xk)
+        Y.append(yk)
+        Z.append(zk)
+    eps = tol + tol * max(abs(x), abs(y), abs(z))
+    h = math.inf
+    for k in (p - 1, p):
+        norm = max(abs(X[k]), abs(Y[k]), abs(Z[k]))
+        if norm != 0.0:
+            hk = (eps / norm) ** (1.0 / k)
+            h = hk if hk < h or hk != hk else h
+    xn, yn, zn = X[p], Y[p], Z[p]
+    for k in range(p - 1, -1, -1):
+        xn = xn * h + X[k]
+        yn = yn * h + Y[k]
+        zn = zn * h + Z[k]
+    return h, xn, yn, zn, (*X, *Y, *Z)
+
+
+class TestKernel:
+    @pytest.mark.parametrize("weight", [None, GAUGE], ids=["unweighted", "weighted"])
+    @pytest.mark.parametrize("p", [2, 8, 12, 15, 36, 117])
+    @pytest.mark.parametrize("state", [(-0.0, 0.0, 5.0), (1.5, -2.25, 20.0)], ids=["z-axis", "off-axis"])
+    def test_kernel_is_the_loop_form_bit_for_bit(self, state, p, weight):
+        # On the z-axis every x and y coefficient is a signed zero, and the
+        # first Cauchy sum x0 * z0 = -0.0: only the 0.0 seed of each sum
+        # makes y1 -0.0, not +0.0.  Off the axis every sum's order counts.
+        tol, t = math.exp(-2.0 * (p - 1)), 1.5
+        step = integrate._kernel(p, weight is not None)(*LORENZ, tol, weight)
+        h, xn, yn, zn, coeffs = step(*state, t)
+        ref_h, *ref_end, ref_coeffs = loop_step(LORENZ_STANDARD_PARAMS, tol, p, state, t, weight)
+        assert len(coeffs) == 3 * (p + 1) and 0.0 < h < math.inf
+        assert np.array([h, xn, yn, zn]).tobytes() == np.array([ref_h, *ref_end]).tobytes()
+        assert np.array(coeffs).tobytes() == np.array(ref_coeffs).tobytes()
+        if state[0] == 0.0 and weight is None:
+            assert math.copysign(1.0, coeffs[p + 2]) == -1.0
+
+    def test_kernel_is_named_after_its_order(self):
+        step = integrate._kernel(12, False)(*LORENZ, 1e-9, None)
+        assert step.__code__.co_filename == "<slchaos.integrate taylor step p=12>"
+        step = integrate._kernel(12, True)(*LORENZ, 1e-9, GAUGE)
+        assert step.__code__.co_filename == "<slchaos.integrate weighted taylor step p=12>"
+
+    def test_high_orders_compile(self):
+        # At tol 1e-150 (p = 174) the solve takes 14 steps; at 1e-300
+        # (p = 347) eps / |X_p| underflows to 0 (|X_p| is about 4e156), so
+        # the first step fails the floor.  Neither order trips a parser or
+        # recursion limit.
+        params, x0 = LORENZ_STANDARD_PARAMS, (0.1, 0.1, 0.1)
+        run = integrate_sl(params, None, (0.0, 0.5), x0, tol=1e-150, samples=11)
+        assert integrate._order(1e-150) == 174 and run.meta.steps_taken == 14
+        with pytest.raises(IntegrationError, match=r"^step size underflow \(h = 0\.0\) at t = 0\.0;"):
+            integrate_sl(params, None, (0.0, 0.5), x0, tol=1e-300, samples=11)
+        assert integrate._order(1e-300) == 347
+
+    def test_cli_setup_compiles_no_kernel(self):
+        # What slbench times as setup_s: import the CLI, build its parser and
+        # the scenario registry.  Kernels are compiled on a first solve only.
+        probe = (
+            "import slchaos.cli as cli; cli.build_parser();"
+            "from slchaos.scenarios import scenario_registry; scenario_registry();"
+            "from slchaos import integrate; print(integrate._kernel.cache_info().currsize)"
+        )
+        src = str(Path(integrate.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+        proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, timeout=60, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "0\n"
 
 
 class TestPrefix:

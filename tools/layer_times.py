@@ -12,8 +12,8 @@ The cases, each run once per round, round-robin, after one warm-up round:
   sl-a2 (`integrate_sl_gauges`, D = 0.5, 0.6, 0.7, 0.8, 0.9);
 - `solve-stiff`: sl with (a, b, c) = (1e3, 0.3, 27) on sl-a2's gauge, span,
   start and tolerance, where the fast eigenvalue -a - 0.3 holds an explicit
-  step at its stability limit: the regime where the Taylor driver is
-  slower than the DP54 driver it replaced;
+  step at its stability limit: the regime where the Taylor driver gains
+  least over the DP54 driver it replaced;
 - `flow-real` and `flow-complex`: `StableTail.flow` at 2,000 times from a
   state on the switch radius of sl-a2's stable node (real modes) and of
   one point of the stable focus-node pair of (a, b, c) = (2, 5, 27)
