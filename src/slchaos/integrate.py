@@ -1,11 +1,11 @@
 """Deterministic integration of the quadratic field with dense sampling.
 
-Two drivers: classical fixed-step RK4 for convergence studies and the
-twin-trajectory estimators, and a Taylor-series driver, which solves every
-run.  A run is two settings: one tolerance (absolute and relative) and the
-sample count.  Samples are spaced by the clock: geometrically in t on a
-gauged clock, whose spans cover decades from t0 > 0, and linearly on the
-identity clock.
+Two drivers: a Taylor-series driver, which solves every run, and classical
+fixed-step RK4 for convergence studies, the twin-trajectory estimators and
+criterion 1's reference.  A run is two settings: one tolerance (absolute
+and relative) and the sample count.  Samples are spaced by the clock:
+geometrically in t on a gauged clock, whose spans cover decades from
+t0 > 0, and linearly on the identity clock.
 
 Taylor steps.  The field f = (a(y - x), x(b - z) - y, xy - cz) is
 quadratic, so the Taylor coefficients of the orbit through a point follow
@@ -34,8 +34,8 @@ depends only on the field, the start point and the tolerance, not on the
 samples or the end, so one solve can serve several sample grids.  Each
 grid brings the t and s columns its run carries, and its rows and step
 counts are read off the record after the solve.
-Every run solves in scaled time; `integrate_direct_t` solves a gauged
-field in ordinary t with the same driver, as criterion 1's reference.
+Every run solves in scaled time; `integrate_direct_t` solves the gauged
+field in ordinary t by fixed-step RK4, as criterion 1's reference.
 
 Settled tail.  A solve of the quadratic field (`integrate_sl_gauges`,
 hence every run) stops stepping once a step ends close to a stable
@@ -76,8 +76,8 @@ from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 
-# Unused here, `make_field`, `make_gauged_field` and `unscale_time` are targets
-# of slbench's `dynamics.field` and `timegauge.map` trace hooks.
+# Unused here, `make_field` and `unscale_time` are targets of slbench's
+# `dynamics.field` and `timegauge.map` trace hooks.
 from .dynamics import State3, SystemParams, make_field
 from .timegauge import Gauge, make_gauged_field, scale_grid, scale_time, unscale_time
 
@@ -101,10 +101,11 @@ RHS = Callable[[float, tuple[float, float, float]], tuple[float, float, float]]
 
 def check_settings(tol: float, samples: int) -> tuple[float, int]:
     """The run settings `tol` and `samples` as float and int, or ValueError
-    if either is out of range or `samples` is not a whole number."""
+    if either is out of range or `samples` is not a whole number.  Below tol
+    1e-15 a solve misses its tolerance: 6.7 * tol at 1e-16 on the z-axis."""
     tol = float(tol)
-    if not (math.isfinite(tol) and tol > 0.0):
-        raise ValueError(f"tol must be positive and finite, got {tol!r}")
+    if not (math.isfinite(tol) and tol >= 1e-15):
+        raise ValueError(f"tol must be positive and finite, at least 1e-15, got {tol!r}")
     if not isinstance(samples, (int, np.integer)) and not float(samples).is_integer():
         raise ValueError(f"sample_count must be an integer, got {samples!r}")
     if int(samples) < 2:
@@ -115,9 +116,9 @@ def check_settings(tol: float, samples: int) -> tuple[float, int]:
 @dataclass(frozen=True)
 class IntegrationMeta:
     """Step accounting for a finished run.  `tol` is the run's tolerance,
-    absolute and relative; None for fixed-step output and for trajectories
-    read back from CSV.  The clock is not recorded: the trajectory's s
-    column carries it, and the analysis report names it as its `gauge`."""
+    absolute and relative, also on criterion 1's RK4 reference; None for
+    other fixed-step output and for trajectories read back from CSV.  The
+    clock is not recorded: the s column carries it; the report names it `gauge`."""
 
     steps_taken: int
     steps_rejected: int
@@ -279,29 +280,21 @@ def _order(tol: float) -> int:
     return max(2, math.ceil(-0.5 * math.log(tol)) + 1)
 
 
-# p <= 374 for any tol >= 5e-324, so the cache stays bounded.
+# p <= 19 for any tol >= 1e-15 (`check_settings`), so the cache stays bounded.
 @functools.cache
-def _kernel(p: int, weighted: bool) -> Callable:
+def _kernel(p: int) -> Callable:
     """The Taylor step of order p, compiled from source generated from p
-    alone and bound by `bind(a, b, c, tol, weight)`.  `step(x0, y0, z0, t)`
-    returns h, the end state at h and the coefficients x0..xp, y0..yp,
-    z0..zp, the record table's layout.  Weighted, each order is the Cauchy
-    product of the weight's series about t with f's coefficients fx_k,
-    fy_k, fz_k.  Every sum starts from 0.0, so a -0.0 first term adds to
-    +0.0, and runs in the order i = 0..k of the recurrence's sum_i."""
+    alone and bound by `bind(a, b, c, tol)`.  `step(x0, y0, z0)` returns h,
+    the end state at h and the coefficients x0..xp, y0..yp, z0..zp, the
+    record table's layout.  Every sum starts from 0.0, so a -0.0 first term
+    adds to +0.0, and runs in the order i = 0..k of the recurrence's sum_i."""
 
     def cauchy(u: str, v: str, k: int) -> str:
         return " + ".join(["(0.0"] + [f"{u}{i} * {v}{k - i}" for i in range(k + 1)]) + ")"
 
-    src = ["def bind(a, b, c, tol, weight):", "    def step(x0, y0, z0, t):"]
-    if weighted:
-        src.append("        w0 = weight.lam * exp(-weight.D * log(t))")
-        src += [f"        w{k} = w{k - 1} * (-weight.D - {k} + 1.0) / ({k} * t)" for k in range(1, p)]
+    src = ["def bind(a, b, c, tol):", "    def step(x0, y0, z0):"]
     for k in range(p):
         f = [f"a * (y{k} - x{k})", f"b * x{k} - y{k} - {cauchy('x', 'z', k)}", f"{cauchy('x', 'y', k)} - c * z{k}"]
-        if weighted:
-            src.append(f"        fx{k}, fy{k}, fz{k} = {', '.join(f)}")
-            f = [cauchy("w", f"f{v}", k) for v in "xyz"]
         src.append(f"        x{k + 1}, y{k + 1}, z{k + 1} = " + ", ".join(f"({e}) / {k + 1.0!r}" for e in f))
     # h from the last two coefficients (Jorba & Zou); where both vanish, a
     # zero field above all, the polynomial is the orbit for all time.  A NaN
@@ -320,8 +313,8 @@ def _kernel(p: int, weighted: bool) -> Callable:
     src += [f"        xn, yn, zn = xn * h + x{k}, yn * h + y{k}, zn * h + z{k}" for k in range(p - 1, -1, -1)]
     coeffs = ", ".join(f"{v}{k}" for v in "xyz" for k in range(p + 1))
     src += [f"        return h, xn, yn, zn, ({coeffs})", "    return step"]
-    name = f"<slchaos.integrate {'weighted ' if weighted else ''}taylor step p={p}>"
-    scope = {"inf": math.inf, "exp": math.exp, "log": math.log}
+    name = f"<slchaos.integrate taylor step p={p}>"
+    scope = {"inf": math.inf}
     exec(compile("\n".join(src), name, "exec"), scope)
     return scope["bind"]
 
@@ -352,22 +345,17 @@ def _dense(steps: np.ndarray, times: np.ndarray) -> np.ndarray:
 
 def _adaptive_solve(
     params: SystemParams,
-    t0: float,
     x0: Sequence[float],
     tol: float,
     grids: Sequence[tuple[np.ndarray, np.ndarray, np.ndarray]],
     tails: Sequence[StableTail] = (),
-    weight: Gauge | None = None,
 ) -> list[Trajectory | IntegrationError]:
     """Core Taylor driver: one solve of dx/dt = f(x), the quadratic field of
-    `params`, from (t0, x0), sampled on several grids.  Given a gauge as
-    `weight`, it solves dx/dt = lam * t**(-D) * f(x) in t > 0 instead, with
-    the weight's binomial series about each step's start,
-    w_k = w_{k-1} (-D - k + 1) / (k t).
+    `params`, from x0 at t = 0, sampled on several grids.
 
     Each grid is a triple (instants, t column, s column) of equal-length
     arrays: the instants in the solve's variable, strictly increasing from
-    t0 and ending where the run ends, and the two time columns its run
+    0 and ending where the run ends, and the two time columns its run
     carries.  The solve never clips a step to land on an end: it steps
     until it has passed the last instant of every grid.  Rows sit exactly
     on the instants, read after the solve off the Taylor polynomial of the
@@ -399,22 +387,21 @@ def _adaptive_solve(
     x, y, z = start = tuple(float(v) for v in x0)
     if not all(map(math.isfinite, start)):
         return [IntegrationError(f"non-finite initial state {start!r}", 0) for _ in grids]
-    t = t0
-    next_t = merged[bisect_right(merged, t0, 0, last)]
+    t = 0.0
+    next_t = merged[bisect_right(merged, t, 0, last)]
     near = [(*tail.point, tail.switch_radius2(tol), tail) for tail in tails]
     # The step budget is read per call, so a patch applies.
     max_steps, isfinite, inf = _MAX_STEPS, math.isfinite, math.inf
     pack = struct.Struct(f"{3 * p + 6}d").pack_into
-    step = _kernel(p, weight is not None)(params.a, params.b, params.c, tol, weight)
+    step = _kernel(p)(params.a, params.b, params.c, tol)
 
     while next_t < inf:
         if accepted >= max_steps:
             message = f"step budget of {max_steps} exhausted at t = {t!r}"
             break
-        h, xn, yn, zn, coeffs = step(x, y, z, t)
-        # The floor, 1e-14*max(1, |t|), is near where t + h stops moving t.
-        at = t if t >= 0.0 else -t
-        if not h >= (1e-14 * at if at > 1.0 else 1e-14):
+        h, xn, yn, zn, coeffs = step(x, y, z)
+        # The floor, 1e-14*max(1, t), is near where t + h stops moving t.
+        if not h >= (1e-14 * t if t > 1.0 else 1e-14):
             message = (
                 f"step size underflow (h = {h!r}) at t = {t!r}; "
                 "the Taylor coefficients are too large for any step at this tolerance"
@@ -461,7 +448,7 @@ def _adaptive_solve(
 
 def _span(gauge: Gauge | None, span: tuple[float, float], samples: int) -> np.ndarray:
     """The sample instants in t of a checked span, from t0 to t1.  A gauged
-    span needs 0 < t0 < t1: the direct weight t**(-D) is singular at the
+    span needs 0 < t0 < t1: the direct factor t**(-D) is singular at the
     origin and the gauge map is not invertible there; its samples are
     geometric.  The identity clock (no gauge, a Lorenz run) takes any finite
     t0 < t1, sampled linearly."""
@@ -533,7 +520,6 @@ def integrate_sl_gauges(
     s_grids = [t.copy() if gauge is None else next(mapped) for gauge, t in zip(gauges, t_grids)]
     return _adaptive_solve(
         params,
-        0.0,
         x0,
         tol,
         [(s - s[0], t, s) for t, s in zip(t_grids, s_grids)],
@@ -549,18 +535,31 @@ def integrate_direct_t(
     tol: float = 1e-9,
     samples: int = 2000,
 ) -> Trajectory:
-    """Criterion 1's reference: dx/dt = lam * t**(-D) * f(x), the weighted
+    """Criterion 1's reference: dx/dt = lam * t**(-D) * f(x), the gauged
     equations of `timegauge.make_gauged_field`, solved in t (no settled
-    tail) by the Taylor driver with the weight's series, on `integrate_sl`'s
-    t grid, with s = scale_time(gauge, t) beside each row.  No run takes it;
-    the acceptance suite checks that the two agree rather than assuming it.
-    `gauge` None is a ValueError."""
+    tail) by fixed-step RK4 on `integrate_sl`'s t grid, with
+    s = scale_time(gauge, t) beside each row: between samples k and k + 1,
+    m_k = ceil(max(s_{k+1} - s_k, ln(t_{k+1} / t_k)) / tol**(1/4)) equal
+    steps, the s bound for RK4's stability late and the ln t bound for the
+    early transient.  No run takes it; the acceptance suite checks that the
+    two agree rather than assuming it.  `gauge` None is a ValueError."""
     if gauge is None:
         raise ValueError("integrate_direct_t needs a gauge; the identity clock has no direct-t form")
     tol, samples = check_settings(tol, samples)
     t = _span(gauge, span, samples)
-    grid = (t, t, scale_time(gauge, t))
-    run = _adaptive_solve(params, float(t[0]), x0, tol, [grid], weight=gauge)[0]
-    if isinstance(run, IntegrationError):
-        raise run
-    return run
+    s = scale_time(gauge, t)
+    rhs = make_gauged_field(params, gauge)
+    rows = [tuple(float(v) for v in x0)]
+    steps = 0
+    for k in range(samples - 1):
+        m = math.ceil(max(s[k + 1] - s[k], math.log(t[k + 1] / t[k])) / tol**0.25)
+        try:
+            rows.append(integrate_fixed(rhs, t[k], t[k + 1], rows[-1], m).states[-1])
+        except IntegrationError as exc:
+            if exc.partial is None:  # a non-finite start
+                raise
+            steps += exc.step_index
+            partial = Trajectory(t[: k + 1], s[: k + 1], rows, IntegrationMeta(steps, 0, "rk4", tol))
+            raise IntegrationError(str(exc), steps, partial) from None
+        steps += m
+    return Trajectory(t, s, rows, IntegrationMeta(steps, 0, "rk4", tol))

@@ -319,7 +319,7 @@ def test_pair_far_from_the_origin_is_valid(capsys, tmp_path, monkeypatch, argv):
 
 
 @pytest.mark.parametrize(
-    "flag", ["--tol 0", "--tol -1", "--tol nan", "--samples 1", "--method rk4", "--mode direct-t"]
+    "flag", ["--tol 0", "--tol -1", "--tol nan", "--tol 1e-16", "--samples 1", "--method rk4", "--mode direct-t"]
 )
 @pytest.mark.parametrize(
     "command",

@@ -184,11 +184,9 @@ class TestAdaptive:
 
     def test_step_underflow_on_pathological_field(self):
         # a = 1e20 keeps every Taylor coefficient finite, but the step the
-        # last two allow (about 5e-19) is below the floor 1e-14*max(1, |t|).
+        # last two allow (about 5e-19) is below the floor 1e-14*max(1, t).
         grid = np.linspace(0.0, 1.0, 2000)
-        (run,) = integrate._adaptive_solve(
-            SystemParams(1e20, 0.3, 27.0), 0.0, (0.1, 0.1, 0.1), 1e-9, [(grid, grid, grid)]
-        )
+        (run,) = integrate._adaptive_solve(SystemParams(1e20, 0.3, 27.0), (0.1, 0.1, 0.1), 1e-9, [(grid, grid, grid)])
         with pytest.raises(IntegrationError, match="underflow"):
             raise run
         assert run.step_index == 0 and len(run.partial) == 1
@@ -206,45 +204,29 @@ class TestAdaptive:
 
     def test_rejection_accounting(self):
         # The Taylor step takes h from its own coefficients and rejects
-        # nothing, so every run, direct-t included, records 0 rejected steps.
+        # nothing, so every run records 0 rejected steps; so does the direct-t
+        # reference, whose RK4 steps are fixed.
         runs = [run_trajectory(sc) for sc in scenario_registry().values()]
         runs.append(integrate_direct_t(ATTRACTOR_II, GAUGE, (0.1, 100.0), (0.1, 0.1, 0.1), samples=50))
         assert [run.meta.steps_rejected for run in runs] == [0] * 7
         assert all(run.meta.steps_taken > 0 for run in runs)
 
 
-def loop_step(params, tol, p, state, t, weight=None):
+def loop_step(params, tol, p, state):
     """The Taylor step in loop form, the oracle of `integrate._kernel`: the
-    coefficients to order p by Cauchy products (with the weight's series
-    when `weight` is a gauge), h from the last two, and Horner at h.
-    Returns h, the end state and the coefficients X_0..X_p, Y_0..Y_p,
-    Z_0..Z_p."""
+    coefficients to order p by Cauchy products, h from the last two, and
+    Horner at h.  Returns h, the end state and the coefficients X_0..X_p,
+    Y_0..Y_p, Z_0..Z_p."""
     a, b, c = params.a, params.b, params.c
     x, y, z = state
-    w = None
-    if weight is not None:
-        w = [weight.lam * math.exp(-weight.D * math.log(t))]
-        for k in range(1, p):
-            w.append(w[-1] * (-weight.D - k + 1.0) / (k * t))
     X, Y, Z = [x], [y], [z]
-    FX, FY, FZ = [], [], []
     xk, yk, zk = x, y, z
     for k in range(p):
-        pairs = [(i, k - i) for i in range(k + 1)]
         xz = xy = 0.0
-        for i, j in pairs:
-            xz += X[i] * Z[j]
-            xy += X[i] * Y[j]
+        for i in range(k + 1):
+            xz += X[i] * Z[k - i]
+            xy += X[i] * Y[k - i]
         fx, fy, fz = a * (yk - xk), b * xk - yk - xz, xy - c * zk
-        if w is not None:
-            FX.append(fx)
-            FY.append(fy)
-            FZ.append(fz)
-            fx = fy = fz = 0.0
-            for i, j in pairs:
-                fx += w[i] * FX[j]
-                fy += w[i] * FY[j]
-                fz += w[i] * FZ[j]
         xk, yk, zk = fx / (k + 1.0), fy / (k + 1.0), fz / (k + 1.0)
         X.append(xk)
         Y.append(yk)
@@ -265,40 +247,42 @@ def loop_step(params, tol, p, state, t, weight=None):
 
 
 class TestKernel:
-    @pytest.mark.parametrize("weight", [None, GAUGE], ids=["unweighted", "weighted"])
-    @pytest.mark.parametrize("p", [2, 8, 12, 15, 36, 117])
+    # The ids name the step's field: f itself, not weighted by a gauge.
+    @pytest.mark.parametrize("p", [2, 8, 12, 15, 36, 117], ids=lambda p: f"{p}-unweighted")
     @pytest.mark.parametrize("state", [(-0.0, 0.0, 5.0), (1.5, -2.25, 20.0)], ids=["z-axis", "off-axis"])
-    def test_kernel_is_the_loop_form_bit_for_bit(self, state, p, weight):
+    def test_kernel_is_the_loop_form_bit_for_bit(self, state, p):
         # On the z-axis every x and y coefficient is a signed zero, and the
         # first Cauchy sum x0 * z0 = -0.0: only the 0.0 seed of each sum
         # makes y1 -0.0, not +0.0.  Off the axis every sum's order counts.
-        tol, t = math.exp(-2.0 * (p - 1)), 1.5
-        step = integrate._kernel(p, weight is not None)(*LORENZ, tol, weight)
-        h, xn, yn, zn, coeffs = step(*state, t)
-        ref_h, *ref_end, ref_coeffs = loop_step(LORENZ_STANDARD_PARAMS, tol, p, state, t, weight)
+        tol = math.exp(-2.0 * (p - 1))
+        h, xn, yn, zn, coeffs = integrate._kernel(p)(*LORENZ, tol)(*state)
+        ref_h, *ref_end, ref_coeffs = loop_step(LORENZ_STANDARD_PARAMS, tol, p, state)
         assert len(coeffs) == 3 * (p + 1) and 0.0 < h < math.inf
         assert np.array([h, xn, yn, zn]).tobytes() == np.array([ref_h, *ref_end]).tobytes()
         assert np.array(coeffs).tobytes() == np.array(ref_coeffs).tobytes()
-        if state[0] == 0.0 and weight is None:
+        if state[0] == 0.0:
             assert math.copysign(1.0, coeffs[p + 2]) == -1.0
 
     def test_kernel_is_named_after_its_order(self):
-        step = integrate._kernel(12, False)(*LORENZ, 1e-9, None)
+        step = integrate._kernel(12)(*LORENZ, 1e-9)
         assert step.__code__.co_filename == "<slchaos.integrate taylor step p=12>"
-        step = integrate._kernel(12, True)(*LORENZ, 1e-9, GAUGE)
-        assert step.__code__.co_filename == "<slchaos.integrate weighted taylor step p=12>"
 
     def test_high_orders_compile(self):
-        # At tol 1e-150 (p = 174) the solve takes 14 steps; at 1e-300
-        # (p = 347) eps / |X_p| underflows to 0 (|X_p| is about 4e156), so
-        # the first step fails the floor.  Neither order trips a parser or
-        # recursion limit.
-        params, x0 = LORENZ_STANDARD_PARAMS, (0.1, 0.1, 0.1)
-        run = integrate_sl(params, None, (0.0, 0.5), x0, tol=1e-150, samples=11)
-        assert integrate._order(1e-150) == 174 and run.meta.steps_taken == 14
-        with pytest.raises(IntegrationError, match=r"^step size underflow \(h = 0\.0\) at t = 0\.0;"):
-            integrate_sl(params, None, (0.0, 0.5), x0, tol=1e-300, samples=11)
-        assert integrate._order(1e-300) == 347
+        # A run's tol >= 1e-15 caps p at 19, but the generator is not capped:
+        # p = 174 and p = 347 (the orders of tol 1e-150 and 1e-300) trip no
+        # parser or recursion limit and still equal the loop form.  At p =
+        # 347, eps / |X_p| underflows to h = 0 (|X_p| is about 4e156).
+        x0 = (0.1, 0.1, 0.1)
+        for p, tol in ((174, 1e-150), (347, 1e-300)):
+            assert integrate._order(tol) == p
+            step = integrate._kernel(p)(*LORENZ, tol)
+            assert step.__code__.co_filename == f"<slchaos.integrate taylor step p={p}>"
+            h, *end, coeffs = step(*x0)
+            ref_h, *ref_end, ref_coeffs = loop_step(LORENZ_STANDARD_PARAMS, tol, p, x0)
+            assert np.array([h, *end, *coeffs]).tobytes() == np.array([ref_h, *ref_end, *ref_coeffs]).tobytes()
+            assert (h == 0.0) == (p == 347)
+        with pytest.raises(ValueError, match="at least 1e-15"):
+            integrate_sl(LORENZ_STANDARD_PARAMS, None, (0.0, 0.5), x0, tol=1e-300, samples=11)
 
     def test_cli_setup_compiles_no_kernel(self):
         # What slbench times as setup_s: import the CLI, build its parser and
@@ -335,7 +319,7 @@ class TestPrefix:
         assert long.meta.steps_taken > short.meta.steps_taken
         # The step counts at `end` inside the longer solve are the short solve's.
         inside, whole = integrate._adaptive_solve(
-            params, 0.0, x0, 1e-9,
+            params, x0, 1e-9,
             [(short.t, short.t, short.t), (long.t, long.t, long.t)], stable_tails(params),
         )
         assert inside == short and inside.meta == short.meta
@@ -477,7 +461,7 @@ class TestSettledTail:
         assert not stable_tails(params)
         run = integrate_sl(params, None, (0.0, 50.0), (0.1, 0.1, 0.1), samples=50)
         grid = np.linspace(0.0, 50.0, 50)
-        (without,) = integrate._adaptive_solve(params, 0.0, (0.1, 0.1, 0.1), 1e-9, [(grid, grid, grid)])
+        (without,) = integrate._adaptive_solve(params, (0.1, 0.1, 0.1), 1e-9, [(grid, grid, grid)])
         assert run == without and run.meta == without.meta
 
 
@@ -542,7 +526,7 @@ class TestArraySampling:
         monkeypatch.setattr(integrate, "_dense", lambda steps, at: records.append(steps) or dense(steps, at))
         x0, p = (0.1, 0.1, 0.1), integrate._order(1e-9)
         fine = np.linspace(0.0, 10.0, 20001)
-        integrate._adaptive_solve(ATTRACTOR_II, 0.0, x0, 1e-9, [(fine, fine, fine)])
+        integrate._adaptive_solve(ATTRACTOR_II, x0, 1e-9, [(fine, fine, fine)])
         steps = records[0]
         n = len(steps) - 1
         assert steps[:, 2].tolist() == list(range(1, n + 2))
@@ -556,7 +540,7 @@ class TestArraySampling:
         for ks in ((n, 1, 5, 9), (n,)):
             records.clear()
             grids = [np.concatenate(([0.0], ends[:k])) for k in ks]
-            runs = integrate._adaptive_solve(ATTRACTOR_II, 0.0, x0, 1e-9, [(grid, grid, grid) for grid in grids])
+            runs = integrate._adaptive_solve(ATTRACTOR_II, x0, 1e-9, [(grid, grid, grid) for grid in grids])
             assert [len(steps) for steps in records] == [n] * len(ks)
             for k, run in zip(ks, runs):
                 assert (run.meta.steps_taken, run.meta.steps_rejected) == (k, 0)
@@ -696,14 +680,35 @@ class TestIntegrateSL:
         dev = np.max(np.abs(a.states - b.states))
         assert dev <= 1e-6
 
+    @pytest.mark.parametrize("tol", [1e-6, 1e-9, 1e-12])
+    def test_reference_tracks_tol(self, tol):
+        # Criterion 1's span and samples: the fixed-step reference and the
+        # Taylor run agree to tol (measured 0.14-0.17 * tol), and the
+        # reference takes m_k = ceil(max(ds_k, dln t_k) / tol**(1/4)) RK4
+        # steps between samples k and k + 1.
+        span, x0 = (0.1, 1e4), (0.1, 0.1, 0.1)
+        direct = integrate_direct_t(ATTRACTOR_II, GAUGE, span, x0, tol, 100)
+        scaled = integrate_sl(ATTRACTOR_II, GAUGE, span, x0, tol, 100)
+        dev = np.max(np.abs(direct.states - scaled.states) / np.maximum(1.0, np.abs(scaled.states)))
+        assert dev <= tol
+        t, s = direct.t.tolist(), direct.s.tolist()
+        steps = sum(math.ceil(max(s[k + 1] - s[k], math.log(t[k + 1] / t[k])) / tol**0.25) for k in range(99))
+        assert direct.meta == integrate.IntegrationMeta(steps, 0, "rk4", tol)
+
     @pytest.mark.parametrize("run", [integrate_sl, integrate_direct_t], ids=lambda run: run.__name__)
     def test_partial_carries_both_time_columns(self, run, monkeypatch):
+        # The Taylor run stops at a step budget of 50; the fixed-step
+        # reference has no budget, so a huge start makes its first step
+        # non-finite instead.
         monkeypatch.setattr(integrate, "_MAX_STEPS", 50)
+        x0 = (0.1, 0.1, 0.1) if run is integrate_sl else (1e150, 1e150, 1e150)
         with pytest.raises(IntegrationError) as info:
-            run(ATTRACTOR_II, GAUGE, (0.1, 1e6), (0.1, 0.1, 0.1))
+            run(ATTRACTOR_II, GAUGE, (0.1, 1e6), x0)
         partial = info.value.partial
         assert partial.t[0] == 0.1
         assert np.array_equal(partial.s, [scale_time(GAUGE, tv) for tv in partial.t])
+        if run is integrate_direct_t:
+            assert info.value.step_index == 0 and partial.states.tolist() == [list(x0)]
 
     def test_gauges_share_one_solve_and_its_failure(self, monkeypatch):
         # With a budget that D = 0.9's short sigma-range fits in (21 steps)
@@ -741,6 +746,13 @@ def test_config_validation():
     # The Taylor driver is the only integrator of a run: there is no method to choose.
     with pytest.raises(TypeError, match="method"):
         integrate_sl(DECAY, None, (0.0, 1.0), (1.0, 0.0, 0.0), method="rk4")  # type: ignore[call-arg]
+
+
+def test_tol_floor():
+    # Double precision cannot meet a tol below 1e-15, so it is out of range.
+    with pytest.raises(ValueError, match="at least 1e-15"):
+        integrate.check_settings(1e-16, 10)
+    assert integrate.check_settings(1e-15, 10) == (1e-15, 10)
 
 
 def test_plan_validation():

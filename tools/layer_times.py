@@ -10,6 +10,9 @@ The cases, each run once per round, round-robin, after one warm-up round:
   warm, as it does in a benchmark loop;
 - `solve-five-gauges`: the shared solve of `sweep-gauge`'s D sweep of
   sl-a2 (`integrate_sl_gauges`, D = 0.5, 0.6, 0.7, 0.8, 0.9);
+- `solve-direct-t`: criterion 1's reference, `integrate_direct_t` on sl-a2's
+  coefficients, gauge and start over t in [0.1, 1e4] at tol 1e-9 and 100
+  samples (fixed-step RK4 in t; no run takes it);
 - `solve-stiff`: sl with (a, b, c) = (1e3, 0.3, 27) on sl-a2's gauge, span,
   start and tolerance, where the fast eigenvalue -a - 0.3 holds an explicit
   step at its stability limit: the regime where the Taylor driver gains
@@ -50,7 +53,7 @@ def cases() -> dict[str, Callable[[], object]]:
 
     from slchaos.analysis import stable_tails
     from slchaos.dynamics import SystemParams, effective_params
-    from slchaos.integrate import integrate_sl, integrate_sl_gauges
+    from slchaos.integrate import integrate_direct_t, integrate_sl, integrate_sl_gauges
     from slchaos.scenarios import run_trajectory, scenario_registry, scenario_report
     from slchaos.timegauge import Gauge, scale_time
 
@@ -66,6 +69,7 @@ def cases() -> dict[str, Callable[[], object]]:
     out["solve-five-gauges"] = lambda: integrate_sl_gauges(
         params, gauges, base.span, base.x0, base.tol, base.sample_count
     )
+    out["solve-direct-t"] = lambda: integrate_direct_t(params, base.gauge, (0.1, 1e4), base.x0, tol=1e-9, samples=100)
     stiff = SystemParams(1e3, 0.3, 27.0)
     out["solve-stiff"] = lambda: integrate_sl(stiff, base.gauge, base.span, base.x0, base.tol, base.sample_count)
     times = np.linspace(0.0, 50.0, SAMPLES).tolist()
