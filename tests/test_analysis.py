@@ -3,7 +3,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from slchaos import analysis
 from slchaos.analysis import (
     LYAPUNOV_OFFSET,
     PROBE_SAMPLES,
@@ -33,7 +36,7 @@ from slchaos.dynamics import (
     jacobian,
     make_field,
 )
-from slchaos.integrate import rk4_step
+from slchaos.integrate import IntegrationError, rk4_step
 from slchaos.scenarios import LYAPUNOV_HORIZON, LYAPUNOV_INTERVALS, lookup_scenario
 
 ATTRACTOR_II = SystemParams(2.0, 0.3, 27.0)
@@ -212,9 +215,13 @@ class TestNewton:
 
 class TestLyapunov:
     def test_linear_field_oracle(self):
-        rhs = lambda t, s: (-s[0], -2.0 * s[1], -3.0 * s[2])
-        est = lyapunov_from_field(rhs, (1.0, 1.0, 1.0), 200.0, 0.5)
-        assert abs(est.lambda_max - (-1.0)) <= 0.01
+        # Without tails the twin runs in full.  The orbit falls onto the
+        # stable origin of (2, 0.3, 27), where a 1e-8 offset sees only the
+        # linear field, so the estimate is its leading eigenvalue
+        # (-3 + sqrt(3.4))/2 up to rounding.
+        est = lyapunov_from_field(ATTRACTOR_II, (1.0, 1.0, 1.0), 200.0, 0.5, time_variable="s")
+        assert est.estimator == "twin"
+        assert abs(est.lambda_max - (-3.0 + math.sqrt(3.4)) / 2.0) <= 1e-9
 
     def test_lorenz_standard_converged_value(self):
         est = max_lyapunov(SystemKind.LORENZ_STANDARD, None, (0.1, 0.1, 0.1), 1000.0, 0.5)
@@ -275,14 +282,20 @@ class TestLyapunov:
         est = max_lyapunov(SystemKind.SL, ATTRACTOR_II, x0, 100.0, 1.0)
         assert est.estimator == "twin"
         assert math.isfinite(est.lambda_max)
-        field = make_field(SystemKind.SL, ATTRACTOR_II)
-        assert est == lyapunov_from_field(field, x0, 100.0, 1.0, time_variable="s")
+        assert est == lyapunov_from_field(ATTRACTOR_II, x0, 100.0, 1.0, time_variable="s")
 
     def test_horizon_floor(self):
         with pytest.raises(ValueError):
             max_lyapunov(SystemKind.LORENZ_STANDARD, None, (0.1, 0.1, 0.1), 10.0, 0.5)
         with pytest.raises(ValueError):
             LyapunovEstimate(0.1, 10.0, 0.5, 0.0)
+
+    @pytest.mark.parametrize("horizon", [math.inf, math.nan, 0.0, -1.0])
+    def test_horizon_must_be_positive_and_finite(self, horizon):
+        with pytest.raises(ValueError, match="horizon must be positive and finite"):
+            LyapunovEstimate(0.1, horizon, 1.0, 0.0)
+        with pytest.raises(ValueError, match="horizon must be positive and finite"):
+            max_lyapunov(SystemKind.LORENZ_STANDARD, None, (0.1, 0.1, 0.1), horizon, 1.0)
 
     def test_estimate_validation(self):
         with pytest.raises(ValueError):
@@ -369,9 +382,10 @@ class TestReferenceFirst:
     def test_estimate_matches_the_interleaved_loop(self, case, estimator):
         kind, params, x0, horizon, renorm = case
         rhs = make_field(kind, params)
-        tails = stable_tails(effective_params(kind, params))
+        p = effective_params(kind, params)
+        tails = stable_tails(p)
         time_variable = "t" if kind is not SystemKind.SL else "s"
-        est = lyapunov_from_field(rhs, x0, horizon, renorm, time_variable=time_variable, tails=tails)
+        est = lyapunov_from_field(p, x0, horizon, renorm, time_variable=time_variable, tails=tails)
         old = _interleaved_lyapunov(rhs, x0, horizon, renorm, time_variable=time_variable, tails=tails)
         assert est.estimator == estimator
         assert dataclasses.astuple(est) == dataclasses.astuple(old)
@@ -395,6 +409,54 @@ class TestReferenceFirst:
             a, b = _interleaved_rk4(rhs, a, b, i * interval, interval)
             seps.append(math.hypot(b[0] - a[0], b[1] - a[1], b[2] - a[2]))
         assert series.separation.tolist() == seps
+
+
+def _rk4_calls(params, state, interval):
+    """ceil(interval / RK4_DT) `rk4_step` calls on `make_field`'s closure:
+    the final state, or the IntegrationError's message."""
+    rhs = make_field(SystemKind.SL, params)
+    n_sub = math.ceil(interval / RK4_DT)
+    try:
+        for _ in range(n_sub):
+            state = rk4_step(rhs, 0.0, state, interval / n_sub)
+    except IntegrationError as exc:
+        return str(exc)
+    return np.array(state).tobytes()
+
+
+def _carried(params, state, interval):
+    try:
+        return np.array(analysis._carry(params, state, interval)).tobytes()
+    except IntegrationError as exc:
+        return str(exc)
+
+
+_coordinate = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-40.0, 40.0))
+_coefficient = st.floats(-60.0, 60.0)
+
+
+class TestCarry:
+    """`_carry`, the estimators' straight-line RK4 of the quadratic field,
+    is `rk4_step` on `make_field` bit for bit."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        params=st.one_of(
+            st.sampled_from([effective_params(kind, ATTRACTOR_II) for kind in SystemKind]),
+            st.builds(SystemParams, _coefficient, _coefficient, _coefficient),
+        ),
+        state=st.tuples(_coordinate, _coordinate, _coordinate),
+        interval=st.floats(1e-6, 0.5),
+    )
+    def test_carry_is_rk4_step_on_the_field(self, params, state, interval):
+        assert _carried(params, state, interval) == _rk4_calls(params, state, interval)
+
+    def test_overflow_raises_what_rk4_step_raises(self):
+        message = "non-finite state while stepping from t = 0.0"
+        assert _rk4_calls(LORENZ_STANDARD_PARAMS, (1e200, 0.0, 0.0), 0.5) == message
+        with pytest.raises(IntegrationError) as info:
+            analysis._carry(LORENZ_STANDARD_PARAMS, (1e200, 0.0, 0.0), 0.5)
+        assert str(info.value) == message
 
 
 class TestDivergenceProbe:

@@ -186,6 +186,25 @@ class TestLyapunov:
         assert doc["renorm_interval"] == 0.5
         assert doc["time_variable"] == "t"
 
+    @pytest.mark.parametrize("horizon", ["inf", "nan", "0", "-1"])
+    def test_horizon_must_be_positive_and_finite(self, capsys, monkeypatch, horizon):
+        from slchaos import analysis
+
+        carried = []
+        monkeypatch.setattr(analysis, "_carry", lambda *args: carried.append(args))
+        code, out, err = run_cli(
+            capsys, "lyapunov", "--scenario", "lorenz-standard", "--horizon", horizon, "--renorm", "1"
+        )
+        assert code == 1
+        assert out == ""
+        assert "usage error: horizon must be positive and finite" in err
+        assert carried == []
+
+    def test_overflowing_start_is_a_run_failure(self, capsys):
+        code, _, err = run_cli(capsys, "lyapunov", "--system", "sl", "--a", "2", "--x0", "1e200")
+        assert code == 2
+        assert "run failed: non-finite state while stepping from t = 0.0" in err
+
     def test_custom_sl_estimate(self, capsys):
         code, out, _ = run_cli(capsys, "lyapunov", "--system", "sl", "--a", "2", "--horizon", "200")
         assert code == 0

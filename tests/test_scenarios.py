@@ -260,7 +260,6 @@ class TestRunScenario:
         # the boundary before, it lies outside every one.
         from slchaos import analysis
         from slchaos.analysis import lyapunov_from_field, stable_tails
-        from slchaos.dynamics import make_field
 
         sc = lookup_scenario(name)
         lyap = scenario_report(sc, run_trajectory(sc))["lyapunov"]
@@ -285,8 +284,9 @@ class TestRunScenario:
             return seen[-1]
 
         monkeypatch.setattr(analysis, "_carry", record)
-        rhs, renorm = make_field(sc.kind, sc.params), lyap["renorm_interval"]
-        est = lyapunov_from_field(rhs, tuple(sc.x0), lyap["horizon"], renorm, tails=tails)
+        renorm = lyap["renorm_interval"]
+        params = effective_params(sc.kind, sc.params)
+        est = lyapunov_from_field(params, tuple(sc.x0), lyap["horizon"], renorm, tails=tails)
         assert est.settled_at == settled_at == (len(seen) - 1) * renorm
         assert inside(seen[-1]) and not inside(seen[-2])
 
@@ -298,15 +298,19 @@ class TestRunScenario:
         sc = lookup_scenario("sl-a2")
         traj = run_trajectory(sc)
         calls = []
-        step = analysis.rk4_step
+        carry = analysis._carry
 
-        def counted(*args):
-            calls.append(None)
-            return step(*args)
+        def counted(params, state, interval):
+            calls.append((state, math.ceil(interval / analysis.RK4_DT), carry(params, state, interval)))
+            return calls[-1][2]
 
-        monkeypatch.setattr(analysis, "rk4_step", counted)
+        monkeypatch.setattr(analysis, "_carry", counted)
         assert scenario_report(sc, traj)["lyapunov"]["settled_at"] == 6.0
-        assert len(calls) == 600
+        assert [steps for _, steps, _ in calls] == [200, 200, 200]
+        # Each call carries on from where the one before ended, starting at
+        # the run's start: one orbit, the reference.
+        starts = [state for state, _, _ in calls]
+        assert starts == [tuple(sc.x0)] + [end for _, _, end in calls[:-1]]
 
     def test_chaotic_gauged_report_does_not_depend_on_the_span(self):
         # With the Lorenz coefficients the gauged orbit is chaotic and settles

@@ -8,6 +8,11 @@ The cases, each run once per round, round-robin, after one warm-up round:
   on its trajectory solved once up front, so the case times the Lyapunov
   estimator and the report's assembly; the `conjecture_report` memo stays
   warm, as it does in a benchmark loop;
+- `report-gauged-lorenz`: the same for sl with (a, b, c) = (10, 28, 8/3)
+  on sl-a2's gauge, span and start, whose orbit settles nowhere, so the
+  report runs the whole twin in scaled time;
+- `probe-lorenz-standard`: `analysis.divergence_probe` with criterion 6's
+  offset 1e-8 from lorenz-standard's start over 40 time units;
 - `solve-five-gauges`: the shared solve of `sweep-gauge`'s D sweep of
   sl-a2 (`integrate_sl_gauges`, D = 0.5, 0.6, 0.7, 0.8, 0.9);
 - `solve-direct-t`: criterion 1's reference, `integrate_direct_t` on sl-a2's
@@ -51,10 +56,10 @@ SWEEP_D = (0.5, 0.6, 0.7, 0.8, 0.9)
 def cases() -> dict[str, Callable[[], object]]:
     import numpy as np
 
-    from slchaos.analysis import stable_tails
+    from slchaos.analysis import divergence_probe, stable_tails
     from slchaos.dynamics import SystemParams, effective_params
     from slchaos.integrate import integrate_direct_t, integrate_sl, integrate_sl_gauges
-    from slchaos.scenarios import run_trajectory, scenario_registry, scenario_report
+    from slchaos.scenarios import derive, run_trajectory, scenario_registry, scenario_report
     from slchaos.timegauge import Gauge, scale_time
 
     registry = scenario_registry()
@@ -64,6 +69,10 @@ def cases() -> dict[str, Callable[[], object]]:
     for name, sc in registry.items():
         out[f"report-{name}"] = lambda sc=sc, traj=run_trajectory(sc): scenario_report(sc, traj)
     base = registry["sl-a2"]
+    gauged = derive(base, "gauged-lorenz", a=10.0, b=28.0, c=8.0 / 3.0)
+    out["report-gauged-lorenz"] = lambda traj=run_trajectory(gauged): scenario_report(gauged, traj)
+    lorenz = registry["lorenz-standard"]
+    out["probe-lorenz-standard"] = lambda: divergence_probe(lorenz.kind, lorenz.params, lorenz.x0, 1e-8, 40.0)
     params = effective_params(base.kind, base.params)
     gauges = [Gauge(base.gauge.mu, d) for d in SWEEP_D]
     out["solve-five-gauges"] = lambda: integrate_sl_gauges(
