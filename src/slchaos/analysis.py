@@ -18,20 +18,23 @@ with a convergence radius: an orbit that enters it provably converges to
 that equilibrium.  Entering that radius is the one settle rule.  The Taylor
 integrator finishes such orbits on the linear flow, inside the part of the
 radius where the flow is accurate to a share of its tolerance.  The
-estimator carries the reference orbit alone first, keeping its state at
-each renormalization boundary (three doubles), and checks it against the
-tails it is given (`max_lyapunov` gives it the named system's): it stops
-at the first boundary inside a radius, before the twin takes a step, as
-the largest exponent of a settled orbit is the leading real part of the
-closed-form spectrum, which is exact, so no twin run can improve on it.
-Orbits that settle nowhere, only on a saddle or a marginal point, or on a
-stable point without an eigenbasis (a defective one), then get the full
-twin run against the stored states.
+estimator, `max_lyapunov` (the one entry), carries the reference orbit
+alone first, keeping its state at each renormalization boundary (three
+doubles), and checks it against the system's tails: it stops at the first
+boundary inside a radius, before the twin takes a step, as the largest
+exponent of a settled orbit is the leading real part of the closed-form
+spectrum, which is exact, so no twin run can improve on it.  Orbits that
+settle nowhere, only on a saddle or a marginal point, or on a stable point
+without an eigenbasis (a defective one), then get the full twin run
+against the stored states.
 
 The estimator and the divergence probe step their orbits with `_carry`,
 fixed RK4 of the quadratic field written out as one straight line: it
 gives the doubles `rk4_step` gives on `make_field`'s closure, without a
-call per stage.
+call per stage.  A budget of more RK4 steps per orbit than a solve may take
+(`integrate._MAX_STEPS`, 10**7) is a ValueError before the first step, and
+an estimate the twin cannot produce (no growth sample, or no finite mean
+and spread) is an ArithmeticError, never an infinity.
 
 Gauged systems are analyzed in scaled time: under s = mu * t**(1 - D) the
 system is autonomous, so exponents quoted per unit s are honest constants,
@@ -60,7 +63,9 @@ from .dynamics import (
     jacobian,
     make_field,
 )
-from .integrate import IntegrationError
+# `_MAX_STEPS`, the solve's step budget, is bound once here: a budget
+# lowered on `integrate` to make a solve fail leaves the estimators' alone.
+from .integrate import _MAX_STEPS, IntegrationError
 
 # Imported only so the benchmark's tracer finds `analysis.rk4_step`; the
 # estimators step with `_carry`.
@@ -78,7 +83,6 @@ __all__ = [
     "classify_spectrum",
     "newton_fixed_point",
     "max_lyapunov",
-    "lyapunov_from_field",
     "divergence_probe",
     "separation_slope",
     "conjecture_report",
@@ -459,25 +463,31 @@ def _carry(params: SystemParams, state: tuple, interval: float) -> tuple:
     return (x, y, z)
 
 
-def lyapunov_from_field(
-    params: SystemParams,
-    x0: Sequence[float],
+def _check_steps(intervals: float, interval: float) -> None:
+    """ValueError when `_carry` takes more RK4 steps across `intervals`
+    intervals of `interval` than a solve may take."""
+    steps = intervals * max(1, math.ceil(interval / RK4_DT))
+    if steps > _MAX_STEPS:
+        raise ValueError(f"{steps:.6g} RK4 steps per orbit exceed the step budget of {_MAX_STEPS}")
+
+
+def max_lyapunov(
+    kind: SystemKind,
+    params: SystemParams | None,
+    x0: State3 | Sequence[float],
     horizon: float,
     renorm_interval: float,
-    *,
-    time_variable: str = "t",
-    tails: Sequence[StableTail] = (),
 ) -> LyapunovEstimate:
-    """Benettin-style largest exponent for the quadratic field with the
-    effective coefficients `params` (`effective_params`), each interval
-    carried by `_carry`.
+    """Benettin-style largest Lyapunov exponent of a system, measured in its
+    natural time variable (`_time_variable`), each interval carried by
+    `_carry` with the system's effective coefficients (`effective_params`).
 
     The reference orbit runs first, alone, and its state at the start and
     at every `renorm_interval` boundary is kept (24 bytes each) and checked
-    against `tails`.  The first time it lies within a tail's convergence
-    radius, which no other tail's overlaps, the orbit has settled on that
-    equilibrium: its leading real part -alpha is the estimate and the run
-    stops there, before the twin takes a step.
+    against the system's `stable_tails`.  The first time it lies within a
+    tail's convergence radius, which no other tail's overlaps, the orbit has
+    settled on that equilibrium: its leading real part -alpha is the
+    estimate and the run stops there, before the twin takes a step.
 
     An orbit that never settles then gets its twin, displaced by
     LYAPUNOV_OFFSET along x and carried interval by interval.  At each
@@ -487,10 +497,14 @@ def lyapunov_from_field(
     growth samples is discarded; the mean of the rest is the estimate and
     their standard deviation is reported as a quality signal.
     """
-    # Building the estimate's geometry first checks the budget before
-    # anything is integrated.
-    budget = LyapunovEstimate(math.nan, float(horizon), float(renorm_interval), 0.0, time_variable)
-    n_intervals = int(round(horizon / renorm_interval))
+    p = effective_params(kind, params)
+    # The estimate's geometry and its step count (a float, inf when the
+    # interval count overflows) are checked before anything is integrated.
+    budget = LyapunovEstimate(math.nan, float(horizon), float(renorm_interval), 0.0, _time_variable(kind))
+    intervals = round(budget.horizon / budget.renorm_interval, 0)
+    _check_steps(intervals, renorm_interval)
+    n_intervals = int(intervals)
+    tails = stable_tails(p)
 
     ref = tuple(float(v) for v in x0)
     # The reference at every boundary, 3 doubles each, for the twin pass.
@@ -504,13 +518,13 @@ def lyapunov_from_field(
                 return dataclasses.replace(
                     budget, lambda_max=-tail.alpha, estimator="equilibrium", settled_at=i * renorm_interval
                 )
-        ref = _carry(params, ref, renorm_interval)
+        ref = _carry(p, ref, renorm_interval)
         states.extend(ref)
 
     twin = (states[0] + LYAPUNOV_OFFSET, states[1], states[2])
     rates: list[float] = []
     for i in range(n_intervals):
-        twin = _carry(params, twin, renorm_interval)
+        twin = _carry(p, twin, renorm_interval)
         rx, ry, rz = states[3 * i + 3 : 3 * i + 6]
         dx, dy, dz = twin[0] - rx, twin[1] - ry, twin[2] - rz
         d = math.hypot(dx, dy, dz)
@@ -526,31 +540,12 @@ def lyapunov_from_field(
     discard = int(len(rates) * TRANSIENT_FRACTION)
     kept = rates[discard:]
     if not kept:
-        raise ValueError("no growth samples survived the transient discard")
-    return dataclasses.replace(
-        budget, lambda_max=float(np.mean(kept)), sample_stddev=float(np.std(kept))
-    )
-
-
-def max_lyapunov(
-    kind: SystemKind,
-    params: SystemParams | None,
-    x0: State3 | Sequence[float],
-    horizon: float,
-    renorm_interval: float,
-) -> LyapunovEstimate:
-    """Largest Lyapunov exponent of a system, measured in its natural time
-    variable: scaled time s for the gauged SL system, ordinary t otherwise.
-    An orbit that settles on a stable equilibrium gets no twin run."""
-    p = effective_params(kind, params)
-    return lyapunov_from_field(
-        p,
-        tuple(float(v) for v in x0),
-        horizon,
-        renorm_interval,
-        time_variable=_time_variable(kind),
-        tails=stable_tails(p),
-    )
+        raise ArithmeticError(f"the twin collapsed in every renormalization interval of {renorm_interval!r}")
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean, spread = float(np.mean(kept)), float(np.std(kept))
+    if not (math.isfinite(mean) and math.isfinite(spread)):
+        raise ArithmeticError(f"no finite growth rate at renormalization interval {renorm_interval!r}")
+    return dataclasses.replace(budget, lambda_max=mean, sample_stddev=spread)
 
 
 def divergence_probe(
@@ -564,15 +559,16 @@ def divergence_probe(
 
     No renormalization: this is the plain picture of how fast nearby states
     drift apart (or together), sampled PROBE_SAMPLES times over the horizon
-    in the same time variable max_lyapunov uses.
+    in the same time variable max_lyapunov uses, under the same step
+    budget.
     """
     if not (delta0 > 0.0 and math.isfinite(delta0)):
         raise ValueError(f"delta0 must be positive, got {delta0!r}")
     if not (horizon > 0.0 and math.isfinite(horizon)):
         raise ValueError(f"horizon must be positive, got {horizon!r}")
     p = effective_params(kind, params)
-
     sample_interval = horizon / PROBE_SAMPLES
+    _check_steps(PROBE_SAMPLES, sample_interval)
     ax, ay, az = (float(v) for v in x0)
     a = (ax, ay, az)
     b = (a[0] + delta0, a[1], a[2])

@@ -1,11 +1,12 @@
 """Deterministic integration of the quadratic field with dense sampling.
 
 Two drivers: a Taylor-series driver, which solves every run, and classical
-fixed-step RK4 for convergence studies, the twin-trajectory estimators and
-criterion 1's reference.  A run is two settings: one tolerance (absolute
-and relative) and the sample count.  Samples are spaced by the clock:
-geometrically in t on a gauged clock, whose spans cover decades from
-t0 > 0, and linearly on the identity clock.
+fixed-step RK4 for convergence studies and criterion 1's reference (the
+Lyapunov estimators step with its straight-line copy, `analysis._carry`).
+A run is two settings: one tolerance (absolute and relative) and the
+sample count.  Samples are spaced by the clock: geometrically in t on a
+gauged clock, whose spans cover decades from t0 > 0, and linearly on the
+identity clock.
 
 Taylor steps.  The field f = (a(y - x), x(b - z) - y, xy - cz) is
 quadratic, so the Taylor coefficients of the orbit through a point follow

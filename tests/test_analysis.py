@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from slchaos import analysis
+from slchaos import analysis, integrate
 from slchaos.analysis import (
     LYAPUNOV_OFFSET,
     PROBE_SAMPLES,
@@ -21,7 +21,6 @@ from slchaos.analysis import (
     divergence_probe,
     eigenbasis_3x3,
     eigenvalues_3x3,
-    lyapunov_from_field,
     max_lyapunov,
     newton_fixed_point,
     separation_slope,
@@ -214,12 +213,13 @@ class TestNewton:
 
 
 class TestLyapunov:
-    def test_linear_field_oracle(self):
+    def test_linear_field_oracle(self, monkeypatch):
         # Without tails the twin runs in full.  The orbit falls onto the
         # stable origin of (2, 0.3, 27), where a 1e-8 offset sees only the
         # linear field, so the estimate is its leading eigenvalue
         # (-3 + sqrt(3.4))/2 up to rounding.
-        est = lyapunov_from_field(ATTRACTOR_II, (1.0, 1.0, 1.0), 200.0, 0.5, time_variable="s")
+        monkeypatch.setattr(analysis, "stable_tails", lambda params: ())
+        est = max_lyapunov(SystemKind.SL, ATTRACTOR_II, (1.0, 1.0, 1.0), 200.0, 0.5)
         assert est.estimator == "twin"
         assert abs(est.lambda_max - (-3.0 + math.sqrt(3.4)) / 2.0) <= 1e-9
 
@@ -282,7 +282,38 @@ class TestLyapunov:
         est = max_lyapunov(SystemKind.SL, ATTRACTOR_II, x0, 100.0, 1.0)
         assert est.estimator == "twin"
         assert math.isfinite(est.lambda_max)
-        assert est == lyapunov_from_field(ATTRACTOR_II, x0, 100.0, 1.0, time_variable="s")
+        rhs = make_field(SystemKind.SL, ATTRACTOR_II)
+        old = _interleaved_lyapunov(rhs, x0, 100.0, 1.0, time_variable="s")
+        assert dataclasses.astuple(est) == dataclasses.astuple(old)
+
+    def test_step_budget_boundary(self, monkeypatch):
+        # 100 intervals of ceil(1.0 / RK4_DT) = 100 steps.  The budget is
+        # the solve's as the package was imported: lowering it on
+        # `integrate` (to make a solve fail) leaves the estimator alone.
+        monkeypatch.setattr(integrate, "_MAX_STEPS", 1)
+        args = (SystemKind.LORENZ_STANDARD, None, (0.1, 0.1, 0.1), 100.0, 1.0)
+        monkeypatch.setattr(analysis, "_MAX_STEPS", 10_000)
+        assert max_lyapunov(*args).estimator == "twin"
+        monkeypatch.setattr(analysis, "_MAX_STEPS", 9_999)
+        with pytest.raises(ValueError, match="^10000 RK4 steps per orbit"):
+            max_lyapunov(*args)
+
+    def test_twin_collapsed_in_every_interval_is_an_arithmetic_error(self, monkeypatch):
+        # Without tails, the orbit of (10, 8/3, 28) contracts so fast that
+        # the twin falls onto the reference below double resolution in each
+        # of the 100 intervals: every one restarts the displacement, and no
+        # growth sample is left to average.
+        monkeypatch.setattr(analysis, "stable_tails", lambda params: ())
+        carry, carried = analysis._carry, []
+
+        def count(*args):
+            carried.append(args)
+            return carry(*args)
+
+        monkeypatch.setattr(analysis, "_carry", count)
+        with pytest.raises(ArithmeticError, match="twin collapsed in every renormalization interval of 10.0"):
+            max_lyapunov(SystemKind.SL, SystemParams(10.0, 8.0 / 3.0, 28.0), (0.1, 0.1, 0.1), 1000.0, 10.0)
+        assert len(carried) == 200
 
     def test_horizon_floor(self):
         with pytest.raises(ValueError):
@@ -382,14 +413,12 @@ class TestReferenceFirst:
     def test_estimate_matches_the_interleaved_loop(self, case, estimator):
         kind, params, x0, horizon, renorm = case
         rhs = make_field(kind, params)
-        p = effective_params(kind, params)
-        tails = stable_tails(p)
+        tails = stable_tails(effective_params(kind, params))
         time_variable = "t" if kind is not SystemKind.SL else "s"
-        est = lyapunov_from_field(p, x0, horizon, renorm, time_variable=time_variable, tails=tails)
+        est = max_lyapunov(kind, params, x0, horizon, renorm)
         old = _interleaved_lyapunov(rhs, x0, horizon, renorm, time_variable=time_variable, tails=tails)
         assert est.estimator == estimator
         assert dataclasses.astuple(est) == dataclasses.astuple(old)
-        assert est == max_lyapunov(kind, params, x0, horizon, renorm)
 
     def test_short_sl_a2_run_has_tails_but_no_settle(self):
         kind, params, x0, horizon, renorm = _scenario_case("sl-a2", 4.0, 0.04)
@@ -472,6 +501,15 @@ class TestDivergenceProbe:
         assert np.all(np.diff(tail) < 0.0)
         assert separation_slope(series) < 0.0
 
+    def test_step_budget(self, monkeypatch):
+        # 400 samples of ceil((40 / 400) / RK4_DT) = 10 steps
+        args = (SystemKind.LORENZ_STANDARD, None, (0.1, 0.1, 0.1), 1e-8, 40.0)
+        monkeypatch.setattr(analysis, "_MAX_STEPS", 4_000)
+        assert len(divergence_probe(*args).separation) == PROBE_SAMPLES + 1
+        monkeypatch.setattr(analysis, "_MAX_STEPS", 3_999)
+        with pytest.raises(ValueError, match="^4000 RK4 steps per orbit"):
+            divergence_probe(*args)
+
     def test_lorenz_growth_window_slope(self):
         series = divergence_probe(SystemKind.LORENZ_STANDARD, None, (0.1, 0.1, 0.1), 1e-8, 40.0)
         slope = separation_slope(series)
@@ -484,6 +522,18 @@ class TestDivergenceProbe:
 
 
 class TestConjecture:
+    @pytest.mark.parametrize("b, tails", [(-0.125 + 1e-9, 0), (-0.125 + 1e-7, 1)])
+    def test_ill_conditioned_stable_origin_gets_no_tail(self, b, tails):
+        # Near the defective b = -0.125 the origin's leading eigenvalues
+        # nearly coalesce.  It keeps an eigenbasis, but with condition about
+        # 5.8e4 at 1e-9 above b = -0.125, past TAIL_MAX_CONDITION, and 5.8e3
+        # at 1e-7.
+        params = SystemParams(2.0, b, 27.0)
+        rep = conjecture_report(params)
+        assert rep.classes == ("stable node",)
+        assert eigenbasis_3x3(jacobian(SystemKind.SL, params, (0.0, 0.0, 0.0)), rep.spectra[0]) is not None
+        assert len(rep.tails) == tails
+
     def test_attractor_ii_origin_witness(self):
         rep = conjecture_report(ATTRACTOR_II)
         assert rep.verdict == "satisfied"

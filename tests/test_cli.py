@@ -3,6 +3,7 @@ import os
 import shutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -149,6 +150,21 @@ class TestSimulate:
         assert list(out_dir.iterdir()) == []
 
 
+    def test_report_without_a_finite_estimate_is_a_run_failure(self, capsys, tmp_path):
+        # Over a span of 1e-300 the report's growth samples are rounding
+        # noise over intervals of 2e-303; their spread overflows.
+        out_dir = tmp_path / "run"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(
+                capsys, "simulate", "--system", "lorenz-standard", "--t1", "1e-300", "--out", str(out_dir)
+            )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("run failed: no finite growth rate at renormalization interval")
+        assert list(out_dir.iterdir()) == []
+
+
 class TestFixedPoints:
     def test_sl_origin_only(self, capsys):
         code, out, _ = run_cli(capsys, "fixed-points", "--system", "sl", "--a", "2")
@@ -199,6 +215,31 @@ class TestLyapunov:
         assert out == ""
         assert "usage error: horizon must be positive and finite" in err
         assert carried == []
+
+    @pytest.mark.parametrize(
+        "budget, steps",
+        [(["--renorm", "1e-300"], "1e+303"), (["--horizon", "1e300", "--renorm", "1e298"], "1e+302"),
+         (["--horizon", "1e7"], "1e+09")],
+        ids=["renorm-1e-300", "horizon-1e300", "horizon-1e7"],
+    )
+    def test_steps_above_the_solve_budget_are_a_usage_error(self, capsys, monkeypatch, budget, steps):
+        from slchaos import analysis
+
+        carried = []
+        monkeypatch.setattr(analysis, "_carry", lambda *args: carried.append(args))
+        code, out, err = run_cli(capsys, "lyapunov", "--scenario", "lorenz-standard", *budget)
+        assert code == 1
+        assert out == ""
+        assert f"usage error: {steps} RK4 steps per orbit exceed the step budget of 10000000" in err
+        assert carried == []
+
+    def test_estimate_without_a_finite_spread_is_a_run_failure(self, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, "lyapunov", "--system", "lorenz-standard", "--horizon", "1e-300")
+        assert code == 2
+        assert out == ""
+        assert err == "run failed: no finite growth rate at renormalization interval 2.0000000000000002e-303\n"
 
     def test_overflowing_start_is_a_run_failure(self, capsys):
         code, _, err = run_cli(capsys, "lyapunov", "--system", "sl", "--a", "2", "--x0", "1e200")

@@ -259,7 +259,7 @@ class TestRunScenario:
         # reference state lies within a stable tail's convergence radius; at
         # the boundary before, it lies outside every one.
         from slchaos import analysis
-        from slchaos.analysis import lyapunov_from_field, stable_tails
+        from slchaos.analysis import max_lyapunov, stable_tails
 
         sc = lookup_scenario(name)
         lyap = scenario_report(sc, run_trajectory(sc))["lyapunov"]
@@ -285,8 +285,7 @@ class TestRunScenario:
 
         monkeypatch.setattr(analysis, "_carry", record)
         renorm = lyap["renorm_interval"]
-        params = effective_params(sc.kind, sc.params)
-        est = lyapunov_from_field(params, tuple(sc.x0), lyap["horizon"], renorm, tails=tails)
+        est = max_lyapunov(sc.kind, sc.params, sc.x0, lyap["horizon"], renorm)
         assert est.settled_at == settled_at == (len(seen) - 1) * renorm
         assert inside(seen[-1]) and not inside(seen[-2])
 
