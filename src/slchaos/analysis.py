@@ -82,6 +82,7 @@ __all__ = [
     "char_poly_residual",
     "classify_spectrum",
     "newton_fixed_point",
+    "check_lyapunov_budget",
     "max_lyapunov",
     "divergence_probe",
     "separation_slope",
@@ -439,13 +440,13 @@ def _carry(params: SystemParams, state: tuple, interval: float) -> tuple:
     straight line, with the same expressions in the same order, so it
     gives the same doubles without a call per stage.  The field is
     autonomous, so each step starts at time 0.0, and a non-finite state
-    raises the IntegrationError `rk4_step` raises."""
+    raises the IntegrationError `rk4_step` raises.  It is checked once, at
+    the end: a non-finite component stays so under x + w * (...)."""
     a, b, c = params.a, params.b, params.c
     n_sub = max(1, math.ceil(interval / RK4_DT))
     h = interval / n_sub
     hh = 0.5 * h
     w = h / 6.0
-    isfinite = math.isfinite
     x, y, z = state
     for _ in range(n_sub):
         k1x, k1y, k1z = a * (y - x), x * (b - z) - y, x * y - c * z
@@ -458,8 +459,8 @@ def _carry(params: SystemParams, state: tuple, interval: float) -> tuple:
         x = x + w * (k1x + 2.0 * (k2x + k3x) + k4x)
         y = y + w * (k1y + 2.0 * (k2y + k3y) + k4y)
         z = z + w * (k1z + 2.0 * (k2z + k3z) + k4z)
-        if not (isfinite(x) and isfinite(y) and isfinite(z)):
-            raise IntegrationError("non-finite state while stepping from t = 0.0")
+    if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(z)):
+        raise IntegrationError("non-finite state while stepping from t = 0.0")
     return (x, y, z)
 
 
@@ -469,6 +470,20 @@ def _check_steps(intervals: float, interval: float) -> None:
     steps = intervals * max(1, math.ceil(interval / RK4_DT))
     if steps > _MAX_STEPS:
         raise ValueError(f"{steps:.6g} RK4 steps per orbit exceed the step budget of {_MAX_STEPS}")
+
+
+def check_lyapunov_budget(horizon: float, renorm_interval: float) -> int:
+    """The number of renormalization intervals in `horizon`, checked before
+    anything is integrated: ValueError for a geometry `LyapunovEstimate`
+    refuses, or for more RK4 steps per orbit than a solve may take.
+    `max_lyapunov` checks its budget with it, and a run its report's before
+    the solve."""
+    horizon, renorm_interval = float(horizon), float(renorm_interval)
+    LyapunovEstimate(math.nan, horizon, renorm_interval, 0.0)
+    # A float, inf when the interval count overflows.
+    intervals = round(horizon / renorm_interval, 0)
+    _check_steps(intervals, renorm_interval)
+    return int(intervals)
 
 
 def max_lyapunov(
@@ -498,12 +513,8 @@ def max_lyapunov(
     their standard deviation is reported as a quality signal.
     """
     p = effective_params(kind, params)
-    # The estimate's geometry and its step count (a float, inf when the
-    # interval count overflows) are checked before anything is integrated.
+    n_intervals = check_lyapunov_budget(horizon, renorm_interval)
     budget = LyapunovEstimate(math.nan, float(horizon), float(renorm_interval), 0.0, _time_variable(kind))
-    intervals = round(budget.horizon / budget.renorm_interval, 0)
-    _check_steps(intervals, renorm_interval)
-    n_intervals = int(intervals)
     tails = stable_tails(p)
 
     ref = tuple(float(v) for v in x0)

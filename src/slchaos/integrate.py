@@ -23,11 +23,13 @@ with eps = tol (1 + |x|), in max norms; it rejects nothing.  So the step
 count grows like tol**(-1/p), which the order itself follows, and a run at
 tol 1e-12 costs about what one at 1e-9 does.  Where both last coefficients
 vanish, a zero field above all, no bound applies: the one step has
-h = inf and its polynomial is the orbit for all time.  The step (the
-coefficients, h and Horner at h) is one straight-line function per order,
-generated as Python source from p alone, with every coefficient a local and
-every Cauchy sum written out; it is compiled on the first solve at that
-order and cached for the process (`_kernel`).  Rows come from Horner
+h = inf and its polynomial is the orbit for all time.  The stepping loop
+of each order is one generated function: Python source generated from p
+alone, whose step (the coefficients, h and Horner at h) is straight-line
+code with every coefficient a local and every Cauchy sum and norm written
+out, and whose loop keeps the step budget, the floor, the record and the
+settle check below.  It is compiled on the first solve at that order and
+cached for the process (`_kernel`).  Rows come from Horner
 on the polynomial of the step that brackets them, evaluated over arrays
 after the solve from a record of such steps: one table, allocated with a
 row per sample, since each recorded step passes one.  The step sequence
@@ -87,6 +89,7 @@ if TYPE_CHECKING:
 
 __all__ = [
     "check_settings",
+    "check_span_overflow",
     "IntegrationMeta",
     "Trajectory",
     "IntegrationError",
@@ -284,45 +287,114 @@ def _order(tol: float) -> int:
 # p <= 19 for any tol >= 1e-15 (`check_settings`), so the cache stays bounded.
 @functools.cache
 def _kernel(p: int) -> Callable:
-    """The Taylor step of order p, compiled from source generated from p
-    alone and bound by `bind(a, b, c, tol)`.  `step(x0, y0, z0)` returns h,
-    the end state at h and the coefficients x0..xp, y0..yp, z0..zp, the
-    record table's layout.  Every sum starts from 0.0, so a -0.0 first term
-    adds to +0.0, and runs in the order i = 0..k of the recurrence's sum_i."""
+    """The Taylor solve of order p: the stepping loop of `_adaptive_solve`,
+    compiled from source generated from p alone, with every coefficient a
+    local and every Cauchy sum written out.
+
+    `solve(a, b, c, tol, x0, y0, z0, merged, table, near, max_steps)` steps
+    the field of (a, b, c) from (x0, y0, z0) at t = 0 until a step passes
+    `merged[-2]`, the last of the sorted instants before the end marker inf.
+    Each step that passes an instant packs t, h, the step count at its end
+    and the coefficients x0..xp, y0..yp, z0..zp into the next row of
+    `table`, the record.  It returns the time reached, the rows recorded,
+    the steps taken, the settled tail as (tail, t, state) or None, and the
+    message of an early stop ("" if none).
+
+    Every sum starts from 0.0, so a -0.0 first term adds to +0.0, and runs
+    in the order i = 0..k of the recurrence's sum_i.  Each norm is
+    max(abs(u), abs(v), abs(w)) written out, with the builtin's choices: the
+    first of equal values wins, and a NaN wins only in first place.  A -0.0
+    that abs would make +0.0 changes neither eps nor a test against 0.0."""
 
     def cauchy(u: str, v: str, k: int) -> str:
         return " + ".join(["(0.0"] + [f"{u}{i} * {v}{k - i}" for i in range(k + 1)]) + ")"
 
-    src = ["def bind(a, b, c, tol):", "    def step(x0, y0, z0):"]
+    def norm(k: int) -> list[str]:
+        lines = [f"n = -x{k} if x{k} < 0.0 else x{k}"]
+        for v in "yz":
+            lines += [f"m = -{v}{k} if {v}{k} < 0.0 else {v}{k}", "if m > n: n = m"]
+        return lines
+
+    body = [
+        "if accepted >= max_steps:",
+        "    message = f'step budget of {max_steps} exhausted at t = {t!r}'",
+        "    break",
+    ]
     for k in range(p):
         f = [f"a * (y{k} - x{k})", f"b * x{k} - y{k} - {cauchy('x', 'z', k)}", f"{cauchy('x', 'y', k)} - c * z{k}"]
-        src.append(f"        x{k + 1}, y{k + 1}, z{k + 1} = " + ", ".join(f"({e}) / {k + 1.0!r}" for e in f))
+        body.append(f"x{k + 1}, y{k + 1}, z{k + 1} = " + ", ".join(f"({e}) / {k + 1.0!r}" for e in f))
     # h from the last two coefficients (Jorba & Zou); where both vanish, a
     # zero field above all, the polynomial is the orbit for all time.  A NaN
-    # bound (NaN != NaN) is kept, so it fails the driver's floor.
-    src += ["        eps = tol + tol * max(abs(x0), abs(y0), abs(z0))", "        h = inf"]
+    # bound (NaN != NaN) is kept, so it fails the floor.
+    body += [*norm(0), "eps = tol + tol * n", "h = inf"]
     for k in (p - 1, p):
-        src += [
-            f"        norm = max(abs(x{k}), abs(y{k}), abs(z{k}))",
-            "        if norm != 0.0:",
-            f"            hk = (eps / norm) ** {1.0 / k!r}",
-            "            h = hk if hk < h or hk != hk else h",
+        body += [
+            *norm(k),
+            "if n != 0.0:",
+            f"    hk = (eps / n) ** {1.0 / k!r}",
+            "    h = hk if hk < h or hk != hk else h",
         ]
+    # The floor, 1e-14*max(1, t), is near where t + h stops moving t.
+    body += [
+        "if not h >= (1e-14 * t if t > 1.0 else 1e-14):",
+        "    message = (",
+        "        f'step size underflow (h = {h!r}) at t = {t!r}; '",
+        "        'the Taylor coefficients are too large for any step at this tolerance'",
+        "    )",
+        "    break",
+    ]
     # Horner, one statement per order: nested, it would pass the parser's
     # limit of 200 parentheses past p = 200.
-    src.append(f"        xn, yn, zn = x{p}, y{p}, z{p}")
-    src += [f"        xn, yn, zn = xn * h + x{k}, yn * h + y{k}, zn * h + z{k}" for k in range(p - 1, -1, -1)]
+    body.append(f"xn, yn, zn = x{p}, y{p}, z{p}")
+    body += [f"xn, yn, zn = xn * h + x{k}, yn * h + y{k}, zn * h + z{k}" for k in range(p - 1, -1, -1)]
     coeffs = ", ".join(f"{v}{k}" for v in "xyz" for k in range(p + 1))
-    src += [f"        return h, xn, yn, zn, ({coeffs})", "    return step"]
-    name = f"<slchaos.integrate taylor step p={p}>"
-    scope = {"inf": math.inf}
+    body += [
+        "if h < inf and not (isfinite(xn) and isfinite(yn) and isfinite(zn)):",
+        "    message = f'non-finite state while stepping from t = {t!r}'",
+        "    break",
+        "accepted += 1",
+        "tn = t + h",
+        "if next_t <= tn:",
+        f"    pack(table, {8 * (3 * p + 6)} * recorded, t, h, accepted, {coeffs})",
+        "    recorded += 1",
+        "    next_t = merged[bisect_right(merged, tn, 0, last)]",
+        "t = tn",
+        "if h == inf:",
+        "    break",
+        "x0, y0, z0 = xn, yn, zn",
+        "for px, py, pz, r2, tail in near:",
+        "    dx, dy, dz = x0 - px, y0 - py, z0 - pz",
+        "    if dx * dx + dy * dy + dz * dz <= r2:",
+        "        settled = (tail, t, (x0, y0, z0))",
+        "        next_t = inf",
+        "        break",
+    ]
+    src = [
+        "def solve(a, b, c, tol, x0, y0, z0, merged, table, near, max_steps):",
+        "    last = len(merged) - 1",
+        "    t = 0.0",
+        "    next_t = merged[bisect_right(merged, t, 0, last)]",
+        "    recorded = accepted = 0",
+        "    settled = None",
+        "    message = ''",
+        "    while next_t < inf:",
+        *(f"        {line}" for line in body),
+        "    return t, recorded, accepted, settled, message",
+    ]
+    name = f"<slchaos.integrate taylor solve p={p}>"
+    scope = {
+        "inf": math.inf,
+        "isfinite": math.isfinite,
+        "bisect_right": bisect_right,
+        "pack": struct.Struct(f"{3 * p + 6}d").pack_into,
+    }
     exec(compile("\n".join(src), name, "exec"), scope)
-    return scope["bind"]
+    return scope["solve"]
 
 
 def _dense(steps: np.ndarray, times: np.ndarray) -> np.ndarray:
     """The rows at `times`, each by Horner on the Taylor polynomial of the
-    first row of `steps` to end at or after it, 256 samples at a time.  A
+    first row of `steps` to end at or after it, 2,048 samples at a time.  A
     row of `steps` is t, h, the step count at its end and the coefficients
     X_0..X_p, Y_0..Y_p, Z_0..Z_p.  A sample on a step's end t + h is
     evaluated at h itself, not at (t + h) - t, so its row is bit-equal to
@@ -331,16 +403,18 @@ def _dense(steps: np.ndarray, times: np.ndarray) -> np.ndarray:
     ends = steps[:, 0] + steps[:, 1]
     at = np.searchsorted(ends, times)
     width = steps.shape[1] // 3 - 1
-    for a in range(0, times.size, 256):
-        part = slice(a, a + 256)
+    for a in range(0, times.size, 2048):
+        part = slice(a, a + 2048)
         step = steps[at[part]]
         tau = np.where(times[part] == ends[at[part]], step[:, 1], times[part] - step[:, 0])[:, None]
-        # Order by order: coeffs[k] is the (n, 3) array of order-k terms.
+        # Order by order, in place on the block's rows: coeffs[k] is the
+        # (n, 3) array of order-k terms.
         coeffs = step[:, 3:].reshape(len(step), 3, width).transpose(2, 0, 1)
-        y = coeffs[-1]
+        y = rows[part]
+        y[...] = coeffs[-1]
         for terms in coeffs[-2::-1]:
-            y = y * tau + terms
-        rows[part] = y
+            y *= tau
+            y += terms
     return rows
 
 
@@ -378,55 +452,16 @@ def _adaptive_solve(
     """
     # All samples and an end marker, which no lookup passes.
     merged = sorted(np.concatenate([grid[0] for grid in grids]).tolist() + [math.inf])
-    last = len(merged) - 1
     p = _order(tol)
-    table = np.empty((last, 3 * p + 6))
-    recorded = accepted = 0
-    settled: tuple[StableTail, float, tuple[float, float, float]] | None = None
-    message = ""
-
-    x, y, z = start = tuple(float(v) for v in x0)
+    table = np.empty((len(merged) - 1, 3 * p + 6))
+    start = tuple(float(v) for v in x0)
     if not all(map(math.isfinite, start)):
         return [IntegrationError(f"non-finite initial state {start!r}", 0) for _ in grids]
-    t = 0.0
-    next_t = merged[bisect_right(merged, t, 0, last)]
     near = [(*tail.point, tail.switch_radius2(tol), tail) for tail in tails]
     # The step budget is read per call, so a patch applies.
-    max_steps, isfinite, inf = _MAX_STEPS, math.isfinite, math.inf
-    pack = struct.Struct(f"{3 * p + 6}d").pack_into
-    step = _kernel(p)(params.a, params.b, params.c, tol)
-
-    while next_t < inf:
-        if accepted >= max_steps:
-            message = f"step budget of {max_steps} exhausted at t = {t!r}"
-            break
-        h, xn, yn, zn, coeffs = step(x, y, z)
-        # The floor, 1e-14*max(1, t), is near where t + h stops moving t.
-        if not h >= (1e-14 * t if t > 1.0 else 1e-14):
-            message = (
-                f"step size underflow (h = {h!r}) at t = {t!r}; "
-                "the Taylor coefficients are too large for any step at this tolerance"
-            )
-            break
-        if h < inf and not (isfinite(xn) and isfinite(yn) and isfinite(zn)):
-            message = f"non-finite state while stepping from t = {t!r}"
-            break
-        accepted += 1
-        tn = t + h
-        if next_t <= tn:
-            pack(table, 8 * (3 * p + 6) * recorded, t, h, accepted, *coeffs)
-            recorded += 1
-            next_t = merged[bisect_right(merged, tn, 0, last)]
-        t = tn
-        if h == inf:
-            break
-        x, y, z = xn, yn, zn
-        for px, py, pz, r2, tail in near:
-            dx, dy, dz = x - px, y - py, z - pz
-            if dx * dx + dy * dy + dz * dz <= r2:
-                settled = (tail, t, (x, y, z))
-                next_t = inf
-                break
+    t, recorded, accepted, settled, message = _kernel(p)(
+        params.a, params.b, params.c, tol, *start, merged, table, near, _MAX_STEPS
+    )
 
     # Each grid's run, or for one left unfinished, `message` and its partial.
     steps = table[:recorded]
@@ -452,15 +487,30 @@ def _span(gauge: Gauge | None, span: tuple[float, float], samples: int) -> np.nd
     span needs 0 < t0 < t1: the direct factor t**(-D) is singular at the
     origin and the gauge map is not invertible there; its samples are
     geometric.  The identity clock (no gauge, a Lorenz run) takes any finite
-    t0 < t1, sampled linearly."""
+    t0 < t1, sampled linearly.  Either way no instant may overflow
+    (`check_span_overflow`)."""
     t0, t1 = (float(span[0]), float(span[1]))
     if not (math.isfinite(t0) and math.isfinite(t1) and t1 > t0):
         raise ValueError(f"need finite t1 > t0, got [{t0!r}, {t1!r}]")
-    if gauge is None:
-        return np.linspace(t0, t1, samples)
-    if t0 <= 0.0:
+    if gauge is not None and t0 <= 0.0:
         raise ValueError(f"SL span needs 0 < t0 < t1, got [{t0!r}, {t1!r}]")
-    return np.geomspace(t0, t1, samples)
+    check_span_overflow(gauge, t0, t1)
+    return np.linspace(t0, t1, samples) if gauge is None else np.geomspace(t0, t1, samples)
+
+
+def check_span_overflow(gauge: Gauge | None, t0: float, t1: float) -> None:
+    """ValueError when a finite span t0 < t1 has no finite length t1 - t0,
+    or when t1, its largest instant, has no finite scaled time on the clock
+    of `gauge`; the map is increasing, so no other instant can overflow."""
+    if not math.isfinite(t1 - t0):
+        raise ValueError(f"span [{t0!r}, {t1!r}] is too long: t1 - t0 overflows")
+    if gauge is not None:
+        with np.errstate(over="ignore"):
+            end = scale_time(gauge, t1)
+        if not math.isfinite(end):
+            raise ValueError(
+                f"span [{t0!r}, {t1!r}] overflows the scaled time of gauge mu = {gauge.mu!r}, D = {gauge.D!r}"
+            )
 
 
 def integrate_sl(

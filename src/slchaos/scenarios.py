@@ -26,12 +26,13 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .analysis import conjecture_report, max_lyapunov
+from .analysis import check_lyapunov_budget, conjecture_report, max_lyapunov
 from .dynamics import State3, SystemKind, SystemParams, effective_params
 from .integrate import (
     IntegrationError,
     Trajectory,
     check_settings,
+    check_span_overflow,
     integrate_sl,
     integrate_sl_gauges,
 )
@@ -112,6 +113,7 @@ class Scenario:
                 f"scenario {self.name!r}: {self.kind.value} has fixed coefficients "
                 f"(a, b, c) = ({fixed.a!r}, {fixed.b!r}, {fixed.c!r}), got {self.params!r}"
             )
+        check_span_overflow(self.gauge, t0, t1)
         if self.params.c <= 0.0:
             raise ValueError(f"scenario {self.name!r}: c must be positive, got {self.params.c!r}")
 
@@ -239,14 +241,14 @@ def run_trajectory(scenario: Scenario) -> Trajectory:
     )
 
 
-def _analysis_horizon(scenario: Scenario) -> float:
-    """The report's Lyapunov budget.  A gauged run's exponent is per unit s
-    and depends only on (a, b, c) and x0, so its budget is
-    LYAPUNOV_HORIZON whatever the span; a Lorenz run's is its span."""
-    if scenario.gauge is not None:
-        return LYAPUNOV_HORIZON
+def _analysis_budget(scenario: Scenario) -> tuple[float, float]:
+    """The report's Lyapunov horizon and renormalization interval.  A gauged
+    run's exponent is per unit s and depends only on (a, b, c) and x0, so
+    its horizon is LYAPUNOV_HORIZON whatever the span; a Lorenz run's is
+    its span."""
     t0, t1 = scenario.span
-    return t1 - t0
+    horizon = LYAPUNOV_HORIZON if scenario.gauge is not None else t1 - t0
+    return horizon, horizon / LYAPUNOV_INTERVALS
 
 
 def equilibria_doc(kind: SystemKind, params: SystemParams | None) -> dict:
@@ -286,14 +288,7 @@ def scenario_report(scenario: Scenario, trajectory: Trajectory, orbit_of: dict |
     """
     if orbit_of is None:
         eq_doc = equilibria_doc(scenario.kind, scenario.params)
-        horizon = _analysis_horizon(scenario)
-        est = max_lyapunov(
-            scenario.kind,
-            scenario.params,
-            scenario.x0,
-            horizon,
-            horizon / LYAPUNOV_INTERVALS,
-        )
+        est = max_lyapunov(scenario.kind, scenario.params, scenario.x0, *_analysis_budget(scenario))
         orbit_of = {**eq_doc, "lyapunov": dataclasses.asdict(est)}
     gauge_doc = None
     if scenario.gauge is not None:
@@ -351,8 +346,10 @@ def _write_run(scenario: Scenario, out_dir: Path, traj: Trajectory, report: dict
 def run_scenario(scenario: Scenario | str, output_dir: str | Path) -> list[Path]:
     """Run one scenario and write CSV + JSON + four SVG views into
     `output_dir`.  Returns the written paths.  Accepts a registry name or a
-    Scenario instance."""
+    Scenario instance.  The report's step budget is checked before the
+    solve, so a run whose report would refuse it takes no step."""
     sc = _resolve(scenario)
+    check_lyapunov_budget(*_analysis_budget(sc))
     out = Path(output_dir)
     out.mkdir(parents=True, exist_ok=True)
     traj = run_trajectory(sc)

@@ -3,6 +3,7 @@ import os
 import shutil
 import subprocess
 import sys
+import time
 import warnings
 from pathlib import Path
 
@@ -164,6 +165,48 @@ class TestSimulate:
         assert err.startswith("run failed: no finite growth rate at renormalization interval")
         assert list(out_dir.iterdir()) == []
 
+    @pytest.mark.parametrize(
+        "span, steps", [(["--t1", "100001"], "1.00005e+07"), (["--t1", "1e300", "--samples", "3"], "1e+302")],
+        ids=["t1-100001", "t1-1e300"],
+    )
+    def test_report_budget_is_refused_before_the_solve(self, capsys, tmp_path, monkeypatch, span, steps):
+        # A Lorenz report's horizon is its span, so these reports would take
+        # more RK4 steps than a solve may; the run refuses before its solve.
+        from slchaos import integrate
+
+        monkeypatch.setattr(integrate, "_kernel", lambda p: pytest.fail("a Taylor solve started"))
+        out_dir = tmp_path / "run"
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "simulate", "--system", "lorenz-standard", *span, "--out", str(out_dir))
+        assert time.perf_counter() - start < 5.0
+        assert (code, out) == (1, "")
+        assert err == f"usage error: {steps} RK4 steps per orbit exceed the step budget of 10000000\n"
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (
+                ["--system", "sl", "--a", "2", "--mu", "1e300", "--t1", "1e308", "--samples", "5"],
+                "span [0.1, 1e+308] overflows the scaled time of gauge mu = 1e+300, D = 0.6666666666666666",
+            ),
+            (
+                ["--system", "lorenz-standard", "--t0=-1e308", "--t1", "1e308", "--samples", "3"],
+                "span [-1e+308, 1e+308] is too long: t1 - t0 overflows",
+            ),
+        ],
+        ids=["scaled-time", "span-length"],
+    )
+    def test_overflowing_sample_instants_are_a_usage_error(self, tmp_path, argv, message):
+        # Refused before any step, with no numpy warning on the way.
+        src = str(Path(slchaos.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+        out_dir = tmp_path / "run"
+        cmd = [sys.executable, "-W", "error::RuntimeWarning", "-m", "slchaos.cli", "simulate", *argv]
+        proc = subprocess.run([*cmd, "--out", str(out_dir)], capture_output=True, text=True, timeout=60, env=env)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", f"usage error: {message}\n")
+        assert not out_dir.exists()
+
 
 class TestFixedPoints:
     def test_sl_origin_only(self, capsys):
@@ -294,6 +337,22 @@ class TestSweep:
         )
         assert code == 2
         assert "c=-1: ValueError" in out
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_member_whose_scaled_time_overflows_gets_an_error_row(self, capsys, tmp_path):
+        # At mu = 1e307, s = mu * t**(1/3) overflows at sl-a2's t1 = 1e6;
+        # that member is refused alone and the other still runs.
+        code, out, _ = run_cli(
+            capsys, "sweep", "--scenario", "sl-a2", "--param", "mu", "--values", "0.9,1e307",
+            "--samples", "50", "--out", str(tmp_path),
+        )
+        assert code == 2
+        assert out.splitlines()[:2] == [
+            "mu=0.9: ok",
+            "mu=1e+307: ValueError: span [0.1, 1000000.0] overflows the scaled time of gauge "
+            "mu = 1e+307, D = 0.6666666666666666",
+        ]
+        assert (tmp_path / "mu-0.9" / "sl-a2-mu0.9.csv").exists() and not (tmp_path / "mu-1e+307").exists()
 
 
 class TestCompare:

@@ -177,6 +177,21 @@ class TestAdaptive:
         ]
         assert steps[1] <= 2 * steps[0]
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "gauge, span, match",
+        [(None, (-1e308, 1e308), r"span \[-1e\+308, 1e\+308\] is too long: t1 - t0 overflows"),
+         (Gauge(1e300, 2.0 / 3.0), (0.1, 1e308), r"span \[0.1, 1e\+308\] overflows the scaled time of gauge")],
+        ids=["span-length", "scaled-time"],
+    )
+    def test_overflowing_instants_are_refused_before_any_step(self, monkeypatch, gauge, span, match):
+        monkeypatch.setattr(integrate, "_kernel", lambda p: pytest.fail("a Taylor solve started"))
+        with pytest.raises(ValueError, match=match):
+            integrate_sl(ATTRACTOR_II, gauge, span, (0.1, 0.1, 0.1), samples=5)
+        if gauge is not None:
+            with pytest.raises(ValueError, match=match):
+                integrate_direct_t(ATTRACTOR_II, gauge, span, (0.1, 0.1, 0.1), samples=5)
+
     def test_max_steps_exhaustion(self, monkeypatch):
         monkeypatch.setattr(integrate, "_MAX_STEPS", 20)
         with pytest.raises(IntegrationError, match="budget"):
@@ -246,7 +261,49 @@ def loop_step(params, tol, p, state):
     return h, xn, yn, zn, (*X, *Y, *Z)
 
 
+def loop_solve(tol, p, state, instants, max_steps=10_000_000):
+    """`integrate._kernel(p)` on the Lorenz field from `state`, stepping
+    until it passes every instant: the rows it recorded and what it returns
+    (the time reached, the steps taken, the settled tail and the message)."""
+    merged = sorted(instants) + [math.inf]
+    table = np.empty((len(instants), 3 * p + 6))
+    t, recorded, accepted, settled, message = integrate._kernel(p)(
+        *LORENZ, tol, *state, merged, table, [], max_steps
+    )
+    return table[:recorded], (t, accepted, settled, message)
+
+
+def loop_rows(tol, p, state, steps):
+    """`loop_step` iterated `steps` times from `state`: each step's row of
+    the record (t, h, the step count at its end, the coefficients) and the
+    time at its end."""
+    rows, ends, t = [], [], 0.0
+    for n in range(1, steps + 1):
+        h, *state, coeffs = loop_step(LORENZ_STANDARD_PARAMS, tol, p, state)
+        rows.append((t, h, float(n), *coeffs))
+        t += h
+        ends.append(t)
+    return np.array(rows), ends
+
+
+# The messages the step-per-call driver left, from Lorenz starts whose
+# coefficients overflow: a NaN first in a norm wins (h = nan), an inf beats
+# a NaN after it (h = 0.0), and a NaN after a finite entry is passed over,
+# so the bound stays finite but below the floor.
+UNDERFLOW = "step size underflow (h = {}) at t = 0.0; the Taylor coefficients are too large for any step at this tolerance"
+OVERFLOWING_STARTS = [
+    pytest.param((1e100, -1e100, 1e100), UNDERFLOW.format("nan"), id="nan-estimate"),
+    pytest.param((1e150, 1e150, 1e150), UNDERFLOW.format("nan"), id="huge-guess"),
+    pytest.param((0.0, 1.0, 1e80), UNDERFLOW.format("nan"), id="nan-first"),
+    pytest.param((1e30, 1.0, 1e20), UNDERFLOW.format("0.0"), id="inf-before-nan"),
+    pytest.param((0.0, 1e50, 1e50), UNDERFLOW.format("1.3883771007313205e-24"), id="nan-passed-over"),
+]
+
+
 class TestKernel:
+    """`integrate._kernel(p)`, the generated stepping loop of each order,
+    against `loop_step` iterated from the same start."""
+
     # The ids name the step's field: f itself, not weighted by a gauge.
     @pytest.mark.parametrize("p", [2, 8, 12, 15, 36, 117], ids=lambda p: f"{p}-unweighted")
     @pytest.mark.parametrize("state", [(-0.0, 0.0, 5.0), (1.5, -2.25, 20.0)], ids=["z-axis", "off-axis"])
@@ -254,18 +311,18 @@ class TestKernel:
         # On the z-axis every x and y coefficient is a signed zero, and the
         # first Cauchy sum x0 * z0 = -0.0: only the 0.0 seed of each sum
         # makes y1 -0.0, not +0.0.  Off the axis every sum's order counts.
+        # An instant at each step's end makes every step record its row.
         tol = math.exp(-2.0 * (p - 1))
-        h, xn, yn, zn, coeffs = integrate._kernel(p)(*LORENZ, tol)(*state)
-        ref_h, *ref_end, ref_coeffs = loop_step(LORENZ_STANDARD_PARAMS, tol, p, state)
-        assert len(coeffs) == 3 * (p + 1) and 0.0 < h < math.inf
-        assert np.array([h, xn, yn, zn]).tobytes() == np.array([ref_h, *ref_end]).tobytes()
-        assert np.array(coeffs).tobytes() == np.array(ref_coeffs).tobytes()
+        ref, ends = loop_rows(tol, p, state, 25)
+        rows, (t, accepted, settled, message) = loop_solve(tol, p, state, [0.0, *ends])
+        assert rows.shape == (25, 3 * p + 6) and np.all((0.0 < rows[:, 1]) & (rows[:, 1] < math.inf))
+        assert rows.tobytes() == ref.tobytes()
+        assert (t, accepted, settled, message) == (ends[-1], 25, None, "")
         if state[0] == 0.0:
-            assert math.copysign(1.0, coeffs[p + 2]) == -1.0
+            assert math.copysign(1.0, rows[0, 3 + p + 2]) == -1.0
 
     def test_kernel_is_named_after_its_order(self):
-        step = integrate._kernel(12)(*LORENZ, 1e-9)
-        assert step.__code__.co_filename == "<slchaos.integrate taylor step p=12>"
+        assert integrate._kernel(12).__code__.co_filename == "<slchaos.integrate taylor solve p=12>"
 
     def test_high_orders_compile(self):
         # A run's tol >= 1e-15 caps p at 19, but the generator is not capped:
@@ -275,14 +332,63 @@ class TestKernel:
         x0 = (0.1, 0.1, 0.1)
         for p, tol in ((174, 1e-150), (347, 1e-300)):
             assert integrate._order(tol) == p
-            step = integrate._kernel(p)(*LORENZ, tol)
-            assert step.__code__.co_filename == f"<slchaos.integrate taylor step p={p}>"
-            h, *end, coeffs = step(*x0)
-            ref_h, *ref_end, ref_coeffs = loop_step(LORENZ_STANDARD_PARAMS, tol, p, x0)
-            assert np.array([h, *end, *coeffs]).tobytes() == np.array([ref_h, *ref_end, *ref_coeffs]).tobytes()
-            assert (h == 0.0) == (p == 347)
+            assert integrate._kernel(p).__code__.co_filename == f"<slchaos.integrate taylor solve p={p}>"
+            ref_h, *_ = loop_step(LORENZ_STANDARD_PARAMS, tol, p, x0)
+            assert (ref_h == 0.0) == (p == 347)
+            if p == 174:
+                ref, ends = loop_rows(tol, p, x0, 2)
+                rows, (t, accepted, _, message) = loop_solve(tol, p, x0, [0.0, *ends])
+                assert rows.tobytes() == ref.tobytes() and (t, accepted, message) == (ends[-1], 2, "")
+            else:
+                rows, outcome = loop_solve(tol, p, x0, [0.0, 1.0])
+                assert len(rows) == 0 and outcome == (0.0, 0, None, UNDERFLOW.format("0.0"))
         with pytest.raises(ValueError, match="at least 1e-15"):
             integrate_sl(LORENZ_STANDARD_PARAMS, None, (0.0, 0.5), x0, tol=1e-300, samples=11)
+
+    @pytest.mark.parametrize("state, message", OVERFLOWING_STARTS)
+    def test_overflowing_coefficients_keep_their_messages(self, state, message):
+        rows, outcome = loop_solve(1e-9, 12, state, [0.0, 1.0])
+        assert len(rows) == 0 and outcome == (0.0, 0, None, message)
+        (run,) = integrate._adaptive_solve(LORENZ_STANDARD_PARAMS, state, 1e-9, [(np.array([0.0, 1.0]),) * 3])
+        assert str(run) == message and run.step_index == 0
+
+    @pytest.mark.parametrize(
+        "state", [(-0.0, -0.0, -0.0), (-0.0, 0.0, 0.0), (0.0, -0.0, -0.0)], ids=["xyz", "x", "yz"]
+    )
+    def test_signed_zero_norms_take_one_endless_step(self, state):
+        # At the origin every coefficient is a signed zero, so each norm,
+        # the state's among them, is 0.0 or -0.0 and neither bound applies:
+        # one step of h = inf, recorded as the loop form has it.
+        ref, ends = loop_rows(1e-9, 12, state, 1)
+        rows, outcome = loop_solve(1e-9, 12, state, [0.0, 1.0, 2.0])
+        assert ends == [math.inf] and rows.tobytes() == ref.tobytes()
+        assert outcome == (math.inf, 1, None, "")
+
+    def test_step_budget_keeps_its_message(self):
+        state = (1.5, -2.25, 20.0)
+        for budget, message in ((0, "step budget of 0 exhausted at t = 0.0"),
+                                (3, "step budget of 3 exhausted at t = 0.12383369629009973")):
+            ref, ends = loop_rows(1e-9, 12, state, budget)
+            rows, outcome = loop_solve(1e-9, 12, state, [0.0, *ends, 1.0], max_steps=budget)
+            assert rows.tobytes() == ref.tobytes()
+            assert outcome == (ends[-1] if ends else 0.0, budget, None, message)
+
+    def test_settled_tail_ends_the_loop(self):
+        # The first step to end inside a switch radius is the last: the loop
+        # returns the tail with the time and state it reached.
+        params = ATTRACTOR_II
+        (tail,) = stable_tails(params)
+        grid = np.array([0.0, 100.0])
+        (run,) = integrate._adaptive_solve(params, (0.1, 0.1, 0.1), 1e-9, [(grid, grid, grid)], [tail])
+        table = np.empty((2, 3 * 12 + 6))
+        t, recorded, accepted, settled, message = integrate._kernel(12)(
+            params.a, params.b, params.c, 1e-9, 0.1, 0.1, 0.1, [0.0, 100.0, math.inf], table,
+            [(*tail.point, tail.switch_radius2(1e-9), tail)], 10_000_000,
+        )
+        assert (recorded, accepted, message) == (0, run.meta.steps_taken, "")
+        assert settled[0] is tail and settled[1] == t < 100.0
+        dx, dy, dz = np.subtract(settled[2], tail.point)
+        assert dx * dx + dy * dy + dz * dz <= tail.switch_radius2(1e-9)
 
     def test_cli_setup_compiles_no_kernel(self):
         # What slbench times as setup_s: import the CLI, build its parser and

@@ -13,6 +13,8 @@ The cases, each run once per round, round-robin, after one warm-up round:
   report runs the whole twin in scaled time;
 - `probe-lorenz-standard`: `analysis.divergence_probe` with criterion 6's
   offset 1e-8 from lorenz-standard's start over 40 time units;
+- `solve-compare-six`: the six registry solves that `scenarios.run_compare`
+  makes for `compare` of every scenario, one after another;
 - `solve-five-gauges`: the shared solve of `sweep-gauge`'s D sweep of
   sl-a2 (`integrate_sl_gauges`, D = 0.5, 0.6, 0.7, 0.8, 0.9);
 - `solve-direct-t`: criterion 1's reference, `integrate_direct_t` on sl-a2's
@@ -75,6 +77,7 @@ def cases() -> dict[str, Callable[[], object]]:
     out["probe-lorenz-standard"] = lambda: divergence_probe(lorenz.kind, lorenz.params, lorenz.x0, 1e-8, 40.0)
     params = effective_params(base.kind, base.params)
     gauges = [Gauge(base.gauge.mu, d) for d in SWEEP_D]
+    out["solve-compare-six"] = lambda: [run_trajectory(sc) for sc in registry.values()]
     out["solve-five-gauges"] = lambda: integrate_sl_gauges(
         params, gauges, base.span, base.x0, base.tol, base.sample_count
     )
