@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 from pathlib import Path
@@ -69,6 +70,7 @@ def _add_system_flags(sub: argparse.ArgumentParser, flags: tuple[str, ...]) -> N
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """A new parser on each call; `cli_main` reuses one per process."""
     parser = _Parser(prog="slchaos", description="scaling-law chaotic system toolkit")
     subs = parser.add_subparsers(dest="command", required=True)
 
@@ -115,6 +117,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_plot.set_defaults(func=_cmd_plot)
 
     return parser
+
+
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser `cli_main` shares across its calls in a process.  Parsing
+    leaves nothing on it: each call gets a fresh Namespace and every
+    default is immutable or rebuilt per parse."""
+    return build_parser()
 
 
 def _scenario_line(sc: Scenario) -> str:
@@ -237,7 +247,7 @@ def _cmd_plot(ns: argparse.Namespace) -> int:
 
 def cli_main(argv: list[str] | None = None) -> int:
     try:
-        ns = build_parser().parse_args(argv)
+        ns = _parser().parse_args(argv)
         return ns.func(ns)
     except SystemExit as exc:
         # argparse help actions exit directly (no command does); mirror their code.

@@ -17,6 +17,7 @@ Everything written here is deterministic byte for byte; see `trajio` and
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import math
 import re
@@ -149,8 +150,10 @@ _DEFAULT_GAUGE = Gauge(0.9, 2.0 / 3.0)
 _LORENZ_SPAN = (0.0, 60.0)
 
 
-def builtin_scenarios() -> list[Scenario]:
-    """Fresh instances of the six built-in scenarios, in registry order."""
+@functools.cache
+def _builtins() -> tuple[Scenario, ...]:
+    """The six built-in scenarios, in registry order, built once per
+    process.  A Scenario is frozen, so every caller can share them."""
     sl_as = (("sl-a2.35", 47.0 / 20.0), ("sl-a2", 2.0), ("sl-a1.5", 1.5), ("sl-a1.35", 1.35))
     out = [
         Scenario(
@@ -177,11 +180,17 @@ def builtin_scenarios() -> list[Scenario]:
                 span=_LORENZ_SPAN,
             )
         )
-    return out
+    return tuple(out)
+
+
+def builtin_scenarios() -> list[Scenario]:
+    """A new list of the six built-in scenarios, in registry order."""
+    return list(_builtins())
 
 
 def scenario_registry() -> dict[str, Scenario]:
-    return {sc.name: sc for sc in builtin_scenarios()}
+    """A new dict of the six built-in scenarios by name, in registry order."""
+    return {sc.name: sc for sc in _builtins()}
 
 
 def lookup_scenario(name: str) -> Scenario:

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import slchaos
+from slchaos import cli
 from slchaos.cli import cli_main
 
 
@@ -422,6 +423,53 @@ class TestPlot:
         assert "i/o error" in err
 
 
+class TestParserReuse:
+    """`cli_main` builds its parser once per process and reuses it."""
+
+    @pytest.fixture()
+    def builds(self, monkeypatch):
+        built = []
+        real = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or real())
+        cli._parser.cache_clear()
+        yield built
+        cli._parser.cache_clear()
+
+    def test_one_parser_serves_every_command(self, capsys, tmp_path, builds):
+        csv = tmp_path / "two.csv"
+        csv.write_text("t,s,x,y,z\n0,0,0,0,0\n1,1,1,2,3\n")
+        calls = [
+            (["plot", "--csv", str(csv), "--view", "xy", "--out", str(tmp_path)], 0),
+            (["lyapunov", "--scenario", "lorenz-literal", "--horizon", "5"], 0),
+            (["fixed-points", "--system", "lorenz-standard"], 0),
+            (["list", "--frobnicate"], 1),
+            (["plot", "--csv", str(csv), "--view", "x", "--out", str(tmp_path)], 0),
+        ]
+        assert [run_cli(capsys, *argv)[0] for argv, _ in calls] == [code for _, code in calls]
+        assert builds == [1]
+        # A new parser on each call of build_parser itself.
+        assert cli.build_parser() is not cli.build_parser()
+
+    def test_no_state_crosses_calls(self, capsys, tmp_path, builds):
+        code, _, err = run_cli(capsys, "plot", "--view", "xy", "--out", str(tmp_path))
+        assert code == 1 and "--csv" in err
+        code, _, err = run_cli(capsys, "simulate", "--scenario", "sl-a2", "--bogus", "--out", str(tmp_path))
+        assert code == 1 and "unrecognized arguments: --bogus" in err
+        code, out, _ = run_cli(capsys, "fixed-points", "--system", "sl", "--a", "2")
+        assert code == 0 and json.loads(out)["params"] == {"a": 2.0, "b": 0.3, "c": 27.0}
+        # A flag given once is not remembered by the next call.
+        argv = ["lyapunov", "--scenario", "lorenz-literal", "--horizon", "50"]
+        renorms = []
+        for extra in (["--renorm", "0.5"], []):
+            code, out, _ = run_cli(capsys, *argv, *extra)
+            assert code == 0
+            renorms.append(json.loads(out)["renorm_interval"])
+        assert renorms == [0.5, 50.0 / 500]
+        code, out, _ = run_cli(capsys, "fixed-points", "--system", "lorenz-standard")
+        assert code == 0 and json.loads(out)["system"] == "lorenz-standard"
+        assert builds == [1]
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -438,7 +486,11 @@ def test_pair_far_from_the_origin_is_valid(capsys, tmp_path, monkeypatch, argv):
 
 
 @pytest.mark.parametrize(
-    "flag", ["--tol 0", "--tol -1", "--tol nan", "--tol 1e-16", "--samples 1", "--method rk4", "--mode direct-t"]
+    "flag",
+    [
+        "--tol 0", "--tol -1", "--tol nan", "--tol 1e-16", "--tol 0.5", "--tol 1e300", "--samples 1",
+        "--method rk4", "--mode direct-t",
+    ],
 )
 @pytest.mark.parametrize(
     "command",
@@ -458,6 +510,22 @@ def test_bad_run_setting_is_usage_error(capsys, tmp_path, command, flag):
         # Retired route choices: every run is one Taylor solve on its clock.
         assert "unrecognized arguments" in err
     assert not out.exists() or list(out.iterdir()) == []
+
+
+def test_tol_ceiling(capsys, tmp_path):
+    # Above 1e-1 a solve misses its tolerance, and tol 1e300 would allow
+    # one step of h = 2.9e149 off lorenz-standard's attractor: a usage
+    # error that writes nothing.  The ceiling itself is a valid setting.
+    out = tmp_path / "out"
+    argv = ["simulate", "--system", "lorenz-standard", "--samples", "5", "--out", str(out)]
+    code, stdout, err = run_cli(capsys, *argv, "--tol", "1e300")
+    assert (code, stdout) == (1, "")
+    assert err == "usage error: tol must be in [1e-15, 1e-1], got 1e+300\n"
+    assert not out.exists()
+    code, _, err = run_cli(capsys, *argv, "--tol", "0.1", "--t1", "1")
+    assert code == 0, err
+    report = json.loads((out / "custom-lorenz-standard-analysis.json").read_text())
+    assert report["meta"]["tol"] == 0.1
 
 
 def test_overflowing_spectrum_is_runtime_failure(capsys):

@@ -63,6 +63,24 @@ class TestRegistry:
         with pytest.raises(ScenarioNotFound, match="unknown scenario"):
             lookup_scenario("sl-a9")
 
+    def test_each_call_returns_a_new_container_of_one_build(self):
+        # The scenarios are built once per process and shared, frozen; the
+        # dict and the list around them are each caller's own.
+        scenarios._builtins.cache_clear()
+        first = scenario_registry()
+        del first["sl-a2"]
+        first["sl-a9"] = first["lorenz-standard"]
+        listed = builtin_scenarios()
+        listed.reverse()
+        second = scenario_registry()
+        assert list(second) == REGISTRY_ORDER and second is not scenario_registry()
+        assert [sc.name for sc in builtin_scenarios()] == REGISTRY_ORDER
+        assert all(second[name] is lookup_scenario(name) for name in REGISTRY_ORDER)
+        assert all(a is b for a, b in zip(builtin_scenarios(), second.values()))
+        assert scenarios._builtins.cache_info().misses == 1
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            second["sl-a2"].tol = 1e-3  # type: ignore[misc]
+
 
 class TestScenarioValidation:
     def _sl_kwargs(self):
@@ -545,6 +563,32 @@ class TestCompare:
     def test_caps_overlay_count(self, tmp_path):
         with pytest.raises(ValueError, match="at most"):
             run_compare(REGISTRY_ORDER + ["sl-a2"], tmp_path)
+
+    def test_names_resolve_against_one_build(self, tmp_path, monkeypatch):
+        # No solve is needed to see which scenario each name resolves to:
+        # the stub records it, and the sixth stops the comparison.
+        class Stop(Exception):
+            pass
+
+        solved = []
+
+        def record(sc):
+            solved.append(sc)
+            if len(solved) == len(REGISTRY_ORDER):
+                raise Stop
+
+        monkeypatch.setattr(scenarios, "run_trajectory", record)
+        scenarios._builtins.cache_clear()
+        with pytest.raises(Stop):
+            run_compare(REGISTRY_ORDER, tmp_path)
+        assert all(a is b for a, b in zip(solved, builtin_scenarios(), strict=True))
+        assert scenarios._builtins.cache_info().misses == 1
+
+    def test_unknown_name_lists_the_known_ones(self, tmp_path):
+        known = "lorenz-literal, lorenz-standard, sl-a1.35, sl-a1.5, sl-a2, sl-a2.35"
+        with pytest.raises(ScenarioNotFound) as exc:
+            run_compare(["sl-a9", "sl-a2"], tmp_path)
+        assert exc.value.args == (f"unknown scenario 'sl-a9'; known: {known}",)
 
     def test_axis_choice_validated(self, tmp_path):
         with pytest.raises(ValueError, match="time_axis"):

@@ -1,4 +1,4 @@
-"""Time the sampling layer and the report in process: median and quartiles per case.
+"""Time the sampling layer, the report and the plot path in process: median and quartiles per case.
 
 The cases, each run once per round, round-robin, after one warm-up round:
 
@@ -29,7 +29,11 @@ The cases, each run once per round, round-robin, after one warm-up round:
   one point of the stable focus-node pair of (a, b, c) = (2, 5, 27)
   (complex modes), with the times passed as a list;
 - `scale-time`: `timegauge.scale_time` of sl-a2's gauge on its 2,000-sample
-  geometric grid.
+  geometric grid;
+- `plot-path`: one `cli.cli_main(["plot", ...])` of the 3-D view, with its
+  stdout captured, on lorenz-standard's CSV written once up front to a
+  temporary directory: the CSV read, the SVG write and the parse of the
+  command line that `slbench`'s `simulate-suite` makes after each run.
 
 Effects of a few percent on one solve or report are below `slbench`'s
 run-to-run spread; run the tool alternately on two trees to see them:
@@ -43,9 +47,12 @@ Each line is `<case>  median <ms>  q1 <ms>  q3 <ms>  (n = ROUNDS)`.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import math
 import statistics
 import sys
+import tempfile
 import time
 from pathlib import Path
 from typing import Callable
@@ -59,10 +66,12 @@ def cases() -> dict[str, Callable[[], object]]:
     import numpy as np
 
     from slchaos.analysis import divergence_probe, stable_tails
+    from slchaos.cli import cli_main
     from slchaos.dynamics import SystemParams, effective_params
     from slchaos.integrate import integrate_direct_t, integrate_sl, integrate_sl_gauges
     from slchaos.scenarios import derive, run_trajectory, scenario_registry, scenario_report
     from slchaos.timegauge import Gauge, scale_time
+    from slchaos.trajio import write_trajectory_csv
 
     registry = scenario_registry()
     out: dict[str, Callable[[], object]] = {
@@ -92,6 +101,18 @@ def cases() -> dict[str, Callable[[], object]]:
         out[label] = lambda tail=tail, state=state: tail.flow(0.0, state, times)
     grid = np.geomspace(base.span[0], base.span[1], SAMPLES)
     out["scale-time"] = lambda: scale_time(base.gauge, grid)
+    tmp = tempfile.TemporaryDirectory(prefix="layer-times-")
+    csv = write_trajectory_csv(run_trajectory(lorenz), Path(tmp.name) / f"{lorenz.name}.csv")
+
+    def plot_path() -> int:
+        # Refers to `tmp`, so the directory lives as long as the case.
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = cli_main(["plot", "--csv", str(csv), "--view", "3d", "--out", tmp.name])
+        if code != 0:
+            raise RuntimeError(f"plot exited with {code}")
+        return code
+
+    out["plot-path"] = plot_path
     return out
 
 
