@@ -40,6 +40,15 @@ counts are read off the record after the solve.
 Every run solves in scaled time; `integrate_direct_t` solves the gauged
 field in ordinary t by fixed-step RK4, as criterion 1's reference.
 
+Sample clocks.  The grids of a solve are its clocks: for each gauge of a
+(gauges, span, samples) key, the sigma-instants, the t column and the s
+column.  They are inputs of the solve, the same on every call, so each is
+built once per process and kept, read-only, in a small LRU cache
+(`_clock`); one `scale_grid` pass maps the key's t grid under every gauge.
+The span is keyed on its bits, so (-6.0, -0.0) and (-6.0, 0.0) get clocks
+of their own.  The span's checks run on every call, before the cache is
+read, and each run gets its own writable copy of its two time columns.
+
 Settled tail.  A solve of the quadratic field (`integrate_sl_gauges`,
 hence every run) stops stepping once a step ends close to a stable
 equilibrium x* (a "stable node" or "stable focus-node" of the
@@ -325,7 +334,11 @@ def _kernel(p: int) -> Callable:
     ]
     for k in range(p):
         f = [f"a * (y{k} - x{k})", f"b * x{k} - y{k} - {cauchy('x', 'z', k)}", f"{cauchy('x', 'y', k)} - c * z{k}"]
-        body.append(f"x{k + 1}, y{k + 1}, z{k + 1} = " + ", ".join(f"({e}) / {k + 1.0!r}" for e in f))
+        # Dividing by 1 is the identity and by 2**j is multiplying by
+        # 2**-j: exact either way, so the bits are those of the division.
+        j = k + 1
+        scale = "" if j == 1 else f" * {1.0 / j!r}" if j & (j - 1) == 0 else f" / {float(j)!r}"
+        body.append(f"x{j}, y{j}, z{j} = " + ", ".join(f"({e}){scale}" for e in f))
     # h from the last two coefficients (Jorba & Zou); where both vanish, a
     # zero field above all, the polynomial is the orbit for all time.  A NaN
     # bound (NaN != NaN) is kept, so it fails the floor.
@@ -350,15 +363,25 @@ def _kernel(p: int) -> Callable:
     # limit of 200 parentheses past p = 200.
     body.append(f"xn, yn, zn = x{p}, y{p}, z{p}")
     body += [f"xn, yn, zn = xn * h + x{k}, yn * h + y{k}, zn * h + z{k}" for k in range(p - 1, -1, -1)]
-    coeffs = ", ".join(f"{v}{k}" for v in "xyz" for k in range(p + 1))
+    # u - u is 0.0 for finite u and NaN for an infinite or NaN one.
     body += [
-        "if h < inf and not (isfinite(xn) and isfinite(yn) and isfinite(zn)):",
+        "if h < inf and not (xn - xn == 0.0 and yn - yn == 0.0 and zn - zn == 0.0):",
         "    message = f'non-finite state while stepping from t = {t!r}'",
         "    break",
         "accepted += 1",
         "tn = t + h",
         "if next_t <= tn:",
-        f"    pack(table, {8 * (3 * p + 6)} * recorded, t, h, accepted, {coeffs})",
+        f"    at = {8 * (3 * p + 6)} * recorded",
+    ]
+    # The row is packed 28 values at a time: a call of more than 30
+    # arguments compiles to a list build and a starred call.
+    values = ["t", "h", "accepted", *(f"{v}{k}" for v in "xyz" for k in range(p + 1))]
+    packs = {}
+    for i in range(0, len(values), 28):
+        part = values[i : i + 28]
+        packs[f"pack{i}"] = struct.Struct(f"{len(part)}d").pack_into
+        body.append(f"    pack{i}(table, {f'at + {8 * i}' if i else 'at'}, {', '.join(part)})")
+    body += [
         "    recorded += 1",
         "    next_t = merged[bisect_right(merged, tn, 0, last)]",
         "t = tn",
@@ -385,12 +408,7 @@ def _kernel(p: int) -> Callable:
         "    return t, recorded, accepted, settled, message",
     ]
     name = f"<slchaos.integrate taylor solve p={p}>"
-    scope = {
-        "inf": math.inf,
-        "isfinite": math.isfinite,
-        "bisect_right": bisect_right,
-        "pack": struct.Struct(f"{3 * p + 6}d").pack_into,
-    }
+    scope = {"inf": math.inf, "bisect_right": bisect_right, **packs}
     exec(compile("\n".join(src), name, "exec"), scope)
     return scope["solve"]
 
@@ -456,7 +474,9 @@ def _adaptive_solve(
     and every sample after it comes from that tail's linear flow, with the
     step count reached there.
     """
-    # All samples and an end marker, which no lookup passes.
+    # All samples and an end marker, which no lookup passes: a Python float
+    # per instant, dropped as soon as the loop returns, before the runs are
+    # built, so that it and their columns are never resident together.
     merged = sorted(np.concatenate([grid[0] for grid in grids]).tolist() + [math.inf])
     p = _order(tol)
     table = np.empty((len(merged) - 1, 3 * p + 6))
@@ -468,6 +488,7 @@ def _adaptive_solve(
     t, recorded, accepted, settled, message = _kernel(p)(
         params.a, params.b, params.c, tol, *start, merged, table, near, _MAX_STEPS
     )
+    del merged
 
     # Each grid's run, or for one left unfinished, `message` and its partial.
     steps = table[:recorded]
@@ -483,25 +504,59 @@ def _adaptive_solve(
         end = int(np.searchsorted(steps[:, 0] + steps[:, 1], instants[-1]))
         meta = IntegrationMeta(int(steps[end, 2]) if end < recorded else accepted, 0, "taylor", tol)
         n = len(rows)
-        run = Trajectory(t_col[:n], s_col[:n], rows, meta)
+        # The grids may be a cached clock's: each run gets its own columns.
+        run = Trajectory(t_col[:n].copy(), s_col[:n].copy(), rows, meta)
         runs.append(run if n == instants.size else IntegrationError(message, accepted, run))
     return runs
 
 
-def _span(gauge: Gauge | None, span: tuple[float, float], samples: int) -> np.ndarray:
-    """The sample instants in t of a checked span, from t0 to t1.  A gauged
-    span needs 0 < t0 < t1: the direct factor t**(-D) is singular at the
-    origin and the gauge map is not invertible there; its samples are
-    geometric.  The identity clock (no gauge, a Lorenz run) takes any finite
-    t0 < t1, sampled linearly.  Either way no instant may overflow
-    (`check_span_overflow`)."""
+def _clocks(
+    gauges: Sequence[Gauge | None], span: tuple[float, float], samples: int
+) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
+    """The sample clock of each of `gauges` on a checked span (`_clock`),
+    or ValueError.  A gauged span needs 0 < t0 < t1: the direct factor
+    t**(-D) is singular at the origin and the gauge map is not invertible
+    there.  The identity clock (no gauge, a Lorenz run) takes any finite
+    t0 < t1.  Either way no instant may overflow (`check_span_overflow`).
+    The checks run on every call; only the clocks are cached."""
     t0, t1 = (float(span[0]), float(span[1]))
     if not (math.isfinite(t0) and math.isfinite(t1) and t1 > t0):
         raise ValueError(f"need finite t1 > t0, got [{t0!r}, {t1!r}]")
-    if gauge is not None and t0 <= 0.0:
-        raise ValueError(f"SL span needs 0 < t0 < t1, got [{t0!r}, {t1!r}]")
-    check_span_overflow(gauge, t0, t1)
-    return np.linspace(t0, t1, samples) if gauge is None else np.geomspace(t0, t1, samples)
+    for gauge in gauges:
+        if gauge is not None and t0 <= 0.0:
+            raise ValueError(f"SL span needs 0 < t0 < t1, got [{t0!r}, {t1!r}]")
+        check_span_overflow(gauge, t0, t1)
+    return _clock(tuple(gauges), t0.hex(), t1.hex(), samples)
+
+
+# A clock holds two arrays of `samples` doubles per gauge and one t grid
+# per kind of clock: 176 KB for five gauges at 2,000 samples, so sixteen
+# such clocks hold under 3 MB.
+@functools.lru_cache(maxsize=16)
+def _clock(
+    gauges: tuple[Gauge | None, ...], t0: str, t1: str, samples: int
+) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
+    """The sample clock of each of `gauges` on the span [t0, t1] that
+    `_clocks` checked, given as `float.hex` strings: (instants, t column,
+    s column), read-only.  The t grid is geometric on a gauged
+    clock and linear on the identity clock, and one `scale_grid` pass maps
+    it under every gauge.  The instants are s - s[0].
+
+    The span is keyed on its bits, not on float equality, so that -0.0 and
+    0.0 get clocks of their own."""
+    start, end = float.fromhex(t0), float.fromhex(t1)
+    gauged = [gauge for gauge in gauges if gauge is not None]
+    geometric = np.geomspace(start, end, samples) if gauged else None
+    linear = np.linspace(start, end, samples) if None in gauges else None
+    mapped = iter(scale_grid(gauged, geometric) if gauged else ())
+    clocks = []
+    for gauge in gauges:
+        t, s = (linear, linear) if gauge is None else (geometric, next(mapped))
+        clocks.append((s - s[0], t, s))
+    for arrays in clocks:
+        for array in arrays:
+            array.flags.writeable = False
+    return tuple(clocks)
 
 
 def check_span_overflow(gauge: Gauge | None, t0: float, t1: float) -> None:
@@ -569,19 +624,7 @@ def integrate_sl_gauges(
     tol, samples = check_settings(tol, samples)
     if not gauges:
         raise ValueError("integrate_sl_gauges needs at least one gauge (None for the identity clock)")
-    t_grids = [_span(gauge, span, samples) for gauge in gauges]
-    # Every gauged clock has the same geometric t grid: one log pass maps it
-    # under all of them.
-    gauged = [(gauge, t) for gauge, t in zip(gauges, t_grids) if gauge is not None]
-    mapped = iter(scale_grid([gauge for gauge, _ in gauged], gauged[0][1]) if gauged else ())
-    s_grids = [t.copy() if gauge is None else next(mapped) for gauge, t in zip(gauges, t_grids)]
-    return _adaptive_solve(
-        params,
-        x0,
-        tol,
-        [(s - s[0], t, s) for t, s in zip(t_grids, s_grids)],
-        stable_tails(params),
-    )
+    return _adaptive_solve(params, x0, tol, _clocks(gauges, span, samples), stable_tails(params))
 
 
 def integrate_direct_t(
@@ -603,8 +646,8 @@ def integrate_direct_t(
     if gauge is None:
         raise ValueError("integrate_direct_t needs a gauge; the identity clock has no direct-t form")
     tol, samples = check_settings(tol, samples)
-    t = _span(gauge, span, samples)
-    s = scale_time(gauge, t)
+    _, t, s = _clocks([gauge], span, samples)[0]
+    t, s = t.copy(), s.copy()
     rhs = make_gauged_field(params, gauge)
     rows = [tuple(float(v) for v in x0)]
     steps = 0

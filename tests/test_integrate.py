@@ -671,6 +671,9 @@ class TestArraySampling:
         # Every gauged clock maps the same geometric t grid, so the shared
         # solve takes one pass of `math.log` over its 2,000 times, not five,
         # and each s column is still the gauge's `scale_time` bit for bit.
+        # A second call reads the cached clock: its only logs are the
+        # overflow checks of t1, one per gauge, and the order's log of tol.
+        integrate._clock.cache_clear()
         base = scenario_registry()["sl-a2"]
         gauges = [Gauge(base.gauge.mu, d) for d in (0.5, 0.6, 0.7, 0.8, 0.9)]
         log, calls = math.log, [0]
@@ -682,9 +685,82 @@ class TestArraySampling:
         monkeypatch.setattr(math, "log", counted)
         shared = integrate_sl_gauges(base.params, gauges, base.span, base.x0, base.tol, 2000)
         assert 2000 <= calls[0] < 4000
+        calls[0] = 0
+        again = integrate_sl_gauges(base.params, gauges, base.span, base.x0, base.tol, 2000)
+        assert calls[0] == len(gauges) + 1
         monkeypatch.setattr(math, "log", log)
+        assert again == shared
         for gauge, run in zip(gauges, shared):
             assert run.s.tobytes() == scale_time(gauge, run.t).tobytes()
+
+
+class TestClock:
+    """The sample clock of a (gauges, span, samples) key, built once per
+    process (`integrate._clock`): an input of the solve, so no run's bytes
+    may depend on whether it was cached."""
+
+    RUNS = [
+        (ATTRACTOR_II, [GAUGE], (0.1, 1e4)),
+        (LORENZ_STANDARD_PARAMS, [None], (0.0, 5.0)),
+        (ATTRACTOR_II, [GAUGE, None, Gauge(0.9, 0.5)], (0.1, 50.0)),
+    ]
+
+    @staticmethod
+    def solve_all():
+        x0 = (0.1, 0.1, 0.1)
+        return [integrate_sl_gauges(params, gauges, span, x0, samples=300) for params, gauges, span in TestClock.RUNS]
+
+    def test_warm_runs_are_the_cold_runs_bit_for_bit(self):
+        integrate._clock.cache_clear()
+        cold = self.solve_all()
+        assert integrate._clock.cache_info().currsize == len(self.RUNS)
+        warm = self.solve_all()
+        assert integrate._clock.cache_info().hits == len(self.RUNS)
+        for cold_runs, warm_runs in zip(cold, warm):
+            for c, w in zip(cold_runs, warm_runs):
+                assert c.meta == w.meta
+                for col in ("t", "s", "states"):
+                    assert getattr(c, col).tobytes() == getattr(w, col).tobytes()
+
+    @pytest.mark.parametrize("first", [-0.0, 0.0])
+    def test_each_signed_zero_end_keeps_its_sign(self, first):
+        # -0.0 == 0.0, so a key of float equality would serve one span the
+        # other's clock: the span is keyed on its bits.
+        integrate._clock.cache_clear()
+        for end in (first, -first, first):
+            tr = integrate_sl(LORENZ_STANDARD_PARAMS, None, (-6.0, end), (0.1, 0.1, 0.1), samples=50)
+            assert math.copysign(1.0, tr.t[-1]) == math.copysign(1.0, end)
+            assert math.copysign(1.0, tr.s[-1]) == math.copysign(1.0, end)
+
+    def test_runs_own_writable_columns(self):
+        integrate._clock.cache_clear()
+        gauges, span, x0 = [GAUGE, None, GAUGE], (0.1, 50.0), (0.1, 0.1, 0.1)
+        first = integrate_sl_gauges(ATTRACTOR_II, gauges, span, x0, samples=50)
+        second = integrate_sl_gauges(ATTRACTOR_II, gauges, span, x0, samples=50)
+        cached = [array for clock in integrate._clocks(gauges, span, 50) for array in clock]
+        assert not any(array.flags.writeable for array in cached)
+        columns = [col for run in first + second for col in (run.t, run.s)]
+        assert all(col.flags.writeable for col in columns)
+        for i, col in enumerate(columns):
+            assert not any(np.shares_memory(col, other) for other in columns[i + 1 :] + cached)
+        # Writing to one run's columns changes no later run.
+        first[0].t[0] = first[0].s[0] = -1.0
+        assert integrate_sl_gauges(ATTRACTOR_II, gauges, span, x0, samples=50) == second
+
+    def test_an_overflowing_second_gauge_is_refused_on_every_call(self, monkeypatch):
+        monkeypatch.setattr(integrate, "_kernel", lambda p: pytest.fail("a Taylor solve started"))
+        gauges = [GAUGE, Gauge(1e300, 2.0 / 3.0)]
+        for _ in range(3):
+            with pytest.raises(ValueError, match=r"overflows the scaled time of gauge mu = 1e\+300"):
+                integrate_sl_gauges(ATTRACTOR_II, gauges, (0.1, 1e308), (0.1, 0.1, 0.1), samples=5)
+
+    def test_the_cache_is_bounded(self):
+        integrate._clock.cache_clear()
+        size = integrate._clock.cache_info().maxsize
+        assert size is not None and 0 < size <= 64
+        for k in range(size + 3):
+            integrate_sl(DECAY, None, (0.0, 1.0 + k), (1.0, 0.0, 0.0), samples=5)
+        assert integrate._clock.cache_info().currsize == size
 
 
 class TestTrajectory:

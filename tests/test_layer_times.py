@@ -13,8 +13,8 @@ def _load_tool():
     return module
 
 
-def test_every_case_runs_once():
-    table = _load_tool().cases()
-    assert len(table) == 22
+def test_every_case_runs_once(tmp_path):
+    table = _load_tool().cases(tmp_path)
+    assert len(table) == 23
     for name, case in table.items():
         assert case() is not None, name

@@ -15,6 +15,9 @@ The cases, each run once per round, round-robin, after one warm-up round:
   offset 1e-8 from lorenz-standard's start over 40 time units;
 - `solve-compare-six`: the six registry solves that `scenarios.run_compare`
   makes for `compare` of every scenario, one after another;
+- `solve-compare-six-cold`: the same with the sample clock cache
+  (`integrate._clock`) emptied first, so every clock is built as in a
+  one-shot process, where 4 of the 6 builds still repeat within the call;
 - `solve-five-gauges`: the shared solve of `sweep-gauge`'s D sweep of
   sl-a2 (`integrate_sl_gauges`, D = 0.5, 0.6, 0.7, 0.8, 0.9);
 - `solve-direct-t`: criterion 1's reference, `integrate_direct_t` on sl-a2's
@@ -34,6 +37,7 @@ The cases, each run once per round, round-robin, after one warm-up round:
   stdout captured, on lorenz-standard's CSV written once up front to a
   temporary directory: the CSV read, the SVG write and the parse of the
   command line that `slbench`'s `simulate-suite` makes after each run.
+  `main` owns that directory and removes it at the end.
 
 Effects of a few percent on one solve or report are below `slbench`'s
 run-to-run spread; run the tool alternately on two trees to see them:
@@ -62,9 +66,11 @@ SAMPLES = 2000
 SWEEP_D = (0.5, 0.6, 0.7, 0.8, 0.9)
 
 
-def cases() -> dict[str, Callable[[], object]]:
+def cases(tmp: Path) -> dict[str, Callable[[], object]]:
+    """The cases by name; `plot-path` writes into the directory `tmp`."""
     import numpy as np
 
+    from slchaos import integrate
     from slchaos.analysis import divergence_probe, stable_tails
     from slchaos.cli import cli_main
     from slchaos.dynamics import SystemParams, effective_params
@@ -87,6 +93,15 @@ def cases() -> dict[str, Callable[[], object]]:
     params = effective_params(base.kind, base.params)
     gauges = [Gauge(base.gauge.mu, d) for d in SWEEP_D]
     out["solve-compare-six"] = lambda: [run_trajectory(sc) for sc in registry.values()]
+    # A tree from before the clock cache builds every clock on every solve.
+    clock = getattr(integrate, "_clock", None)
+
+    def solve_compare_six_cold() -> list:
+        if clock is not None:
+            clock.cache_clear()
+        return [run_trajectory(sc) for sc in registry.values()]
+
+    out["solve-compare-six-cold"] = solve_compare_six_cold
     out["solve-five-gauges"] = lambda: integrate_sl_gauges(
         params, gauges, base.span, base.x0, base.tol, base.sample_count
     )
@@ -101,13 +116,11 @@ def cases() -> dict[str, Callable[[], object]]:
         out[label] = lambda tail=tail, state=state: tail.flow(0.0, state, times)
     grid = np.geomspace(base.span[0], base.span[1], SAMPLES)
     out["scale-time"] = lambda: scale_time(base.gauge, grid)
-    tmp = tempfile.TemporaryDirectory(prefix="layer-times-")
-    csv = write_trajectory_csv(run_trajectory(lorenz), Path(tmp.name) / f"{lorenz.name}.csv")
+    csv = write_trajectory_csv(run_trajectory(lorenz), tmp / f"{lorenz.name}.csv")
 
     def plot_path() -> int:
-        # Refers to `tmp`, so the directory lives as long as the case.
         with contextlib.redirect_stdout(io.StringIO()):
-            code = cli_main(["plot", "--csv", str(csv), "--view", "3d", "--out", tmp.name])
+            code = cli_main(["plot", "--csv", str(csv), "--view", "3d", "--out", str(tmp)])
         if code != 0:
             raise RuntimeError(f"plot exited with {code}")
         return code
@@ -126,16 +139,17 @@ def main() -> None:
     )
     args = parser.parse_args()
     sys.path.insert(0, str(args.src.resolve()))
-    table = cases()
-    for fn in table.values():
-        fn()
-    spent: dict[str, list[float]] = {name: [] for name in table}
-    clock = time.perf_counter
-    for _ in range(ROUNDS):
-        for name, fn in table.items():
-            start = clock()
+    with tempfile.TemporaryDirectory(prefix="layer-times-") as tmp:
+        table = cases(Path(tmp))
+        for fn in table.values():
             fn()
-            spent[name].append(1e3 * (clock() - start))
+        spent: dict[str, list[float]] = {name: [] for name in table}
+        clock = time.perf_counter
+        for _ in range(ROUNDS):
+            for name, fn in table.items():
+                start = clock()
+                fn()
+                spent[name].append(1e3 * (clock() - start))
     for name, ms in spent.items():
         q1, med, q3 = statistics.quantiles(ms, n=4)
         print(f"{name:<28} median {med:9.3f}  q1 {q1:9.3f}  q3 {q3:9.3f}  (n = {len(ms)})")
