@@ -9,14 +9,19 @@ extent) is drawn as a dot marker instead of a polyline.
 
 Each coordinate is `%.2f` of its pixel value: the exact value rounded to
 hundredths, half to even on exact ties.  `_pairs` writes a polyline's pixel
-values with integer digit arithmetic, with no conversion per number.  An
-extent whose pixel scale is not finite (it overflows, or is subnormal) is
-rejected with `ValueError`.
+values with no conversion per number: it looks each rounded hundredth up in
+a read-only table of 100,000 eight-byte words, the text of k/100 for every
+k, which takes 800 KB and stays resident after the first plot.  Label,
+title and axis text is XML-escaped, and a curve's color must be `#rrggbb`.
+An extent whose pixel scale is not finite (it overflows, or is subnormal)
+is rejected with `ValueError`.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import re
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -31,6 +36,8 @@ DEFAULT_COLOR = "#2c6fbb"
 # Overlay palette; the first three (green, red, blue) are the documented
 # colors for multi-scenario comparisons, the rest cover longer lists.
 COMPARE_COLORS = ("#008000", "#d00000", "#0000cc", "#805090", "#c07818", "#108888")
+# A curve's color goes into an attribute unescaped, so it must be this.
+_COLOR = re.compile(r"#[0-9a-fA-F]{6}")
 
 
 @dataclass(frozen=True)
@@ -43,6 +50,8 @@ class Curve:
     def __post_init__(self) -> None:
         x = np.asarray(self.x, dtype=float)
         y = np.asarray(self.y, dtype=float)
+        if not _COLOR.fullmatch(self.color):
+            raise ValueError(f"curve {self.label!r}: color {self.color!r} is not #rrggbb")
         if x.ndim != 1 or x.shape != y.shape or x.size == 0:
             raise ValueError(f"curve {self.label!r}: x and y must be equal-length 1-D, non-empty")
         if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
@@ -85,9 +94,36 @@ def _tick(v: float) -> str:
     return f"{v:.6g}"
 
 
-def _pairs(v: np.ndarray) -> str:
-    """`"%.2f,%.2f " * n % tuple(v)` without its final space, for the
-    interleaved pixel values v of n points, each 0 <= v < 999.995."""
+def _escape(text: str) -> str:
+    """`text` as XML character data.  Not `xml.sax.saxutils.escape`, whose
+    import pulls in `urllib.request` and several MB."""
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
+
+@functools.cache
+def _words() -> np.ndarray:
+    """The read-only text of k/100 for k = 0..99999, one uint64 word each:
+    the integer digits right-aligned in bytes 0-2 (a dropped leading digit
+    is a zero byte), then ".dd"; bytes 6 and 7 are zero.  800 KB, built on
+    the first plot and kept.  Word k is hundreds[k // 100] | cents[k % 100],
+    both written as bytes, so the text does not depend on byte order."""
+    hundreds = b"".join(b"%3d.\0\0\0\0" % i for i in range(1000)).replace(b" ", b"\0")
+    cents = b"".join(b"\0\0\0\0%02d\0\0" % i for i in range(100))
+    words = (np.frombuffer(hundreds, np.uint64)[:, None] | np.frombuffer(cents, np.uint64)).ravel()
+    words.flags.writeable = False
+    return words
+
+
+# "," after a point's x and " " after its y, in byte 6 of the word.
+_COMMA, _SPACE = np.frombuffer(b"\0\0\0\0\0\0,\0\0\0\0\0\0\0 \0", np.uint64)
+
+
+def _pairs(v: np.ndarray) -> bytes:
+    """`"%.2f,%.2f " * n % tuple(v)` without its final space, as ASCII
+    bytes, for the interleaved pixel values v of n points, each
+    0 <= v < 999.995: each value's word from `_words` (the 800 KB table,
+    built on the first call), its separator ORed in, and every zero byte
+    dropped."""
     w = v * 100.0
     if not (v.min() >= 0.0 and w.max() < 99999.5):
         raise ValueError("pixel coordinate outside [0, 999.995)")
@@ -99,19 +135,10 @@ def _pairs(v: np.ndarray) -> str:
     hi = c - (c - v[tie])
     err = (hi * 100.0 - w[tie]) + (v[tie] - hi) * 100.0
     n[tie] = np.where(err == 0.0, n[tie], np.floor(w[tie]) + (err > 0.0))
-    # One row "ddd.dd" per value, then "," or " " in turn; leading zeros dropped.
-    out = np.empty((v.size, 7), np.uint8)
-    out[:, 3] = ord(".")
-    out[0::2, 6] = ord(",")
-    out[1::2, 6] = ord(" ")
-    q = n.astype(np.int32)
-    for j in (5, 4, 2, 1, 0):
-        q, r = np.divmod(q, 10)
-        out[:, j] = r + 48
-    keep = np.ones(out.shape, bool)
-    keep[:, 0] = n >= 10000.0
-    keep[:, 1] = n >= 1000.0
-    return out[keep].tobytes().decode("ascii")[:-1]
+    out = _words()[n.astype(np.intp)].reshape(-1, 2)
+    out[:, 0] |= _COMMA
+    out[:, 1] |= _SPACE
+    return out.tobytes().translate(None, b"\0")[:-1]
 
 
 def export_svg(
@@ -126,10 +153,14 @@ def export_svg(
         raise ValueError("export_svg needs at least one curve")
     path = Path(path)
 
-    xmin = min(float(c.x.min()) for c in curves)
-    xmax = max(float(c.x.max()) for c in curves)
-    ymin = min(float(c.y.min()) for c in curves)
-    ymax = max(float(c.y.max()) for c in curves)
+    # Each curve's extent, once: the plot's extent and the single-point test read it.
+    extents = [
+        (float(c.x.min()), float(c.x.max()), float(c.y.min()), float(c.y.max())) for c in curves
+    ]
+    xmin = min(e[0] for e in extents)
+    xmax = max(e[1] for e in extents)
+    ymin = min(e[2] for e in extents)
+    ymax = max(e[3] for e in extents)
     # A zero extent is padded by 1, or by an ulp where 1 would not move it.
     if xmax == xmin:
         xmin, xmax = xmin - max(1.0, math.ulp(xmin)), xmax + max(1.0, math.ulp(xmax))
@@ -145,71 +176,63 @@ def export_svg(
         if not 0.0 < scale < math.inf:
             raise ValueError(f"{axis} extent [{lo!r}, {hi!r}] has no finite pixel scale")
 
-    parts: list[str] = []
-    parts.append(
+    parts: list[bytes] = []
+
+    def put(line: str) -> None:
+        parts.append(line.encode("ascii"))
+
+    put(
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" height="{HEIGHT}" '
         f'viewBox="0 0 {WIDTH} {HEIGHT}">'
     )
-    parts.append(f'<rect width="{WIDTH}" height="{HEIGHT}" fill="#ffffff"/>')
+    put(f'<rect width="{WIDTH}" height="{HEIGHT}" fill="#ffffff"/>')
     axis = f'stroke="#404040" stroke-width="1"'
-    parts.append(
-        f'<line x1="{_fmt(mx0)}" y1="{_fmt(my0)}" x2="{_fmt(mx0)}" y2="{_fmt(my1)}" {axis}/>'
-    )
-    parts.append(
-        f'<line x1="{_fmt(mx0)}" y1="{_fmt(my1)}" x2="{_fmt(mx1)}" y2="{_fmt(my1)}" {axis}/>'
-    )
+    put(f'<line x1="{_fmt(mx0)}" y1="{_fmt(my0)}" x2="{_fmt(mx0)}" y2="{_fmt(my1)}" {axis}/>')
+    put(f'<line x1="{_fmt(mx0)}" y1="{_fmt(my1)}" x2="{_fmt(mx1)}" y2="{_fmt(my1)}" {axis}/>')
     text = 'font-family="monospace" font-size="12" fill="#202020"'
-    parts.append(
-        f'<text x="{_fmt(mx0)}" y="{_fmt(my1 + 16)}" {text}>{_tick(xmin)}</text>'
-    )
-    parts.append(
-        f'<text x="{_fmt(mx1)}" y="{_fmt(my1 + 16)}" text-anchor="end" {text}>{_tick(xmax)}</text>'
-    )
-    parts.append(
-        f'<text x="{_fmt(mx0 - 6)}" y="{_fmt(my1)}" text-anchor="end" {text}>{_tick(ymin)}</text>'
-    )
-    parts.append(
+    put(f'<text x="{_fmt(mx0)}" y="{_fmt(my1 + 16)}" {text}>{_tick(xmin)}</text>')
+    put(f'<text x="{_fmt(mx1)}" y="{_fmt(my1 + 16)}" text-anchor="end" {text}>{_tick(xmax)}</text>')
+    put(f'<text x="{_fmt(mx0 - 6)}" y="{_fmt(my1)}" text-anchor="end" {text}>{_tick(ymin)}</text>')
+    put(
         f'<text x="{_fmt(mx0 - 6)}" y="{_fmt(my0 + 10)}" text-anchor="end" {text}>{_tick(ymax)}</text>'
     )
-    parts.append(
+    put(
         f'<text x="{_fmt((mx0 + mx1) / 2)}" y="{_fmt(HEIGHT - 12)}" text-anchor="middle" '
-        f"{text}>{x_label}</text>"
+        f"{text}>{_escape(x_label)}</text>"
     )
-    parts.append(
+    put(
         f'<text x="16" y="{_fmt((my0 + my1) / 2)}" text-anchor="middle" {text} '
-        f'transform="rotate(-90 16 {_fmt((my0 + my1) / 2)})">{y_label}</text>'
+        f'transform="rotate(-90 16 {_fmt((my0 + my1) / 2)})">{_escape(y_label)}</text>'
     )
     if title:
-        parts.append(
+        put(
             f'<text x="{_fmt((mx0 + mx1) / 2)}" y="{_fmt(my0 - 10)}" text-anchor="middle" '
-            f"{text}>{title}</text>"
+            f"{text}>{_escape(title)}</text>"
         )
 
-    for c in curves:
+    for c, (x0, x1, y0, y1) in zip(curves, extents):
         # Element-wise, in this order, so each pixel is the scalar formula's double.
         xs = mx0 + (c.x - xmin) * sx
         ys = my1 - (c.y - ymin) * sy
-        if c.x.size == 1 or (float(c.x.min()) == float(c.x.max()) and float(c.y.min()) == float(c.y.max())):
-            parts.append(
+        if x0 == x1 and y0 == y1:
+            put(
                 f'<circle cx="{_fmt(float(xs[0]))}" cy="{_fmt(float(ys[0]))}" '
                 f'r="3" fill="{c.color}"/>'
             )
             continue
-        coords = _pairs(np.column_stack((xs, ys)).ravel())
         parts.append(
-            f'<polyline points="{coords}" fill="none" stroke="{c.color}" stroke-width="1"/>'
+            b'<polyline points="' + _pairs(np.column_stack((xs, ys)).ravel())
+            + f'" fill="none" stroke="{c.color}" stroke-width="1"/>'.encode("ascii")
         )
 
-    labeled = [c for c in curves if c.label]
-    if labeled:
-        for i, c in enumerate(labeled):
-            ly = my0 + 14 + 16 * i
-            parts.append(
-                f'<line x1="{_fmt(mx1 - 150)}" y1="{_fmt(ly - 4)}" x2="{_fmt(mx1 - 126)}" '
-                f'y2="{_fmt(ly - 4)}" stroke="{c.color}" stroke-width="2"/>'
-            )
-            parts.append(f'<text x="{_fmt(mx1 - 120)}" y="{_fmt(ly)}" {text}>{c.label}</text>')
+    for i, c in enumerate([c for c in curves if c.label]):
+        ly = my0 + 14 + 16 * i
+        put(
+            f'<line x1="{_fmt(mx1 - 150)}" y1="{_fmt(ly - 4)}" x2="{_fmt(mx1 - 126)}" '
+            f'y2="{_fmt(ly - 4)}" stroke="{c.color}" stroke-width="2"/>'
+        )
+        put(f'<text x="{_fmt(mx1 - 120)}" y="{_fmt(ly)}" {text}>{_escape(c.label)}</text>')
 
-    parts.append("</svg>")
-    path.write_bytes(("\n".join(parts) + "\n").encode("ascii"))
+    parts.append(b"</svg>\n")
+    path.write_bytes(b"\n".join(parts))
     return path

@@ -1,15 +1,24 @@
 import math
+import os
 import re
+import subprocess
+import sys
+import xml.etree.ElementTree as ET
+from pathlib import Path
+from xml.dom import minidom
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from slchaos import svgplot
+from slchaos.scenarios import run_compare, run_scenario, scenario_registry
 from slchaos.svgplot import (
     COMPARE_COLORS,
     Curve,
     _pairs,
+    _words,
     export_svg,
     isometric_projection,
 )
@@ -48,6 +57,11 @@ class TestCurve:
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError, match="non-finite"):
             Curve("", np.array([1.0, 2.0]), np.array([1.0, math.inf]))
+
+    @pytest.mark.parametrize("color", ["red", "#12345", "#1234567", '#000000" onload="x', "#00g000"])
+    def test_rejects_color_other_than_rrggbb(self, color):
+        with pytest.raises(ValueError, match="not #rrggbb"):
+            Curve("", np.array([1.0, 2.0]), np.array([1.0, 2.0]), color)
 
 
 class TestProjection:
@@ -154,13 +168,25 @@ class TestExport:
             export_svg([Curve("", np.array(x), np.array(y))], tmp_path / "p.svg", x_label="x", y_label="y")
         assert not (tmp_path / "p.svg").exists()
 
+    def test_text_is_escaped(self, tmp_path):
+        c = Curve("a<b & c", np.array([0.0, 1.0]), np.array([0.0, 1.0]))
+        path = export_svg([c], tmp_path / "p.svg", x_label="x<y", y_label="y>0", title="T&C")
+        minidom.parse(str(path))
+        text = path.read_text()
+        for raw, escaped in (("a<b & c", "a&lt;b &amp; c"), ("x<y", "x&lt;y"), ("y>0", "y&gt;0"), ("T&C", "T&amp;C")):
+            assert f">{escaped}</text>" in text
+            assert raw not in text
+        labels = [e.text for e in ET.parse(path).getroot() if e.tag.endswith("text")]
+        assert {"a<b & c", "x<y", "y>0", "T&C"} <= set(labels)
+
     def test_needs_a_curve(self, tmp_path):
         with pytest.raises(ValueError):
             export_svg([], tmp_path / "p.svg", x_label="t", y_label="x")
 
 
 def _per_value(v):
-    return " ".join(f"{a:.2f},{b:.2f}" for a, b in zip(v[0::2].tolist(), v[1::2].tolist()))
+    text = " ".join(f"{a:.2f},{b:.2f}" for a, b in zip(v[0::2].tolist(), v[1::2].tolist()))
+    return text.encode("ascii")
 
 
 class TestPairs:
@@ -181,13 +207,48 @@ class TestPairs:
     def test_exact_binary_ties_round_half_to_even(self):
         v = np.arange(8000) / 8.0
         assert _pairs(v) == _per_value(v)
-        assert _pairs(np.array([0.125, 0.375])) == "0.12,0.38"
+        assert _pairs(np.array([0.125, 0.375])) == b"0.12,0.38"
 
     def test_integer_digit_counts(self):
         v = np.array([0.0, 9.99, 99.99, 999.99, 0.004, 60.0])
-        assert _pairs(v) == "0.00,9.99 99.99,999.99 0.00,60.00"
+        assert _pairs(v) == b"0.00,9.99 99.99,999.99 0.00,60.00"
+
+    def test_every_word_of_the_table(self):
+        v = np.arange(100_000) / 100.0
+        assert _pairs(v) == _per_value(v)
+
+    def test_table_is_read_only(self):
+        words = _words()
+        assert words.shape == (100_000,) and words.dtype == np.uint64
+        with pytest.raises(ValueError, match="read-only"):
+            words[0] = 0
+
+    def test_cli_setup_builds_no_table(self):
+        # What slbench times as setup_s: import the CLI, build its parser and
+        # the scenario registry.  The table is built on a first plot only.
+        probe = (
+            "import slchaos.cli as cli; cli.build_parser();"
+            "from slchaos.scenarios import scenario_registry; scenario_registry();"
+            "from slchaos import svgplot; print(svgplot._words.cache_info().currsize)"
+        )
+        src = str(Path(svgplot.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+        proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, timeout=60, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "0\n"
 
     @pytest.mark.parametrize("bad", [-0.01, 999.995, 1e6, math.nan])
     def test_rejects_values_outside_its_domain(self, bad):
         with pytest.raises(ValueError, match="outside"):
             _pairs(np.array([1.0, bad]))
+
+
+def test_every_registry_svg_is_well_formed_xml(tmp_path):
+    names = list(scenario_registry())
+    paths = run_compare(names, tmp_path / "compare")
+    for name in names:
+        paths += run_scenario(name, tmp_path / name)
+    svgs = [p for p in paths if p.suffix == ".svg"]
+    assert len(svgs) == 7 + 4 * len(names)
+    for p in svgs:
+        assert ET.parse(p).getroot().tag == "{http://www.w3.org/2000/svg}svg", p

@@ -37,7 +37,12 @@ The cases, each run once per round, round-robin, after one warm-up round:
   stdout captured, on lorenz-standard's CSV written once up front to a
   temporary directory: the CSV read, the SVG write and the parse of the
   command line that `slbench`'s `simulate-suite` makes after each run.
-  `main` owns that directory and removes it at the end.
+  `main` owns that directory and removes it at the end;
+- `svg-compare-seven`: `scenarios.run_compare` of every registry scenario
+  into the same directory, with its six solves replaced by runs solved once
+  up front, so the case times its seven SVG views (42 polylines);
+- `svg-run-four`: the four geometry SVG views that `run_scenario` writes
+  for lorenz-standard, on that run, into the same directory.
 
 Effects of a few percent on one solve or report are below `slbench`'s
 run-to-run spread; run the tool alternately on two trees to see them:
@@ -60,6 +65,7 @@ import tempfile
 import time
 from pathlib import Path
 from typing import Callable
+from unittest import mock
 
 ROUNDS = 30
 SAMPLES = 2000
@@ -67,15 +73,16 @@ SWEEP_D = (0.5, 0.6, 0.7, 0.8, 0.9)
 
 
 def cases(tmp: Path) -> dict[str, Callable[[], object]]:
-    """The cases by name; `plot-path` writes into the directory `tmp`."""
+    """The cases by name; `plot-path` and the `svg-*` cases write into the directory `tmp`."""
     import numpy as np
 
-    from slchaos import integrate
+    from slchaos import integrate, scenarios
     from slchaos.analysis import divergence_probe, stable_tails
     from slchaos.cli import cli_main
     from slchaos.dynamics import SystemParams, effective_params
     from slchaos.integrate import integrate_direct_t, integrate_sl, integrate_sl_gauges
     from slchaos.scenarios import derive, run_trajectory, scenario_registry, scenario_report
+    from slchaos.svgplot import COMPARE_COLORS, export_svg, geometry_views
     from slchaos.timegauge import Gauge, scale_time
     from slchaos.trajio import write_trajectory_csv
 
@@ -126,6 +133,19 @@ def cases(tmp: Path) -> dict[str, Callable[[], object]]:
         return code
 
     out["plot-path"] = plot_path
+    solved = {name: run_trajectory(sc) for name, sc in registry.items()}
+
+    def svg_compare_seven() -> list:
+        # run_compare itself, with each solve replaced by the one made up front.
+        with mock.patch.object(scenarios, "run_trajectory", lambda sc: solved[sc.name]):
+            return scenarios.run_compare(list(registry), tmp / "compare")
+
+    out["svg-compare-seven"] = svg_compare_seven
+    views = geometry_views(solved[lorenz.name].states, "", COMPARE_COLORS[2])
+    out["svg-run-four"] = lambda: [
+        export_svg([curve], tmp / f"{lorenz.name}-{stem}.svg", x_label=xl, y_label=yl, title=f"{lorenz.name} {stem}")
+        for stem, (curve, xl, yl) in views.items()
+    ]
     return out
 
 
