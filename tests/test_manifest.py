@@ -19,7 +19,7 @@ def test_manifest_is_complete_and_repeatable(tmp_path):
     first = tool.manifest(tmp_path / "first")
     second = tool.manifest(tmp_path / "second")
     assert first == second
-    assert len(first) == 211
+    assert len(first) == 211 + len(tool.REFUSALS)
     labels = {line.split("  ", 1)[1] for line in first}
     groups = {label.split("/", 1)[0] for label in labels}
     for label, _ in tool.WRITERS:
@@ -28,3 +28,5 @@ def test_manifest_is_complete_and_repeatable(tmp_path):
         assert f"plot-{view}" in groups
     for label, _ in tool.PRINTERS:
         assert f"{label} (stdout)" in labels
+    for label, _ in tool.REFUSALS:
+        assert f"refusal-{label}" in labels

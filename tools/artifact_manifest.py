@@ -16,7 +16,10 @@ benchmark's five-member `D` sweep at the default sample count), a run
 that settles on a stable focus-node pair, a run to t = 1e30 (whose CSV
 prints times in positive exponent form), `compare` of all six scenarios
 and with and without run overrides (`--tol` and `--samples`), every
-`plot` view, `fixed-points` and `lyapunov`.
+`plot` view, `fixed-points` and `lyapunov`.  Each command in REFUSALS
+must be refused: its line is `<sha256>  refusal-<label>`, the hash of
+"exit N\n" followed by its stderr, and it may neither print to stdout nor
+create its `--out` directory.
 
 A change meant to leave every artifact byte-identical is checked by running
 the tool against both source trees and diffing the output:
@@ -25,7 +28,8 @@ the tool against both source trees and diffing the output:
     python tools/artifact_manifest.py > new.txt
     diff old.txt new.txt
 
-It takes a few seconds and exits non-zero if any command fails.
+It takes a few seconds and exits non-zero if any command fails or any
+refusal is not refused.
 """
 
 from __future__ import annotations
@@ -126,6 +130,30 @@ PRINTERS: list[tuple[str, list[str]]] = [
     ),
 ]
 
+# (label, argv without --out) of commands that must be refused
+REFUSALS: list[tuple[str, list[str]]] = [
+    ("tol-ceiling", ["simulate", "--scenario", "lorenz-standard", "--tol", "1"]),
+    ("tol-floor", ["simulate", "--scenario", "lorenz-standard", "--tol", "1e-16"]),
+    ("samples-1", ["simulate", "--scenario", "sl-a2", "--samples", "1"]),
+    ("span-order", ["simulate", "--system", "lorenz-standard", "--t0", "10", "--t1", "1"]),
+    ("sl-t0", ["simulate", "--system", "sl", "--a", "2", "--t0", "0"]),
+    (
+        "scaled-time-overflow",
+        ["simulate", "--system", "sl", "--a", "2", "--mu", "1e300", "--t1", "1e308", "--samples", "5"],
+    ),
+    (
+        "span-length-overflow",
+        ["simulate", "--system", "lorenz-standard", "--t0=-1e308", "--t1", "1e308", "--samples", "3"],
+    ),
+    ("report-budget", ["simulate", "--system", "lorenz-standard", "--t1", "100001"]),
+    ("compare-tol-ceiling", ["compare", "sl-a2", "lorenz-literal", "--tol", "1"]),
+    ("lyapunov-horizon-nan", ["lyapunov", "--scenario", "sl-a2", "--horizon", "nan"]),
+    ("lyapunov-renorm-inf", ["lyapunov", "--system", "sl", "--a", "2", "--renorm", "inf"]),
+    ("unknown-scenario", ["simulate", "--scenario", "no-such-run"]),
+]
+# The commands that take --out.
+OUT_COMMANDS = ("simulate", "sweep", "compare", "plot")
+
 
 def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
@@ -140,6 +168,20 @@ def _run(argv: list[str]) -> str:
     if code != 0:
         raise SystemExit(f"slchaos {' '.join(argv)} exited with {code}")
     return buf.getvalue()
+
+
+def _refusal(argv: list[str], out: Path) -> str:
+    """The exit code and stderr of a command that must be refused."""
+    from slchaos.cli import cli_main
+
+    if argv[0] in OUT_COMMANDS:
+        argv = [*argv, "--out", str(out)]
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = cli_main(argv)
+    if code == 0 or stdout.getvalue() or out.exists():
+        raise SystemExit(f"slchaos {' '.join(argv)} was not refused cleanly (exit {code})")
+    return f"exit {code}\n{stderr.getvalue()}"
 
 
 def _hash_files(label: str, out: Path) -> list[str]:
@@ -162,6 +204,9 @@ def manifest(root: Path) -> list[str]:
         lines.extend(_hash_files(label, root / label))
     for label, argv in PRINTERS:
         lines.append(f"{_sha256(_run(argv).encode('utf-8'))}  {label} (stdout)")
+    for label, argv in REFUSALS:
+        label = f"refusal-{label}"
+        lines.append(f"{_sha256(_refusal(argv, root / label).encode('utf-8'))}  {label}")
     return lines
 
 
