@@ -151,7 +151,7 @@ class LyapunovEstimate:
         if not (self.horizon > 0.0 and math.isfinite(self.horizon)):
             raise ValueError(f"horizon must be positive and finite, got {self.horizon!r}")
         if not (self.renorm_interval > 0.0 and math.isfinite(self.renorm_interval)):
-            raise ValueError(f"renorm_interval must be positive, got {self.renorm_interval!r}")
+            raise ValueError(f"renorm_interval must be positive and finite, got {self.renorm_interval!r}")
         if self.horizon < 100.0 * self.renorm_interval:
             raise ValueError(
                 f"horizon {self.horizon!r} covers fewer than 100 renormalization "
@@ -464,25 +464,19 @@ def _carry(params: SystemParams, state: tuple, interval: float) -> tuple:
     return (x, y, z)
 
 
-def _check_steps(intervals: float, interval: float) -> None:
-    """ValueError when `_carry` takes more RK4 steps across `intervals`
-    intervals of `interval` than a solve may take."""
-    steps = intervals * max(1, math.ceil(interval / RK4_DT))
-    if steps > _MAX_STEPS:
-        raise ValueError(f"{steps:.6g} RK4 steps per orbit exceed the step budget of {_MAX_STEPS}")
-
-
 def check_lyapunov_budget(horizon: float, renorm_interval: float) -> int:
     """The number of renormalization intervals in `horizon`, checked before
     anything is integrated: ValueError for a geometry `LyapunovEstimate`
-    refuses, or for more RK4 steps per orbit than a solve may take.
-    `max_lyapunov` checks its budget with it, and a run its report's before
-    the solve."""
+    refuses, or for more RK4 steps per orbit than a solve may take when
+    `_carry` crosses each interval.  `max_lyapunov` and `divergence_probe`
+    check their budgets with it, and a run its report's before the solve."""
     horizon, renorm_interval = float(horizon), float(renorm_interval)
     LyapunovEstimate(math.nan, horizon, renorm_interval, 0.0)
     # A float, inf when the interval count overflows.
     intervals = round(horizon / renorm_interval, 0)
-    _check_steps(intervals, renorm_interval)
+    steps = intervals * max(1, math.ceil(renorm_interval / RK4_DT))
+    if steps > _MAX_STEPS:
+        raise ValueError(f"{steps:.6g} RK4 steps per orbit exceed the step budget of {_MAX_STEPS}")
     return int(intervals)
 
 
@@ -570,16 +564,14 @@ def divergence_probe(
 
     No renormalization: this is the plain picture of how fast nearby states
     drift apart (or together), sampled PROBE_SAMPLES times over the horizon
-    in the same time variable max_lyapunov uses, under the same step
-    budget.
+    in the same time variable max_lyapunov uses, under its budget check,
+    `check_lyapunov_budget`, with each sample interval as an interval.
     """
     if not (delta0 > 0.0 and math.isfinite(delta0)):
         raise ValueError(f"delta0 must be positive, got {delta0!r}")
-    if not (horizon > 0.0 and math.isfinite(horizon)):
-        raise ValueError(f"horizon must be positive, got {horizon!r}")
-    p = effective_params(kind, params)
     sample_interval = horizon / PROBE_SAMPLES
-    _check_steps(PROBE_SAMPLES, sample_interval)
+    check_lyapunov_budget(horizon, sample_interval)
+    p = effective_params(kind, params)
     ax, ay, az = (float(v) for v in x0)
     a = (ax, ay, az)
     b = (a[0] + delta0, a[1], a[2])

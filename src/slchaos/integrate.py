@@ -46,8 +46,9 @@ column.  They are inputs of the solve, the same on every call, so each is
 built once per process and kept, read-only, in a small LRU cache
 (`_clock`); one `scale_grid` pass maps the key's t grid under every gauge.
 The span is keyed on its bits, so (-6.0, -0.0) and (-6.0, 0.0) get clocks
-of their own.  The span's checks run on every call, before the cache is
-read, and each run gets its own writable copy of its two time columns.
+of their own.  `check_run`, the one check of a run's span and settings,
+runs on every call, before the cache is read, and each run gets its own
+writable copy of its two time columns.
 
 Settled tail.  A solve of the quadratic field (`integrate_sl_gauges`,
 hence every run) stops stepping once a step ends close to a stable
@@ -97,8 +98,7 @@ if TYPE_CHECKING:
     from .analysis import StableTail
 
 __all__ = [
-    "check_settings",
-    "check_span_overflow",
+    "check_run",
     "IntegrationMeta",
     "Trajectory",
     "IntegrationError",
@@ -112,13 +112,22 @@ __all__ = [
 RHS = Callable[[float, tuple[float, float, float]], tuple[float, float, float]]
 
 
-def check_settings(tol: float, samples: int) -> tuple[float, int]:
-    """The run settings `tol` and `samples` as float and int, or ValueError
-    if either is out of range or `samples` is not a whole number.  Outside
-    tol in [1e-15, 1e-1] a solve misses its tolerance on the z-axis: by
-    6.7 * tol at 1e-16 and 1.1 * tol at 1.  At tol 1 lorenz-standard fails
-    with a step-size underflow at t = 2.26, and tol 1e300 would allow one
-    step of h = 2.9e149 off its attractor."""
+def check_run(
+    gauges: Sequence[Gauge | None], span: tuple[float, float], tol: float, samples: int
+) -> tuple[float, float, float, int]:
+    """The inputs of a run under the clocks of `gauges` as (t0, t1, tol,
+    samples), floats and an int, or ValueError: the one check of a run's
+    span and settings, made before any clock is built or step taken.
+
+    Outside tol in [1e-15, 1e-1] a solve misses its tolerance on the
+    z-axis: by 6.7 * tol at 1e-16 and 1.1 * tol at 1.  At tol 1
+    lorenz-standard fails with a step-size underflow at t = 2.26, and tol
+    1e300 would allow one step of h = 2.9e149 off its attractor.  `samples`
+    must be a whole number, at least 2.  The span needs finite t0 < t1, and
+    a gauged one 0 < t0: the direct factor t**(-D) is singular at the
+    origin and the gauge map is not invertible there.  No instant may
+    overflow: neither the span's length t1 - t0 nor, on a gauged clock,
+    the scaled time of t1, its largest instant (the map is increasing)."""
     tol = float(tol)
     if not 1e-15 <= tol <= 1e-1:
         raise ValueError(f"tol must be in [1e-15, 1e-1], got {tol!r}")
@@ -126,7 +135,22 @@ def check_settings(tol: float, samples: int) -> tuple[float, int]:
         raise ValueError(f"sample_count must be an integer, got {samples!r}")
     if int(samples) < 2:
         raise ValueError(f"sample_count must be >= 2, got {samples!r}")
-    return tol, int(samples)
+    t0, t1 = (float(span[0]), float(span[1]))
+    if not (math.isfinite(t0) and math.isfinite(t1) and t1 > t0):
+        raise ValueError(f"span must be finite with t1 > t0, got [{t0!r}, {t1!r}]")
+    gauged = [gauge for gauge in gauges if gauge is not None]
+    if gauged and t0 <= 0.0:
+        raise ValueError(f"SL span must start at t0 > 0 (0 < t0 < t1), got [{t0!r}, {t1!r}]")
+    if not math.isfinite(t1 - t0):
+        raise ValueError(f"span [{t0!r}, {t1!r}] is too long: t1 - t0 overflows")
+    for gauge in gauged:
+        with np.errstate(over="ignore"):
+            end = scale_time(gauge, t1)
+        if not math.isfinite(end):
+            raise ValueError(
+                f"span [{t0!r}, {t1!r}] overflows the scaled time of gauge mu = {gauge.mu!r}, D = {gauge.D!r}"
+            )
+    return t0, t1, tol, int(samples)
 
 
 @dataclass(frozen=True)
@@ -296,7 +320,7 @@ def _order(tol: float) -> int:
     return max(2, math.ceil(-0.5 * math.log(tol)) + 1)
 
 
-# p <= 19 for any tol >= 1e-15 (`check_settings`), so the cache stays bounded.
+# p <= 19 for any tol >= 1e-15 (`check_run`), so the cache stays bounded.
 @functools.cache
 def _kernel(p: int) -> Callable:
     """The Taylor solve of order p: the stepping loop of `_adaptive_solve`,
@@ -510,25 +534,6 @@ def _adaptive_solve(
     return runs
 
 
-def _clocks(
-    gauges: Sequence[Gauge | None], span: tuple[float, float], samples: int
-) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
-    """The sample clock of each of `gauges` on a checked span (`_clock`),
-    or ValueError.  A gauged span needs 0 < t0 < t1: the direct factor
-    t**(-D) is singular at the origin and the gauge map is not invertible
-    there.  The identity clock (no gauge, a Lorenz run) takes any finite
-    t0 < t1.  Either way no instant may overflow (`check_span_overflow`).
-    The checks run on every call; only the clocks are cached."""
-    t0, t1 = (float(span[0]), float(span[1]))
-    if not (math.isfinite(t0) and math.isfinite(t1) and t1 > t0):
-        raise ValueError(f"need finite t1 > t0, got [{t0!r}, {t1!r}]")
-    for gauge in gauges:
-        if gauge is not None and t0 <= 0.0:
-            raise ValueError(f"SL span needs 0 < t0 < t1, got [{t0!r}, {t1!r}]")
-        check_span_overflow(gauge, t0, t1)
-    return _clock(tuple(gauges), t0.hex(), t1.hex(), samples)
-
-
 # A clock holds two arrays of `samples` doubles per gauge and one t grid
 # per kind of clock: 176 KB for five gauges at 2,000 samples, so sixteen
 # such clocks hold under 3 MB.
@@ -537,7 +542,7 @@ def _clock(
     gauges: tuple[Gauge | None, ...], t0: str, t1: str, samples: int
 ) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
     """The sample clock of each of `gauges` on the span [t0, t1] that
-    `_clocks` checked, given as `float.hex` strings: (instants, t column,
+    `check_run` passed, given as `float.hex` strings: (instants, t column,
     s column), read-only.  The t grid is geometric on a gauged
     clock and linear on the identity clock, and one `scale_grid` pass maps
     it under every gauge.  The instants are s - s[0].
@@ -557,21 +562,6 @@ def _clock(
         for array in arrays:
             array.flags.writeable = False
     return tuple(clocks)
-
-
-def check_span_overflow(gauge: Gauge | None, t0: float, t1: float) -> None:
-    """ValueError when a finite span t0 < t1 has no finite length t1 - t0,
-    or when t1, its largest instant, has no finite scaled time on the clock
-    of `gauge`; the map is increasing, so no other instant can overflow."""
-    if not math.isfinite(t1 - t0):
-        raise ValueError(f"span [{t0!r}, {t1!r}] is too long: t1 - t0 overflows")
-    if gauge is not None:
-        with np.errstate(over="ignore"):
-            end = scale_time(gauge, t1)
-        if not math.isfinite(end):
-            raise ValueError(
-                f"span [{t0!r}, {t1!r}] overflows the scaled time of gauge mu = {gauge.mu!r}, D = {gauge.D!r}"
-            )
 
 
 def integrate_sl(
@@ -621,10 +611,11 @@ def integrate_sl_gauges(
     # Imported here because `analysis` imports this module's `rk4_step`.
     from .analysis import stable_tails
 
-    tol, samples = check_settings(tol, samples)
+    t0, t1, tol, samples = check_run(gauges, span, tol, samples)
     if not gauges:
         raise ValueError("integrate_sl_gauges needs at least one gauge (None for the identity clock)")
-    return _adaptive_solve(params, x0, tol, _clocks(gauges, span, samples), stable_tails(params))
+    clocks = _clock(tuple(gauges), t0.hex(), t1.hex(), samples)
+    return _adaptive_solve(params, x0, tol, clocks, stable_tails(params))
 
 
 def integrate_direct_t(
@@ -645,8 +636,8 @@ def integrate_direct_t(
     two agree rather than assuming it.  `gauge` None is a ValueError."""
     if gauge is None:
         raise ValueError("integrate_direct_t needs a gauge; the identity clock has no direct-t form")
-    tol, samples = check_settings(tol, samples)
-    _, t, s = _clocks([gauge], span, samples)[0]
+    t0, t1, tol, samples = check_run([gauge], span, tol, samples)
+    _, t, s = _clock((gauge,), t0.hex(), t1.hex(), samples)[0]
     t, s = t.copy(), s.copy()
     rhs = make_gauged_field(params, gauge)
     rows = [tuple(float(v) for v in x0)]

@@ -32,8 +32,7 @@ from .dynamics import State3, SystemKind, SystemParams, effective_params
 from .integrate import (
     IntegrationError,
     Trajectory,
-    check_settings,
-    check_span_overflow,
+    check_run,
     integrate_sl,
     integrate_sl_gauges,
 )
@@ -95,18 +94,9 @@ class Scenario:
     def __post_init__(self) -> None:
         if not _NAME.fullmatch(self.name):
             raise ValueError(f"scenario name {self.name!r} must be a plain file stem: {_NAME.pattern}")
-        t0, t1 = (float(self.span[0]), float(self.span[1]))
-        if not (math.isfinite(t0) and math.isfinite(t1) and t1 > t0):
-            raise ValueError(f"scenario {self.name!r}: span must be finite with t1 > t0")
-        object.__setattr__(self, "span", (t0, t1))
-        tol, n = check_settings(self.tol, self.sample_count)
-        object.__setattr__(self, "tol", tol)
-        object.__setattr__(self, "sample_count", n)
         if self.kind is SystemKind.SL:
             if self.gauge is None:
                 raise ValueError(f"scenario {self.name!r}: SL runs need a gauge")
-            if t0 <= 0.0:
-                raise ValueError(f"scenario {self.name!r}: SL spans must start at t0 > 0")
         elif self.gauge is not None:
             raise ValueError(f"scenario {self.name!r}: Lorenz runs take no gauge")
         elif self.params != (fixed := effective_params(self.kind)):
@@ -114,7 +104,10 @@ class Scenario:
                 f"scenario {self.name!r}: {self.kind.value} has fixed coefficients "
                 f"(a, b, c) = ({fixed.a!r}, {fixed.b!r}, {fixed.c!r}), got {self.params!r}"
             )
-        check_span_overflow(self.gauge, t0, t1)
+        t0, t1, tol, n = check_run([self.gauge], self.span, self.tol, self.sample_count)
+        object.__setattr__(self, "span", (t0, t1))
+        object.__setattr__(self, "tol", tol)
+        object.__setattr__(self, "sample_count", n)
         if self.params.c <= 0.0:
             raise ValueError(f"scenario {self.name!r}: c must be positive, got {self.params.c!r}")
 

@@ -493,6 +493,24 @@ class TestDivergenceProbe:
         with pytest.raises(ValueError):
             divergence_probe(SystemKind.LORENZ_STANDARD, None, (0.1, 0.1, 0.1), 0.0, 10.0)
 
+    @pytest.mark.parametrize(
+        "delta0, horizon, message",
+        [
+            (1e-8, 0.0, "horizon must be positive and finite, got 0.0"),
+            (1e-8, -1.0, "horizon must be positive and finite, got -1.0"),
+            (1e-8, math.inf, "horizon must be positive and finite, got inf"),
+            (1e-8, math.nan, "horizon must be positive and finite, got nan"),
+            (0.0, 10.0, "delta0 must be positive, got 0.0"),
+            (math.inf, 10.0, "delta0 must be positive, got inf"),
+        ],
+        ids=["horizon-0", "horizon-neg", "horizon-inf", "horizon-nan", "delta0-0", "delta0-inf"],
+    )
+    def test_refusals_take_no_step(self, monkeypatch, delta0, horizon, message):
+        monkeypatch.setattr(analysis, "_carry", lambda *args: pytest.fail("the probe took a step"))
+        with pytest.raises(ValueError) as info:
+            divergence_probe(SystemKind.LORENZ_STANDARD, None, (0.1, 0.1, 0.1), delta0, horizon)
+        assert str(info.value) == message
+
     def test_decay_at_stable_equilibrium(self):
         series = divergence_probe(SystemKind.SL, ATTRACTOR_II, (0.0, 0.0, 0.0), 1e-6, 50.0)
         assert series.time_variable == "s"

@@ -260,6 +260,15 @@ class TestLyapunov:
         assert "usage error: horizon must be positive and finite" in err
         assert carried == []
 
+    @pytest.mark.parametrize("renorm", ["inf", "nan"])
+    def test_renorm_must_be_positive_and_finite(self, capsys, monkeypatch, renorm):
+        from slchaos import analysis
+
+        monkeypatch.setattr(analysis, "_carry", lambda *args: pytest.fail("the estimator took a step"))
+        code, out, err = run_cli(capsys, "lyapunov", "--system", "sl", "--a", "2", "--renorm", renorm)
+        assert (code, out) == (1, "")
+        assert err == f"usage error: renorm_interval must be positive and finite, got {renorm}\n"
+
     @pytest.mark.parametrize(
         "budget, steps",
         [(["--renorm", "1e-300"], "1e+303"), (["--horizon", "1e300", "--renorm", "1e298"], "1e+302"),

@@ -12,6 +12,7 @@ from slchaos.analysis import StableTail, stable_tails
 from slchaos.dynamics import (
     LORENZ_LITERAL_PARAMS,
     LORENZ_STANDARD_PARAMS,
+    State3,
     SystemKind,
     SystemParams,
     effective_params,
@@ -26,7 +27,7 @@ from slchaos.integrate import (
     integrate_sl_gauges,
     rk4_step,
 )
-from slchaos.scenarios import run_trajectory, scenario_registry
+from slchaos.scenarios import Scenario, run_trajectory, scenario_registry
 from slchaos.timegauge import Gauge, scale_time
 
 ATTRACTOR_II = SystemParams(2.0, 0.3, 27.0)
@@ -737,7 +738,8 @@ class TestClock:
         gauges, span, x0 = [GAUGE, None, GAUGE], (0.1, 50.0), (0.1, 0.1, 0.1)
         first = integrate_sl_gauges(ATTRACTOR_II, gauges, span, x0, samples=50)
         second = integrate_sl_gauges(ATTRACTOR_II, gauges, span, x0, samples=50)
-        cached = [array for clock in integrate._clocks(gauges, span, 50) for array in clock]
+        t0, t1, _, n = integrate.check_run(gauges, span, 1e-9, 50)
+        cached = [array for clock in integrate._clock(tuple(gauges), t0.hex(), t1.hex(), n) for array in clock]
         assert not any(array.flags.writeable for array in cached)
         columns = [col for run in first + second for col in (run.t, run.s)]
         assert all(col.flags.writeable for col in columns)
@@ -933,8 +935,8 @@ def test_config_validation():
 def test_tol_floor():
     # Double precision cannot meet a tol below 1e-15, so it is out of range.
     with pytest.raises(ValueError, match=r"in \[1e-15, 1e-1\]"):
-        integrate.check_settings(1e-16, 10)
-    assert integrate.check_settings(1e-15, 10) == (1e-15, 10)
+        integrate.check_run([None], (0.0, 1.0), 1e-16, 10)
+    assert integrate.check_run([None], (0.0, 1.0), 1e-15, 10) == (0.0, 1.0, 1e-15, 10)
 
 
 def test_plan_validation():
@@ -943,10 +945,46 @@ def test_plan_validation():
     # A fractional or non-finite count is rejected, not truncated.
     for samples in (2.5, math.inf, math.nan):
         with pytest.raises(ValueError, match="sample_count must be an integer"):
-            integrate.check_settings(1e-9, samples)
+            integrate.check_run([None], (0.0, 1.0), 1e-9, samples)
         with pytest.raises(ValueError, match="sample_count must be an integer"):
             integrate_sl(DECAY, None, (0.0, 1.0), (1.0, 0.0, 0.0), samples=samples)
     for samples in (5, np.int64(5), 5.0, np.float64(5.0)):
-        assert integrate.check_settings(1e-9, samples) == (1e-9, 5)
+        assert integrate.check_run([None], (0.0, 1.0), 1e-9, samples) == (0.0, 1.0, 1e-9, 5)
     with pytest.raises(ValueError, match="sample_count must be >= 2"):
         integrate_sl_gauges(DECAY, (None,), (0.0, 1.0), (1.0, 0.0, 0.0), samples=1)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize(
+    "gauge, span, tol, samples",
+    [
+        (GAUGE, (0.1, 10.0), 0.0, 50),
+        (None, (0.0, 10.0), 1e300, 50),
+        (GAUGE, (0.1, 10.0), 1e-9, 1),
+        (None, (0.0, 10.0), 1e-9, 2.5),
+        (GAUGE, (10.0, 0.1), 1e-9, 50),
+        (None, (-1e308, 1e308), 1e-9, 50),
+        (GAUGE, (0.0, 10.0), 1e-9, 50),
+        (Gauge(1e300, 2.0 / 3.0), (0.1, 1e308), 1e-9, 50),
+    ],
+    ids=["tol-0", "tol-1e300", "samples-1", "samples-2.5", "span-order", "span-length", "sl-t0", "scaled-time"],
+)
+def test_each_refusal_has_one_text(monkeypatch, gauge, span, tol, samples):
+    # A Scenario and every solve entry refuse a bad run with one text, the
+    # one `check_run` raises, before any step.
+    monkeypatch.setattr(integrate, "_kernel", lambda p: pytest.fail("a Taylor solve started"))
+    kind, params = (SystemKind.LORENZ_STANDARD, LORENZ_STANDARD_PARAMS) if gauge is None else (SystemKind.SL, ATTRACTOR_II)
+    x0 = State3(0.1, 0.1, 0.1)
+    calls = [
+        lambda: Scenario("bad", kind, params, gauge, x0, span, tol, samples),
+        lambda: integrate_sl(params, gauge, span, x0, tol, samples),
+        lambda: integrate_sl_gauges(params, [gauge], span, x0, tol, samples),
+    ]
+    if gauge is not None:
+        calls.append(lambda: integrate_direct_t(params, gauge, span, x0, tol, samples))
+    messages = []
+    for call in calls:
+        with pytest.raises(ValueError) as info:
+            call()
+        messages.append(str(info.value))
+    assert messages == messages[:1] * len(calls)
