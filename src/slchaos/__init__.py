@@ -2,7 +2,7 @@
 
 Vector fields and equilibria for a three-parameter quadratic system and two
 fixed Lorenz arrangements, a power-law time gauge that maps the system onto
-an autonomous form, deterministic Runge-Kutta integration, stability and
+an autonomous form, a deterministic Taylor-series integrator, stability and
 Lyapunov analysis, and a registry of runnable scenarios with CSV/JSON/SVG
 exporters.
 """

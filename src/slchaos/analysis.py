@@ -1,9 +1,8 @@
 """Stability and chaos diagnostics.
 
-Eigenvalues of 3x3 Jacobians come from the characteristic cubic in closed
-form (trigonometric branch for three real roots, Cardano otherwise) with one
-Newton polish per root; no iterative eigensolver is involved, which keeps
-the results bit-deterministic.  On top of that sit Newton refinement of
+Each 3x3 Jacobian gets one LAPACK eigendecomposition (`numpy.linalg.eig`,
+in `_eig`), which gives both its spectrum and its eigenvectors; the digits
+follow the installed LAPACK.  On top of that sit Newton refinement of
 fixed points, a twin-trajectory largest-Lyapunov estimator with periodic
 renormalization, a raw two-run divergence probe, and a report for the
 fixed-point-existence property that every parameter choice is expected to
@@ -13,7 +12,7 @@ command and the settle rule below all read it, so a fixed point's class is
 decided in one place.  It is built once per coefficient set and shared.
 
 Each stable equilibrium of that table also holds its exact linear flow
-(its tail), built from closed-form eigenvectors (`eigenbasis_3x3`),
+(its tail), built from the eigenvectors of the same decomposition,
 with a convergence radius: an orbit that enters it provably converges to
 that equilibrium.  Entering that radius is the one settle rule.  The Taylor
 integrator finishes such orbits on the linear flow, inside the part of the
@@ -22,11 +21,11 @@ estimator, `max_lyapunov` (the one entry), carries the reference orbit
 alone first, keeping its state at each renormalization boundary (three
 doubles), and checks it against the system's tails: it stops at the first
 boundary inside a radius, before the twin takes a step, as the largest
-exponent of a settled orbit is the leading real part of the closed-form
-spectrum, which is exact, so no twin run can improve on it.  Orbits that
-settle nowhere, only on a saddle or a marginal point, or on a stable point
-without an eigenbasis (a defective one), then get the full twin run
-against the stored states.
+exponent of a settled orbit is the leading real part of the equilibrium's
+spectrum, so no twin run can improve on it.  Orbits that settle nowhere,
+only on a saddle or a marginal point, or on a stable point without a usable
+eigenbasis (a defective one), then get the full twin run against the
+stored states.
 
 The estimator and the divergence probe step their orbits with `_carry`,
 fixed RK4 of the quadratic field written out as one straight line: it
@@ -78,7 +77,6 @@ __all__ = [
     "ConjectureReport",
     "NewtonError",
     "eigenvalues_3x3",
-    "eigenbasis_3x3",
     "char_poly_residual",
     "classify_spectrum",
     "newton_fixed_point",
@@ -131,12 +129,11 @@ class LyapunovEstimate:
     runs produce numbers too noisy to report.  It is the budget that was
     asked for, whether or not the estimator spent all of it.  `estimator`
     says where the number comes from: "twin" is the mean growth rate of a
-    twin run, "equilibrium" the leading real part of the closed-form
-    spectrum of the stable equilibrium the orbit settled on, with
-    `sample_stddev` 0.0.  `settled_at` is the first renormalization
-    boundary, in `time_variable`, at which the reference state lay within
-    that equilibrium's convergence radius (`StableTail.radius2`), and None
-    for a twin estimate.
+    twin run, "equilibrium" the leading real part of the spectrum of the
+    stable equilibrium the orbit settled on, with `sample_stddev` 0.0.
+    `settled_at` is the first renormalization boundary, in `time_variable`,
+    at which the reference state lay within that equilibrium's convergence
+    radius (`StableTail.radius2`), and None for a twin estimate.
     """
 
     lambda_max: float
@@ -181,9 +178,9 @@ class ConjectureReport:
     fixed point, with each fixed point classified.  The origin is a zero of
     the field for every (a, b, c), so the expected verdict is always
     'satisfied'; the report makes that check explicit.  `spectra` and
-    `classes` are index-aligned with `equilibria_found`: the closed-form
-    spectrum of the Jacobian at each equilibrium and its
-    `classify_spectrum` class; `tails` the stable ones' linear flows."""
+    `classes` are index-aligned with `equilibria_found`: the spectrum of
+    the Jacobian at each equilibrium and its `classify_spectrum` class;
+    `tails` the stable ones' linear flows."""
 
     equilibria_found: tuple[Equilibrium, ...]
     spectra: tuple[Spectrum3, ...]
@@ -208,47 +205,6 @@ class NewtonError(RuntimeError):
 # ---------------------------------------------------------------------------
 
 
-def _cubic_roots(p: float, q: float, r: float) -> list[complex]:
-    """Roots of lambda**3 + p*lambda**2 + q*lambda + r, via the depressed
-    cubic u**3 + A*u + B with lambda = u - p/3."""
-    shift = p / 3.0
-    A = q - p * p / 3.0
-    B = 2.0 * p**3 / 27.0 - p * q / 3.0 + r
-    disc = 0.25 * B * B + A**3 / 27.0
-
-    roots_u: list[complex]
-    if disc > 0.0:
-        # One real root.  Build it from the larger-magnitude cube-root term
-        # and recover the other via the product identity to avoid
-        # cancellation.
-        sq = math.sqrt(disc)
-        w1 = -0.5 * B + sq
-        w2 = -0.5 * B - sq
-        big = w1 if abs(w1) >= abs(w2) else w2
-        T = math.copysign(abs(big) ** (1.0 / 3.0), big)
-        u1 = T - A / (3.0 * T)
-        half = -0.5 * u1
-        im = 0.5 * math.sqrt(max(3.0 * u1 * u1 + 4.0 * A, 0.0))
-        roots_u = [complex(u1, 0.0), complex(half, im), complex(half, -im)]
-    elif disc < 0.0:
-        # Three distinct real roots (requires A < 0).
-        m = 2.0 * math.sqrt(-A / 3.0)
-        arg = 3.0 * B / (A * m)
-        arg = min(1.0, max(-1.0, arg))
-        theta = math.acos(arg) / 3.0
-        roots_u = [
-            complex(m * math.cos(theta - 2.0 * math.pi * k / 3.0), 0.0) for k in (0, 1, 2)
-        ]
-    else:
-        if A == 0.0:
-            roots_u = [complex(0.0, 0.0)] * 3
-        else:
-            alpha = math.copysign(abs(0.5 * B) ** (1.0 / 3.0), B)
-            roots_u = [complex(-2.0 * alpha, 0.0), complex(alpha, 0.0), complex(alpha, 0.0)]
-
-    return [u - shift for u in roots_u]
-
-
 def char_poly_residual(matrix: np.ndarray, spectrum: Spectrum3) -> float:
     """max_i |p(lambda_i)| for the characteristic polynomial of `matrix`."""
     p, q, r = _char_poly_coeffs(np.asarray(matrix, dtype=float))
@@ -259,8 +215,8 @@ def char_poly_residual(matrix: np.ndarray, spectrum: Spectrum3) -> float:
 
 
 def _char_poly_coeffs(m: np.ndarray) -> tuple[float, float, float]:
-    # Python floats, not numpy scalars: an overflowing `**` in `_cubic_roots`
-    # then raises OverflowError instead of warning and going on with inf.
+    # The coefficients of lambda**3 + p*lambda**2 + q*lambda + r, written out
+    # from the matrix entries, so the residual shares no code with LAPACK.
     (m00, m01, m02), (m10, m11, m12), (m20, m21, m22) = m.tolist()
     tr = m00 + m11 + m22
     minors = (m11 * m22 - m12 * m21) + (m00 * m22 - m02 * m20) + (m00 * m11 - m01 * m10)
@@ -272,85 +228,32 @@ def _char_poly_coeffs(m: np.ndarray) -> tuple[float, float, float]:
     return (-tr, minors, -det)
 
 
-def eigenvalues_3x3(matrix: np.ndarray | Sequence[Sequence[float]]) -> Spectrum3:
-    """Closed-form spectrum of a real 3x3 matrix.
-
-    Each root gets one Newton correction on the characteristic polynomial,
-    applied only when it is a genuine contraction, which tightens simple
-    roots without destabilizing near-multiple ones.  ArithmeticError when
-    the cubic's terms overflow or a root is not finite.
-    """
+def _eig(matrix: np.ndarray | Sequence[Sequence[float]]) -> tuple[Spectrum3, np.ndarray]:
+    """The spectrum of a real 3x3 matrix and its unit eigenvectors, the
+    columns of a complex V index-aligned with it, from one LAPACK call
+    (`numpy.linalg.eig`).  ValueError for a wrong shape or a non-finite
+    entry; ArithmeticError when LAPACK fails or returns a non-finite
+    eigenvalue."""
     m = np.asarray(matrix, dtype=float)
     if m.shape != (3, 3):
         raise ValueError(f"expected a 3x3 matrix, got shape {m.shape}")
-    if not np.all(np.isfinite(m)):
+    if not np.isfinite(m).all():
         raise ValueError("matrix contains non-finite entries")
-
-    overflow = "the characteristic polynomial overflows: no finite spectrum"
-    p, q, r = _char_poly_coeffs(m)
     try:
-        roots = _cubic_roots(p, q, r)
-    except OverflowError:
-        raise ArithmeticError(overflow) from None
-
-    polished: list[complex] = []
-    for lam in roots:
-        val = ((lam + p) * lam + q) * lam + r
-        der = (3.0 * lam + 2.0 * p) * lam + q
-        if der != 0 and val != 0:
-            step = val / der
-            # Near a multiple root both val and der sit at rounding noise and
-            # their quotient is garbage, so a step is kept only if it is small
-            # and demonstrably reduces the residual.
-            if abs(step) < 0.5 * (1.0 + abs(lam)):
-                cand = lam - step
-                cval = ((cand + p) * cand + q) * cand + r
-                if abs(cval) < abs(val):
-                    lam = cand
-        polished.append(lam)
-
-    if not np.all(np.isfinite(polished)):
-        raise ArithmeticError(overflow)
-    polished.sort(key=lambda v: (-v.real, -v.imag))
-    return Spectrum3((polished[0], polished[1], polished[2]))
+        values, vectors = np.linalg.eig(m)
+    except np.linalg.LinAlgError as exc:
+        raise ArithmeticError(f"LAPACK failed ({exc}): no finite spectrum") from None
+    if not np.isfinite(values).all():
+        raise ArithmeticError("LAPACK returned a non-finite eigenvalue: no finite spectrum")
+    values = [complex(v) for v in values.tolist()]
+    order = sorted(range(3), key=lambda i: (-values[i].real, -values[i].imag))
+    spectrum = Spectrum3(tuple(values[i] for i in order))
+    return spectrum, np.asarray(vectors, dtype=complex)[:, order]
 
 
-def _cross(u: Sequence[complex], v: Sequence[complex]) -> tuple[complex, complex, complex]:
-    return (u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2], u[0] * v[1] - u[1] * v[0])
-
-
-def _norm2(v: Sequence[complex]) -> float:
-    return abs(v[0]) ** 2 + abs(v[1]) ** 2 + abs(v[2]) ** 2
-
-
-def eigenbasis_3x3(
-    matrix: np.ndarray | Sequence[Sequence[float]], spectrum: Spectrum3
-) -> tuple[tuple[tuple[complex, ...], ...], tuple[tuple[complex, ...], ...]] | None:
-    """Closed-form eigenvectors of a real 3x3 matrix for the eigenvalues of
-    `spectrum`, and the inverse of the matrix V they form.
-
-    Returns (columns of V, rows of V^-1), index-aligned with
-    `spectrum.eigenvalues`.  Each column is the largest cross product of
-    two rows of matrix - lambda*I, scaled to unit length, and V^-1 is the
-    adjugate of V over its determinant, so the result is plain complex
-    arithmetic with no iterative solver.  None when V is singular (a
-    repeated eigenvalue without an eigenvector of its own).
-    """
-    m = [[float(v) for v in row] for row in matrix]
-    cols = []
-    for lam in spectrum.eigenvalues:
-        a = [[m[i][j] - (lam if i == j else 0.0) for j in range(3)] for i in range(3)]
-        v = max((_cross(a[0], a[1]), _cross(a[0], a[2]), _cross(a[1], a[2])), key=_norm2)
-        n = math.sqrt(_norm2(v))
-        if n == 0.0:
-            return None
-        cols.append((v[0] / n, v[1] / n, v[2] / n))
-    v0, v1, v2 = cols
-    adj = (_cross(v1, v2), _cross(v2, v0), _cross(v0, v1))
-    det = v0[0] * adj[0][0] + v0[1] * adj[0][1] + v0[2] * adj[0][2]
-    if det == 0:
-        return None
-    return tuple(cols), tuple((r[0] / det, r[1] / det, r[2] / det) for r in adj)
+def eigenvalues_3x3(matrix: np.ndarray | Sequence[Sequence[float]]) -> Spectrum3:
+    """Spectrum of a real 3x3 matrix, from LAPACK (`_eig`)."""
+    return _eig(matrix)[0]
 
 
 def classify_spectrum(spectrum: Spectrum3) -> str:
@@ -634,10 +537,12 @@ def conjecture_report(params: SystemParams) -> ConjectureReport:
 
     Uses the closed-form solution set, which `equilibria` lists with the
     origin first or raises, so the verdict is 'satisfied' for every input
-    that returns.  Each equilibrium's Jacobian is built once; it gives the
-    closed-form spectrum, that spectrum's class and, at a stable node or
-    focus-node, the tail.  This is the one place the equilibria are listed
-    and classified.  Raises what `equilibria` raises.
+    that returns.  Each equilibrium's Jacobian is built and decomposed once
+    (`_eig`); that gives its spectrum, the spectrum's class and, at a stable
+    node or focus-node, the tail, with V^-1 from `numpy.linalg.inv`.  This
+    is the one place the equilibria are listed and classified.  Raises what
+    `equilibria` raises, and ArithmeticError for a Jacobian without a
+    finite spectrum.
 
     At a stable equilibrium x* the field is exactly J d + q(d) in d = x - x*,
     with q(d) = (0, -dx dz, dx dy), so |q(d)| <= |d|**2 / 2.  With the
@@ -648,8 +553,8 @@ def conjecture_report(params: SystemParams) -> ConjectureReport:
     convergence radius is the smaller of alpha / (4 K**2) and half the
     distance to any other equilibrium, so x* is the nearest one;
     `StableTail.switch_radius2` cuts it to a tolerance.  An equilibrium
-    without an eigenbasis (a defective one), or whose K is above
-    TAIL_MAX_CONDITION (coalescing eigenvalues), gets no tail.
+    whose V is singular or whose K is above TAIL_MAX_CONDITION (a defective
+    one, or coalescing eigenvalues) gets no tail.
 
     The report is immutable and memoised on the (frozen, hashable)
     coefficients, so every reader of one run, and every run of the same
@@ -658,27 +563,27 @@ def conjecture_report(params: SystemParams) -> ConjectureReport:
     """
     eqs = tuple(equilibria(params))
     points = [tuple(eq.point) for eq in eqs]
-    jacs = [jacobian(SystemKind.SL, params, point) for point in points]
-    spectra = tuple(eigenvalues_3x3(jac) for jac in jacs)
+    decompositions = [_eig(jacobian(SystemKind.SL, params, point)) for point in points]
+    spectra = tuple(spec for spec, _ in decompositions)
     classes = tuple(classify_spectrum(spec) for spec in spectra)
     tails = []
-    for point, jac, spec, cls in zip(points, jacs, spectra, classes):
+    for point, (spec, v), cls in zip(points, decompositions, classes):
         if not cls.startswith("stable"):
             continue
-        basis = eigenbasis_3x3(jac, spec)
-        if basis is None:
+        try:
+            w = np.linalg.inv(v)
+        except np.linalg.LinAlgError:
             continue
-        cols, rows = basis
-        # ||V||_F ||V^-1||_F with unit columns.
-        cond = math.sqrt(3.0 * sum(_norm2(row) for row in rows))
+        # ||V||_F ||V^-1||_F with unit columns; hypot neither overflows nor warns.
+        cond = math.sqrt(3.0) * math.hypot(*w.real.ravel().tolist(), *w.imag.ravel().tolist())
         if not cond <= TAIL_MAX_CONDITION:
             continue
         alpha = -spec.real_parts[0]
         apart = min((math.dist(point, q) for q in points if q != point), default=math.inf)
-        radius2 = min((alpha / (4.0 * cond**2)) ** 2, (0.5 * apart) ** 2)
-        tails.append(
-            StableTail(point, radius2, alpha, cond, tuple(zip(spec.eigenvalues, cols, rows)))
-        )
+        # Products, not `**`: a square past the largest double is inf, not an OverflowError.
+        reach, half = alpha / (4.0 * cond * cond), 0.5 * apart
+        modes = zip(spec.eigenvalues, map(tuple, v.T.tolist()), map(tuple, w.tolist()))
+        tails.append(StableTail(point, min(reach * reach, half * half), alpha, cond, tuple(modes)))
     count = len(eqs)
     kinds = "origin only" if count == 1 else f"origin and symmetric pair ({count} total)"
     return ConjectureReport(eqs, spectra, classes, tuple(tails), "satisfied", kinds)
@@ -736,8 +641,8 @@ class StableTail:
 def stable_tails(params: SystemParams) -> tuple[StableTail, ...]:
     """The `conjecture_report` table's tails: the linear flow at each stable
     node or focus-node, with its convergence radius.  Coefficients without
-    a finite closed-form equilibrium list get none: a tail only saves work,
-    so it must never turn a run into an error."""
+    a finite closed-form equilibrium list or a finite spectrum get none: a
+    tail only saves work, so it must never turn a run into an error."""
     try:
         return conjecture_report(params).tails
     except (ValueError, ArithmeticError):

@@ -58,13 +58,13 @@ exact linear flow there,
 
     x(sigma) = x* + V exp(Lambda (sigma - sigma_1)) V^-1 (x(sigma_1) - x*),
 
-with the closed-form spectrum Lambda and eigenvectors V of the Jacobian at
-x* (`analysis.stable_tails`).  Near a stable equilibrium an explicit step
-is held by its stability region, not by the tolerance, so this is where a
-long run would spend almost all of its steps.  "Close" is within the tail's
-convergence radius, cut to where the part of the field the linear flow
-leaves out moves no later sample by more than 1e-2 * tol: with
-d = x - x*, leading real part -alpha < 0 and eigenbasis condition K, the
+with the spectrum Lambda and eigenvectors V of the Jacobian at x* from one
+LAPACK decomposition (`analysis.stable_tails`).  Near a stable equilibrium
+an explicit step is held by its stability region, not by the tolerance, so
+this is where a long run would spend almost all of its steps.  "Close" is
+within the tail's convergence radius, cut to where the part of the field
+the linear flow leaves out moves no later sample by more than 1e-2 * tol:
+with d = x - x*, leading real part -alpha < 0 and eigenbasis condition K, the
 flow is off by at most 2 K**3 |d|**2 / alpha (`StableTail.switch_radius2`).
 Equilibria with a near-singular eigenbasis (coalescing eigenvalues) get no
 switch; nor do saddles, marginal points and unstable points, where the run

@@ -19,7 +19,6 @@ from slchaos.analysis import (
     classify_spectrum,
     conjecture_report,
     divergence_probe,
-    eigenbasis_3x3,
     eigenvalues_3x3,
     max_lyapunov,
     newton_fixed_point,
@@ -86,51 +85,56 @@ class TestEigenvalues:
             scale = max(1.0, np.max(np.abs(m)) ** 3)
             assert char_poly_residual(m, spec) <= 1e-9 * scale
 
-    def test_against_lapack(self):
-        """Independent oracle: numpy's iterative eigensolver must agree with
-        the closed form on generic matrices."""
+    def test_against_sympy_roots(self):
+        """Oracle sharing no code with LAPACK: the roots of the exact
+        characteristic polynomial of integer matrices, to 30 digits."""
+        sympy = pytest.importorskip("sympy")
+        lam = sympy.Symbol("lam")
         rng = np.random.default_rng(1234)
-        for _ in range(300):
-            m = rng.uniform(-30.0, 30.0, (3, 3))
+        for _ in range(200):
+            m = rng.integers(-30, 31, (3, 3))
+            poly = sympy.Matrix(m.tolist()).charpoly(lam)
+            ref = sorted((complex(r) for r in poly.nroots(n=30)), key=lambda v: (v.real, v.imag))
             ours = sorted(eigenvalues_3x3(m).eigenvalues, key=lambda v: (v.real, v.imag))
-            ref = sorted(np.linalg.eigvals(m), key=lambda v: (v.real, v.imag))
             scale = max(1.0, float(np.max(np.abs(m))))
             for a, b in zip(ours, ref):
-                assert abs(a - complex(b)) <= 1e-8 * scale
+                assert abs(a - b) <= 1e-12 * scale
 
     def test_eigenbasis_diagonalises(self):
-        """The closed-form eigenvectors satisfy A V = V Lambda and the
-        adjugate inverse V^-1 V = I, on random matrices and on the stable
-        equilibria the settled tail uses; numpy's eigensolver is the
-        oracle for the eigenvalue-to-vector pairing."""
+        """The decomposition's eigenvectors satisfy A v = lambda v with unit
+        length and V^-1 V = I, on random matrices and in the modes of the
+        stable equilibria the settled tail uses."""
         rng = np.random.default_rng(99)
-        mats = [rng.uniform(-30.0, 30.0, (3, 3)) for _ in range(100)]
-        mats += [
-            jacobian(SystemKind.SL, p, pt)
-            for p, pt in (
-                (ATTRACTOR_II, (0.0, 0.0, 0.0)),
-                (SystemParams(2.0, 5.0, 27.0), (math.sqrt(108.0), math.sqrt(108.0), 4.0)),
-                (LORENZ_LITERAL_PARAMS, (math.sqrt(28.0 * 5.0 / 3.0),) * 2 + (5.0 / 3.0,)),
-            )
-        ]
-        for m in mats:
-            spec = eigenvalues_3x3(m)
-            cols, rows = eigenbasis_3x3(m, spec)
-            v = np.array(cols).T
+        for m in (rng.uniform(-30.0, 30.0, (3, 3)) for _ in range(100)):
+            spec, v = analysis._eig(m)
             scale = max(1.0, float(np.max(np.abs(m))))
             assert np.max(np.abs(m @ v - v @ np.diag(spec.eigenvalues))) <= 1e-8 * scale
-            assert np.max(np.abs(np.array(rows) @ v - np.eye(3))) <= 1e-8
+            assert np.max(np.abs(np.linalg.inv(v) @ v - np.eye(3))) <= 1e-8
             assert np.allclose(np.linalg.norm(v, axis=0), 1.0, rtol=0.0, atol=1e-14)
-            for lam, col in zip(spec.eigenvalues, cols):
-                ref_vals, ref_vecs = np.linalg.eig(m)
-                ref = ref_vecs[:, np.argmin(np.abs(ref_vals - lam))]
-                # Unit vectors spanning the same line: |<ref, col>| = 1.
-                assert abs(abs(np.vdot(ref, np.array(col))) - 1.0) <= 1e-7
+        for p, pt in (
+            (ATTRACTOR_II, (0.0, 0.0, 0.0)),
+            (SystemParams(2.0, 5.0, 27.0), (math.sqrt(108.0), math.sqrt(108.0), 4.0)),
+            (LORENZ_LITERAL_PARAMS, (math.sqrt(28.0 * 5.0 / 3.0),) * 2 + (5.0 / 3.0,)),
+        ):
+            tail = min(stable_tails(p), key=lambda t: math.dist(t.point, pt))
+            assert math.dist(tail.point, pt) <= 1e-12 * max(1.0, max(map(abs, pt)))
+            m = jacobian(SystemKind.SL, p, tail.point)
+            lams = np.array([lam for lam, _, _ in tail.modes])
+            v = np.array([col for _, col, _ in tail.modes]).T
+            w = np.array([row for _, _, row in tail.modes])
+            scale = max(1.0, float(np.max(np.abs(m))))
+            assert np.max(np.abs(m @ v - v @ np.diag(lams))) <= 1e-8 * scale
+            assert np.max(np.abs(w @ v - np.eye(3))) <= 1e-8
+            assert np.allclose(np.linalg.norm(v, axis=0), 1.0, rtol=0.0, atol=1e-14)
 
     def test_eigenbasis_of_a_defective_matrix_is_none(self):
-        # A Jordan block has one eigenvector for its double eigenvalue.
-        m = np.array([[2.0, 1.0, 0.0], [0.0, 2.0, 0.0], [0.0, 0.0, -1.0]])
-        assert eigenbasis_3x3(m, eigenvalues_3x3(m)) is None
+        # The origin's Jacobian has a Jordan block: a double eigenvalue (-1
+        # at a = 1, b = 0; -3/2 at a = 2, b = -1/8) with one eigenvector, so
+        # the stable origin gets no tail.
+        for params in (SystemParams(1.0, 0.0, 27.0), SystemParams(2.0, -0.125, 27.0)):
+            rep = conjecture_report(params)
+            assert rep.classes[0].startswith("stable")
+            assert rep.tails == ()
 
     def test_shape_and_finiteness_checks(self):
         with pytest.raises(ValueError):
@@ -141,14 +145,35 @@ class TestEigenvalues:
             eigenvalues_3x3(bad)
 
     @pytest.mark.filterwarnings("error")
-    def test_overflowing_cubic_is_an_arithmetic_error(self):
-        # At a = 1e102 the origin's spectrum is about (-1e102, -0.7, -27),
-        # but the cube of the depressed cubic's A overflows (at 1e103 so does
-        # p**3): an error, never a warning and a finite but wrong root.
-        for a in (1e102, 1e103):
-            m = jacobian(SystemKind.SL, SystemParams(a, 0.3, 27.0), (0.0, 0.0, 0.0))
-            with pytest.raises(ArithmeticError, match="characteristic polynomial overflows"):
-                eigenvalues_3x3(m)
+    @pytest.mark.parametrize("a", [1e9, 1e10, 1e102, 1e300])
+    def test_large_a_origin_is_a_stable_node(self, a):
+        # The origin of (a, 0.3, 27) has -c and the roots of
+        # lam**2 + (a + 1) lam + a (1 - b), the small one written without
+        # cancellation: a solver that loses it to cancellation at large a
+        # moves it off -0.7, and by a = 1e10 calls the origin a saddle.
+        b = 0.3
+        small = -2.0 * a * (1.0 - b) / ((a + 1.0) + math.hypot(a - 1.0, 2.0 * math.sqrt(a * b)))
+        rep = conjecture_report(SystemParams(a, b, 27.0))
+        for got, want in zip(rep.spectra[0].eigenvalues, (small, -27.0, -(a + 1.0) - small)):
+            assert got.imag == 0.0
+            assert got.real == pytest.approx(want, rel=1e-12)
+        assert rep.classes == ("stable node",)
+
+    @pytest.mark.parametrize("fake", ["raise", "nan"])
+    def test_no_finite_spectrum_is_an_arithmetic_error_and_no_tail(self, monkeypatch, fake):
+        def eig(m):
+            if fake == "raise":
+                raise np.linalg.LinAlgError("Eigenvalues did not converge")
+            return np.array([math.nan, -1.0, -2.0]), np.eye(3)
+
+        monkeypatch.setattr(np.linalg, "eig", eig)
+        with pytest.raises(ArithmeticError, match="no finite spectrum"):
+            eigenvalues_3x3(np.eye(3))
+        with pytest.raises(ArithmeticError, match="no finite spectrum"):
+            conjecture_report(ATTRACTOR_II)
+        assert stable_tails(ATTRACTOR_II) == ()
+        monkeypatch.undo()
+        assert len(stable_tails(ATTRACTOR_II)) == 1
 
 
 class TestClassification:
@@ -549,7 +574,6 @@ class TestConjecture:
         params = SystemParams(2.0, b, 27.0)
         rep = conjecture_report(params)
         assert rep.classes == ("stable node",)
-        assert eigenbasis_3x3(jacobian(SystemKind.SL, params, (0.0, 0.0, 0.0)), rep.spectra[0]) is not None
         assert len(rep.tails) == tails
 
     def test_attractor_ii_origin_witness(self):
@@ -583,16 +607,16 @@ class TestConjecture:
 
     def test_stable_tails_are_built_once_per_coefficient_set(self, monkeypatch):
         # Two solves, a report and the `fixed-points` blocks of the same
-        # coefficients share one build: one Jacobian per equilibrium, one
-        # eigenbasis per stable equilibrium, and one immutable result.
+        # coefficients share one build: one Jacobian and one decomposition
+        # per equilibrium, and one immutable result.
         from slchaos import analysis
         from slchaos.scenarios import equilibria_doc, run_trajectory, scenario_report
 
-        calls = {"jacobian": [], "eigenbasis_3x3": []}
+        calls = {"jacobian": [], "_eig": []}
         for fn, log in calls.items():
             spied = getattr(analysis, fn)
             monkeypatch.setattr(analysis, fn, lambda *args, log=log, spied=spied: log.append(args) or spied(*args))
-        for name, found, stable in (("sl-a2", 1, 1), ("lorenz-literal", 3, 2)):
+        for name, found in (("sl-a2", 1), ("lorenz-literal", 3)):
             sc = lookup_scenario(name)
             for log in calls.values():
                 log.clear()
@@ -600,7 +624,7 @@ class TestConjecture:
             assert run_trajectory(sc) == run
             scenario_report(sc, run)
             equilibria_doc(sc.kind, sc.params)
-            assert (len(calls["jacobian"]), len(calls["eigenbasis_3x3"])) == (found, stable)
+            assert (len(calls["jacobian"]), len(calls["_eig"])) == (found, found)
         tails = stable_tails(LORENZ_LITERAL_PARAMS)
         assert isinstance(tails, tuple) and stable_tails(LORENZ_LITERAL_PARAMS) is tails
         assert conjecture_report(LORENZ_LITERAL_PARAMS).tails is tails

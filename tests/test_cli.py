@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -7,6 +8,7 @@ import time
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import slchaos
@@ -537,14 +539,39 @@ def test_tol_ceiling(capsys, tmp_path):
     assert report["meta"]["tol"] == 0.1
 
 
-def test_overflowing_spectrum_is_runtime_failure(capsys):
-    # The origin's characteristic cubic overflows at a = 1e102 and beyond:
-    # one "run failed" line, with no numpy warning before it.
-    for a in ("1e102", "1e103"):
-        code, out, err = run_cli(capsys, "fixed-points", "--system", "sl", "--a", a)
-        assert code == 2
-        assert err == "run failed: the characteristic polynomial overflows: no finite spectrum\n"
-        assert out == ""
+def test_large_a_origin_is_a_stable_node(capsys):
+    # The origin's spectrum is about (-0.7, -27, -a): a stable node however
+    # large a is, with no overflow at 1e102.
+    code, out, err = run_cli(capsys, "fixed-points", "--system", "sl", "--a", "1e10")
+    assert (code, err) == (0, "")
+    assert [eq["class"] for eq in json.loads(out)["equilibria"]] == ["stable node"]
+    code, out, err = run_cli(capsys, "fixed-points", "--system", "sl", "--a", "1e102")
+    assert (code, err) == (0, "")
+    (origin,) = json.loads(out)["equilibria"]
+    assert origin["spectrum"] == [[-0.7, 0.0], [-27.0, 0.0], [-1e102, 0.0]]
+
+
+@pytest.mark.parametrize("fake", ["raise", "nan"])
+def test_no_finite_spectrum_is_runtime_failure(capsys, monkeypatch, fake):
+    def eig(m):
+        if fake == "raise":
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        return np.array([math.nan, -1.0, -2.0]), np.eye(3)
+
+    monkeypatch.setattr(np.linalg, "eig", eig)
+    code, out, err = run_cli(capsys, "fixed-points", "--system", "sl", "--a", "2")
+    assert (code, out) == (2, "")
+    assert err.startswith("run failed: ") and err.endswith("no finite spectrum\n")
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("command", ["fixed-points", "lyapunov"])
+def test_coefficients_near_the_largest_double(capsys, command):
+    # Squares of the tail's radius terms pass 1e308; they must come out inf,
+    # not as an OverflowError's "Numerical result out of range".
+    code, out, err = run_cli(capsys, command, "--system", "sl", "--a", "1e308", "--b=-1e308", "--c", "1e308")
+    assert code in (0, 2), err
+    assert "OverflowError" not in err and "out of range" not in err
 
 
 def test_module_entry_point():

@@ -15,6 +15,6 @@ def _load_tool():
 
 def test_every_case_runs_once(tmp_path):
     table = _load_tool().cases(tmp_path)
-    assert len(table) == 25
+    assert len(table) == 26
     for name, case in table.items():
         assert case() is not None, name

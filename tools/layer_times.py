@@ -18,6 +18,9 @@ The cases, each run once per round, round-robin, after one warm-up round:
 - `solve-compare-six-cold`: the same with the sample clock cache
   (`integrate._clock`) emptied first, so every clock is built as in a
   one-shot process, where 4 of the 6 builds still repeat within the call;
+- `spectra-six-cold`: the fixed-point tables (`analysis.conjecture_report`)
+  of the six registry scenarios, with its memo emptied first, so every
+  equilibrium's Jacobian is decomposed and every tail built;
 - `solve-five-gauges`: the shared solve of `sweep-gauge`'s D sweep of
   sl-a2 (`integrate_sl_gauges`, D = 0.5, 0.6, 0.7, 0.8, 0.9);
 - `solve-direct-t`: criterion 1's reference, `integrate_direct_t` on sl-a2's
@@ -77,7 +80,7 @@ def cases(tmp: Path) -> dict[str, Callable[[], object]]:
     import numpy as np
 
     from slchaos import integrate, scenarios
-    from slchaos.analysis import divergence_probe, stable_tails
+    from slchaos.analysis import conjecture_report, divergence_probe, stable_tails
     from slchaos.cli import cli_main
     from slchaos.dynamics import SystemParams, effective_params
     from slchaos.integrate import integrate_direct_t, integrate_sl, integrate_sl_gauges
@@ -109,6 +112,13 @@ def cases(tmp: Path) -> dict[str, Callable[[], object]]:
         return [run_trajectory(sc) for sc in registry.values()]
 
     out["solve-compare-six-cold"] = solve_compare_six_cold
+    coefficients = [effective_params(sc.kind, sc.params) for sc in registry.values()]
+
+    def spectra_six_cold() -> list:
+        conjecture_report.cache_clear()
+        return [conjecture_report(p) for p in coefficients]
+
+    out["spectra-six-cold"] = spectra_six_cold
     out["solve-five-gauges"] = lambda: integrate_sl_gauges(
         params, gauges, base.span, base.x0, base.tol, base.sample_count
     )
